@@ -3,7 +3,7 @@
 The package alternates two subproblem solvers: a Lagrangian-dual solver for
 the offloading / CPU-frequency schedule at a fixed flight path, and a
 sequential convex refinement of the flight path at a fixed schedule (each
-convex step handled by a dense interior-point QCQP solver).  Two fixed
+convex step handled by an interior-point QCQP solver).  Two fixed
 benchmark paths (straight dash and semicircle) are included for comparison.
 """
 
@@ -23,6 +23,7 @@ from .model import (
     evaluate_ledger,
     check_constraints,
 )
+from .errors import SolverError
 from .qcqp import QcqpProblem, QcqpSolution, solve as qcqp_solve, phase1, kkt_residuals
 from .offload_solver import (
     DualState,

@@ -18,9 +18,8 @@ import numpy as np
 
 from .config import load_scenario, ConfigParseError
 from .model import Scenario, ScenarioError
-from .planner import SCHEMES, PlannerResult, SweepCell, _run_scheme
-from .offload_solver import InfeasibleTrajectoryError
-from .planner import InfeasibleScenarioError, BaselineSpeedError
+from .errors import SolverError
+from .planner import SCHEMES, PlannerResult, SweepCell, _failed_cell, _run_scheme
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -100,9 +99,8 @@ def _run_cell(s: Scenario, T: float, scheme: str, cfg: RunConfig) -> SweepCell:
         st = s.with_T(T)
         result = _run_scheme(st, scheme, cfg.xi, cfg.xi1, tol=1e-6)
         return SweepCell(T=T, scheme=scheme, result=result)
-    except (InfeasibleScenarioError, InfeasibleTrajectoryError,
-            BaselineSpeedError, ScenarioError) as exc:
-        return SweepCell(T=T, scheme=scheme, result=None, error=str(exc))
+    except (SolverError, ScenarioError) as exc:
+        return _failed_cell(T, scheme, exc)
 
 
 def run(cfg: RunConfig) -> int:
@@ -145,7 +143,7 @@ def run(cfg: RunConfig) -> int:
                 _write_p2_trace(cell_dir / "offload_trace.txt", res)
         else:
             summary.append(f"{cell.scheme:<14} {cell.T:>6g} {'-':>16} {'-':>11} "
-                           f"{'infeasible':>10}")
+                           f"{cell.status:>10}")
             if cfg.verbose and cell.error:
                 summary.append(f"    {cell.error}")
     table = "\n".join(summary) + "\n"
@@ -155,9 +153,7 @@ def run(cfg: RunConfig) -> int:
     failed = [c for c in cells if not c.converged]
     if failed and cfg.verbose:
         for c in failed:
-            print(f"cell {c.scheme} T={c.T:g}: "
-                  f"{c.error or (c.result.status if c.result else 'failed')}",
-                  file=sys.stderr)
+            print(f"cell {c.scheme} T={c.T:g}: {c.error or c.status}", file=sys.stderr)
     return 0 if not failed else 1
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .errors import SolverError
 from .model import (
     Scenario,
     channel_gains,
@@ -56,15 +57,15 @@ _EN = 1e-3
 _PRICE = _BIT / _EN
 
 
-class InfeasibleTrajectoryError(RuntimeError):
+class InfeasibleTrajectoryError(SolverError):
     """The demand cannot be met with the energy this trajectory delivers."""
 
 
-class DualIterationLimitError(RuntimeError):
+class DualIterationLimitError(SolverError):
     """Dual ascent stalled before reaching the requested KKT tolerance."""
 
 
-class DualRecoveryError(ValueError):
+class DualRecoveryError(SolverError, ValueError):
     """Dual iterate outside recoverable region (caller must project)."""
 
 

@@ -28,8 +28,10 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.linalg import solveh_banded
 
+from .errors import SolverError
 from .model import (
     Scenario,
+    ScenarioError,
     Plan,
     EnergyLedger,
     channel_gains,
@@ -64,11 +66,11 @@ __all__ = [
 SCHEMES = ("proposed", "straight-line", "semi-circle")
 
 
-class InfeasibleScenarioError(RuntimeError):
+class InfeasibleScenarioError(SolverError):
     """The workload cannot be met from the initial path's harvest."""
 
 
-class BaselineSpeedError(RuntimeError):
+class BaselineSpeedError(SolverError):
     """Baseline violates V_max."""
 
 
@@ -97,10 +99,28 @@ class SweepCell:
     scheme: str
     result: PlannerResult | None
     error: str | None = None
+    # why a cell has no result: "infeasible" (the scenario, path or
+    # baseline cannot carry the workload) or "failed" (any other solver error)
+    failure: str | None = None
+
+    @property
+    def status(self) -> str:
+        return self.result.status if self.result is not None else self.failure
 
     @property
     def converged(self) -> bool:
         return self.result is not None and self.result.status == "converged"
+
+
+# Errors that mean the cell's workload cannot be carried at all.
+_INFEASIBLE = (InfeasibleScenarioError, InfeasibleTrajectoryError,
+               BaselineSpeedError, ScenarioError)
+
+
+def _failed_cell(T: float, scheme: str, exc: Exception) -> SweepCell:
+    """The record of a cell whose solve raised ``exc``."""
+    failure = "infeasible" if isinstance(exc, _INFEASIBLE) else "failed"
+    return SweepCell(T=T, scheme=scheme, result=None, error=str(exc), failure=failure)
 
 
 def straight_line_trajectory(s: Scenario) -> np.ndarray:
@@ -324,14 +344,12 @@ def sweep_T(s: Scenario, T_values: Iterable[float],
         try:
             st = s.with_T(T)
         except Exception as exc:  # scenario invariant broke for this T
-            for scheme in schemes:
-                cells.append(SweepCell(T=T, scheme=scheme, result=None, error=str(exc)))
+            cells.extend(_failed_cell(T, scheme, exc) for scheme in schemes)
             continue
         for scheme in schemes:
             try:
                 cells.append(SweepCell(T=T, scheme=scheme,
                                        result=_run_scheme(st, scheme, xi, xi1, tol)))
-            except (InfeasibleScenarioError, InfeasibleTrajectoryError,
-                    BaselineSpeedError) as exc:
-                cells.append(SweepCell(T=T, scheme=scheme, result=None, error=str(exc)))
+            except SolverError as exc:
+                cells.append(_failed_cell(T, scheme, exc))
     return cells

@@ -1,28 +1,33 @@
-"""Dense convex QCQP solver (log-barrier interior point).
+"""Convex QCQP solver (log-barrier interior point) on structured constraint rows.
 
 Solves
     minimize    0.5 x'Q0 x + c0'x + d0
     subject to  0.5 x'Qi x + ci'x + di <= 0,   i = 1..m
-                A x = b
-with all Qi symmetric positive semidefinite.  Intended for small dense
-problems (a few hundred variables); no sparsity is exploited.
+with all Qi symmetric positive semidefinite.  Callers pass dense (Q, c, d)
+triples, which the problem keeps.  Once, at construction, it also builds
+the one representation the numerics read: the nonzero entries of every Qi
+as (row, j, k, value) triplets, plus the stacked c and d.  Row values,
+gradients, ray quadratic forms and the barrier Hessian's weighted sum of
+the Qi are scatter-adds over those triplets, so their cost follows the
+number of nonzeros rather than m * dim^2.  Diagonal, two-point and dense
+rows share that one mechanism.  The objective and the Newton systems stay
+dense; the Hessian's gradient outer-product term is dense anyway.
 
-Algorithm: equalities are eliminated by a null-space substitution, a
-phase-1 margin maximization produces a strictly feasible start when the
-caller cannot supply one, then a standard log-barrier outer loop with
-damped Newton inner steps (backtracking line search, parameters 0.25/0.5)
-drives the duality gap below tolerance.  A final active-set Newton polish
-sharpens the KKT residuals to near machine precision.
+Algorithm: a phase-1 margin maximization produces a strictly feasible start
+when the caller cannot supply one, then a standard log-barrier outer loop
+with damped Newton inner steps (backtracking line search, parameters
+0.25/0.5) drives the duality gap below tolerance.  A final active-set
+Newton polish sharpens the KKT residuals to near machine precision.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
+
+from .errors import SolverError
 
 __all__ = [
     "QcqpProblem",
@@ -40,7 +45,7 @@ _LS_ALPHA = 0.25            # Armijo fraction
 _LS_BETA = 0.5              # backtracking shrink factor
 
 
-class QcqpInfeasibleError(RuntimeError):
+class QcqpInfeasibleError(SolverError):
     """No strictly feasible point exists (phase-1 margin nonpositive)."""
 
 
@@ -57,14 +62,72 @@ class KktReport:
         return max(self.stationarity, self.primal, self.dual, self.complementarity)
 
 
+class _Rows:
+    """Constraint rows 0.5 x'Qi x + ci'x + di, each Qi kept as the
+    (row, j, k, value) triplets of its nonzero entries."""
+
+    def __init__(self, dim: int, row, j, k, val, c, d):
+        self.dim = dim
+        self.row, self.j, self.k, self.val = row, j, k, val
+        self.c = c                          # (m, dim)
+        self.d = d                          # (m,)
+        self.m = d.shape[0]
+        self._grad_at = row * dim + j       # flat slot of each entry in an (m, dim) array
+        self._hess_at = j * dim + k         # flat slot of each entry in a (dim, dim) array
+
+    @classmethod
+    def from_dense(cls, dim: int, triples) -> "_Rows":
+        m = len(triples)
+        support = [np.nonzero(q) for q, _, _ in triples]
+        empty = np.zeros(0, dtype=np.intp)
+        return cls(dim,
+                   np.repeat(np.arange(m), [len(j) for j, _ in support]),
+                   np.concatenate([j for j, _ in support] + [empty]),
+                   np.concatenate([k for _, k in support] + [empty]),
+                   np.concatenate([q[j, k] for (q, _, _), (j, k) in zip(triples, support)]
+                                  + [np.zeros(0)]),
+                   np.array([c for _, c, _ in triples], dtype=float).reshape(m, dim),
+                   np.array([d for _, _, d in triples], dtype=float))
+
+    def lifted(self, s_cap: float) -> "_Rows":
+        """Phase-1 rows in (x, s): g_i(x) + s <= 0, then the cap s <= s_cap."""
+        c = np.zeros((self.m + 1, self.dim + 1))
+        c[:-1, :-1] = self.c
+        c[:, -1] = 1.0
+        return _Rows(self.dim + 1, self.row, self.j, self.k, self.val, c,
+                     np.append(self.d, -s_cap))
+
+    def quad_forms(self, x) -> np.ndarray:
+        """(m,) values of 0.5 x'Qi x."""
+        return 0.5 * np.bincount(self.row, self.val * x[self.j] * x[self.k],
+                                 minlength=self.m)
+
+    def values(self, x) -> np.ndarray:
+        return self.quad_forms(x) + self.c @ x + self.d
+
+    def gradients(self, x) -> np.ndarray:
+        """(m, dim) rows Qi x + ci."""
+        qx = np.bincount(self._grad_at, self.val * x[self.k], minlength=self.m * self.dim)
+        return qx.reshape(self.m, self.dim) + self.c
+
+    def q_sum(self, w) -> np.ndarray:
+        """Dense (dim, dim) sum of w_i Qi."""
+        h = np.bincount(self._hess_at, w[self.row] * self.val,
+                        minlength=self.dim * self.dim)
+        return h.reshape(self.dim, self.dim)
+
+
 @dataclass
 class QcqpProblem:
-    """Dense convex QCQP data.  All quadratic forms use the 0.5 x'Qx convention."""
+    """Convex QCQP data.  All quadratic forms use the 0.5 x'Qx convention.
+
+    The constraint rows the solver reads are built from ``ineq`` once, at
+    construction; edit a problem by building a new one.
+    """
 
     dim: int
     objective: tuple[np.ndarray, np.ndarray, float]
     ineq: list[tuple[np.ndarray, np.ndarray, float]] = field(default_factory=list)
-    eq: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
         q0, c0, d0 = self.objective
@@ -77,13 +140,7 @@ class QcqpProblem:
                             np.asarray(c, dtype=float).reshape(self.dim),
                             float(d)))
         self.ineq = checked
-        if self.eq is not None:
-            a = np.atleast_2d(np.asarray(self.eq[0], dtype=float))
-            b = np.atleast_1d(np.asarray(self.eq[1], dtype=float))
-            if a.shape != (b.shape[0], self.dim):
-                raise ValueError(f"equality system shapes {a.shape} / {b.shape} "
-                                 f"inconsistent with dim={self.dim}")
-            self.eq = (a, b)
+        self._rows = _Rows.from_dense(self.dim, checked)
 
     def _check_psd(self, q, name: str) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -92,8 +149,11 @@ class QcqpProblem:
         if not np.allclose(q, q.T, atol=1e-10 * max(1.0, np.abs(q).max())):
             raise ValueError(f"{name}: matrix is not symmetric")
         q = 0.5 * (q + q.T)
-        if q.shape[0] > 0:
-            w = np.linalg.eigvalsh(q)
+        # Off the support every row and column is zero, so the full matrix
+        # has the support submatrix's eigenvalues plus zeros: same verdict.
+        s = np.flatnonzero(q.any(axis=0))
+        if s.size:
+            w = np.linalg.eigvalsh(q[np.ix_(s, s)])
             if w[0] < -1e-9 * max(1.0, w[-1]):
                 raise ValueError(f"{name}: matrix is not positive semidefinite "
                                  f"(min eigenvalue {w[0]:.3g})")
@@ -103,63 +163,21 @@ class QcqpProblem:
     def m(self) -> int:
         return len(self.ineq)
 
-    def _stacks(self):
-        """Stacked constraint tensors, built lazily for vectorized math.
-
-        Detects the all-diagonal case (every Qi diagonal, as produced by
-        per-point squared-distance constraints) and stores just the
-        diagonals, which cuts evaluation cost by the problem dimension.
-        """
-        cached = getattr(self, "_stack_cache", None)
-        if cached is None or cached[0] != self.m:
-            if self.m:
-                q_st = np.stack([q for q, _, _ in self.ineq])
-                c_st = np.stack([c for _, c, _ in self.ineq])
-                d_st = np.array([d for _, _, d in self.ineq])
-                diag = np.stack([np.diag(q) for q, _, _ in self.ineq])
-                all_diag = all(
-                    np.count_nonzero(q - np.diag(np.diag(q))) == 0
-                    for q, _, _ in self.ineq)
-            else:
-                q_st = np.zeros((0, self.dim, self.dim))
-                c_st = np.zeros((0, self.dim))
-                d_st = np.zeros(0)
-                diag = np.zeros((0, self.dim))
-                all_diag = True
-            cached = (self.m, q_st, c_st, d_st, diag, all_diag)
-            self._stack_cache = cached
-        return cached[1:]
-
     def objective_value(self, x) -> float:
         q, c, d = self.objective
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ q @ x + c @ x + d)
 
     def ineq_values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.m == 0:
-            return np.zeros(0)
-        q_st, c_st, d_st, diag, all_diag = self._stacks()
-        if all_diag:
-            return 0.5 * (diag @ (x * x)) + c_st @ x + d_st
-        qx = q_st @ x
-        return 0.5 * (qx @ x) + c_st @ x + d_st
+        return self._rows.values(np.asarray(x, dtype=float))
 
     def ineq_gradients(self, x) -> np.ndarray:
         """(m, dim) matrix of constraint gradients at x."""
-        x = np.asarray(x, dtype=float)
-        q_st, c_st, _, diag, all_diag = self._stacks()
-        if all_diag:
-            return diag * x[None, :] + c_st
-        return q_st @ x + c_st
+        return self._rows.gradients(np.asarray(x, dtype=float))
 
     def ineq_quad_forms(self, dx) -> np.ndarray:
         """(m,) values of 0.5 dx'Qi dx, for line-search boundary steps."""
-        dx = np.asarray(dx, dtype=float)
-        q_st, _, _, diag, all_diag = self._stacks()
-        if all_diag:
-            return 0.5 * (diag @ (dx * dx))
-        return 0.5 * ((q_st @ dx) @ dx)
+        return self._rows.quad_forms(np.asarray(dx, dtype=float))
 
     def to_text(self) -> str:
         """Plain-text dump of all (Q, c, d) triples, for debugging."""
@@ -170,10 +188,6 @@ class QcqpProblem:
             parts.append("c " + " ".join(repr(v) for v in c))
             for row in q:
                 parts.append("Q " + " ".join(repr(v) for v in row))
-        if self.eq is not None:
-            a, b = self.eq
-            for row, rhs in zip(a, b):
-                parts.append("A " + " ".join(repr(v) for v in row) + f" = {rhs!r}")
         return "\n".join(parts)
 
 
@@ -181,7 +195,6 @@ class QcqpProblem:
 class QcqpSolution:
     x: np.ndarray
     lambdas: np.ndarray
-    nus_eq: np.ndarray
     status: str                      # "optimal" | "max-iter" | "infeasible"
     kkt: KktReport
     objective: float
@@ -190,7 +203,7 @@ class QcqpSolution:
     trace: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def kkt_residuals(p: QcqpProblem, x, lambdas, nus_eq=None) -> KktReport:
+def kkt_residuals(p: QcqpProblem, x, lambdas) -> KktReport:
     """Recompute all four KKT residual norms from scratch.
 
     Independent of the solve path on purpose: tests compare this against
@@ -199,21 +212,11 @@ def kkt_residuals(p: QcqpProblem, x, lambdas, nus_eq=None) -> KktReport:
     x = np.asarray(x, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float).reshape(p.m)
     q0, c0, _ = p.objective
-    r = q0 @ x + c0
-    g = p.ineq_values(x) if p.m else np.zeros(0)
-    for lam_i, (q, c, _) in zip(lambdas, p.ineq):
-        r = r + lam_i * (q @ x + c)
-    primal = float(np.max(g, initial=0.0))
-    primal = max(primal, 0.0)
-    if p.eq is not None:
-        a, b = p.eq
-        if nus_eq is None:
-            nus_eq = np.zeros(a.shape[0])
-        nus_eq = np.asarray(nus_eq, dtype=float).reshape(a.shape[0])
-        r = r + a.T @ nus_eq
-        primal = max(primal, float(np.max(np.abs(a @ x - b), initial=0.0)))
+    r = q0 @ x + c0 + lambdas @ p.ineq_gradients(x)
+    g = p.ineq_values(x)
+    primal = max(float(np.max(g, initial=0.0)), 0.0)
     dual = float(max(0.0, -np.min(lambdas, initial=0.0)))
-    comp = float(np.max(np.abs(lambdas * g), initial=0.0)) if p.m else 0.0
+    comp = float(np.max(np.abs(lambdas * g), initial=0.0))
     return KktReport(stationarity=float(np.max(np.abs(r), initial=0.0)),
                      primal=primal, dual=dual, complementarity=comp)
 
@@ -222,66 +225,66 @@ def kkt_residuals(p: QcqpProblem, x, lambdas, nus_eq=None) -> KktReport:
 # Internals
 # ---------------------------------------------------------------------------
 
-def _grad_hess_barrier(p: QcqpProblem, x: np.ndarray, t: float):
+def _grad_hess_barrier(obj, rows: _Rows, x: np.ndarray, t: float):
     """Value, gradient, Hessian of t*f0(x) - sum log(-g_i(x)), plus the
-    constraint values and gradients (for reuse in the line search)."""
-    q0, c0, d0 = p.objective
+    constraint values and gradients (for reuse in the line search).
+
+    ``obj`` is the objective triple (Q0, c0, d0) and ``rows`` the
+    constraint rows.
+    """
+    q0, c0, d0 = obj
     val = t * (0.5 * x @ q0 @ x + c0 @ x + d0)
     grad = t * (q0 @ x + c0)
-    hess = t * q0.copy()
-    if not p.m:
-        return val, grad, hess, np.zeros(0), np.zeros((0, p.dim))
-    q_st, c_st, d_st, diag, all_diag = p._stacks()
-    if all_diag:
-        gx = diag * x[None, :] + c_st
-    else:
-        gx = q_st @ x + c_st
-    g = 0.5 * (gx @ x) + 0.5 * (c_st @ x) + d_st
+    hess = t * q0
+    if not rows.m:
+        return val, grad, hess, np.zeros(0), np.zeros((0, rows.dim))
+    gx = rows.gradients(x)
+    g = 0.5 * (gx @ x) + 0.5 * (rows.c @ x) + rows.d
     if np.any(g >= 0.0):
         return np.inf, grad, hess, g, gx
     inv = -1.0 / g
     val -= float(np.sum(np.log(-g)))
     grad = grad + inv @ gx
     gxw = gx * inv[:, None]
-    if all_diag:
-        hess[np.diag_indices_from(hess)] += inv @ diag
-    else:
-        hess = hess + np.einsum("i,ijk->jk", inv, q_st, optimize=True)
-    hess = hess + gxw.T @ gxw
+    hess = hess + rows.q_sum(inv) + gxw.T @ gxw
     return val, grad, hess, g, gx
 
 
 def _newton_solve(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve hess @ dx = -grad with a regularized fallback."""
+    """Solve hess @ dx = -grad by Cholesky, with a regularized fallback.
+
+    The LAPACK factorization is the one ``scipy.linalg.solve(assume_a="pos")``
+    runs, without the condition estimate that call adds to every solve.
+    """
     n = hess.shape[0]
     if n == 0:
         return np.zeros(0)
     reg = 0.0
     scale = max(1.0, float(np.abs(hess).max()))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        for _ in range(8):
-            try:
-                dx = scipy.linalg.solve(hess + reg * np.eye(n), -grad,
-                                        assume_a="pos")
-                if np.all(np.isfinite(dx)):
-                    return dx
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-                pass
-            reg = max(reg * 100.0, 1e-12 * scale)
+    for _ in range(8):
+        try:
+            factor = scipy.linalg.cho_factor(hess + reg * np.eye(n))
+            dx = scipy.linalg.cho_solve(factor, -grad)
+            if np.all(np.isfinite(dx)):
+                return dx
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+            pass
+        reg = max(reg * 100.0, 1e-12 * scale)
     return np.linalg.lstsq(hess, -grad, rcond=None)[0]
 
 
-def _center(p: QcqpProblem, x: np.ndarray, t: float, max_steps: int = 100):
+def _center(obj, rows: _Rows, x: np.ndarray, t: float, max_steps: int = 100):
     """Damped Newton minimization of the barrier objective at fixed t.
 
     Along a fixed direction every constraint restricts to an exact
-    quadratic in the step length, so the whole line search (boundary step
-    plus Armijo backtracking) runs on precomputed ray coefficients without
-    re-evaluating the constraint stack.
+    quadratic in the step length, so the line search (boundary step plus
+    Armijo backtracking) runs on precomputed ray coefficients.  A step the
+    ray accepts is kept only if the constraint values recomputed at the new
+    point are strictly negative too: rounding can put a boundary row at
+    exactly zero there while the ray predicted a tiny negative value.
     """
-    q0, c0, d0 = p.objective
-    val, grad, hess, g, gx = _grad_hess_barrier(p, x, t)
+    q0, c0, d0 = obj
+    val, grad, hess, g, gx = _grad_hess_barrier(obj, rows, x, t)
     if not np.isfinite(val):
         return x
     for _ in range(max_steps):
@@ -295,40 +298,37 @@ def _center(p: QcqpProblem, x: np.ndarray, t: float, max_steps: int = 100):
         if 0.5 * decr2 <= _NEWTON_TOL:
             break
         # Ray coefficients: each g_i(x + a dx) = qa_i a^2 + qb_i a + qc_i.
-        if p.m:
-            qa = p.ineq_quad_forms(dx)
-            qb = gx @ dx
-            qc = g
-        else:
-            qa = qb = qc = np.zeros(0)
+        qa = rows.quad_forms(dx)
+        qb = gx @ dx
+        qc = g
         f_a = 0.5 * dx @ q0 @ dx
         f_b = (q0 @ x + c0) @ dx
         f_c = 0.5 * x @ q0 @ x + c0 @ x + d0
 
         # Fraction-to-boundary initial step.
-        alpha_max = np.inf
-        if p.m:
-            cand = np.full(p.m, np.inf)
-            quad = qa > 0.0
-            disc = np.sqrt(np.maximum(qb[quad] ** 2 - 4.0 * qa[quad] * qc[quad], 0.0))
-            cand[quad] = (-qb[quad] + disc) / (2.0 * qa[quad])
-            lin = (~quad) & (qb > 0.0)
-            cand[lin] = -qc[lin] / qb[lin]
-            alpha_max = float(np.min(cand, initial=np.inf))
+        cand = np.full(rows.m, np.inf)
+        quad = qa > 0.0
+        disc = np.sqrt(np.maximum(qb[quad] ** 2 - 4.0 * qa[quad] * qc[quad], 0.0))
+        cand[quad] = (-qb[quad] + disc) / (2.0 * qa[quad])
+        lin = (~quad) & (qb > 0.0)
+        cand[lin] = -qc[lin] / qb[lin]
+        alpha_max = float(np.min(cand, initial=np.inf))
         step = min(1.0, 0.99 * alpha_max) if alpha_max > 0 else 1.0
 
         accepted = False
         for _ in range(100):
             g_ray = qa * step * step + qb * step + qc
-            if p.m == 0 or np.all(g_ray < 0.0):
+            if np.all(g_ray < 0.0):
                 v_cand = t * (f_a * step * step + f_b * step + f_c)
-                if p.m:
-                    v_cand -= float(np.sum(np.log(-g_ray)))
+                v_cand -= float(np.sum(np.log(-g_ray)))
                 if v_cand <= val - _LS_ALPHA * step * decr2:
-                    x = x + step * dx
-                    val, grad, hess, g, gx = _grad_hess_barrier(p, x, t)
-                    accepted = True
-                    break
+                    x_new = x + step * dx
+                    new = _grad_hess_barrier(obj, rows, x_new, t)
+                    if np.isfinite(new[0]):
+                        x = x_new
+                        val, grad, hess, g, gx = new
+                        accepted = True
+                        break
             step *= _LS_BETA
         if not accepted:
             break
@@ -336,32 +336,7 @@ def _center(p: QcqpProblem, x: np.ndarray, t: float, max_steps: int = 100):
 
 
 def _strictly_feasible(p: QcqpProblem, x, margin: float = 0.0) -> bool:
-    x = np.asarray(x, dtype=float)
-    if p.m == 0:
-        return True
     return bool(np.all(p.ineq_values(x) < -margin))
-
-
-def _null_space_reduce(p: QcqpProblem):
-    """Eliminate Ax = b.  Returns (reduced problem, x_particular, Z)."""
-    a, b = p.eq
-    x_p, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    if np.max(np.abs(a @ x_p - b), initial=0.0) > 1e-8 * (1.0 + np.abs(b).max(initial=0.0)):
-        raise QcqpInfeasibleError("equality system is inconsistent")
-    z = scipy.linalg.null_space(a)
-    k = z.shape[1]
-
-    def reduce_triple(q, c, d):
-        qr = z.T @ q @ z
-        cr = z.T @ (q @ x_p + c)
-        dr = d + 0.5 * x_p @ q @ x_p + c @ x_p
-        return qr, cr, float(dr)
-
-    red = QcqpProblem(dim=k,
-                      objective=reduce_triple(*p.objective),
-                      ineq=[reduce_triple(q, c, d) for q, c, d in p.ineq],
-                      eq=None)
-    return red, x_p, z
 
 
 def phase1(p: QcqpProblem, x_hint=None, s_cap: float = 1.0,
@@ -370,17 +345,15 @@ def phase1(p: QcqpProblem, x_hint=None, s_cap: float = 1.0,
     """Maximize the slack margin s subject to g_i(x) <= -s.
 
     Returns (x, margin, status) with status "feasible" when margin > 0 and
-    "infeasible" otherwise.  Equalities must already be eliminated.  A tiny
-    proximal pull toward the hint keeps the Newton systems full rank (the
-    raw margin objective has no curvature of its own); it perturbs the
-    reported margin by at most prox times the squared drift.
+    "infeasible" otherwise.  A tiny proximal pull toward the hint keeps the
+    Newton systems full rank (the raw margin objective has no curvature of
+    its own); it perturbs the reported margin by at most prox times the
+    squared drift.
 
     With ``early_exit`` the solve stops as soon as the iterate is
     comfortably interior (callers that only need a strictly feasible
     start).  Infeasibility certificates always run to optimality.
     """
-    if p.eq is not None:
-        raise ValueError("phase1 expects an equality-free problem")
     if p.m == 0:
         x = np.zeros(p.dim) if x_hint is None else np.asarray(x_hint, dtype=float)
         return x, float("inf"), "feasible"
@@ -390,32 +363,17 @@ def phase1(p: QcqpProblem, x_hint=None, s_cap: float = 1.0,
         return x0, float(-np.max(g0)), "feasible"
 
     n = p.dim
-    aug_dim = n + 1
-    e_s = np.zeros(aug_dim)
-    e_s[-1] = 1.0
-
-    def lift(q, c, d):
-        ql = np.zeros((aug_dim, aug_dim))
-        ql[:n, :n] = q
-        cl = np.concatenate([c, [1.0]])
-        return ql, cl, d
-
-    q_prox = 2.0 * prox * np.eye(aug_dim)
+    q_prox = 2.0 * prox * np.eye(n + 1)
     q_prox[-1, -1] = 0.0
     c_prox = np.concatenate([-2.0 * prox * x0, [-1.0]])
-    aug = QcqpProblem(
-        dim=aug_dim,
-        objective=(q_prox, c_prox, prox * float(x0 @ x0)),
-        ineq=[lift(q, c, d) for q, c, d in p.ineq] + [
-            (np.zeros((aug_dim, aug_dim)), e_s, -s_cap)],
-        eq=None)
+    obj = (q_prox, c_prox, prox * float(x0 @ x0))
+    rows = p._rows.lifted(s_cap)
 
     s0 = min(-float(np.max(g0)) - 1.0, s_cap - 1.0)
     z = np.concatenate([x0, [s0]])
     t = 1.0
-    m_aug = aug.m
-    while m_aug / t > tol:
-        z = _center(aug, z, t)
+    while rows.m / t > tol:
+        z = _center(obj, rows, z, t)
         if early_exit and z[-1] > 0.02 * s_cap and np.all(p.ineq_values(z[:n]) < 0.0):
             return z[:n], float(z[-1]), "feasible"
         t *= _BARRIER_MU
@@ -424,10 +382,9 @@ def phase1(p: QcqpProblem, x_hint=None, s_cap: float = 1.0,
     return x, s, status
 
 
-def _solve_reduced(p: QcqpProblem, tol: float, max_iter: int,
-                   x0) -> tuple[np.ndarray, np.ndarray, str, float, list]:
-    """Barrier method on an equality-free problem."""
-    n = p.dim
+def _barrier(p: QcqpProblem, tol: float, max_iter: int,
+             x0) -> tuple[np.ndarray, np.ndarray, str, float, list]:
+    """Log-barrier outer loop from a strictly feasible start."""
     q0, c0, _ = p.objective
     if p.m == 0:
         x, res, _, _ = np.linalg.lstsq(q0, -c0, rcond=None)
@@ -449,7 +406,7 @@ def _solve_reduced(p: QcqpProblem, tol: float, max_iter: int,
     trace = []
     outer = 0
     while True:
-        x = _center(p, x, t)
+        x = _center(p.objective, p._rows, x, t)
         g = p.ineq_values(x)
         lam = 1.0 / (t * (-g))
         gap = float(np.sum(lam * (-g)))
@@ -486,12 +443,13 @@ def _polish(p: QcqpProblem, x: np.ndarray, lam: np.ndarray, t_final: float):
     lam_act = lam[active].copy()
     best = (x, lam)
     best_res = kkt_residuals(p, x, lam).max()
+    w = np.zeros(p.m)
     for _ in range(30):
         f = residual(xc, lam_act)
         if np.max(np.abs(f), initial=0.0) < 1e-14 * (1.0 + np.abs(c0).max(initial=0.0)):
             break
-        q_st = p._stacks()[0]
-        h = q0 + np.einsum("i,ijk->jk", lam_act, q_st[active], optimize=True)
+        w[active] = lam_act
+        h = q0 + p._rows.q_sum(w)
         grads = p.ineq_gradients(xc)[active]
         na = len(active)
         jac = np.zeros((p.dim + na, p.dim + na))
@@ -532,47 +490,14 @@ def solve(p: QcqpProblem, tol: float = 1e-9, max_iter: int = 60,
     Raises :class:`QcqpInfeasibleError` when phase 1 certifies that no
     strictly feasible point exists.
     """
-    if p.eq is not None:
-        red, x_p, z = _null_space_reduce(p)
-        if red.dim == 0:
-            x = x_p
-            g = p.ineq_values(x)
-            if np.any(g > 1e-9 * (1.0 + np.abs(g).max())):
-                raise QcqpInfeasibleError("equalities pin an infeasible point")
-            lam = np.zeros(p.m)
-            nus = _recover_eq_multipliers(p, x, lam)
-            kkt = kkt_residuals(p, x, lam, nus)
-            return QcqpSolution(x=x, lambdas=lam, nus_eq=nus, status="optimal",
-                                kkt=kkt, objective=p.objective_value(x), gap=0.0)
-        y_hint = None if x0 is None else z.T @ (np.asarray(x0, dtype=float) - x_p)
-        red_sol = solve(red, tol=tol, max_iter=max_iter, x0=y_hint)
-        x = x_p + z @ red_sol.x
-        nus = _recover_eq_multipliers(p, x, red_sol.lambdas)
-        kkt = kkt_residuals(p, x, red_sol.lambdas, nus)
-        return QcqpSolution(x=x, lambdas=red_sol.lambdas, nus_eq=nus,
-                            status=red_sol.status, kkt=kkt,
-                            objective=p.objective_value(x), gap=red_sol.gap,
-                            trace=red_sol.trace)
-
-    x, lam, status, gap, trace = _solve_reduced(p, tol, max_iter, x0)
+    x, lam, status, gap, trace = _barrier(p, tol, max_iter, x0)
     if status == "optimal" and p.m > 0:
         t_final = trace[-1][0]
         x, lam = _polish(p, x, lam, t_final)
-        gap = float(np.sum(lam * (-p.ineq_values(x)))) if p.m else 0.0
+        gap = float(np.sum(lam * (-p.ineq_values(x))))
     kkt = kkt_residuals(p, x, lam)
     if status == "optimal" and kkt.max() > max(np.sqrt(tol), 1e-6) * (
             1.0 + abs(p.objective_value(x))):
         status = "max-iter"
-    return QcqpSolution(x=x, lambdas=lam, nus_eq=np.zeros(0), status=status,
-                        kkt=kkt, objective=p.objective_value(x), gap=gap,
-                        trace=trace)
-
-
-def _recover_eq_multipliers(p: QcqpProblem, x, lambdas) -> np.ndarray:
-    a, _ = p.eq
-    q0, c0, _ = p.objective
-    r = q0 @ x + c0
-    for lam_i, (q, c, _) in zip(lambdas, p.ineq):
-        r = r + lam_i * (q @ x + c)
-    nu, _, _, _ = np.linalg.lstsq(a.T, -r, rcond=None)
-    return nu
+    return QcqpSolution(x=x, lambdas=lam, status=status, kkt=kkt,
+                        objective=p.objective_value(x), gap=gap, trace=trace)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcqp
+from .errors import SolverError
 from .model import (
     Scenario,
     DimensionError,
@@ -38,11 +39,11 @@ __all__ = [
 ]
 
 
-class ExpansionInfeasibleError(ValueError):
-    """Expansion point violates the speed or endpoint constraints."""
+class ExpansionInfeasibleError(SolverError, ValueError):
+    """Expansion point violates the speed, endpoint or causality constraints."""
 
 
-class ScaIterationLimitError(RuntimeError):
+class ScaIterationLimitError(SolverError):
     """SCA iteration limit reached before the displacement test passed."""
 
 
@@ -285,16 +286,23 @@ def solve_p3(s: Scenario, plan_part, init_traj, xi: float | None = None,
     for _ in range(max_iters):
         asm = assemble_p4(s, plan_part, traj)
         x_exp = asm.pack(traj)
+        # A schedule that saturates its budgets pins the path: the
+        # restriction has no interior, and the expansion point (where the
+        # harvest minorant is exact) is its only available point.  The same
+        # point stands in for any solve that does not end optimal.
         try:
-            sol_x = qcqp.solve(asm.problem, x0=x_exp).x
+            sol = qcqp.solve(asm.problem, x0=x_exp)
+            status = sol.status
         except qcqp.QcqpInfeasibleError:
-            # A schedule that saturates its budgets pins the path: the
-            # restriction has no interior, and the expansion point (where
-            # the harvest minorant is exact) is its only available point.
-            if float(np.max(asm.problem.ineq_values(x_exp), initial=0.0)) <= 1e-9:
-                sol_x = x_exp
-            else:
-                raise
+            status = "infeasible"
+        if status == "optimal":
+            sol_x = sol.x
+        elif float(np.max(asm.problem.ineq_values(x_exp), initial=0.0)) <= 1e-9:
+            sol_x = x_exp
+        else:
+            raise ExpansionInfeasibleError(
+                f"path subproblem ended {status!r} and the expansion point "
+                f"violates its constraints")
         new_traj = asm.embed(s, sol_x)
         state.iterations += 1
         state.objective_history.append(float(np.sum(propulsion_profile(s, new_traj))))

@@ -186,8 +186,8 @@ def test_criterion_7_energy_vs_duration_trend(sweep, table2):
 
     The total includes the RF feed T*P_u, which grows by 0.2*P_u per grid
     step while the path-and-compute savings are tens of joules; at any
-    transmit power that keeps this workload schedulable (>= roughly 4.5e4
-    W) the total therefore rises with T.  Asserted as stated regardless.
+    transmit power that keeps this workload schedulable (>= about 4e4 W)
+    the total therefore rises with T.  Asserted as stated regardless.
     """
     by, _ = sweep
     worst_rise = -np.inf

@@ -166,6 +166,24 @@ def test_cli_infeasible_cell_exit_code(tmp_path, ref2x6):
     assert code == 1
 
 
+def test_cli_solver_error_fails_only_its_cell(tmp_path, ref_cfg, monkeypatch):
+    from uavmec import planner
+    from uavmec.trajectory_solver import ScaIterationLimitError
+
+    def stuck(*args, **kwargs):
+        raise ScaIterationLimitError("SCA iteration limit")
+
+    monkeypatch.setattr(planner, "solve_p3", stuck)
+    out = tmp_path / "out"
+    code = main(["--scenario", str(ref_cfg), "--schemes", "proposed,straight-line",
+                 "--out", str(out)])
+    assert code == 1
+    rows = (out / "summary.txt").read_text().splitlines()[2:]
+    assert rows[0].split()[0] == "proposed" and rows[0].split()[-1] == "failed"
+    assert rows[1].split()[0] == "straight-line" and rows[1].split()[-1] == "converged"
+    assert (out / "straight-line_T1.2" / "ledger.txt").exists()
+
+
 def test_cli_bad_scenario_path(tmp_path):
     code = main(["--scenario", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "out")])

@@ -188,6 +188,20 @@ def test_sweep_marks_failed_cells(ref2x6):
     assert good.converged
 
 
+def test_sweep_contains_solver_errors(ref2x6, monkeypatch):
+    """A path-half error ends only its own cell, with status "failed"."""
+    from uavmec import planner
+    from uavmec.trajectory_solver import ScaIterationLimitError
+
+    def stuck(*args, **kwargs):
+        raise ScaIterationLimitError("SCA iteration limit")
+
+    monkeypatch.setattr(planner, "solve_p3", stuck)
+    cells = sweep_T(ref2x6, [1.2], schemes=("proposed", "straight-line"))
+    assert [c.status for c in cells] == ["failed", "converged"]
+    assert cells[0].result is None and "SCA iteration limit" in cells[0].error
+
+
 def test_sweep_trajectory_energy_decreases_with_T(table2):
     """More mission time means slower flight and a slower UAV clock: the
     path-and-compute part of the energy must fall as T grows (the fixed

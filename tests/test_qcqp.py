@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from uavmec import qcqp
 
@@ -83,15 +84,6 @@ def test_projection_onto_ball():
     assert sol.kkt.max() < 1e-8
 
 
-def test_equality_substitution():
-    # minimize ||x||^2 on the line x1 + x2 = 2
-    p = qcqp.QcqpProblem(dim=2, objective=(2 * np.eye(2), np.zeros(2), 0.0),
-                         eq=(np.array([[1.0, 1.0]]), np.array([2.0])))
-    sol = qcqp.solve(p)
-    assert sol.x == pytest.approx([1.0, 1.0], abs=1e-10)
-    assert sol.kkt.max() < 1e-8
-
-
 def test_infeasible_pair_raises():
     p = qcqp.QcqpProblem(dim=1, objective=(np.eye(1), np.zeros(1), 0.0),
                          ineq=[(np.zeros((1, 1)), np.array([-1.0]), 1.0),
@@ -103,6 +95,28 @@ def test_infeasible_pair_raises():
 def test_non_psd_rejected():
     with pytest.raises(ValueError):
         qcqp.QcqpProblem(dim=2, objective=(np.diag([1.0, -1.0]), np.zeros(2), 0.0))
+
+
+def _embedded_row(block, dim=6, at=(1, 4)):
+    q = np.zeros((dim, dim))
+    q[np.ix_(at, at)] = block
+    return (q, np.zeros(dim), -1.0)
+
+
+def test_non_psd_block_in_zero_matrix_rejected():
+    # the support check sees only the 2x2 block; its -1 eigenvalue must still
+    # reject the row, as the full matrix's would
+    objective = (np.eye(6), np.zeros(6), 0.0)
+    for block in ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            qcqp.QcqpProblem(dim=6, objective=objective,
+                             ineq=[_embedded_row(np.array(block))])
+    with pytest.raises(ValueError, match="not symmetric"):
+        qcqp.QcqpProblem(dim=6, objective=objective,
+                         ineq=[_embedded_row(np.array([[1.0, 0.5], [-0.5, 1.0]]))])
+    # the PSD two-point block w * (x1 - x4)^2 passes
+    qcqp.QcqpProblem(dim=6, objective=objective,
+                     ineq=[_embedded_row(np.array([[2.0, -2.0], [-2.0, 2.0]]))])
 
 
 # --- phase 1 ----------------------------------------------------------------
@@ -122,6 +136,16 @@ def test_phase1_ball_interior():
     x, margin, status = qcqp.phase1(p, x_hint=np.array([3.0, -4.0]))
     assert status == "feasible"
     assert float(np.linalg.norm(x)) < 1.0
+
+
+def test_phase1_margin_stops_at_cap():
+    # the ball ||x||^2 <= 4 allows a margin of 4; the lifted cap row holds
+    # the certificate at s_cap
+    p = qcqp.QcqpProblem(dim=2, objective=(np.eye(2), np.zeros(2), 0.0),
+                         ineq=[(2 * np.eye(2), np.zeros(2), -4.0)])
+    x, margin, status = qcqp.phase1(p, x_hint=np.array([3.0, 0.0]), early_exit=False)
+    assert status == "feasible"
+    assert margin == pytest.approx(1.0, abs=1e-6)
 
 
 # --- randomized vs grid oracle ----------------------------------------------
@@ -168,3 +192,63 @@ def test_dump_roundtrips_shapes():
     text = p.to_text()
     assert text.count("# ineq") == 2
     assert len([ln for ln in text.splitlines() if ln.startswith("Q ")]) == 3 * 3
+
+
+# --- structured constraint rows vs a dense reference ------------------------
+
+@st.composite
+def mixed_row_problems(draw):
+    """Random convex problems mixing diagonal, two-point and dense PSD rows,
+    with a point x strictly inside every row and a direction dx."""
+    dim = draw(st.integers(2, 7))
+    kinds = draw(st.lists(st.sampled_from(["diagonal", "two-point", "dense"]),
+                          min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=dim)
+    ineq = []
+    for kind in kinds:
+        if kind == "diagonal":
+            q = np.diag(rng.uniform(0.0, 3.0, dim) * (rng.random(dim) < 0.6))
+        elif kind == "two-point":
+            i, j = rng.choice(dim, size=2, replace=False)
+            w = rng.uniform(0.1, 3.0)
+            q = np.zeros((dim, dim))
+            q[i, i] = q[j, j] = w
+            q[i, j] = q[j, i] = -w
+        else:
+            a = rng.normal(size=(dim, dim))
+            q = a @ a.T
+        c = rng.normal(size=dim)
+        d = -(0.5 * x @ q @ x + c @ x) - rng.uniform(0.1, 2.0)
+        ineq.append((q, c, d))
+    a0 = rng.normal(size=(dim, dim))
+    p = qcqp.QcqpProblem(dim=dim, objective=(a0 @ a0.T, rng.normal(size=dim), 0.5),
+                         ineq=ineq)
+    return p, x, rng.normal(size=dim), float(rng.uniform(0.1, 100.0))
+
+
+def _close(got, ref):
+    return np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@given(mixed_row_problems())
+def test_structured_rows_match_dense_reference(case):
+    p, x, dx, t = case
+    qs = [q for q, _, _ in p.ineq]
+    g = np.array([0.5 * x @ q @ x + c @ x + d for q, c, d in p.ineq])
+    gx = np.array([q @ x + c for q, c, _ in p.ineq])
+    assert _close(p.ineq_values(x), g)
+    assert _close(p.ineq_gradients(x), gx)
+    assert _close(p.ineq_quad_forms(dx), np.array([0.5 * dx @ q @ dx for q in qs]))
+
+    q0, c0, d0 = p.objective
+    inv = -1.0 / g
+    val = t * (0.5 * x @ q0 @ x + c0 @ x + d0) - np.sum(np.log(-g))
+    grad = t * (q0 @ x + c0) + inv @ gx
+    hess = (t * q0 + sum(w * q for w, q in zip(inv, qs))
+            + sum(w * w * np.outer(r, r) for w, r in zip(inv, gx)))
+    got = qcqp._grad_hess_barrier(p.objective, p._rows, x, t)
+    assert _close(np.array(got[0]), np.array(val))
+    assert _close(got[1], grad)
+    assert _close(got[2], hess)
+    assert np.array_equal(got[2], got[2].T)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uavmec.model import Plan, check_constraints, harvested_energy_prefix
-from uavmec import offload_solver as osv
+from uavmec import offload_solver as osv, qcqp
 from uavmec.trajectory_solver import (
     sca_lower_bound,
     assemble_p4,
@@ -168,12 +168,48 @@ def test_saturated_schedule_pins_the_path(table2, table2_p2):
     assert state.objective_history[-1] == pytest.approx(241.25, rel=1e-9)
 
 
-def test_slack_schedule_descends_and_stays_feasible(table2):
+@pytest.fixture(scope="module")
+def semi_p2(table2):
+    semi = semicircle_trajectory(table2)
+    return semi, osv.solve_p2(table2, semi)
+
+
+@pytest.mark.parametrize("status", ["max-iter", "infeasible"])
+def test_non_optimal_subproblem_falls_back_to_expansion(table2, semi_p2, monkeypatch,
+                                                        status):
+    """Only an optimal subproblem solution moves the path: a solve that
+    ends otherwise (a "max-iter" return with NaN multipliers, or a raised
+    QcqpInfeasibleError) leaves the refinement at its feasible expansion
+    point, and with an infeasible expansion point it raises instead of
+    returning a path."""
+    semi, sol = semi_p2
+    slack = (0.8 * sol.l, 0.8 * sol.f_user, 0.8 * sol.f_uav)
+
+    def broken(p, x0=None, **kw):
+        if status == "infeasible":
+            raise qcqp.QcqpInfeasibleError("no strictly feasible point")
+        return qcqp.QcqpSolution(x=np.full(p.dim, np.nan), lambdas=np.full(p.m, np.nan),
+                                 status=status,
+                                 kkt=qcqp.KktReport(np.inf, np.inf, np.inf, np.inf),
+                                 objective=np.nan, gap=np.nan)
+
+    monkeypatch.setattr(qcqp, "solve", broken)
+    out, state = solve_p3(table2, slack, semi)
+    assert state.iterations == 1
+    assert np.array_equal(out, semi)
+    # 1.5x the users' bits and cycles after the first slot overdraw the
+    # semicircle's harvest (the first-slot rows stay within it)
+    w = np.full(table2.N, 1.5)
+    w[0] = 0.8
+    with pytest.raises(ExpansionInfeasibleError, match=status):
+        solve_p3(table2, (w * sol.l, w * sol.f_user, sol.f_uav), semi)
+
+
+def test_slack_schedule_descends_and_stays_feasible(table2, semi_p2):
     """With causal headroom the refinement walks the semicircle toward the
     straight dash, monotonically in propulsion, keeping the true
     constraints satisfied at every iterate."""
-    semi = semicircle_trajectory(table2)
-    sol = osv.solve_p2(table2, semi)
+    semi, sol = semi_p2
     slack = (0.8 * sol.l, 0.8 * sol.f_user, 0.8 * sol.f_uav)
     out, state = solve_p3(table2, slack, semi)
     hist = state.objective_history
