@@ -29,7 +29,6 @@ from .offload_solver import (
     DualState,
     OffloadSolution,
     recover_primal,
-    dual_subgradient_step,
     solve_p2,
     primal_oracle_p2,
     probe_feasibility,

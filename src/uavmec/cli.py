@@ -3,7 +3,7 @@
 Writes one directory per (scheme, T) cell containing the trajectory,
 energy ledger and convergence trace as plain structured text, plus an
 aligned summary table.  Identical inputs produce byte-identical outputs
-(the solvers are deterministic; the seed only feeds randomized utilities).
+(the solvers are deterministic and nothing is randomized).
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_scenario, ConfigParseError
-from .model import Scenario, ScenarioError
-from .errors import SolverError
-from .planner import SCHEMES, PlannerResult, SweepCell, _failed_cell, _run_scheme
+from .model import Scenario
+from .planner import SCHEMES, PlannerResult, SweepCell, _run_cell
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -32,7 +31,6 @@ class RunConfig:
     output_dir: str = "results"
     xi: float | None = None
     xi1: float | None = None
-    seed: int = 0
     verbose: bool = False
     workers: int = 1
 
@@ -48,14 +46,15 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _write_trajectory(path: Path, s: Scenario, result: PlannerResult) -> None:
     traj = result.plan.traj
-    speeds = np.linalg.norm(np.diff(traj, axis=0), axis=1) / s.slot
-    lines = ["# n x y speed"]
-    for n in range(s.N + 1):
-        speed = speeds[n] if n < s.N else 0.0
-        lines.append(f"{n + 1} {_fmt(traj[n, 0])} {_fmt(traj[n, 1])} {_fmt(speed)}")
-    path.write_text("\n".join(lines) + "\n")
+    speeds = np.append(np.linalg.norm(np.diff(traj, axis=0), axis=1) / s.slot, 0.0)
+    _write_lines(path, ["# n x y speed"] + [f"{n + 1} {_fmt(x)} {_fmt(y)} {_fmt(v)}"
+                                           for n, ((x, y), v) in enumerate(zip(traj, speeds))])
 
 
 def _write_ledger(path: Path, s: Scenario, result: PlannerResult) -> None:
@@ -73,34 +72,20 @@ def _write_ledger(path: Path, s: Scenario, result: PlannerResult) -> None:
         row += [_fmt(led.uav_compute[n]), _fmt(led.propulsion[n])]
         lines.append(" ".join(row))
     lines.append(f"# uav_total = {_fmt(led.uav_total)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _write_trace(path: Path, result: PlannerResult) -> None:
-    lines = ["# i E_u"]
-    for i, e in result.outer_trace:
-        lines.append(f"{i} {_fmt(e)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, ["# i E_u"] + [f"{i} {_fmt(e)}" for i, e in result.outer_trace])
 
 
 def _write_p2_trace(path: Path, result: PlannerResult) -> None:
-    lines = ["# iter dual_value max_violation"]
-    for it, g, viol in result.p2_trace:
-        lines.append(f"{it} {_fmt(g)} {_fmt(viol)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, ["# iter dual_value max_violation"] + [
+        f"{it} {_fmt(g)} {_fmt(viol)}" for it, g, viol in result.p2_trace])
 
 
 def _cell_dir(out: Path, cell: SweepCell) -> Path:
     return out / f"{cell.scheme}_T{cell.T:g}"
-
-
-def _run_cell(s: Scenario, T: float, scheme: str, cfg: RunConfig) -> SweepCell:
-    try:
-        st = s.with_T(T)
-        result = _run_scheme(st, scheme, cfg.xi, cfg.xi1, tol=1e-6)
-        return SweepCell(T=T, scheme=scheme, result=result)
-    except (SolverError, ScenarioError) as exc:
-        return _failed_cell(T, scheme, exc)
 
 
 def run(cfg: RunConfig) -> int:
@@ -120,11 +105,15 @@ def run(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    def plan(job):
+        T, scheme = job
+        return _run_cell(s, T, scheme, cfg.xi, cfg.xi1)
+
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            cells = list(pool.map(lambda j: _run_cell(s, j[0], j[1], cfg), jobs))
+            cells = list(pool.map(plan, jobs))
     else:
-        cells = [_run_cell(s, T, scheme, cfg) for T, scheme in jobs]
+        cells = [plan(job) for job in jobs]
 
     header = f"{'scheme':<14} {'T':>6} {'uav_total':>16} {'iterations':>11} {'status':>10}"
     summary = [header, "-" * len(header)]
@@ -173,8 +162,6 @@ def main(argv=None) -> int:
                         help="path-refinement displacement tolerance override")
     parser.add_argument("--xi1", type=float, default=None,
                         help="outer-loop energy tolerance override [J]")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized utilities")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker pool size for sweep cells")
     parser.add_argument("--verbose", action="store_true")
@@ -191,7 +178,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(scenario_path=args.scenario, schemes=schemes,
                         T_sweep=sweep, output_dir=args.out, xi=args.xi,
-                        xi1=args.xi1, seed=args.seed, verbose=args.verbose,
+                        xi1=args.xi1, verbose=args.verbose,
                         workers=max(1, args.workers))
     except ValueError as exc:
         parser.error(str(exc))

@@ -6,8 +6,10 @@ UAV CPU frequencies ``f_uav`` whose objective is the UAV compute energy.
 This module solves it by Lagrangian duality: the inner minimization has
 closed forms per variable (exponential TX cost against linear bit prices,
 cubic compute cost against linear bit and energy prices), so the dual is
-maximized over the multipliers directly, first with a diminishing-step
-subgradient warmup and then with a projected quasi-Newton polish.
+maximized over the multipliers directly.  The closed forms are
+differentiable in the prices, which makes the dual Hessian exact and cheap;
+one projected Newton method (Bertsekas, SIAM J. Control Optim. 20(2),
+1982) with Levenberg-Marquardt damping climbs it on the nonnegative box.
 
 An independent primal solver (augmented-Lagrangian penalties on the
 coupling constraints, bound-constrained descent over the nonnegativity
@@ -23,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import OptimizeResult, minimize
 
 from .errors import SolverError
 from .model import (
@@ -41,7 +44,6 @@ __all__ = [
     "DualIterationLimitError",
     "DualRecoveryError",
     "recover_primal",
-    "dual_subgradient_step",
     "dual_value",
     "lagrangian_value",
     "solve_p2",
@@ -73,20 +75,15 @@ class DualRecoveryError(SolverError, ValueError):
 class DualState:
     """Multipliers of the fixed-trajectory subproblem (SI units).
 
-    mu       : (K,) bit-balance prices [J/bit]
-    nu       : (K, N) energy-causality prices [dimensionless]
-    theta    : (N,) UAV-causality prices; the last entry prices the total
-               compute balance [J/bit]
-    rho      : (K,) prices of the last-slot offload pins (kept at zero; the
-               pins are enforced by construction)
-    vartheta : price of the first-slot UAV compute pin (kept at zero)
+    mu    : (K,) bit-balance prices [J/bit]
+    nu    : (K, N) energy-causality prices [dimensionless]
+    theta : (N,) UAV-causality prices; the last entry prices the total
+            compute balance [J/bit]
     """
 
     mu: np.ndarray
     nu: np.ndarray
     theta: np.ndarray
-    rho: np.ndarray = None
-    vartheta: float = 0.0
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).copy()
@@ -95,18 +92,13 @@ class DualState:
         if nu.ndim != 2 or mu.shape != (nu.shape[0],) or theta.shape != (nu.shape[1],):
             raise ValueError(
                 f"inconsistent dual shapes mu={mu.shape} nu={nu.shape} theta={theta.shape}")
-        rho = self.rho
-        rho = np.zeros(nu.shape[0]) if rho is None else np.asarray(rho, dtype=float).copy()
         for name, arr in (("mu", mu), ("nu", nu), ("theta", theta)):
             if np.any(arr < -1e-12 * max(1.0, np.abs(arr).max(initial=0.0))):
                 raise ValueError(f"{name} must be entrywise nonnegative")
-        for arr in (mu, nu, theta, rho):
             arr.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "vartheta", float(self.vartheta))
 
     @classmethod
     def zeros(cls, K: int, N: int) -> "DualState":
@@ -143,7 +135,8 @@ class OffloadSolution:
     objective: float         # UAV compute energy [J]
     dual_objective: float    # best dual lower bound [J]
     kkt: OffloadKkt
-    # (iteration, dual value [J], max scaled violation) rows
+    # (iteration, dual value [J], max scaled KKT residual) rows, one per
+    # Newton iterate
     trace: tuple = ()
 
     @property
@@ -215,6 +208,8 @@ def _recover_scaled(sp: _ScaledP2, mu, nu, theta, fill: str):
     whenever no price tail vanishes, which holds at any dual optimum of a
     bound-energy instance.
     """
+    if fill not in ("cap", "demand"):
+        raise ValueError(f"unknown fill mode {fill!r}")
     K, N = sp.K, sp.N
     V = np.flip(np.cumsum(np.flip(nu, axis=1), axis=1), axis=1)   # (K, N)
     tail = _theta_tail(theta)                                     # (N,)
@@ -254,7 +249,7 @@ def _recover_scaled(sp: _ScaledP2, mu, nu, theta, fill: str):
             f = np.where(deg & (mu[:, None] > 0.0), sp.f_cap[:, None], f)
             l_deg = deg[:, : N - 1] & (w > 0.0)
             l[:, : N - 1] = np.where(l_deg, sp.l_cap, l[:, : N - 1])
-        elif fill == "demand":
+        else:
             for k in range(K):
                 if mu[k] <= 0.0 or not deg[k].any():
                     continue
@@ -265,10 +260,6 @@ def _recover_scaled(sp: _ScaledP2, mu, nu, theta, fill: str):
                         take = min(rem, sp.l_cap)
                         l[k, n] = take
                         rem -= take
-        else:
-            raise ValueError(f"unknown fill mode {fill!r}")
-    elif fill not in ("cap", "demand"):
-        raise ValueError(f"unknown fill mode {fill!r}")
     return l, f, fu
 
 
@@ -284,10 +275,6 @@ def _dual_value_scaled(sp: _ScaledP2, mu, nu, theta) -> tuple[float, tuple]:
 
 def _duals_to_scaled(d: DualState):
     return d.mu * _PRICE, d.nu.copy(), d.theta * _PRICE
-
-
-def _duals_from_scaled(mu, nu, theta) -> DualState:
-    return DualState(mu=mu / _PRICE, nu=nu, theta=theta / _PRICE)
 
 
 def _primal_from_scaled(l, f, fu):
@@ -331,38 +318,6 @@ def lagrangian_value(s: Scenario, traj, plan_part, d: DualState) -> float:
     g = (obj + float(mu @ c1) + float(np.sum(nu * c2))
          + float(theta[: sp.N - 1] @ c3) + theta[sp.N - 1] * c4)
     return g * _EN
-
-
-def _project_theta(theta: np.ndarray, cycles: int = 50) -> np.ndarray:
-    """Floor at zero, then shrink the mid prices until the last dominates."""
-    theta = np.maximum(theta, 0.0)
-    n = theta.shape[0]
-    for _ in range(cycles):
-        mid = float(np.sum(theta[1 : n - 1]))
-        if mid <= theta[n - 1] or mid == 0.0:
-            break
-        theta[1 : n - 1] *= theta[n - 1] / mid
-    return theta
-
-
-def dual_subgradient_step(s: Scenario, traj, d: DualState, step: float) -> DualState:
-    """One projected subgradient ascent step on all multipliers.
-
-    ``step`` is measured in the solver's internal scaled units.  Each
-    multiplier moves along its own constraint gap evaluated at the
-    recovered primal, then is projected back onto the admissible cone.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    sp = _ScaledP2(s, traj)
-    mu, nu, theta = _duals_to_scaled(d)
-    l, f, fu = _recover_scaled(sp, mu, nu, theta, fill="demand")
-    c1, c2, c3, c4 = sp.violations(l, f, fu)
-    mu = np.maximum(mu + step * c1, 0.0)
-    nu = np.maximum(nu + step * c2, 0.0)
-    g_theta = np.append(c3, c4)
-    theta = _project_theta(theta + step * g_theta)
-    return _duals_from_scaled(mu, nu, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +376,7 @@ def _warm_start(sp: _ScaledP2):
     The policy's budget split fixes the local-compute marginal price per
     bit; the offloaded remainder sizes the UAV frequency ladder and with
     it the compute-balance price.  Only orders of magnitude matter here:
-    the ascent phases refine everything.
+    the Newton ascent refines everything.
     """
     K, N = sp.K, sp.N
     loc, tx, loc_e = _policy_split_scaled(sp)
@@ -498,88 +453,182 @@ def _residuals_scaled(sp: _ScaledP2, mu, nu, theta, l, f, fu) -> OffloadKkt:
                       complementarity=comp, dual=0.0)
 
 
-def _subgradient_chunk(sp: _ScaledP2, mu, nu, theta, iters: int, start_it: int,
-                       best, trace, collect_trace: bool):
-    """Run the diminishing-step schedule, tracking the best dual iterate."""
-    for it in range(start_it, start_it + iters):
-        step = 1.0 / math.sqrt(it)
-        l, f, fu = _recover_scaled(sp, mu, nu, theta, fill="demand")
-        c1, c2, c3, c4 = sp.violations(l, f, fu)
-        g, _ = _dual_value_scaled(sp, mu, nu, theta)
-        if g > best[0]:
-            best = (g, mu.copy(), nu.copy(), theta.copy())
-        if collect_trace:
-            viol = max(float(np.abs(c1).max(initial=0.0)),
-                       float(np.max(c2, initial=0.0)),
-                       float(np.max(c3, initial=0.0)), abs(c4))
-            trace.append((it, g * _EN, viol))
-        mu = np.maximum(mu + step * c1, 0.0)
-        nu = np.maximum(nu + step * c2, 0.0)
-        theta = _project_theta(theta + step * np.append(c3, c4))
-    return mu, nu, theta, best
+def _gap_jacobian(sp: _ScaledP2):
+    """Derivatives of the packed constraint gaps in the primal variables.
 
-
-def _newton_finish(sp: _ScaledP2, z: np.ndarray, rounds: int = 12):
-    """Newton refinement of the dual on its active manifold.
-
-    At a dual maximum every positive multiplier has zero constraint gap, so
-    the gaps of the active coordinates form a square nonlinear system; a
-    damped Newton iteration with a finite-difference Jacobian sharpens the
-    quasi-Newton iterate to near machine precision.  Safe: steps are only
-    kept while the active gap norm shrinks.
+    Rows follow z = (mu, nu, theta_mid, slack), columns the flattened
+    primal (l, f_user, f_uav).  Returns (A, rows, cols): the matrix with
+    its constant entries, and the positions of its causality entries.
+    Those equal the slot's marginal energy (the TX energy slope for ``l``,
+    3 c_f f^2 for ``f_user``); :func:`_neg_dual_hessian` writes them in
+    place at each price.
     """
-    def grad(zv):
-        return -_neg_dual_and_grad(zv, sp)[1]
+    K, N = sp.K, sp.N
+    KN = K * N
+    A = np.zeros((K + KN + N - 1, 2 * KN + N))
+    user = np.repeat(np.arange(K), N)
+    A[user, np.arange(KN)] = -1.0                           # bit balance
+    A[user, KN + np.arange(KN)] = -sp.bits_f
+    # Mid UAV prices (i = 1 .. N-2) with the compute balance folded in:
+    # bits offloaded in slots n >= i raise the gap, UAV cycles in j > i lower it.
+    i = np.arange(1, N - 1)[:, None]
+    n = np.arange(N)[None, :]
+    mid = slice(K + KN, K + KN + N - 2)
+    A[mid, :KN] = np.tile(n >= i, K)
+    A[mid, 2 * KN :] = -sp.bits_f * (n > i)
+    A[-1, :KN] = 1.0                                        # compute balance
+    A[-1, 2 * KN :] = -sp.bits_f
+    # Slot n's spending enters every causality prefix m >= n of its user.
+    m, n = np.nonzero(np.kron(np.eye(K, dtype=bool), np.tril(np.ones((N, N), dtype=bool))))
+    return A, np.concatenate([K + m, K + m]), np.concatenate([n, KN + n])
 
-    g = grad(z)
-    for _ in range(rounds):
-        act = np.where((z > 1e-9) | (g > 1e-9))[0]
-        if act.size == 0 or np.abs(g[act]).max() < 1e-13:
-            break
-        jac = np.zeros((act.size, act.size))
-        h = 1e-6 * np.maximum(np.abs(z[act]), 1.0)
-        for j, idx in enumerate(act):
-            zp = z.copy()
-            zp[idx] += h[j]
-            zm = z.copy()
-            zm[idx] = max(zm[idx] - h[j], 0.0)
-            jac[:, j] = (grad(zp)[act] - grad(zm)[act]) / (zp[idx] - zm[idx])
+
+def _neg_dual_hessian(z, sp: _ScaledP2, jac) -> np.ndarray:
+    """Hessian of the negated dual at z, J_F diag(h_F)^-1 J_F^T.
+
+    The Lagrangian is separable in the primal, so each variable strictly
+    inside its bounds follows the prices through its own stationarity
+    condition.  J_F holds those variables' gap derivatives (columns of
+    :func:`_gap_jacobian`) and h_F their Lagrangian second derivatives:
+    V a_tx (ln 2 / bl)^2 2^(l/bl) for bits, 6 c_f f V for user and
+    6 c_f f_uav for UAV frequencies, with V the energy-price tail.
+    Variables on a bound do not move with the prices.
+    """
+    N = sp.N
+    mu, nu, theta = _unpack(z, sp.K, N)
+    l, f, fu = _recover_scaled(sp, mu, nu, theta, fill="cap")
+    V = np.flip(np.cumsum(np.flip(nu, axis=1), axis=1), axis=1)
+    rate = math.log(2.0) / sp.bl
+    tx_slope = sp.a_tx * rate * np.exp2(l / sp.bl)
+    free_l = (l > 0.0) & (l < sp.l_cap) & (V > 0.0)
+    free_l[:, N - 1] = False
+    free_f = (f > 0.0) & (f < sp.f_cap[:, None]) & (V > 0.0)
+    free = np.concatenate([free_l.ravel(), free_f.ravel(), fu > 0.0])
+    h = np.concatenate([(V * tx_slope * rate).ravel(), (6.0 * sp.c_f * f * V).ravel(),
+                        6.0 * sp.c_f * fu])
+    A, rows, cols = jac
+    A[rows, cols] = np.concatenate([tx_slope.ravel(), (3.0 * sp.c_f * f ** 2).ravel()])[cols]
+    B = A[:, free]
+    B /= np.sqrt(h[free])
+    return B @ B.T
+
+
+def _natural_residual(z, grad) -> float:
+    """Max-norm of min(z, grad): zero exactly at a minimizer over z >= 0."""
+    return float(np.abs(np.minimum(z, grad)).max())
+
+
+def _newton_step(sp: _ScaledP2, value_grad, z, phi, grad, res, jac,
+                 damping: float, polish: bool):
+    """One damped projected Newton step on the negated dual over z >= 0.
+
+    Multipliers within ``res`` of zero whose gradient pushes them out are
+    sent to the bound (the epsilon-active set); the others take a
+    Levenberg-Marquardt step, damped by ``damping`` times the largest
+    Hessian diagonal.  The path z(a) = max(z + a d, floor) is searched by
+    halving a until the value passes an Armijo test or, once the value no
+    longer resolves the progress, the natural residual shrinks without the
+    value rising; with ``polish`` only residual-shrinking points count.
+    The floor is zero except for the bit prices, which keep a tenth of
+    their value per step: every user left in the pricing problem needs a
+    positive bit price, and a bit price that collapses to zero with the
+    tail of its energy prices strands the iterate on a kink of the dual.
+    A full step relaxes the damping tenfold and a shortened one stiffens it
+    tenfold; a failed search retries a hundredfold stiffer (or gives up
+    when polishing).  Returns the accepted (z, phi, grad, res, damping),
+    or None.
+    """
+    act = (z <= min(res, 1e-3)) & (grad > 0.0)
+    free = ~act
+    H = _neg_dual_hessian(z, sp, jac)[np.ix_(free, free)]
+    scale = float(np.diag(H).max(initial=0.0)) or 1.0
+    floor = np.zeros_like(z)
+    floor[: sp.K] = 0.1 * z[: sp.K]
+    noise = 1e-13 * max(abs(phi), 1.0)
+    while damping < 1e10:
+        damped = H.copy()
+        damped.flat[:: H.shape[0] + 1] += damping * scale
         try:
-            dz = np.linalg.solve(jac + 1e-12 * np.eye(act.size), -g[act])
+            factor = cho_factor(damped, overwrite_a=True)
         except np.linalg.LinAlgError:
-            dz = np.linalg.lstsq(jac, -g[act], rcond=None)[0]
-        base = np.abs(g[act]).max()
-        step = 1.0
+            damping *= 10.0
+            continue
+        d = -z.copy()
+        d[free] = -cho_solve(factor, grad[free])
+        alpha = 1.0
         for _ in range(30):
-            z_try = z.copy()
-            z_try[act] = np.maximum(z[act] + step * dz, 0.0)
-            g_try = grad(z_try)
-            act_try = np.where((z_try > 1e-9) | (g_try > 1e-9))[0]
-            if np.abs(g_try[act_try]).max(initial=0.0) < base:
-                z, g = z_try, g_try
-                break
-            step *= 0.5
-        else:
+            zt = np.maximum(z + alpha * d, floor)
+            phit, gradt = value_grad(zt)
+            rest = _natural_residual(zt, gradt)
+            armijo = phit <= phi + 1e-4 * float(grad @ (zt - z))
+            if (rest < res and phit <= phi + noise) or (armijo and not polish):
+                damping = damping / 10.0 if alpha == 1.0 else damping * 10.0
+                return zt, phit, gradt, rest, max(damping, 1e-12)
+            alpha *= 0.5
+        if polish:
+            return None
+        damping *= 100.0
+    return None
+
+
+def _projected_newton(fun, x0, args, jac, tol, maxiter=200, **_):
+    """:func:`_newton_step` iterated from ``x0``, as a ``minimize`` method.
+
+    ``fun`` and ``jac`` are the negated dual and its gradient in z >= 0;
+    ``args`` is ``(sp,)``.  Once the scaled KKT max of the recovered
+    schedule is within ``tol``, only residual-shrinking steps are taken.
+    The result adds ``kkt``, the scaled ``primal`` at ``x`` and the
+    :class:`OffloadSolution` ``trace`` rows, ``x0`` first.
+    """
+    sp, = args
+    nfev = 0
+
+    def value_grad(z):
+        nonlocal nfev
+        nfev += 1
+        return fun(z, sp), jac(z, sp)
+
+    gap_jac = _gap_jacobian(sp)
+    z = x0
+    phi, grad = value_grad(z)
+    res = _natural_residual(z, grad)
+    damping = 1.0
+    trace: list[tuple[int, float, float]] = []
+    for it in range(1, maxiter + 1):
+        mu, nu, theta = _unpack(z, sp.K, sp.N)
+        primal = _recover_scaled(sp, mu, nu, theta, fill="demand")
+        kkt = _residuals_scaled(sp, mu, nu, theta, *primal)
+        trace.append((it, -phi * _EN, kkt.max()))
+        step = (None if it == maxiter else
+                _newton_step(sp, value_grad, z, phi, grad, res, gap_jac, damping,
+                             polish=kkt.max() <= tol))
+        if step is None:
             break
-    return z
+        z, phi, grad, res, damping = step
+    return OptimizeResult(x=z, fun=phi, jac=grad, nit=it - 1, nfev=nfev,
+                          success=kkt.max() <= tol, kkt=kkt, primal=primal,
+                          trace=trace)
 
 
-def solve_p2(s: Scenario, traj, tol: float = 1e-6,
-             subgrad_iters: int = 500, max_restarts: int = 4,
-             collect_trace: bool = True) -> OffloadSolution:
+def solve_p2(s: Scenario, traj, tol: float = 1e-6) -> OffloadSolution:
     """Optimal offload/CPU schedule for a fixed trajectory.
 
-    Pipeline: policy-derived warm start for the multipliers, a
-    diminishing-step subgradient phase, bound-constrained quasi-Newton
-    ascent of the dual (the dominating last price becomes a slack
-    variable, turning the admissible cone into a box), and a Newton
-    finisher on the active dual manifold.  On a failed polish the
-    subgradient phase resumes from the polished point with the energy
-    prices nudged off the degenerate boundary.  ``tol`` bounds the scaled
-    primal-feasibility and complementarity residuals.
+    Pipeline: feasibility probe, presolve of self-sufficient users, a
+    policy-derived warm start for the multipliers, then projected Newton
+    ascent of the dual, run through scipy's ``minimize`` as a custom
+    method (:func:`_projected_newton`), so no scipy algorithm takes part.
+    The dominating last UAV price becomes a slack
+    variable, which turns the admissible price cone into the box z >= 0;
+    the dual Hessian is analytic in the closed-form recovery.  Once the
+    scaled KKT residuals (primal feasibility, complementarity and
+    projected stationarity of the recovered schedule) are within ``tol``,
+    ascent continues for as long as the natural residual keeps shrinking.
+    ``trace`` holds one (iteration, dual value [J], max KKT residual) row
+    per iterate, the warm start first.
 
     Raises :class:`InfeasibleTrajectoryError` when the feasibility probe
-    fails and :class:`DualIterationLimitError` when ascent stalls.
+    fails and :class:`DualIterationLimitError` when ascent stalls above
+    ``tol``.
     """
     N = s.N
 
@@ -606,54 +655,21 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
     poor = np.where(~rich)[0]
 
     if poor.size == 0:
-        zero = DualState.zeros(s.K, N)
-        kkt = OffloadKkt(0.0, 0.0, 0.0, 0.0)
         return OffloadSolution(l=l_full, f_user=f_full, f_uav=np.zeros(N),
-                               duals=zero, objective=0.0, dual_objective=0.0,
-                               kkt=kkt, trace=())
+                               duals=DualState.zeros(s.K, N), objective=0.0,
+                               dual_objective=0.0, kkt=OffloadKkt(0.0, 0.0, 0.0, 0.0))
 
     sp = _ScaledP2(s, traj, users=poor)
-    K = sp.K
-
-    trace: list[tuple[int, float, float]] = []
-    bounds = [(0.0, None)] * (K + K * N + (N - 2) + 1)
     mu, nu, theta = _warm_start(sp)
-    best = (-np.inf, mu, nu, theta)
-    it0 = 1
-    sol = None
-    for attempt in range(max_restarts):
-        mu, nu, theta, best = _subgradient_chunk(
-            sp, mu, nu, theta, subgrad_iters, it0, best, trace, collect_trace)
-        it0 += subgrad_iters
-        _, bmu, bnu, btheta = best
-        mid = btheta[1 : N - 1]
-        slack = max(btheta[N - 1] - mid.sum(), 0.0)
-        z0 = _pack(bmu, bnu, mid, slack)
-        res = minimize(_neg_dual_and_grad, z0, args=(sp,), jac=True,
-                       method="L-BFGS-B", bounds=bounds,
-                       options=dict(maxiter=20000, maxfun=50000,
-                                    ftol=1e-18, gtol=1e-14, maxls=100))
-        z_fin = _newton_finish(sp, res.x)
-        pmu, pnu, ptheta = _unpack(z_fin, K, N)
-        g_fin, _ = _dual_value_scaled(sp, pmu, pnu, ptheta)
-        l, f, fu = _recover_scaled(sp, pmu, pnu, ptheta, fill="demand")
-        kkt = _residuals_scaled(sp, pmu, pnu, ptheta, l, f, fu)
-        if collect_trace:
-            trace.append((it0, g_fin * _EN, kkt.max()))
-        if kkt.max() <= tol:
-            sol = (g_fin, pmu, pnu, ptheta, l, f, fu, kkt)
-            break
-        if g_fin > best[0]:
-            best = (g_fin, pmu.copy(), pnu.copy(), ptheta.copy())
-        # Resume the warmup from the polished point, nudged off the boundary.
-        mu = pmu
-        nu = pnu + 10.0 ** (-4 + attempt)
-        theta = ptheta
-    if sol is None:
+    z = _pack(mu, nu, theta[1 : N - 1], theta[N - 1] - theta[1 : N - 1].sum())
+    opt = minimize(_neg_dual_and_grad, z, args=(sp,), jac=True,
+                   method=_projected_newton, tol=tol)
+    if not opt.success:
         raise DualIterationLimitError(
-            f"dual iteration limit: residuals {kkt} above tol {tol}")
+            f"dual iteration limit: residuals {opt.kkt} above tol {tol}")
+    mu, nu, theta = _unpack(opt.x, sp.K, N)
+    l, f, fu = opt.primal
 
-    g_fin, mu, nu, theta, l, f, fu, kkt = sol
     l_full[poor] = l * _BIT
     f_full[poor] = f * _FREQ
     mu_full = np.zeros(s.K)
@@ -664,8 +680,8 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
     objective = sp.c_f * float(np.sum(fu ** 3)) * _EN
     return OffloadSolution(l=l_full, f_user=f_full, f_uav=fu * _FREQ,
                            duals=duals, objective=objective,
-                           dual_objective=g_fin * _EN,
-                           kkt=kkt, trace=tuple(trace))
+                           dual_objective=-opt.fun * _EN,
+                           kkt=opt.kkt, trace=tuple(opt.trace))
 
 
 # ---------------------------------------------------------------------------

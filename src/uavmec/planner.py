@@ -117,12 +117,6 @@ _INFEASIBLE = (InfeasibleScenarioError, InfeasibleTrajectoryError,
                BaselineSpeedError, ScenarioError)
 
 
-def _failed_cell(T: float, scheme: str, exc: Exception) -> SweepCell:
-    """The record of a cell whose solve raised ``exc``."""
-    failure = "infeasible" if isinstance(exc, _INFEASIBLE) else "failed"
-    return SweepCell(T=T, scheme=scheme, result=None, error=str(exc), failure=failure)
-
-
 def straight_line_trajectory(s: Scenario) -> np.ndarray:
     """Constant-speed straight dash from q0 to qF, N+1 points."""
     t = np.linspace(0.0, 1.0, s.N + 1)[:, None]
@@ -330,6 +324,21 @@ def _run_scheme(s: Scenario, scheme: str, xi, xi1, tol) -> PlannerResult:
     return run_baseline(s, scheme, tol=tol)
 
 
+def _run_cell(s: Scenario, T: float, scheme: str, xi=None, xi1=None,
+              tol: float = 1e-6) -> SweepCell:
+    """Re-derive the timing for duration ``T`` and plan one scheme there.
+
+    A scenario error (the duration breaks an invariant) or a solver error
+    ends only this cell: it is recorded as "infeasible" or "failed".
+    """
+    try:
+        result = _run_scheme(s.with_T(T), scheme, xi, xi1, tol)
+    except (ScenarioError, SolverError) as exc:
+        failure = "infeasible" if isinstance(exc, _INFEASIBLE) else "failed"
+        return SweepCell(T=T, scheme=scheme, result=None, error=str(exc), failure=failure)
+    return SweepCell(T=T, scheme=scheme, result=result)
+
+
 def sweep_T(s: Scenario, T_values: Iterable[float],
             schemes: Sequence[str] = SCHEMES, xi: float | None = None,
             xi1: float | None = None, tol: float = 1e-6) -> list[SweepCell]:
@@ -339,17 +348,5 @@ def sweep_T(s: Scenario, T_values: Iterable[float],
     Per-cell failures are captured in the cell instead of aborting the
     sweep.
     """
-    cells: list[SweepCell] = []
-    for T in sorted(float(t) for t in T_values):
-        try:
-            st = s.with_T(T)
-        except Exception as exc:  # scenario invariant broke for this T
-            cells.extend(_failed_cell(T, scheme, exc) for scheme in schemes)
-            continue
-        for scheme in schemes:
-            try:
-                cells.append(SweepCell(T=T, scheme=scheme,
-                                       result=_run_scheme(st, scheme, xi, xi1, tol)))
-            except SolverError as exc:
-                cells.append(_failed_cell(T, scheme, exc))
-    return cells
+    return [_run_cell(s, T, scheme, xi, xi1, tol)
+            for T in sorted(float(t) for t in T_values) for scheme in schemes]

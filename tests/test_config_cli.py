@@ -146,7 +146,7 @@ def test_cli_byte_identical_reruns(tmp_path, ref_cfg):
     for name in ("a", "b"):
         out = tmp_path / name
         code = main(["--scenario", str(ref_cfg), "--schemes", "proposed",
-                     "--out", str(out), "--seed", "7"])
+                     "--out", str(out)])
         assert code == 0
         outs.append(out)
     files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from uavmec.model import Scenario
 from uavmec.offload_solver import (
     DualState,
     recover_primal,
-    dual_subgradient_step,
     dual_value,
     lagrangian_value,
     solve_p2,
@@ -15,7 +16,10 @@ from uavmec.offload_solver import (
     DualRecoveryError,
     _ScaledP2,
     _warm_start,
-    _subgradient_chunk,
+    _pack,
+    _gap_jacobian,
+    _neg_dual_and_grad,
+    _neg_dual_hessian,
 )
 
 # Frozen after the first oracle-verified converged run on the reference
@@ -76,54 +80,68 @@ def test_recovery_monotone_in_channel(ref_solution, ref2x6, ref2x6_traj):
     assert l_close[0, 2] >= l_base[0, 2] - 1e-9
 
 
-# --- subgradient step --------------------------------------------------------
+# --- dual Newton ascent ------------------------------------------------------
 
-def test_step_decreases_slack_energy_prices(ref_solution, ref2x6, ref2x6_traj):
-    d0 = ref_solution.duals
-    inflated = DualState(mu=d0.mu, nu=2.0 * d0.nu + 0.05, theta=d0.theta)
-    d1 = dual_subgradient_step(ref2x6, ref2x6_traj, inflated, step=0.5)
-    # doubled energy prices choke the spending, so causality goes slack and
-    # every price moves down (never below zero)
-    assert np.all(d1.nu <= inflated.nu + 1e-15)
-    assert np.all(d1.nu >= 0.0)
-
-
-def test_step_raises_price_by_bit_deficit(ref_solution, ref2x6, ref2x6_traj):
-    s = ref2x6
-    d0 = ref_solution.duals
-    weak = DualState(mu=0.5 * d0.mu, nu=d0.nu, theta=d0.theta)
-    l, f, _ = recover_primal(s, ref2x6_traj, weak)
-    deficit = s.R - (s.slot * f.sum(axis=1) / s.M + l[:, : s.N - 1].sum(axis=1))
-    assert np.all(deficit > 0.0)
-    step = 0.25
-    d1 = dual_subgradient_step(s, ref2x6_traj, weak, step=step)
-    # price moves by exactly step x deficit (in the solver's internal units)
-    expected = weak.mu + step * (deficit / 1e6) / 1e9
-    assert d1.mu == pytest.approx(expected, rel=1e-12)
+@pytest.fixture(scope="module")
+def k5n20():
+    """Five users over twenty slots, each asking for half its deliverable bits."""
+    from uavmec.planner import straight_line_trajectory
+    s0 = Scenario(K=5, N=20, T=4.0, H=10.0,
+                  user_pos=[[0.0, 1.0], [2.0, -3.0], [5.0, 4.0], [7.0, 0.5], [3.0, 6.0]],
+                  R=np.full(5, 1.0), P_u=1e5, eta=0.8, B=2e6, sigma2=1e-9, Gamma=1.0,
+                  beta0=1e-5, M=1e3, gamma_c=1e-28, W_mass=9.65, V_max=10.0,
+                  q0=[0.0, 0.0], qF=[8.0, 0.0])
+    traj = straight_line_trajectory(s0)
+    fields = {n: getattr(s0, n) for n in s0.__dataclass_fields__}
+    demand = 0.5 * (probe_feasibility(s0, traj) + s0.R)
+    return Scenario(**{**fields, "R": demand}), traj
 
 
-def test_step_requires_positive_step(ref2x6, ref2x6_traj):
-    with pytest.raises(ValueError):
-        dual_subgradient_step(ref2x6, ref2x6_traj,
-                              DualState.zeros(ref2x6.K, ref2x6.N), step=0.0)
-
-
-def test_schedule_ascends_monotonically(ref2x6, ref2x6_traj, ref_oracle):
-    """Regression fixture: the 1/sqrt(t) schedule from the policy warm start
-    logged a strictly nondecreasing dual over ten thousand iterations, with
-    every value below the primal optimum (weak duality).  The schedule
-    alone does not reach solver tolerance; the polish phases do."""
-    sp = _ScaledP2(ref2x6, ref2x6_traj)
+def _check_hessian_by_central_differences(s, traj, factors):
+    """Analytic Hessian of the negated dual against central differences of
+    its gradient, at warm-start prices scaled entrywise by ``factors``
+    (all mid UAV prices made positive, so every price is interior)."""
+    sp = _ScaledP2(s, traj)
     mu, nu, theta = _warm_start(sp)
-    trace = []
-    best = (-np.inf, mu, nu, theta)
-    _subgradient_chunk(sp, mu, nu, theta, 10000, 1, best, trace, True)
-    values = np.array([row[1] for row in trace])          # joules
-    drops = np.maximum(values[:-1] - values[1:], 0.0)
-    assert drops.max(initial=0.0) <= 1e-6
-    assert values[-1] - values[0] > 0.1 * abs(values[0])  # real progress
+    N = s.N
+    z = _pack(mu, nu, np.full(N - 2, theta[N - 1] / N), theta[N - 1])
+    z = z * factors[: z.size]
+    H = _neg_dual_hessian(z, sp, _gap_jacobian(sp))
+    fd = np.empty_like(H)
+    for j in range(z.size):
+        h = 1e-5 * z[j]
+        up, down = z.copy(), z.copy()
+        up[j] += h
+        down[j] -= h
+        fd[:, j] = (_neg_dual_and_grad(up, sp)[1] - _neg_dual_and_grad(down, sp)[1]) / (2 * h)
+    assert np.abs(H - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+# One factor per k5n20 price (K + K N + N - 1 = 124); ref2x6 takes the first 19.
+_FACTORS = arrays(np.float64, 124, elements=st.floats(0.5, 2.0))
+
+
+@given(factors=_FACTORS)
+def test_dual_hessian_matches_central_differences_ref(ref2x6, ref2x6_traj, factors):
+    _check_hessian_by_central_differences(ref2x6, ref2x6_traj, factors)
+
+
+@given(factors=_FACTORS)
+def test_dual_hessian_matches_central_differences_k5n20(k5n20, factors):
+    _check_hessian_by_central_differences(*k5n20, factors)
+
+
+def test_newton_trace_ascends_to_tolerance(ref_solution, ref_oracle):
+    """One row per Newton iterate from the warm start: the dual value never
+    falls (beyond rounding), stays below the primal optimum (weak duality),
+    and the last row's KKT residual is within the solver tolerance."""
+    its, values, resid = (np.array(col) for col in zip(*ref_solution.trace))
+    assert np.array_equal(its, np.arange(1, its.size + 1))
+    assert np.all(np.diff(values) >= -1e-12 * np.abs(values[1:]))
     _, oracle_obj = ref_oracle
     assert np.all(values <= oracle_obj + 1e-6)
+    assert resid[-1] <= 1e-6
+    assert resid[-1] == ref_solution.kkt.max()
 
 
 # --- feasibility probe -------------------------------------------------------
