@@ -639,20 +639,27 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6) -> OffloadSolution:
             f"infeasible for this trajectory: user {k} short by "
             f"{-margins[k]:.4g} bits under the spend-as-harvested policy")
 
-    # Presolve: a user whose whole demand fits a constant-frequency local
-    # schedule inside its causal budget never offloads and prices at zero.
-    # Left in the pricing problem such users make the bit price, and with
-    # it the closed-form recovery, degenerate.
+    # Presolve: a user whose whole demand fits a local-only schedule inside
+    # its causal budget never offloads and prices at zero.  Left in the
+    # pricing problem such users make the bit price, and with it the
+    # closed-form recovery, degenerate.  Two schedules are tried: the
+    # constant frequency, then spending each slot's harvest on local
+    # compute, scaled down to exactly the demand (scaling keeps every
+    # prefix within its harvest).
     l_full = np.zeros((s.K, N))
     f_full = np.zeros((s.K, N))
     f_const = s.R * s.M / (N * s.slot)
     e_slot = s.gamma_c * s.slot * f_const ** 3
-    harv_prefix = np.cumsum(harvest_increments(s, traj), axis=1)
+    harv = harvest_increments(s, traj)
     slots = np.arange(1, N + 1)
     rich = np.all(e_slot[:, None] * slots[None, :]
-                  <= harv_prefix * (1.0 + 1e-12), axis=1)
+                  <= np.cumsum(harv, axis=1) * (1.0 + 1e-12), axis=1)
     f_full[rich] = f_const[rich, None]
-    poor = np.where(~rich)[0]
+    f_sah = np.cbrt(harv / (s.gamma_c * s.slot))
+    bits_sah = f_sah.sum(axis=1) * s.slot / s.M
+    local = ~rich & (bits_sah >= s.R)
+    f_full[local] = f_sah[local] * (s.R[local] / bits_sah[local])[:, None]
+    poor = np.where(~(rich | local))[0]
 
     if poor.size == 0:
         return OffloadSolution(l=l_full, f_user=f_full, f_uav=np.zeros(N),

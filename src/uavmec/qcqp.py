@@ -3,15 +3,16 @@
 Solves
     minimize    0.5 x'Q0 x + c0'x + d0
     subject to  0.5 x'Qi x + ci'x + di <= 0,   i = 1..m
-with all Qi symmetric positive semidefinite.  Callers pass dense (Q, c, d)
-triples, which the problem keeps.  Once, at construction, it also builds
-the one representation the numerics read: the nonzero entries of every Qi
-as (row, j, k, value) triplets, plus the stacked c and d.  Row values,
-gradients, ray quadratic forms and the barrier Hessian's weighted sum of
-the Qi are scatter-adds over those triplets, so their cost follows the
-number of nonzeros rather than m * dim^2.  Diagonal, two-point and dense
-rows share that one mechanism.  The objective and the Newton systems stay
-dense; the Hessian's gradient outer-product term is dense anyway.
+with all Qi symmetric positive semidefinite.  The constraints have one
+representation, :class:`Rows`: the nonzero entries of every Qi as
+(row, j, k, value) triplets, plus the stacked c and d.  Structured callers
+build the triplets directly; dense (Q, c, d) triples go through one
+converter.  Row values, gradients, ray quadratic forms and the barrier
+Hessian's weighted sum of the Qi are scatter-adds over those triplets, so
+their cost follows the number of nonzeros rather than m * dim^2.
+Diagonal, two-point and dense rows share that one mechanism.  The
+objective and the Newton systems stay dense; the Hessian's gradient
+outer-product term is dense anyway.
 
 Algorithm: a phase-1 margin maximization produces a strictly feasible start
 when the caller cannot supply one, then a standard log-barrier outer loop
@@ -30,6 +31,7 @@ import scipy.linalg
 from .errors import SolverError
 
 __all__ = [
+    "Rows",
     "QcqpProblem",
     "QcqpSolution",
     "KktReport",
@@ -62,40 +64,105 @@ class KktReport:
         return max(self.stationarity, self.primal, self.dual, self.complementarity)
 
 
-class _Rows:
-    """Constraint rows 0.5 x'Qi x + ci'x + di, each Qi kept as the
-    (row, j, k, value) triplets of its nonzero entries."""
+class Rows:
+    """Constraint rows 0.5 x'Qi x + ci'x + di: the (row, j, k, value)
+    triplets of the nonzero entries of every Qi (duplicates add up), plus
+    the stacked c (m, dim) and d (m,).  Structured callers build the
+    triplets directly, dense (Q, c, d) triples go through :meth:`from_dense`;
+    :class:`QcqpProblem` validates its rows with :meth:`checked`.
+    """
 
     def __init__(self, dim: int, row, j, k, val, c, d):
         self.dim = dim
-        self.row, self.j, self.k, self.val = row, j, k, val
-        self.c = c                          # (m, dim)
-        self.d = d                          # (m,)
-        self.m = d.shape[0]
-        self._grad_at = row * dim + j       # flat slot of each entry in an (m, dim) array
-        self._hess_at = j * dim + k         # flat slot of each entry in a (dim, dim) array
+        self.row, self.j, self.k = (np.asarray(a, dtype=np.intp) for a in (row, j, k))
+        self.val = np.asarray(val, dtype=float)
+        self.c = np.asarray(c, dtype=float)
+        self.d = np.asarray(d, dtype=float)
+        self.m = self.d.size
+        if not (self.row.shape == self.j.shape == self.k.shape == self.val.shape
+                == (self.val.size,) and self.c.shape == (self.m, dim) and self.d.ndim == 1):
+            raise ValueError(f"rows: expected row, j, k and val of one length, "
+                             f"c of shape (m, {dim}) and d of shape (m,)")
+        self._grad_at = self.row * dim + self.j     # flat slot of each entry in an (m, dim) array
+        self._hess_at = self.j * dim + self.k       # flat slot of each entry in a (dim, dim) array
 
     @classmethod
-    def from_dense(cls, dim: int, triples) -> "_Rows":
-        m = len(triples)
-        support = [np.nonzero(q) for q, _, _ in triples]
-        empty = np.zeros(0, dtype=np.intp)
-        return cls(dim,
-                   np.repeat(np.arange(m), [len(j) for j, _ in support]),
-                   np.concatenate([j for j, _ in support] + [empty]),
-                   np.concatenate([k for _, k in support] + [empty]),
-                   np.concatenate([q[j, k] for (q, _, _), (j, k) in zip(triples, support)]
-                                  + [np.zeros(0)]),
-                   np.array([c for _, c, _ in triples], dtype=float).reshape(m, dim),
-                   np.array([d for _, _, d in triples], dtype=float))
+    def from_dense(cls, dim: int, triples, name: str = "ineq[{}]") -> "Rows":
+        """Rows from dense (Q, c, d) triples.  Each entry that is nonzero in
+        Q or in Q' becomes a triplet, so no mirror entry is missing.
+        ``name`` formats a row index into the label of error messages."""
+        q = np.zeros((len(triples), dim, dim))
+        for i, (qi, _, _) in enumerate(triples):
+            if np.shape(qi) != (dim, dim):
+                raise ValueError(f"{name.format(i)}: expected {(dim, dim)}, got {np.shape(qi)}")
+            q[i] = qi
+        row, j, k = np.nonzero((q != 0.0) | (q.transpose(0, 2, 1) != 0.0))
+        return cls(dim, row, j, k, q[row, j, k],
+                   np.reshape([np.reshape(c, dim) for _, c, _ in triples], (len(triples), dim)),
+                   [float(d) for _, _, d in triples])
 
-    def lifted(self, s_cap: float) -> "_Rows":
+    def checked(self, name: str = "ineq[{}]") -> "Rows":
+        """Validated copy: duplicates summed, entries in row-major order, each
+        Qi symmetrized.  Raises ValueError for an index out of range, a
+        missing or differing mirror entry (``numpy.allclose`` with absolute
+        tolerance 1e-10 times the row's largest entry, at least 1), and a
+        minimum eigenvalue below -1e-9 times the largest (at least 1).
+        """
+        dim, m = self.dim, self.m
+        idx = np.stack([self.row, self.j, self.k], axis=1)
+        if np.any((idx < 0) | (idx >= [m, dim, dim])):
+            raise ValueError(f"rows: triplet index out of range for {m} rows in dimension {dim}")
+        key, inv = np.unique((self.row * dim + self.j) * dim + self.k, return_inverse=True)
+        val = np.bincount(inv, self.val, minlength=key.size)
+        row, jk = np.divmod(key, dim * dim)
+        j, k = np.divmod(jk, dim)
+
+        mirror_key = (row * dim + k) * dim + j
+        mirror = np.minimum(np.searchsorted(key, mirror_key), max(key.size - 1, 0))
+        big = np.ones(m)
+        np.maximum.at(big, row, np.abs(val))
+        asym = ((key[mirror] != mirror_key)
+                | (np.abs(val - val[mirror]) > 1e-10 * big[row] + 1e-5 * np.abs(val[mirror])))
+        if asym.any():
+            raise ValueError(f"{name.format(row[np.argmax(asym)])}: matrix is not symmetric")
+        val = 0.5 * (val + val[mirror])
+
+        # Off the support every row and column of Qi is zero, so Qi has the
+        # support submatrix's eigenvalues plus zeros: same verdict.  A row
+        # with diagonal entries only has those entries as eigenvalues.
+        nz = val != 0.0
+        rn, jn, kn, vn = row[nz], j[nz], k[nz], val[nz]
+        lo, hi = np.full(m, np.inf), np.full(m, -np.inf)
+        np.minimum.at(lo, rn, vn)
+        np.maximum.at(hi, rn, vn)
+        start = np.searchsorted(rn, np.arange(m + 1))
+        for i in np.unique(rn[jn != kn]):
+            jj, kk, vv = (a[start[i]:start[i + 1]] for a in (jn, kn, vn))
+            s = np.unique(jj)
+            block = np.zeros((s.size, s.size))
+            block[np.searchsorted(s, jj), np.searchsorted(s, kk)] = vv
+            w = np.linalg.eigvalsh(block)
+            lo[i], hi[i] = w[0], w[-1]
+        neg = lo < -1e-9 * np.maximum(1.0, hi)
+        if neg.any():
+            i = int(np.argmax(neg))
+            raise ValueError(f"{name.format(i)}: matrix is not positive semidefinite "
+                             f"(min eigenvalue {lo[i]:.3g})")
+        return Rows(dim, row, j, k, val, self.c, self.d)
+
+    def dense(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
+        """The rows as dense (Q, c, d) triples."""
+        q = np.zeros((self.m, self.dim, self.dim))
+        np.add.at(q, (self.row, self.j, self.k), self.val)
+        return [(q[i], self.c[i], float(self.d[i])) for i in range(self.m)]
+
+    def lifted(self, s_cap: float) -> "Rows":
         """Phase-1 rows in (x, s): g_i(x) + s <= 0, then the cap s <= s_cap."""
         c = np.zeros((self.m + 1, self.dim + 1))
         c[:-1, :-1] = self.c
         c[:, -1] = 1.0
-        return _Rows(self.dim + 1, self.row, self.j, self.k, self.val, c,
-                     np.append(self.d, -s_cap))
+        return Rows(self.dim + 1, self.row, self.j, self.k, self.val, c,
+                    np.append(self.d, -s_cap))
 
     def quad_forms(self, x) -> np.ndarray:
         """(m,) values of 0.5 x'Qi x."""
@@ -121,47 +188,36 @@ class _Rows:
 class QcqpProblem:
     """Convex QCQP data.  All quadratic forms use the 0.5 x'Qx convention.
 
-    The constraint rows the solver reads are built from ``ineq`` once, at
-    construction; edit a problem by building a new one.
+    The objective is a dense (Q0, c0, d0) triple and the constraints are
+    :class:`Rows`; both are validated at construction and the rows kept in
+    their validated form.  Edit a problem by building a new one.
     """
 
-    dim: int
     objective: tuple[np.ndarray, np.ndarray, float]
-    ineq: list[tuple[np.ndarray, np.ndarray, float]] = field(default_factory=list)
+    rows: Rows
 
     def __post_init__(self):
-        q0, c0, d0 = self.objective
-        self.objective = (self._check_psd(q0, "objective"),
-                          np.asarray(c0, dtype=float).reshape(self.dim),
-                          float(d0))
-        checked = []
-        for i, (q, c, d) in enumerate(self.ineq):
-            checked.append((self._check_psd(q, f"ineq[{i}]"),
-                            np.asarray(c, dtype=float).reshape(self.dim),
-                            float(d)))
-        self.ineq = checked
-        self._rows = _Rows.from_dense(self.dim, checked)
+        obj = Rows.from_dense(self.dim, [self.objective], "objective")
+        self.objective = obj.checked("objective").dense()[0]
+        self.rows = self.rows.checked()
 
-    def _check_psd(self, q, name: str) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.dim, self.dim):
-            raise ValueError(f"{name}: expected {(self.dim, self.dim)}, got {q.shape}")
-        if not np.allclose(q, q.T, atol=1e-10 * max(1.0, np.abs(q).max())):
-            raise ValueError(f"{name}: matrix is not symmetric")
-        q = 0.5 * (q + q.T)
-        # Off the support every row and column is zero, so the full matrix
-        # has the support submatrix's eigenvalues plus zeros: same verdict.
-        s = np.flatnonzero(q.any(axis=0))
-        if s.size:
-            w = np.linalg.eigvalsh(q[np.ix_(s, s)])
-            if w[0] < -1e-9 * max(1.0, w[-1]):
-                raise ValueError(f"{name}: matrix is not positive semidefinite "
-                                 f"(min eigenvalue {w[0]:.3g})")
-        return q
+    @classmethod
+    def from_dense(cls, dim: int, objective, ineq=()) -> "QcqpProblem":
+        """Problem with dense (Q, c, d) constraint triples ``ineq``."""
+        return cls(objective, Rows.from_dense(dim, list(ineq)))
+
+    @property
+    def dim(self) -> int:
+        return self.rows.dim
 
     @property
     def m(self) -> int:
-        return len(self.ineq)
+        return self.rows.m
+
+    @property
+    def ineq(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
+        """Dense (Q, c, d) view of the constraint rows, built on each read."""
+        return self.rows.dense()
 
     def objective_value(self, x) -> float:
         q, c, d = self.objective
@@ -169,26 +225,11 @@ class QcqpProblem:
         return float(0.5 * x @ q @ x + c @ x + d)
 
     def ineq_values(self, x) -> np.ndarray:
-        return self._rows.values(np.asarray(x, dtype=float))
+        return self.rows.values(np.asarray(x, dtype=float))
 
     def ineq_gradients(self, x) -> np.ndarray:
         """(m, dim) matrix of constraint gradients at x."""
-        return self._rows.gradients(np.asarray(x, dtype=float))
-
-    def ineq_quad_forms(self, dx) -> np.ndarray:
-        """(m,) values of 0.5 dx'Qi dx, for line-search boundary steps."""
-        return self._rows.quad_forms(np.asarray(dx, dtype=float))
-
-    def to_text(self) -> str:
-        """Plain-text dump of all (Q, c, d) triples, for debugging."""
-        parts = []
-        for label, (q, c, d) in [("objective", self.objective)] + [
-                (f"ineq[{i}]", t) for i, t in enumerate(self.ineq)]:
-            parts.append(f"# {label}: d = {d!r}")
-            parts.append("c " + " ".join(repr(v) for v in c))
-            for row in q:
-                parts.append("Q " + " ".join(repr(v) for v in row))
-        return "\n".join(parts)
+        return self.rows.gradients(np.asarray(x, dtype=float))
 
 
 @dataclass
@@ -225,7 +266,7 @@ def kkt_residuals(p: QcqpProblem, x, lambdas) -> KktReport:
 # Internals
 # ---------------------------------------------------------------------------
 
-def _grad_hess_barrier(obj, rows: _Rows, x: np.ndarray, t: float):
+def _grad_hess_barrier(obj, rows: Rows, x: np.ndarray, t: float):
     """Value, gradient, Hessian of t*f0(x) - sum log(-g_i(x)), plus the
     constraint values and gradients (for reuse in the line search).
 
@@ -273,7 +314,7 @@ def _newton_solve(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(hess, -grad, rcond=None)[0]
 
 
-def _center(obj, rows: _Rows, x: np.ndarray, t: float, max_steps: int = 100):
+def _center(obj, rows: Rows, x: np.ndarray, t: float, max_steps: int = 100):
     """Damped Newton minimization of the barrier objective at fixed t.
 
     Along a fixed direction every constraint restricts to an exact
@@ -340,8 +381,7 @@ def _strictly_feasible(p: QcqpProblem, x, margin: float = 0.0) -> bool:
 
 
 def phase1(p: QcqpProblem, x_hint=None, s_cap: float = 1.0,
-           tol: float = 1e-9, prox: float = 1e-9,
-           early_exit: bool = True) -> tuple[np.ndarray, float, str]:
+           tol: float = 1e-9, prox: float = 1e-9) -> tuple[np.ndarray, float, str]:
     """Maximize the slack margin s subject to g_i(x) <= -s.
 
     Returns (x, margin, status) with status "feasible" when margin > 0 and
@@ -349,10 +389,6 @@ def phase1(p: QcqpProblem, x_hint=None, s_cap: float = 1.0,
     Newton systems full rank (the raw margin objective has no curvature of
     its own); it perturbs the reported margin by at most prox times the
     squared drift.
-
-    With ``early_exit`` the solve stops as soon as the iterate is
-    comfortably interior (callers that only need a strictly feasible
-    start).  Infeasibility certificates always run to optimality.
     """
     if p.m == 0:
         x = np.zeros(p.dim) if x_hint is None else np.asarray(x_hint, dtype=float)
@@ -367,15 +403,13 @@ def phase1(p: QcqpProblem, x_hint=None, s_cap: float = 1.0,
     q_prox[-1, -1] = 0.0
     c_prox = np.concatenate([-2.0 * prox * x0, [-1.0]])
     obj = (q_prox, c_prox, prox * float(x0 @ x0))
-    rows = p._rows.lifted(s_cap)
+    rows = p.rows.lifted(s_cap)
 
     s0 = min(-float(np.max(g0)) - 1.0, s_cap - 1.0)
     z = np.concatenate([x0, [s0]])
     t = 1.0
     while rows.m / t > tol:
         z = _center(obj, rows, z, t)
-        if early_exit and z[-1] > 0.02 * s_cap and np.all(p.ineq_values(z[:n]) < 0.0):
-            return z[:n], float(z[-1]), "feasible"
         t *= _BARRIER_MU
     x, s = z[:n], float(z[-1])
     status = "feasible" if s > 0.0 else "infeasible"
@@ -406,7 +440,7 @@ def _barrier(p: QcqpProblem, tol: float, max_iter: int,
     trace = []
     outer = 0
     while True:
-        x = _center(p.objective, p._rows, x, t)
+        x = _center(p.objective, p.rows, x, t)
         g = p.ineq_values(x)
         lam = 1.0 / (t * (-g))
         gap = float(np.sum(lam * (-g)))
@@ -449,7 +483,7 @@ def _polish(p: QcqpProblem, x: np.ndarray, lam: np.ndarray, t_final: float):
         if np.max(np.abs(f), initial=0.0) < 1e-14 * (1.0 + np.abs(c0).max(initial=0.0)):
             break
         w[active] = lam_act
-        h = q0 + p._rows.q_sum(w)
+        h = q0 + p.rows.q_sum(w)
         grads = p.ineq_gradients(xc)[active]
         na = len(active)
         jac = np.zeros((p.dim + na, p.dim + na))

@@ -20,12 +20,7 @@ import numpy as np
 
 from . import qcqp
 from .errors import SolverError
-from .model import (
-    Scenario,
-    DimensionError,
-    EXPONENT_CAP,
-    propulsion_profile,
-)
+from .model import Scenario, DimensionError, propulsion_profile, tx_energy
 
 __all__ = [
     "HarvestLowerBound",
@@ -144,121 +139,84 @@ def assemble_p4(s: Scenario, plan_part, expansion_traj) -> P4Assembly:
         raise ExpansionInfeasibleError(
             f"expansion point violates the speed cap ({np.max(seg_speed):.4g} m/s)")
 
-    n_free = s.N - 1
-    dim = 2 * n_free
+    dim = 2 * (s.N - 1)
+    xy = np.arange(2)
+    pts = np.arange(1, s.N)             # free path points; point i sits at 2(i-1)
+    inner = np.arange(1, s.N - 1)       # segments joining two free points
 
-    def var(i: int) -> int:
-        """Offset of path point i (1 <= i <= N-1) in the variable vector."""
-        return 2 * (i - 1)
+    # Squared segment lengths ||p_{n+1} - p_n||^2, n = 0..N-1, ends pinned at
+    # exp[0] and exp[-1]: 2 on the diagonal of each free end, -2 on the cross
+    # entries of a segment joining two free points.  The objective is
+    # propulsion, kappa / slot^2 times their sum; speed rows cap each square
+    # at (V_max * slot)^2 and are divided by that cap.
+    seg_row = np.repeat(np.concatenate([pts - 1, pts, inner, inner]), 2)
+    seg_j = (2 * np.concatenate([pts - 1, pts - 1, inner - 1, inner])[:, None] + xy).ravel()
+    seg_k = (2 * np.concatenate([pts - 1, pts - 1, inner, inner - 1])[:, None] + xy).ravel()
+    seg_val = np.repeat([2.0, -2.0], [4 * pts.size, 4 * inner.size])
+    seg_c = np.zeros((s.N, dim))
+    seg_c[0, :2] = -2.0 * exp[0]
+    seg_c[-1, -2:] = -2.0 * exp[-1]
+    seg_d = np.zeros(s.N)
+    seg_d[0], seg_d[-1] = float(exp[0] @ exp[0]), float(exp[-1] @ exp[-1])
 
-    # Objective: sum over segments of (kappa / slot^2) ||p_{n+1} - p_n||^2.
     a = s.kappa / s.slot ** 2
     q0m = np.zeros((dim, dim))
-    c0 = np.zeros(dim)
-    d0 = 0.0
-
-    def add_pair(qm, cv, i, j, w, pi=None, pj=None):
-        """Add  w * ||p_i - p_j||^2  to (qm, cv), returning the constant
-        part.  An index of 0 or N means the pinned endpoint (its value is
-        passed in pi/pj)."""
-        i_free = 1 <= i <= s.N - 1
-        j_free = 1 <= j <= s.N - 1
-        if i_free and j_free:
-            oi, oj = var(i), var(j)
-            for t in range(2):
-                qm[oi + t, oi + t] += 2 * w
-                qm[oj + t, oj + t] += 2 * w
-                qm[oi + t, oj + t] -= 2 * w
-                qm[oj + t, oi + t] -= 2 * w
-        elif i_free:
-            oi = var(i)
-            for t in range(2):
-                qm[oi + t, oi + t] += 2 * w
-            cv[oi : oi + 2] += -2 * w * pj
-            return w * float(pj @ pj)
-        elif j_free:
-            oj = var(j)
-            for t in range(2):
-                qm[oj + t, oj + t] += 2 * w
-            cv[oj : oj + 2] += -2 * w * pi
-            return w * float(pi @ pi)
-        else:
-            return w * float((pi - pj) @ (pi - pj))
-        return 0.0
-
-    for n in range(s.N):
-        d0 += add_pair(q0m, c0, n, n + 1, a,
-                       pi=exp[0] if n == 0 else None,
-                       pj=exp[-1] if n + 1 == s.N else None)
-
-    ineq = []
-    rows = []
-    row_scales = []
-
-    # Speed caps: ||p_{n+1} - p_n||^2 <= (V_max * slot)^2 for every slot.
+    np.add.at(q0m, (seg_j, seg_k), a * seg_val)
+    objective = (q0m, a * seg_c.sum(axis=0), float(np.sum(a * seg_d)))
     cap2 = (s.V_max * s.slot) ** 2
-    for n in range(s.N):
-        qm = np.zeros((dim, dim))
-        cv = np.zeros(dim)
-        const = add_pair(qm, cv, n, n + 1, 1.0,
-                         pi=exp[0] if n == 0 else None,
-                         pj=exp[-1] if n + 1 == s.N else None)
-        ineq.append((qm / cap2, cv / cap2, (const - cap2) / cap2))
-        rows.append(("speed", n))
-        row_scales.append(cap2)
 
-    # Energy causality restrictions.  Two kinds of degenerate rows are
-    # dropped: prefixes with no spending at all (they reduce to
-    # 0 <= harvest), and rows touching no free path point (the first-slot
-    # prefix depends only on the pinned start, so the row is a constant;
-    # when the schedule saturates it, it reads 0 <= 0 and would deny the
-    # barrier method its interior).
+    # Energy causality of user k over the first n slots, row (k, n):
+    #   sum_{i<n} local_e + t_coef (H^2 + ||p_i - u_k||^2)
+    #       <= minorant const - sum_{i<n} coef_i ||p_i - u_k||^2,
+    # diagonal with weight w = t_coef + coef on each free point i < n, its
+    # constant from prefix sums over slots.  Dropped: prefixes without
+    # spending (0 <= harvest), and rows touching no free point (the
+    # first-slot prefix is a constant; a saturating schedule makes it read
+    # 0 <= 0, which would deny the barrier method its interior).
     local_e = s.gamma_c * s.slot * f_user ** 3                    # (K, N)
-    ratio = l / (s.B * s.lam)
-    if np.any(ratio > EXPONENT_CAP):
-        raise ValueError("offload load out of numeric range")
-    t_coef = s.lam * s.Gamma * s.sigma2 * (np.exp2(ratio) - 1.0) / s.beta0
-    spend_flag = (local_e > 0.0) | (l > 0.0)
-    for k in range(s.K):
-        bound_all = sca_lower_bound(s, exp, k, s.N)
-        for n in range(1, s.N + 1):
-            if not spend_flag[k, :n].any():
-                continue
-            const = float(np.sum(local_e[k, :n]))
-            const += float(np.sum(t_coef[k, :n])) * s.H ** 2
-            bconst = float(np.sum(bound_all.coef[:n] * (s.H ** 2 + 2.0 *
-                           np.sum((exp[:n] - s.user_pos[k]) ** 2, axis=1))))
-            const -= bconst
-            scale = max(bconst, 1e-300)
-            qm = np.zeros((dim, dim))
-            cv = np.zeros(dim)
-            touches_free = False
-            for i in range(n):
-                w = t_coef[k, i] + bound_all.coef[i]
-                if w == 0.0:
-                    continue
-                if 1 <= i <= s.N - 1:
-                    touches_free = True
-                    oi = var(i)
-                    qm[oi, oi] += 2 * w
-                    qm[oi + 1, oi + 1] += 2 * w
-                    cv[oi : oi + 2] += -2 * w * s.user_pos[k]
-                    const += w * float(s.user_pos[k] @ s.user_pos[k])
-                else:
-                    const += w * float((exp[i] - s.user_pos[k]) @ (exp[i] - s.user_pos[k]))
-            if not touches_free:
-                if const > 1e-9 * scale:
-                    raise ExpansionInfeasibleError(
-                        f"fixed-slot spending exceeds harvest for user {k} "
-                        f"over the first {n} slot(s); no path can repair it")
-                continue
-            ineq.append((qm / scale, cv / scale, const / scale))
-            rows.append(("causality", k, n))
-            row_scales.append(scale)
+    t_coef = tx_energy(s, s.beta0, l)           # per unit of H^2 + ||p - u||^2
+    r2 = np.sum((exp[None, : s.N] - s.user_pos[:, None]) ** 2, axis=2)     # (K, N)
+    coef = s.slot * s.eta * s.P_u * s.beta0 / (s.H ** 2 + r2) ** 2   # as sca_lower_bound
+    w = t_coef + coef
+    # ||p_i - u_k||^2 = ||p_i||^2 - 2 u_k'p_i + ||u_k||^2 on free points;
+    # slot 0 uses the pinned start.
+    fixed = w * np.sum(s.user_pos ** 2, axis=1)[:, None]
+    fixed[:, 0] = w[:, 0] * r2[:, 0]
+    bconst = np.cumsum(coef * (s.H ** 2 + 2.0 * r2), axis=1)
+    const = (np.cumsum(local_e, axis=1) + np.cumsum(t_coef, axis=1) * s.H ** 2
+             - bconst + np.cumsum(fixed, axis=1))
+    scale = np.maximum(bconst, 1e-300)
+    spends = np.logical_or.accumulate((local_e > 0.0) | (l > 0.0), axis=1)
+    touches = np.logical_or.accumulate((w != 0.0) & (np.arange(s.N) > 0), axis=1)
+    idle = spends & ~touches & (const > 1e-9 * scale)
+    if idle.any():
+        k, n = np.argwhere(idle)[0]
+        raise ExpansionInfeasibleError(
+            f"fixed-slot spending exceeds harvest for user {k} "
+            f"over the first {n + 1} slot(s); no path can repair it")
+    ck, cn = np.nonzero(spends & touches)     # row r covers user ck[r], slots 0..cn[r]
+    row_scale = scale[ck, cn]
+    # Entry (r, i): free point i + 1 <= cn[r] with a nonzero weight.
+    r, i = np.nonzero((pts[None, :] <= cn[:, None]) & (w[ck][:, pts] != 0.0))
+    wi = w[ck[r], i + 1]
+    caus_c = np.zeros((ck.size, dim))
+    caus_c[r[:, None], 2 * i[:, None] + xy] = (-2.0 * wi[:, None] * s.user_pos[ck[r]]
+                                               / row_scale[r, None])
 
-    problem = qcqp.QcqpProblem(dim=dim, objective=(q0m, c0, d0), ineq=ineq)
-    return P4Assembly(problem=problem, rows=tuple(rows),
-                      row_scales=np.asarray(row_scales), n_free=n_free)
+    rows = qcqp.Rows(
+        dim,
+        np.concatenate([seg_row, s.N + np.repeat(r, 2)]),
+        np.concatenate([seg_j, (2 * i[:, None] + xy).ravel()]),
+        np.concatenate([seg_k, (2 * i[:, None] + xy).ravel()]),
+        np.concatenate([seg_val / cap2, np.repeat(2.0 * wi / row_scale[r], 2)]),
+        np.vstack([seg_c / cap2, caus_c]),
+        np.concatenate([(seg_d - cap2) / cap2, const[ck, cn] / row_scale]))
+    problem = qcqp.QcqpProblem(objective=objective, rows=rows)
+    labels = (tuple(zip(["speed"] * s.N, range(s.N)))
+              + tuple(zip(["causality"] * ck.size, ck.tolist(), (cn + 1).tolist())))
+    return P4Assembly(problem=problem, rows=labels,
+                      row_scales=np.concatenate([np.full(s.N, cap2), row_scale]),
+                      n_free=s.N - 1)
 
 
 @dataclass

@@ -100,13 +100,13 @@ def test_criterion_2_schedule_solver_matches_oracle(ref2x6, ref2x6_traj):
 
 def test_criterion_3_qcqp_correctness():
     t0 = time.monotonic()
-    p = qcqp.QcqpProblem(dim=2, objective=(2 * np.eye(2), np.zeros(2), 0.0),
-                         ineq=[(np.zeros((2, 2)), np.array([-1.0, 0.0]), 1.0)])
+    p = qcqp.QcqpProblem.from_dense(dim=2, objective=(2 * np.eye(2), np.zeros(2), 0.0),
+                                    ineq=[(np.zeros((2, 2)), np.array([-1.0, 0.0]), 1.0)])
     sol = qcqp.solve(p)
     toy_err = max(float(np.abs(sol.x - np.array([1.0, 0.0])).max()),
                   abs(sol.objective - 1.0), abs(sol.lambdas[0] - 2.0))
-    ball = qcqp.QcqpProblem(dim=2, objective=(np.eye(2), np.array([-2.0, 0.0]), 2.0),
-                            ineq=[(2 * np.eye(2), np.zeros(2), -1.0)])
+    ball = qcqp.QcqpProblem.from_dense(dim=2, objective=(np.eye(2), np.array([-2.0, 0.0]), 2.0),
+                                       ineq=[(2 * np.eye(2), np.zeros(2), -1.0)])
     sol_b = qcqp.solve(ball)
     toy_err = max(toy_err, float(np.abs(sol_b.x - np.array([1.0, 0.0])).max()))
     worst_rel = 0.0

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from uavmec.model import Scenario
+from uavmec.model import Scenario, Plan, check_constraints
+from uavmec.planner import semicircle_trajectory
 from uavmec.offload_solver import (
     DualState,
     recover_primal,
@@ -167,6 +168,27 @@ def test_zero_demand_is_free(ref2x6, ref2x6_traj):
     sol = solve_p2(idle, ref2x6_traj)
     assert sol.objective == 0.0
     assert not sol.l.any() and not sol.f_uav.any()
+
+
+def test_user_local_when_spending_as_harvested(ref2x6):
+    """User 2 breaks early causality at its constant frequency, but spending
+    each slot's harvest on local compute delivers its demand: it is
+    presolved to that schedule scaled to exactly R, without offloading,
+    and the other users' dual converges (it stalled near 1e-2 before)."""
+    fields = {n: getattr(ref2x6, n) for n in ref2x6.__dataclass_fields__}
+    s = Scenario(**{**fields, "K": 5, "N": 10, "T": 2.0, "P_u": 103677.0,
+                    "user_pos": [[-1.31, -1.2], [1.95, 5.07], [7.88, -1.37],
+                                 [4.29, 0.57], [7.72, 5.34]],
+                    "R": [0.502e6, 1.152e6, 0.765e6, 1.750e6, 1.329e6],
+                    "qF": [8.0, 0.0]})
+    traj = semicircle_trajectory(s)
+    sol = solve_p2(s, traj)
+    assert sol.kkt.max() <= 1e-6
+    plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
+    assert check_constraints(s, plan).feasible(1e-6)
+    assert not sol.l[2].any() and sol.duals.mu[2] == 0.0
+    assert np.ptp(sol.f_user[2]) > 0.0
+    assert s.slot * sol.f_user[2].sum() / s.M == pytest.approx(s.R[2], rel=1e-12)
 
 
 def test_reference_matches_frozen_value(ref_solution):

@@ -17,7 +17,7 @@ def _random_instance(rng, dim, m):
         c = 0.3 * rng.normal(size=dim)
         d = -(1.0 + rng.uniform(0.0, 2.0))
         ineq.append((q, c, d))
-    return qcqp.QcqpProblem(dim=dim, objective=(q0, c0, 0.0), ineq=ineq)
+    return qcqp.QcqpProblem.from_dense(dim=dim, objective=(q0, c0, 0.0), ineq=ineq)
 
 
 def grid_refinement_minimum(p: qcqp.QcqpProblem, half_width: float,
@@ -59,8 +59,8 @@ def grid_refinement_minimum(p: qcqp.QcqpProblem, half_width: float,
 
 def test_halfspace_toy():
     # minimize x1^2 + x2^2 subject to x1 >= 1
-    p = qcqp.QcqpProblem(dim=2, objective=(2 * np.eye(2), np.zeros(2), 0.0),
-                         ineq=[(np.zeros((2, 2)), np.array([-1.0, 0.0]), 1.0)])
+    p = qcqp.QcqpProblem.from_dense(dim=2, objective=(2 * np.eye(2), np.zeros(2), 0.0),
+                                    ineq=[(np.zeros((2, 2)), np.array([-1.0, 0.0]), 1.0)])
     sol = qcqp.solve(p)
     assert sol.status == "optimal"
     assert sol.x == pytest.approx([1.0, 0.0], abs=1e-8)
@@ -70,31 +70,31 @@ def test_halfspace_toy():
 
 def test_unconstrained_quadratic():
     # gradient zero at the all-ones point
-    p = qcqp.QcqpProblem(dim=3, objective=(np.eye(3), -np.ones(3), 0.0))
+    p = qcqp.QcqpProblem.from_dense(dim=3, objective=(np.eye(3), -np.ones(3), 0.0))
     sol = qcqp.solve(p)
     assert sol.x == pytest.approx(np.ones(3), abs=1e-10)
 
 
 def test_projection_onto_ball():
     # closest point in the unit ball to (2, 0)
-    p = qcqp.QcqpProblem(dim=2, objective=(np.eye(2), np.array([-2.0, 0.0]), 2.0),
-                         ineq=[(2 * np.eye(2), np.zeros(2), -1.0)])
+    p = qcqp.QcqpProblem.from_dense(dim=2, objective=(np.eye(2), np.array([-2.0, 0.0]), 2.0),
+                                    ineq=[(2 * np.eye(2), np.zeros(2), -1.0)])
     sol = qcqp.solve(p)
     assert sol.x == pytest.approx([1.0, 0.0], abs=1e-8)
     assert sol.kkt.max() < 1e-8
 
 
 def test_infeasible_pair_raises():
-    p = qcqp.QcqpProblem(dim=1, objective=(np.eye(1), np.zeros(1), 0.0),
-                         ineq=[(np.zeros((1, 1)), np.array([-1.0]), 1.0),
-                               (np.zeros((1, 1)), np.array([1.0]), 0.0)])
+    p = qcqp.QcqpProblem.from_dense(dim=1, objective=(np.eye(1), np.zeros(1), 0.0),
+                                    ineq=[(np.zeros((1, 1)), np.array([-1.0]), 1.0),
+                                          (np.zeros((1, 1)), np.array([1.0]), 0.0)])
     with pytest.raises(qcqp.QcqpInfeasibleError):
         qcqp.solve(p)
 
 
 def test_non_psd_rejected():
     with pytest.raises(ValueError):
-        qcqp.QcqpProblem(dim=2, objective=(np.diag([1.0, -1.0]), np.zeros(2), 0.0))
+        qcqp.QcqpProblem.from_dense(dim=2, objective=(np.diag([1.0, -1.0]), np.zeros(2), 0.0))
 
 
 def _embedded_row(block, dim=6, at=(1, 4)):
@@ -109,30 +109,58 @@ def test_non_psd_block_in_zero_matrix_rejected():
     objective = (np.eye(6), np.zeros(6), 0.0)
     for block in ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
         with pytest.raises(ValueError, match="positive semidefinite"):
-            qcqp.QcqpProblem(dim=6, objective=objective,
-                             ineq=[_embedded_row(np.array(block))])
+            qcqp.QcqpProblem.from_dense(dim=6, objective=objective,
+                                        ineq=[_embedded_row(np.array(block))])
     with pytest.raises(ValueError, match="not symmetric"):
-        qcqp.QcqpProblem(dim=6, objective=objective,
-                         ineq=[_embedded_row(np.array([[1.0, 0.5], [-0.5, 1.0]]))])
+        qcqp.QcqpProblem.from_dense(dim=6, objective=objective,
+                                    ineq=[_embedded_row(np.array([[1.0, 0.5], [-0.5, 1.0]]))])
     # the PSD two-point block w * (x1 - x4)^2 passes
-    qcqp.QcqpProblem(dim=6, objective=objective,
-                     ineq=[_embedded_row(np.array([[2.0, -2.0], [-2.0, 2.0]]))])
+    qcqp.QcqpProblem.from_dense(dim=6, objective=objective,
+                                ineq=[_embedded_row(np.array([[2.0, -2.0], [-2.0, 2.0]]))])
+
+
+def _triplet_problem(row, j, k, val, dim=3, m=2):
+    rows = qcqp.Rows(dim, row, j, k, val, np.zeros((m, dim)), -np.ones(m))
+    return qcqp.QcqpProblem(objective=(np.eye(dim), np.zeros(dim), 0.0), rows=rows)
+
+
+def test_triplet_rows_validated():
+    # two-point row 1: (x0 - x2)^2, with its mirror entries
+    p = _triplet_problem([1, 1, 1, 1], [0, 0, 2, 2], [0, 2, 0, 2], [2.0, -2.0, -2.0, 2.0])
+    assert p.m == 2
+    assert np.array_equal(p.ineq[1][0], [[2.0, 0.0, -2.0], [0.0, 0.0, 0.0], [-2.0, 0.0, 2.0]])
+    assert not p.ineq[0][0].any()
+    # duplicate triplets add up
+    q = _triplet_problem([0, 0], [1, 1], [1, 1], [1.0, 0.5]).ineq[0][0]
+    assert q[1, 1] == 1.5
+    with pytest.raises(ValueError, match="out of range"):
+        _triplet_problem([0], [3], [3], [1.0])
+    with pytest.raises(ValueError, match="out of range"):
+        _triplet_problem([2], [0], [0], [1.0])
+    with pytest.raises(ValueError, match=r"ineq\[1\]: matrix is not symmetric"):
+        _triplet_problem([1, 1, 1], [0, 0, 2], [0, 2, 2], [2.0, -2.0, 2.0])
+    with pytest.raises(ValueError, match=r"ineq\[0\]: matrix is not positive semidefinite"):
+        _triplet_problem([0, 0, 0, 0], [0, 0, 2, 2], [0, 2, 0, 2], [1.0, 2.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match=r"ineq\[1\]: matrix is not positive semidefinite"):
+        _triplet_problem([1, 1], [0, 2], [0, 2], [1.0, -1.0])
+    with pytest.raises(ValueError, match="one length"):
+        _triplet_problem([0, 0], [0], [0], [1.0])
 
 
 # --- phase 1 ----------------------------------------------------------------
 
 def test_phase1_infeasible_pair_margin():
-    p = qcqp.QcqpProblem(dim=1, objective=(np.eye(1), np.zeros(1), 0.0),
-                         ineq=[(np.zeros((1, 1)), np.array([-1.0]), 1.0),
-                               (np.zeros((1, 1)), np.array([1.0]), 0.0)])
+    p = qcqp.QcqpProblem.from_dense(dim=1, objective=(np.eye(1), np.zeros(1), 0.0),
+                                    ineq=[(np.zeros((1, 1)), np.array([-1.0]), 1.0),
+                                          (np.zeros((1, 1)), np.array([1.0]), 0.0)])
     x, margin, status = qcqp.phase1(p)
     assert status == "infeasible"
     assert margin == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_phase1_ball_interior():
-    p = qcqp.QcqpProblem(dim=2, objective=(np.eye(2), np.zeros(2), 0.0),
-                         ineq=[(2 * np.eye(2), np.zeros(2), -1.0)])
+    p = qcqp.QcqpProblem.from_dense(dim=2, objective=(np.eye(2), np.zeros(2), 0.0),
+                                    ineq=[(2 * np.eye(2), np.zeros(2), -1.0)])
     x, margin, status = qcqp.phase1(p, x_hint=np.array([3.0, -4.0]))
     assert status == "feasible"
     assert float(np.linalg.norm(x)) < 1.0
@@ -141,9 +169,9 @@ def test_phase1_ball_interior():
 def test_phase1_margin_stops_at_cap():
     # the ball ||x||^2 <= 4 allows a margin of 4; the lifted cap row holds
     # the certificate at s_cap
-    p = qcqp.QcqpProblem(dim=2, objective=(np.eye(2), np.zeros(2), 0.0),
-                         ineq=[(2 * np.eye(2), np.zeros(2), -4.0)])
-    x, margin, status = qcqp.phase1(p, x_hint=np.array([3.0, 0.0]), early_exit=False)
+    p = qcqp.QcqpProblem.from_dense(dim=2, objective=(np.eye(2), np.zeros(2), 0.0),
+                                    ineq=[(2 * np.eye(2), np.zeros(2), -4.0)])
+    x, margin, status = qcqp.phase1(p, x_hint=np.array([3.0, 0.0]))
     assert status == "feasible"
     assert margin == pytest.approx(1.0, abs=1e-6)
 
@@ -186,14 +214,6 @@ def test_outer_objective_monotone_and_gap_bound():
         assert gap <= p.m / t * (1.0 + 1e-6)
 
 
-def test_dump_roundtrips_shapes():
-    rng = np.random.default_rng(5)
-    p = _random_instance(rng, 3, 2)
-    text = p.to_text()
-    assert text.count("# ineq") == 2
-    assert len([ln for ln in text.splitlines() if ln.startswith("Q ")]) == 3 * 3
-
-
 # --- structured constraint rows vs a dense reference ------------------------
 
 @st.composite
@@ -222,8 +242,8 @@ def mixed_row_problems(draw):
         d = -(0.5 * x @ q @ x + c @ x) - rng.uniform(0.1, 2.0)
         ineq.append((q, c, d))
     a0 = rng.normal(size=(dim, dim))
-    p = qcqp.QcqpProblem(dim=dim, objective=(a0 @ a0.T, rng.normal(size=dim), 0.5),
-                         ineq=ineq)
+    p = qcqp.QcqpProblem.from_dense(dim=dim, objective=(a0 @ a0.T, rng.normal(size=dim), 0.5),
+                                    ineq=ineq)
     return p, x, rng.normal(size=dim), float(rng.uniform(0.1, 100.0))
 
 
@@ -239,7 +259,7 @@ def test_structured_rows_match_dense_reference(case):
     gx = np.array([q @ x + c for q, c, _ in p.ineq])
     assert _close(p.ineq_values(x), g)
     assert _close(p.ineq_gradients(x), gx)
-    assert _close(p.ineq_quad_forms(dx), np.array([0.5 * dx @ q @ dx for q in qs]))
+    assert _close(p.rows.quad_forms(dx), np.array([0.5 * dx @ q @ dx for q in qs]))
 
     q0, c0, d0 = p.objective
     inv = -1.0 / g
@@ -247,7 +267,7 @@ def test_structured_rows_match_dense_reference(case):
     grad = t * (q0 @ x + c0) + inv @ gx
     hess = (t * q0 + sum(w * q for w, q in zip(inv, qs))
             + sum(w * w * np.outer(r, r) for w, r in zip(inv, gx)))
-    got = qcqp._grad_hess_barrier(p.objective, p._rows, x, t)
+    got = qcqp._grad_hess_barrier(p.objective, p.rows, x, t)
     assert _close(np.array(got[0]), np.array(val))
     assert _close(got[1], grad)
     assert _close(got[2], hess)

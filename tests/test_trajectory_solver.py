@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from uavmec.model import Plan, check_constraints, harvested_energy_prefix
+from uavmec.model import (Plan, Scenario, channel_gains, check_constraints,
+                          harvested_energy_prefix, tx_energy)
 from uavmec import offload_solver as osv, qcqp
 from uavmec.trajectory_solver import (
     sca_lower_bound,
@@ -117,6 +119,47 @@ def test_assembly_rows_match_true_gaps(table2, table2_p2):
         if row[0] == "causality":
             k, n = row[1], row[2]
             assert val * scale == pytest.approx(c2[k, n - 1] * 1e-3, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def p4_cases(table2, table2_p2, ref2x6, ref2x6_traj):
+    """(scenario, expansion path, schedule) on table2, ref2x6 and ref2x6
+    moved off the origin, where the pinned start's own terms show."""
+    fields = {n: getattr(ref2x6, n) for n in ref2x6.__dataclass_fields__}
+    shift = np.array([3.0, -2.0])
+    moved = Scenario(**{**fields, "user_pos": ref2x6.user_pos + shift,
+                        "q0": ref2x6.q0 + shift, "qF": ref2x6.qF + shift})
+    cases = {"table2": (table2, *table2_p2)}
+    for name, s, traj in [("ref2x6", ref2x6, ref2x6_traj), ("moved", moved, ref2x6_traj + shift)]:
+        cases[name] = (s, traj, osv.solve_p2(s, traj))
+    return cases
+
+
+@given(case=st.sampled_from(["table2", "ref2x6", "moved"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_assembled_rows_match_reference(p4_cases, case, seed):
+    """Each scaled row, times its scale, equals its constraint computed from
+    the physics at a random free path: the squared step minus the squared
+    speed cap, or the prefix's local and TX energy minus the harvest
+    minorant taken at the expansion path."""
+    s, exp, sol = p4_cases[case]
+    asm = assemble_p4(s, sol.plan_part, exp)
+    rng = np.random.default_rng(seed)
+    path = exp.copy()
+    path[1:-1] += rng.uniform(-3.0, 3.0, size=(s.N - 1, 2))
+    got = asm.problem.ineq_values(asm.pack(path)) * asm.row_scales
+    local = s.gamma_c * s.slot * sol.f_user ** 3
+    tx = tx_energy(s, channel_gains(s, path), sol.l)
+    for value, row in zip(got, asm.rows):
+        if row[0] == "speed":
+            n = row[1]
+            step2 = float(np.sum((path[n + 1] - path[n]) ** 2))
+            ref, size = step2 - (s.V_max * s.slot) ** 2, step2 + (s.V_max * s.slot) ** 2
+        else:
+            _, k, n = row
+            bound = sca_lower_bound(s, exp, k, n)
+            spend = float(np.sum(local[k, :n]) + np.sum(tx[k, :n]))
+            ref, size = spend - bound.value(path), spend + bound.const
+        assert value == pytest.approx(ref, abs=1e-12 * size)
 
 
 def test_assembly_rejects_speeding_expansion(table2, table2_p2):
