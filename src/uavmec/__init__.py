@@ -1,9 +1,9 @@
 """Energy-minimal planning for a UAV-carried wireless-powered edge server.
 
-The package alternates two subproblem solvers: a Lagrangian-dual solver for
-the offloading / CPU-frequency schedule at a fixed flight path, and a
-sequential convex refinement of the flight path at a fixed schedule (each
-convex step handled by an interior-point QCQP solver).  Two fixed
+A Lagrangian-dual solver finds the offloading / CPU-frequency schedule at
+a fixed flight path, and the planner moves the path by speed-capped joint
+steps (convex QCQPs handled by an interior-point solver).  The paper's
+sequential convex path refinement ships as library code, and two fixed
 benchmark paths (straight dash and semicircle) are included for comparison.
 """
 

@@ -29,7 +29,6 @@ class RunConfig:
     schemes: tuple[str, ...] = SCHEMES
     T_sweep: tuple[float, ...] | None = None
     output_dir: str = "results"
-    xi: float | None = None
     xi1: float | None = None
     verbose: bool = False
     workers: int = 1
@@ -107,7 +106,7 @@ def run(cfg: RunConfig) -> int:
 
     def plan(job):
         T, scheme = job
-        return _run_cell(s, T, scheme, cfg.xi, cfg.xi1)
+        return _run_cell(s, T, scheme, cfg.xi1)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -158,8 +157,6 @@ def main(argv=None) -> int:
     parser.add_argument("--sweep-T", default=None,
                         help="comma list of mission durations [s]")
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--xi", type=float, default=None,
-                        help="path-refinement displacement tolerance override")
     parser.add_argument("--xi1", type=float, default=None,
                         help="outer-loop energy tolerance override [J]")
     parser.add_argument("--workers", type=int, default=1,
@@ -177,9 +174,8 @@ def main(argv=None) -> int:
             parser.error(f"--sweep-T must be a comma list of numbers, got {args.sweep_T!r}")
     try:
         cfg = RunConfig(scenario_path=args.scenario, schemes=schemes,
-                        T_sweep=sweep, output_dir=args.out, xi=args.xi,
-                        xi1=args.xi1, verbose=args.verbose,
-                        workers=max(1, args.workers))
+                        T_sweep=sweep, output_dir=args.out, xi1=args.xi1,
+                        verbose=args.verbose, workers=max(1, args.workers))
     except ValueError as exc:
         parser.error(str(exc))
     return run(cfg)

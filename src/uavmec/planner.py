@@ -1,19 +1,13 @@
-"""Alternating planner and benchmark flight paths.
+"""Joint-step planner and benchmark flight paths.
 
-The full joint problem is nonconvex, so the planner alternates its two
-convex halves from a feasible initial path: solve the offload/CPU schedule
-at the current path, then refine the path at that schedule.  An exactly
-optimal schedule saturates the users' energy budgets, which can pin the
-path half at its expansion point: a block-coordinate fixed point that need
-not be a joint local minimum.  Once the path half is pinned or the energy
-has settled, the planner therefore switches to joint steps.  The schedule
-duals give the gradient of the optimal compute energy with respect to the
-path (Danskin's theorem); one banded solve of propulsion plus that
-linearization yields a joint step and the energy decrease it predicts.
-The planner stops when that prediction is within the outer tolerance
-``xi1``, and otherwise takes the step (halving it until the re-solved
-mission energy falls).  Every accepted step lowers the objective, so the
-recorded energy trace is nonincreasing.
+From a feasible initial path the planner solves the offload/CPU schedule,
+then takes joint path steps, re-solving the schedule after each.  The
+schedule duals give the gradient of the optimal compute energy along the
+path (Danskin's theorem); a step minimizes propulsion plus that
+linearization under the speed caps, a convex QCQP, and predicts its energy
+decrease.  The planner stops once that prediction is within ``xi1`` and
+otherwise takes the step, halved until the re-solved mission energy falls,
+so the recorded energy trace is nonincreasing.
 
 Two fixed benchmark paths ship with the planner: a constant-speed straight
 dash between the endpoints, and a constant-speed semicircle whose diameter
@@ -26,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
+from . import qcqp
 from .errors import SolverError
 from .model import (
     Scenario,
@@ -46,13 +40,14 @@ from .offload_solver import (
     probe_feasibility,
     InfeasibleTrajectoryError,
 )
-from .trajectory_solver import solve_p3
+from .trajectory_solver import speed_capped_propulsion
 
 __all__ = [
     "PlannerResult",
     "SweepCell",
     "InfeasibleScenarioError",
     "BaselineSpeedError",
+    "JointStepError",
     "SCHEMES",
     "straight_line_trajectory",
     "semicircle_trajectory",
@@ -64,6 +59,7 @@ __all__ = [
 ]
 
 SCHEMES = ("proposed", "straight-line", "semi-circle")
+_DASH_BLEND = 1e-2     # dash weight in each joint step's strictly feasible start
 
 
 class InfeasibleScenarioError(SolverError):
@@ -72,6 +68,10 @@ class InfeasibleScenarioError(SolverError):
 
 class BaselineSpeedError(SolverError):
     """Baseline violates V_max."""
+
+
+class JointStepError(SolverError):
+    """The capped joint step's QCQP did not end optimal."""
 
 
 @dataclass(frozen=True)
@@ -191,27 +191,36 @@ def compute_energy_gradient(s: Scenario, traj, sol: OffloadSolution) -> np.ndarr
 
 
 def joint_step(s: Scenario, traj, sol: OffloadSolution) -> tuple[np.ndarray, float]:
-    """Joint path step at a schedule optimum and the decrease it predicts [J].
+    """Speed-capped joint path step at a schedule optimum and the decrease
+    it predicts [J].
 
     Minimizes propulsion (exactly quadratic in the free points p_1 ..
-    p_{N-1}) plus the linearized optimal compute energy.  With r the joint
-    gradient at the free points and A = 2 kappa / slot^2 times the path's
-    tridiagonal second-difference matrix, the step is -A^{-1} r and the
-    model decrease 0.5 r' A^{-1} r.  That decrease vanishes exactly at a
-    joint stationary point, so it is the planner's joint residual.
-    Returns the (N+1, 2) step (zero on the pinned endpoints) and the
-    decrease.
+    p_{N-1}) plus the linearized optimal compute energy under the N speed
+    caps, a convex QCQP.  Its start blends the path with the straight dash
+    between the ends.  Below V_max the dash is strictly inside the caps and
+    segment norms are convex, so the start, and every point between the
+    path and the step's end, is strictly feasible: no phase 1 runs.  A dash
+    at V_max is the only feasible path, and the step is zero.  With no cap
+    active the step is the Newton step -A^{-1} r (r the joint gradient, A
+    the propulsion Hessian).  The decrease vanishes exactly at a joint
+    stationary point, so it is the planner's joint residual.  Returns the
+    (N+1, 2) step (zero on the endpoints) and the decrease.
     """
     traj = np.asarray(traj, dtype=float)
-    a = 2.0 * s.kappa / s.slot ** 2
-    r = (a * (2.0 * traj[1:-1] - traj[:-2] - traj[2:])
-         + compute_energy_gradient(s, traj, sol)[1:-1])
-    band = np.zeros((2, s.N - 1))
-    band[0, 1:] = -a
-    band[1] = 2.0 * a
     step = np.zeros_like(traj)
-    step[1:-1] = -solveh_banded(band, r)
-    return step, -0.5 * float(np.sum(r * step[1:-1]))
+    if np.linalg.norm(traj[-1] - traj[0]) >= s.V_max * s.N * s.slot:
+        return step, 0.0
+    (q0, c0, d0), rows = speed_capped_propulsion(s, traj[0], traj[-1])
+    grad = compute_energy_gradient(s, traj, sol)[1:-1].ravel()
+    x = traj[1:-1].ravel()
+    dash = np.linspace(traj[0], traj[-1], s.N + 1)[1:-1].ravel()
+    out = qcqp.solve(qcqp.QcqpProblem(objective=(q0, c0 + grad, d0), rows=rows),
+                     x0=(1.0 - _DASH_BLEND) * x + _DASH_BLEND * dash)
+    if out.status != "optimal":
+        raise JointStepError(f"capped joint step ended {out.status!r}")
+    dx = out.x - x
+    step[1:-1] = dx.reshape(-1, 2)
+    return step, -float((q0 @ x + c0 + grad) @ dx + 0.5 * dx @ q0 @ dx)
 
 
 def _mission_energy(s: Scenario, traj, sol: OffloadSolution) -> float:
@@ -222,13 +231,14 @@ def _descend(s: Scenario, traj, step, gain: float, energy: float, xi1: float,
              tol: float):
     """Halve the joint step until the re-solved mission energy drops below
     ``energy``.  Returns (traj, schedule, energy) of the accepted point, or
-    None once the halved step's model decrease is within ``xi1``."""
+    None once the halved step's model decrease is within ``xi1``.  A step
+    that ends on a speed cap may pass it by a rounding error."""
     alpha = 1.0
     while gain * alpha * (2.0 - alpha) > xi1:
         cand = traj + alpha * step
         alpha *= 0.5
         speeds = np.linalg.norm(np.diff(cand, axis=0), axis=1) / s.slot
-        if np.max(speeds) > s.V_max:
+        if np.max(speeds) > s.V_max * (1.0 + 1e-12):
             continue
         try:
             sol = solve_p2(s, cand, tol=tol)
@@ -240,24 +250,17 @@ def _descend(s: Scenario, traj, step, gain: float, energy: float, xi1: float,
     return None
 
 
-def run_algorithm1(s: Scenario, init="straight", xi: float | None = None,
-                   xi1: float | None = None, max_outer: int = 50,
-                   tol: float = 1e-6) -> PlannerResult:
-    """Alternate the two subproblem solvers until the plan is jointly
-    stationary.
+def run_algorithm1(s: Scenario, init="straight", xi1: float | None = None,
+                   max_outer: int = 50, tol: float = 1e-6) -> PlannerResult:
+    """Take capped joint steps until the plan is jointly stationary.
 
     ``init`` selects the starting path ("straight", "semi-circle", or an
-    explicit (N+1, 2) array).  Each outer iteration refines the path at
-    the current schedule and re-solves the schedule on the new path, until
-    the path half is pinned (its first refinement moves the path by at
-    most ``xi``) or an iteration lowers the mission energy by at most
-    ``xi1``.  Every later iteration is a joint one: status "converged"
-    once the :func:`joint_step` decrease is within ``xi1``, otherwise the
-    joint step is taken and the schedule re-solved.  A joint step that
-    lowers the energy at no halving whose predicted decrease exceeds
-    ``xi1`` ends the run with status "stalled".  Hitting ``max_outer``
-    returns the last iterate with status "iteration-limit" rather than
-    failing.
+    explicit (N+1, 2) array), where the schedule is solved first.  Each
+    later iteration takes the :func:`joint_step`, halved until the
+    re-solved mission energy falls.  Status "converged": the step predicts
+    a decrease within ``xi1``; "stalled": no halving predicting more than
+    ``xi1`` lowers the energy; "iteration-limit": ``max_outer`` was hit (the
+    last iterate is returned rather than failing).
     """
     xi1 = s.xi1 if xi1 is None else float(xi1)
     traj = _initial_trajectory(s, init)
@@ -271,27 +274,17 @@ def run_algorithm1(s: Scenario, init="straight", xi: float | None = None,
     sol = solve_p2(s, traj, tol=tol)
     trace = [(1, _mission_energy(s, traj, sol))]
     status = "iteration-limit"
-    settled = False
     for i in range(2, max_outer + 1):
-        if not settled:
-            moved, sca = solve_p3(s, sol.plan_part, traj, xi=xi)
-            settled = sca.iterations == 1
-        if settled:
-            step, gain = joint_step(s, traj, sol)
-            if gain <= xi1:
-                status = "converged"
-                break
-            found = _descend(s, traj, step, gain, trace[-1][1], xi1, tol)
-            if found is None:
-                status = "stalled"
-                break
-            traj, sol, energy = found
-        else:
-            traj = moved
-            sol = solve_p2(s, traj, tol=tol)
-            energy = _mission_energy(s, traj, sol)
+        step, gain = joint_step(s, traj, sol)
+        if gain <= xi1:
+            status = "converged"
+            break
+        found = _descend(s, traj, step, gain, trace[-1][1], xi1, tol)
+        if found is None:
+            status = "stalled"
+            break
+        traj, sol, energy = found
         trace.append((i, energy))
-        settled = settled or trace[-2][1] - energy <= xi1
 
     plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
     ledger = evaluate_ledger(s, plan)
@@ -318,13 +311,13 @@ def run_baseline(s: Scenario, scheme: str, tol: float = 1e-6) -> PlannerResult:
                          scheme=scheme, status="converged", p2_trace=sol.trace)
 
 
-def _run_scheme(s: Scenario, scheme: str, xi, xi1, tol) -> PlannerResult:
+def _run_scheme(s: Scenario, scheme: str, xi1, tol) -> PlannerResult:
     if scheme == "proposed":
-        return run_algorithm1(s, xi=xi, xi1=xi1, tol=tol)
+        return run_algorithm1(s, xi1=xi1, tol=tol)
     return run_baseline(s, scheme, tol=tol)
 
 
-def _run_cell(s: Scenario, T: float, scheme: str, xi=None, xi1=None,
+def _run_cell(s: Scenario, T: float, scheme: str, xi1=None,
               tol: float = 1e-6) -> SweepCell:
     """Re-derive the timing for duration ``T`` and plan one scheme there.
 
@@ -332,7 +325,7 @@ def _run_cell(s: Scenario, T: float, scheme: str, xi=None, xi1=None,
     ends only this cell: it is recorded as "infeasible" or "failed".
     """
     try:
-        result = _run_scheme(s.with_T(T), scheme, xi, xi1, tol)
+        result = _run_scheme(s.with_T(T), scheme, xi1, tol)
     except (ScenarioError, SolverError) as exc:
         failure = "infeasible" if isinstance(exc, _INFEASIBLE) else "failed"
         return SweepCell(T=T, scheme=scheme, result=None, error=str(exc), failure=failure)
@@ -340,13 +333,13 @@ def _run_cell(s: Scenario, T: float, scheme: str, xi=None, xi1=None,
 
 
 def sweep_T(s: Scenario, T_values: Iterable[float],
-            schemes: Sequence[str] = SCHEMES, xi: float | None = None,
-            xi1: float | None = None, tol: float = 1e-6) -> list[SweepCell]:
+            schemes: Sequence[str] = SCHEMES, xi1: float | None = None,
+            tol: float = 1e-6) -> list[SweepCell]:
     """Re-derive the timing for each mission duration and run every scheme.
 
     Output is ordered by T (ascending), then by the given scheme order.
     Per-cell failures are captured in the cell instead of aborting the
     sweep.
     """
-    return [_run_cell(s, T, scheme, xi, xi1, tol)
+    return [_run_cell(s, T, scheme, xi1, tol)
             for T in sorted(float(t) for t in T_values) for scheme in schemes]

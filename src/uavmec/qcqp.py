@@ -61,7 +61,8 @@ class KktReport:
     complementarity: float
 
     def max(self) -> float:
-        return max(self.stationarity, self.primal, self.dual, self.complementarity)
+        """Largest residual; NaN if any residual is NaN."""
+        return float(np.max([self.stationarity, self.primal, self.dual, self.complementarity]))
 
 
 class Rows:
@@ -271,7 +272,8 @@ def _grad_hess_barrier(obj, rows: Rows, x: np.ndarray, t: float):
     constraint values and gradients (for reuse in the line search).
 
     ``obj`` is the objective triple (Q0, c0, d0) and ``rows`` the
-    constraint rows.
+    constraint rows.  The values come from :meth:`Rows.values`, as in every
+    feasibility test and multiplier, so they agree bit for bit.
     """
     q0, c0, d0 = obj
     val = t * (0.5 * x @ q0 @ x + c0 @ x + d0)
@@ -280,7 +282,7 @@ def _grad_hess_barrier(obj, rows: Rows, x: np.ndarray, t: float):
     if not rows.m:
         return val, grad, hess, np.zeros(0), np.zeros((0, rows.dim))
     gx = rows.gradients(x)
-    g = 0.5 * (gx @ x) + 0.5 * (rows.c @ x) + rows.d
+    g = rows.values(x)
     if np.any(g >= 0.0):
         return np.inf, grad, hess, g, gx
     inv = -1.0 / g
@@ -430,9 +432,7 @@ def _barrier(p: QcqpProblem, tol: float, max_iter: int,
         x = np.asarray(x0, dtype=float).copy()
     else:
         x, margin, status = phase1(p, x_hint=x0)
-        if status != "infeasible" and not _strictly_feasible(p, x):
-            status = "infeasible"
-        if status == "infeasible":
+        if status == "infeasible" or not _strictly_feasible(p, x):
             raise QcqpInfeasibleError(
                 f"no strictly feasible point found (phase-1 margin {margin:.3g})")
 
@@ -456,8 +456,9 @@ def _barrier(p: QcqpProblem, tol: float, max_iter: int,
 def _polish(p: QcqpProblem, x: np.ndarray, lam: np.ndarray, t_final: float):
     """Newton refinement on the active-set KKT equations.
 
-    Keeps the refined point only if it stays feasible with nonnegative
-    multipliers and strictly better residuals.
+    Keeps the refined point only if it stays feasible and its residuals,
+    recomputed with the multipliers clipped at zero, are strictly better
+    (a weakly active row can take a slightly negative multiplier).
     """
     if p.m == 0:
         return x, lam
@@ -509,10 +510,9 @@ def _polish(p: QcqpProblem, x: np.ndarray, lam: np.ndarray, t_final: float):
             break
     lam_full = np.zeros(p.m)
     lam_full[active] = np.maximum(lam_act, 0.0)
-    g_new = p.ineq_values(xc)
-    if np.all(lam_act >= -1e-9) and np.all(g_new <= 1e-9 * gscale):
-        if kkt_residuals(p, xc, lam_full).max() < best_res:
-            best = (xc, lam_full)
+    if (np.all(p.ineq_values(xc) <= 1e-9 * gscale)
+            and kkt_residuals(p, xc, lam_full).max() < best_res):
+        best = (xc, lam_full)
     return best
 
 
@@ -530,7 +530,8 @@ def solve(p: QcqpProblem, tol: float = 1e-9, max_iter: int = 60,
         x, lam = _polish(p, x, lam, t_final)
         gap = float(np.sum(lam * (-p.ineq_values(x))))
     kkt = kkt_residuals(p, x, lam)
-    if status == "optimal" and kkt.max() > max(np.sqrt(tol), 1e-6) * (
+    # Fails closed: a NaN residual is not within the bound.
+    if status == "optimal" and not kkt.max() <= max(np.sqrt(tol), 1e-6) * (
             1.0 + abs(p.objective_value(x))):
         status = "max-iter"
     return QcqpSolution(x=x, lambdas=lam, status=status, kkt=kkt,

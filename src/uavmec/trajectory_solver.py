@@ -29,6 +29,7 @@ __all__ = [
     "ExpansionInfeasibleError",
     "ScaIterationLimitError",
     "sca_lower_bound",
+    "speed_capped_propulsion",
     "assemble_p4",
     "solve_p3",
 ]
@@ -116,6 +117,40 @@ class P4Assembly:
         return np.asarray(traj, dtype=float)[1:-1].ravel()
 
 
+def speed_capped_propulsion(s: Scenario, start, end) -> tuple[tuple, qcqp.Rows]:
+    """Propulsion and speed caps in the free path points p_1 .. p_{N-1}.
+
+    With the ends pinned at the (2,) arrays ``start`` and ``end``, returns
+    the propulsion energy as a (Q0, c0, d0) triple and the N two-point rows
+    ||p_{n+1} - p_n||^2 / (V_max slot)^2 - 1 <= 0, n = 0 .. N-1.
+    """
+    dim = 2 * (s.N - 1)
+    xy = np.arange(2)
+    pts = np.arange(1, s.N)             # free path points; point i sits at 2(i-1)
+    inner = np.arange(1, s.N - 1)       # segments joining two free points
+
+    # Squared segment lengths ||p_{n+1} - p_n||^2: 2 on the diagonal of each
+    # free end, -2 on the cross entries of a segment joining two free points.
+    # Propulsion is kappa / slot^2 times their sum.
+    seg_row = np.repeat(np.concatenate([pts - 1, pts, inner, inner]), 2)
+    seg_j = (2 * np.concatenate([pts - 1, pts - 1, inner - 1, inner])[:, None] + xy).ravel()
+    seg_k = (2 * np.concatenate([pts - 1, pts - 1, inner, inner - 1])[:, None] + xy).ravel()
+    seg_val = np.repeat([2.0, -2.0], [4 * pts.size, 4 * inner.size])
+    seg_c = np.zeros((s.N, dim))
+    seg_c[0, :2] = -2.0 * start
+    seg_c[-1, -2:] = -2.0 * end
+    seg_d = np.zeros(s.N)
+    seg_d[0], seg_d[-1] = float(start @ start), float(end @ end)
+
+    a = s.kappa / s.slot ** 2
+    q0m = np.zeros((dim, dim))
+    np.add.at(q0m, (seg_j, seg_k), a * seg_val)
+    cap2 = (s.V_max * s.slot) ** 2
+    return ((q0m, a * seg_c.sum(axis=0), float(np.sum(a * seg_d))),
+            qcqp.Rows(dim, seg_row, seg_j, seg_k, seg_val / cap2, seg_c / cap2,
+                      (seg_d - cap2) / cap2))
+
+
 def assemble_p4(s: Scenario, plan_part, expansion_traj) -> P4Assembly:
     """Build the convex QCQP for the free path points p_1 .. p_{N-1}.
 
@@ -139,30 +174,9 @@ def assemble_p4(s: Scenario, plan_part, expansion_traj) -> P4Assembly:
         raise ExpansionInfeasibleError(
             f"expansion point violates the speed cap ({np.max(seg_speed):.4g} m/s)")
 
-    dim = 2 * (s.N - 1)
-    xy = np.arange(2)
+    objective, speed = speed_capped_propulsion(s, exp[0], exp[-1])
+    dim, xy = speed.dim, np.arange(2)
     pts = np.arange(1, s.N)             # free path points; point i sits at 2(i-1)
-    inner = np.arange(1, s.N - 1)       # segments joining two free points
-
-    # Squared segment lengths ||p_{n+1} - p_n||^2, n = 0..N-1, ends pinned at
-    # exp[0] and exp[-1]: 2 on the diagonal of each free end, -2 on the cross
-    # entries of a segment joining two free points.  The objective is
-    # propulsion, kappa / slot^2 times their sum; speed rows cap each square
-    # at (V_max * slot)^2 and are divided by that cap.
-    seg_row = np.repeat(np.concatenate([pts - 1, pts, inner, inner]), 2)
-    seg_j = (2 * np.concatenate([pts - 1, pts - 1, inner - 1, inner])[:, None] + xy).ravel()
-    seg_k = (2 * np.concatenate([pts - 1, pts - 1, inner, inner - 1])[:, None] + xy).ravel()
-    seg_val = np.repeat([2.0, -2.0], [4 * pts.size, 4 * inner.size])
-    seg_c = np.zeros((s.N, dim))
-    seg_c[0, :2] = -2.0 * exp[0]
-    seg_c[-1, -2:] = -2.0 * exp[-1]
-    seg_d = np.zeros(s.N)
-    seg_d[0], seg_d[-1] = float(exp[0] @ exp[0]), float(exp[-1] @ exp[-1])
-
-    a = s.kappa / s.slot ** 2
-    q0m = np.zeros((dim, dim))
-    np.add.at(q0m, (seg_j, seg_k), a * seg_val)
-    objective = (q0m, a * seg_c.sum(axis=0), float(np.sum(a * seg_d)))
     cap2 = (s.V_max * s.slot) ** 2
 
     # Energy causality of user k over the first n slots, row (k, n):
@@ -205,12 +219,12 @@ def assemble_p4(s: Scenario, plan_part, expansion_traj) -> P4Assembly:
 
     rows = qcqp.Rows(
         dim,
-        np.concatenate([seg_row, s.N + np.repeat(r, 2)]),
-        np.concatenate([seg_j, (2 * i[:, None] + xy).ravel()]),
-        np.concatenate([seg_k, (2 * i[:, None] + xy).ravel()]),
-        np.concatenate([seg_val / cap2, np.repeat(2.0 * wi / row_scale[r], 2)]),
-        np.vstack([seg_c / cap2, caus_c]),
-        np.concatenate([(seg_d - cap2) / cap2, const[ck, cn] / row_scale]))
+        np.concatenate([speed.row, s.N + np.repeat(r, 2)]),
+        np.concatenate([speed.j, (2 * i[:, None] + xy).ravel()]),
+        np.concatenate([speed.k, (2 * i[:, None] + xy).ravel()]),
+        np.concatenate([speed.val, np.repeat(2.0 * wi / row_scale[r], 2)]),
+        np.vstack([speed.c, caus_c]),
+        np.concatenate([speed.d, const[ck, cn] / row_scale]))
     problem = qcqp.QcqpProblem(objective=objective, rows=rows)
     labels = (tuple(zip(["speed"] * s.N, range(s.N)))
               + tuple(zip(["causality"] * ck.size, ck.tolist(), (cn + 1).tolist())))
@@ -223,10 +237,8 @@ def assemble_p4(s: Scenario, plan_part, expansion_traj) -> P4Assembly:
 class ScaState:
     """Progress record of one path-refinement run."""
 
-    expansion_traj: np.ndarray
     iterations: int
     objective_history: list = field(default_factory=list)
-    displacement_history: list = field(default_factory=list)
     trajectory_history: list = field(default_factory=list)
 
 
@@ -240,7 +252,7 @@ def solve_p3(s: Scenario, plan_part, init_traj, xi: float | None = None,
     """
     xi = s.xi if xi is None else float(xi)
     traj = np.asarray(init_traj, dtype=float).copy()
-    state = ScaState(expansion_traj=traj, iterations=0)
+    state = ScaState(iterations=0)
     for _ in range(max_iters):
         asm = assemble_p4(s, plan_part, traj)
         x_exp = asm.pack(traj)
@@ -266,9 +278,7 @@ def solve_p3(s: Scenario, plan_part, init_traj, xi: float | None = None,
         state.objective_history.append(float(np.sum(propulsion_profile(s, new_traj))))
         state.trajectory_history.append(new_traj.copy())
         disp = float(np.sum(np.linalg.norm(new_traj - traj, axis=1)))
-        state.displacement_history.append(disp)
         traj = new_traj
-        state.expansion_traj = traj
         if disp <= xi:
             return traj, state
     raise ScaIterationLimitError(

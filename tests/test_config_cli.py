@@ -173,7 +173,7 @@ def test_cli_solver_error_fails_only_its_cell(tmp_path, ref_cfg, monkeypatch):
     def stuck(*args, **kwargs):
         raise ScaIterationLimitError("SCA iteration limit")
 
-    monkeypatch.setattr(planner, "solve_p3", stuck)
+    monkeypatch.setattr(planner, "joint_step", stuck)
     out = tmp_path / "out"
     code = main(["--scenario", str(ref_cfg), "--schemes", "proposed,straight-line",
                  "--out", str(out)])

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from uavmec.model import Scenario, check_constraints, evaluate_ledger
 from uavmec.offload_solver import solve_p2
@@ -88,7 +91,7 @@ def test_baselines_pass_constraint_check(table2, table2_runs):
         assert rep.feasible(1e-6), rep.summary()
 
 
-# --- alternating planner -----------------------------------------------------
+# --- joint-step planner -----------------------------------------------------
 
 def test_zero_workload_trivial(ref2x6):
     idle = Scenario(**{**_fields(ref2x6), "R": np.zeros(ref2x6.K)})
@@ -123,13 +126,11 @@ def test_proposed_dominates_baselines(table2_runs):
         assert proposed <= other * (1 + 1e-6)
 
 
-def test_saturated_alternation_keeps_straight_path(table2, table2_runs):
-    """The schedule half-step saturates every budget, which pins the path
-    half-step at its expansion: from the straight start the alternation
-    alone is a fixed point at the straight dash.  That point is not
-    jointly stationary, so the planner's joint step bends the path by a
-    few centimetres toward the users and lowers the mission energy (by
-    4.9 mJ at T = 2), ending where the joint residual is within ``xi1``."""
+def test_joint_step_bends_straight_start(table2, table2_runs):
+    """The straight dash is not jointly stationary: the joint step bends
+    the path by a few centimetres toward the users and lowers the mission
+    energy (by 4.9 mJ at T = 2), ending where the joint residual is within
+    ``xi1``."""
     proposed = table2_runs["proposed"]
     straight = table2_runs["straight-line"]
     assert proposed.uav_total <= straight.uav_total - 1e-3
@@ -137,6 +138,49 @@ def test_saturated_alternation_keeps_straight_path(table2, table2_runs):
     _, residual = joint_step(table2, proposed.plan.traj, sol)
     assert residual <= table2.xi1
     assert np.abs(proposed.plan.traj - straight.plan.traj).max() <= 0.1
+
+
+def test_uncapped_joint_step_is_the_newton_step(table2):
+    """With no speed cap active the capped step is the unconstrained
+    minimizer of propulsion plus the linearization: the Newton step
+    -A^{-1} r of the tridiagonal propulsion Hessian A, with the model
+    decrease 0.5 r'A^{-1} r."""
+    traj = straight_line_trajectory(table2)
+    sol = solve_p2(table2, traj)
+    step, gain = joint_step(table2, traj, sol)
+    a = 2.0 * table2.kappa / table2.slot ** 2
+    r = (a * (2.0 * traj[1:-1] - traj[:-2] - traj[2:])
+         + compute_energy_gradient(table2, traj, sol)[1:-1])
+    band = np.zeros((2, table2.N - 1))
+    band[0, 1:] = -a
+    band[1] = 2.0 * a
+    newton = -solveh_banded(band, r)
+    assert np.abs(step[1:-1] - newton).max() <= 1e-8 * np.abs(newton).max()
+    assert not step[0].any() and not step[-1].any()
+    assert gain == pytest.approx(-0.5 * float(np.sum(r * newton)), rel=1e-8)
+
+
+def test_binding_speed_cap_converges(table2):
+    """With V_max just above the dash speed the uncapped step would break
+    the cap; the capped step keeps every iterate inside it and the run
+    converges below the straight baseline, free of numerical warnings."""
+    capped = Scenario(**{**_fields(table2), "V_max": 5.001})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_algorithm1(capped)
+    assert res.status == "converged"
+    rep = check_constraints(capped, res.plan)
+    assert rep.feasible(1e-6), rep.summary()
+    assert res.uav_total < run_baseline(capped, "straight-line").uav_total
+
+
+def test_dash_at_speed_cap_is_the_only_path(table2):
+    """A dash flown at V_max is the only feasible path: the step is zero
+    and the run converges on the straight baseline."""
+    pinned = Scenario(**{**_fields(table2), "V_max": 5.0})
+    res = run_algorithm1(pinned)
+    assert res.status == "converged" and res.iterations == 1
+    assert np.array_equal(res.plan.traj, straight_line_trajectory(pinned))
 
 
 def test_compute_energy_gradient_matches_finite_difference(ref2x6, ref2x6_traj):
@@ -189,14 +233,14 @@ def test_sweep_marks_failed_cells(ref2x6):
 
 
 def test_sweep_contains_solver_errors(ref2x6, monkeypatch):
-    """A path-half error ends only its own cell, with status "failed"."""
+    """A path-step error ends only its own cell, with status "failed"."""
     from uavmec import planner
     from uavmec.trajectory_solver import ScaIterationLimitError
 
     def stuck(*args, **kwargs):
         raise ScaIterationLimitError("SCA iteration limit")
 
-    monkeypatch.setattr(planner, "solve_p3", stuck)
+    monkeypatch.setattr(planner, "joint_step", stuck)
     cells = sweep_T(ref2x6, [1.2], schemes=("proposed", "straight-line"))
     assert [c.status for c in cells] == ["failed", "converged"]
     assert cells[0].result is None and "SCA iteration limit" in cells[0].error
@@ -221,13 +265,11 @@ def test_zero_workload_propulsion_halves_when_T_doubles(ref2x6):
     assert e2 == pytest.approx(0.5 * e1, rel=1e-9)
 
 
-def test_alternation_creeps_from_semicircle_start(ref2x6):
-    """Away from the propulsion minimum the alternation genuinely moves:
-    each schedule re-solve frees a little causal slack that the path step
-    converts into less flying, walking the semicircle partway toward the
-    chord until the budgets pin it on a bent path.  That block-coordinate
-    fixed point is not jointly stationary; the joint step leaves it and
-    ends at the straight start's energy, within the joint tolerance."""
+def test_semicircle_start_descends_to_straight_start_energy(ref2x6):
+    """Away from the propulsion minimum the joint steps walk the
+    semicircle toward the chord, lowering the mission energy at every
+    accepted step and by several joules in all, and end at the straight
+    start's energy within the joint tolerance."""
     from_straight = run_algorithm1(ref2x6)
     from_semi = run_algorithm1(ref2x6, init="semi-circle")
     assert from_semi.status == "converged"

@@ -204,6 +204,46 @@ def test_kkt_checker_agrees_with_solver_report():
     assert abs(check.complementarity - sol.kkt.complementarity) <= 1e-10
 
 
+def test_nonfinite_multiplier_is_not_optimal(monkeypatch):
+    """A NaN multiplier makes the KKT report NaN, and NaN is not within the
+    optimality bound, so ``solve`` must not report the point optimal."""
+    assert np.isnan(qcqp.KktReport(0.0, 0.0, np.nan, 0.0).max())
+    p = qcqp.QcqpProblem.from_dense(1, (np.zeros((1, 1)), np.array([-1.0]), 0.0),
+                                    [(np.zeros((1, 1)), np.array([1.0]), -1.0)])
+
+    def nan_barrier(p, tol, max_iter, x0):
+        return np.array([0.5]), np.array([np.nan]), "optimal", 0.0, [(1e9, -0.5, 0.0)]
+
+    monkeypatch.setattr(qcqp, "_barrier", nan_barrier)
+    sol = qcqp.solve(p)
+    assert np.isnan(sol.kkt.max())
+    assert sol.status == "max-iter"
+
+
+def test_polish_clips_weakly_active_multiplier(monkeypatch):
+    """A row within the active tolerance that is slack at the optimum takes
+    a negative multiplier in the active-set polish.  The polished point,
+    judged with that multiplier clipped at zero, still beats a poorly
+    centered barrier point, so the solve ends optimal within delta of the
+    true optimum (1 - delta, 0)."""
+    delta = 1e-5
+    p = qcqp.QcqpProblem.from_dense(
+        2, (np.eye(2), np.array([delta - 1.0, 0.0]), 0.0),
+        [(np.zeros((2, 2)), np.array([1.0, 0.0]), -1.0),
+         (np.zeros((2, 2)), np.array([0.0, 1.0]), -1.0)])
+
+    def off_center(p, tol, max_iter, x0):
+        x = np.array([1.0 - 1e-6, 1e-2])
+        return x, np.array([1e-3, 1e-9]), "optimal", 0.0, [(1e9, p.objective_value(x), 0.0)]
+
+    monkeypatch.setattr(qcqp, "_barrier", off_center)
+    sol = qcqp.solve(p)
+    assert sol.status == "optimal"
+    assert sol.kkt.stationarity == pytest.approx(delta, rel=1e-6)
+    assert np.all(sol.lambdas >= 0.0)
+    assert p.objective_value(sol.x) <= p.objective_value([1.0 - delta, 0.0]) + delta ** 2
+
+
 def test_outer_objective_monotone_and_gap_bound():
     rng = np.random.default_rng(21)
     p = _random_instance(rng, 5, 4)
@@ -268,6 +308,9 @@ def test_structured_rows_match_dense_reference(case):
     hess = (t * q0 + sum(w * q for w, q in zip(inv, qs))
             + sum(w * w * np.outer(r, r) for w, r in zip(inv, gx)))
     got = qcqp._grad_hess_barrier(p.objective, p.rows, x, t)
+    # the barrier reads the constraint values with the same formula as the
+    # feasibility tests and multipliers, bit for bit
+    assert np.array_equal(got[3], p.ineq_values(x))
     assert _close(np.array(got[0]), np.array(val))
     assert _close(got[1], grad)
     assert _close(got[2], hess)
