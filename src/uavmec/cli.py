@@ -9,7 +9,10 @@ aligned summary table.  Identical inputs produce byte-identical outputs
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
+import importlib.util
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -145,6 +148,39 @@ def run(cfg: RunConfig) -> int:
     return 0 if not failed else 1
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with the OpenBLAS copies bundled with numpy (64-bit
+    interface) and scipy on one thread each, and restore the previous
+    counts after it.  A copy whose thread-count symbols do not resolve is
+    left alone.
+
+    The planner's matrices have at most a few hundred rows, where OpenBLAS
+    threads cost more in hand-offs than they save.  The library leaves
+    threading to its caller; only the command line pins it.
+    """
+    blas = []
+    for pkg, suffix in (("numpy", "64_"), ("scipy", "")):
+        libs = Path(importlib.util.find_spec(pkg).origin).parents[1] / f"{pkg}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+                get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            blas.append((set_threads, get_threads()))
+    for set_threads, _ in blas:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, n in blas:
+            set_threads(n)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="uavmec",
@@ -178,7 +214,8 @@ def main(argv=None) -> int:
                         verbose=args.verbose, workers=max(1, args.workers))
     except ValueError as exc:
         parser.error(str(exc))
-    return run(cfg)
+    with _one_blas_thread():
+        return run(cfg)
 
 
 if __name__ == "__main__":

@@ -115,15 +115,18 @@ class DualState:
 
 @dataclass(frozen=True)
 class OffloadKkt:
-    """Scaled KKT residual norms of an offload solution."""
+    """Scaled KKT residual norms of an offload solution.
+
+    Dual feasibility holds by construction: every iterate lies in the
+    nonnegative price box.
+    """
 
     stationarity: float
     primal: float
     complementarity: float
-    dual: float
 
     def max(self) -> float:
-        return max(self.stationarity, self.primal, self.complementarity, self.dual)
+        return max(self.stationarity, self.primal, self.complementarity)
 
 
 @dataclass(frozen=True)
@@ -449,53 +452,33 @@ def _residuals_scaled(sp: _ScaledP2, mu, nu, theta, l, f, fu) -> OffloadKkt:
     stat = max(float(np.abs(dl_proj).max(initial=0.0)),
                float(np.abs(df_proj).max(initial=0.0)),
                float(np.abs(dfu_proj).max(initial=0.0)))
-    return OffloadKkt(stationarity=stat, primal=primal,
-                      complementarity=comp, dual=0.0)
+    return OffloadKkt(stationarity=stat, primal=primal, complementarity=comp)
 
 
-def _gap_jacobian(sp: _ScaledP2):
-    """Derivatives of the packed constraint gaps in the primal variables.
-
-    Rows follow z = (mu, nu, theta_mid, slack), columns the flattened
-    primal (l, f_user, f_uav).  Returns (A, rows, cols): the matrix with
-    its constant entries, and the positions of its causality entries.
-    Those equal the slot's marginal energy (the TX energy slope for ``l``,
-    3 c_f f^2 for ``f_user``); :func:`_neg_dual_hessian` writes them in
-    place at each price.
-    """
-    K, N = sp.K, sp.N
-    KN = K * N
-    A = np.zeros((K + KN + N - 1, 2 * KN + N))
-    user = np.repeat(np.arange(K), N)
-    A[user, np.arange(KN)] = -1.0                           # bit balance
-    A[user, KN + np.arange(KN)] = -sp.bits_f
-    # Mid UAV prices (i = 1 .. N-2) with the compute balance folded in:
-    # bits offloaded in slots n >= i raise the gap, UAV cycles in j > i lower it.
-    i = np.arange(1, N - 1)[:, None]
-    n = np.arange(N)[None, :]
-    mid = slice(K + KN, K + KN + N - 2)
-    A[mid, :KN] = np.tile(n >= i, K)
-    A[mid, 2 * KN :] = -sp.bits_f * (n > i)
-    A[-1, :KN] = 1.0                                        # compute balance
-    A[-1, 2 * KN :] = -sp.bits_f
-    # Slot n's spending enters every causality prefix m >= n of its user.
-    m, n = np.nonzero(np.kron(np.eye(K, dtype=bool), np.tril(np.ones((N, N), dtype=bool))))
-    return A, np.concatenate([K + m, K + m]), np.concatenate([n, KN + n])
-
-
-def _neg_dual_hessian(z, sp: _ScaledP2, jac) -> np.ndarray:
+def _neg_dual_hessian(z, sp: _ScaledP2) -> np.ndarray:
     """Hessian of the negated dual at z, J_F diag(h_F)^-1 J_F^T.
 
     The Lagrangian is separable in the primal, so each variable strictly
     inside its bounds follows the prices through its own stationarity
-    condition.  J_F holds those variables' gap derivatives (columns of
-    :func:`_gap_jacobian`) and h_F their Lagrangian second derivatives:
-    V a_tx (ln 2 / bl)^2 2^(l/bl) for bits, 6 c_f f V for user and
-    6 c_f f_uav for UAV frequencies, with V the energy-price tail.
-    Variables on a bound do not move with the prices.
+    condition.  J_F holds those variables' derivatives of the packed gaps
+    (rows z = (mu, nu, theta_mid, slack)) and h_F their Lagrangian second
+    derivatives: V a_tx (ln 2 / bl)^2 2^(l/bl) for bits, 6 c_f f V for
+    user and 6 c_f f_uav for UAV frequencies, with V the energy-price
+    tail.  Variables on a bound do not move with the prices.
+
+    The gaps' slot structure gives every block as a prefix or suffix sum
+    of per-slot weights.  Bit price k takes -1 from each of user k's bits
+    and -bits_f from its cycles; causality price (k, m) takes each slot
+    n <= m's marginal energy (the TX slope for bits, 3 c_f f^2 for
+    cycles); UAV price i (the slack as i = 0, with the compute balance
+    folded into the mid prices) takes +1 from bits in slots n >= i and
+    -bits_f from UAV cycles in slots j > i.  So the nu-nu block of a
+    user is a prefix sum at min(m, m'), the theta-theta block a suffix
+    sum at max(i, i'), and the mixed blocks are prefix sums, suffix sums
+    and prefix-sum differences.
     """
-    N = sp.N
-    mu, nu, theta = _unpack(z, sp.K, N)
+    K, N = sp.K, sp.N
+    mu, nu, theta = _unpack(z, K, N)
     l, f, fu = _recover_scaled(sp, mu, nu, theta, fill="cap")
     V = np.flip(np.cumsum(np.flip(nu, axis=1), axis=1), axis=1)
     rate = math.log(2.0) / sp.bl
@@ -503,14 +486,41 @@ def _neg_dual_hessian(z, sp: _ScaledP2, jac) -> np.ndarray:
     free_l = (l > 0.0) & (l < sp.l_cap) & (V > 0.0)
     free_l[:, N - 1] = False
     free_f = (f > 0.0) & (f < sp.f_cap[:, None]) & (V > 0.0)
-    free = np.concatenate([free_l.ravel(), free_f.ravel(), fu > 0.0])
-    h = np.concatenate([(V * tx_slope * rate).ravel(), (6.0 * sp.c_f * f * V).ravel(),
-                        6.0 * sp.c_f * fu])
-    A, rows, cols = jac
-    A[rows, cols] = np.concatenate([tx_slope.ravel(), (3.0 * sp.c_f * f ** 2).ravel()])[cols]
-    B = A[:, free]
-    B /= np.sqrt(h[free])
-    return B @ B.T
+    # Inverse curvatures of the free variables, zero on a bound.
+    wl = np.divide(1.0, V * tx_slope * rate, out=np.zeros((K, N)), where=free_l)
+    wf = np.divide(1.0, 6.0 * sp.c_f * f * V, out=np.zeros((K, N)), where=free_f)
+    wu = np.divide(1.0, 6.0 * sp.c_f * fu, out=np.zeros(N), where=fu > 0.0)
+    e_f = 3.0 * sp.c_f * f ** 2
+
+    KN = K * N
+    H = np.zeros((K + KN + N - 1, K + KN + N - 1))
+    nus = slice(K, K + KN)
+    ths = slice(K + KN, None)
+    slots = np.arange(N)
+    # The UAV prices in z order (mid prices, then the slack), each as the
+    # first slot whose bits its gap counts.
+    first = np.append(np.arange(1, N - 1), 0)
+    bits_tail = np.flip(np.cumsum(np.flip(wl, axis=1), axis=1), axis=1)   # n >= i
+    tx_head = np.zeros((K, N + 1))                                         # n < m
+    tx_head[:, 1:] = np.cumsum(tx_slope * wl, axis=1)
+    uav_tail = np.append(np.flip(np.cumsum(np.flip(wu[1:]))), 0.0)         # j > i
+
+    H[np.arange(K), np.arange(K)] = wl.sum(axis=1) + sp.bits_f ** 2 * wf.sum(axis=1)
+    H[np.repeat(np.arange(K), N), K + np.arange(KN)] = np.cumsum(
+        -tx_slope * wl - sp.bits_f * e_f * wf, axis=1).ravel()
+    H[:K, ths] = -bits_tail[:, first]
+    nu_nu = np.cumsum(tx_slope ** 2 * wl + e_f ** 2 * wf, axis=1)
+    for k in range(K):
+        block = slice(K + k * N, K + (k + 1) * N)
+        H[block, block] = nu_nu[k, np.minimum.outer(slots, slots)]
+    H[nus, ths] = np.where(slots[:, None] >= first, tx_head[:, 1:, None]
+                           - tx_head[:, None, first], 0.0).reshape(KN, N - 1)
+    theta_theta = bits_tail.sum(axis=0) + sp.bits_f ** 2 * uav_tail
+    H[ths, ths] = theta_theta[np.maximum.outer(first, first)]
+    H[nus, :K] = H[:K, nus].T
+    H[ths, :K] = H[:K, ths].T
+    H[ths, nus] = H[nus, ths].T
+    return H
 
 
 def _natural_residual(z, grad) -> float:
@@ -518,7 +528,7 @@ def _natural_residual(z, grad) -> float:
     return float(np.abs(np.minimum(z, grad)).max())
 
 
-def _newton_step(sp: _ScaledP2, value_grad, z, phi, grad, res, jac,
+def _newton_step(sp: _ScaledP2, value_grad, z, phi, grad, res,
                  damping: float, polish: bool):
     """One damped projected Newton step on the negated dual over z >= 0.
 
@@ -540,7 +550,7 @@ def _newton_step(sp: _ScaledP2, value_grad, z, phi, grad, res, jac,
     """
     act = (z <= min(res, 1e-3)) & (grad > 0.0)
     free = ~act
-    H = _neg_dual_hessian(z, sp, jac)[np.ix_(free, free)]
+    H = _neg_dual_hessian(z, sp)[np.ix_(free, free)]
     scale = float(np.diag(H).max(initial=0.0)) or 1.0
     floor = np.zeros_like(z)
     floor[: sp.K] = 0.1 * z[: sp.K]
@@ -588,7 +598,6 @@ def _projected_newton(fun, x0, args, jac, tol, maxiter=200, **_):
         nfev += 1
         return fun(z, sp), jac(z, sp)
 
-    gap_jac = _gap_jacobian(sp)
     z = x0
     phi, grad = value_grad(z)
     res = _natural_residual(z, grad)
@@ -600,7 +609,7 @@ def _projected_newton(fun, x0, args, jac, tol, maxiter=200, **_):
         kkt = _residuals_scaled(sp, mu, nu, theta, *primal)
         trace.append((it, -phi * _EN, kkt.max()))
         step = (None if it == maxiter else
-                _newton_step(sp, value_grad, z, phi, grad, res, gap_jac, damping,
+                _newton_step(sp, value_grad, z, phi, grad, res, damping,
                              polish=kkt.max() <= tol))
         if step is None:
             break
@@ -610,27 +619,35 @@ def _projected_newton(fun, x0, args, jac, tol, maxiter=200, **_):
                           trace=trace)
 
 
-def solve_p2(s: Scenario, traj, tol: float = 1e-6) -> OffloadSolution:
+def solve_p2(s: Scenario, traj, tol: float = 1e-6,
+             warm: DualState | None = None) -> OffloadSolution:
     """Optimal offload/CPU schedule for a fixed trajectory.
 
     Pipeline: feasibility probe, presolve of self-sufficient users, a
-    policy-derived warm start for the multipliers, then projected Newton
-    ascent of the dual, run through scipy's ``minimize`` as a custom
-    method (:func:`_projected_newton`), so no scipy algorithm takes part.
-    The dominating last UAV price becomes a slack
-    variable, which turns the admissible price cone into the box z >= 0;
-    the dual Hessian is analytic in the closed-form recovery.  Once the
-    scaled KKT residuals (primal feasibility, complementarity and
+    start for the multipliers, then projected Newton ascent of the dual,
+    run through scipy's ``minimize`` as a custom method
+    (:func:`_projected_newton`), so no scipy algorithm takes part.  The
+    start is ``warm``, the prices of a nearby schedule (the previous
+    path's, in the planner), when the users that survive the presolve are
+    exactly those with a positive ``warm.mu``; otherwise it is derived
+    from the spend-as-harvested policy.  The dominating last UAV price
+    becomes a slack variable, which turns the admissible price cone into
+    the box z >= 0; the dual Hessian is analytic in the closed-form
+    recovery and assembled from per-user prefix and suffix sums.  Once
+    the scaled KKT residuals (primal feasibility, complementarity and
     projected stationarity of the recovered schedule) are within ``tol``,
     ascent continues for as long as the natural residual keeps shrinking.
     ``trace`` holds one (iteration, dual value [J], max KKT residual) row
-    per iterate, the warm start first.
+    per iterate, the start first.
 
     Raises :class:`InfeasibleTrajectoryError` when the feasibility probe
-    fails and :class:`DualIterationLimitError` when ascent stalls above
-    ``tol``.
+    fails, :class:`DualIterationLimitError` when ascent stalls above
+    ``tol`` and ``ValueError`` when ``warm`` does not fit the scenario.
     """
     N = s.N
+    if warm is not None and warm.nu.shape != (s.K, N):
+        raise ValueError(f"warm prices of shape {warm.nu.shape} for {s.K} users "
+                         f"over {N} slots")
 
     margins = probe_feasibility(s, traj)
     if np.any(margins < 0.0):
@@ -664,11 +681,16 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6) -> OffloadSolution:
     if poor.size == 0:
         return OffloadSolution(l=l_full, f_user=f_full, f_uav=np.zeros(N),
                                duals=DualState.zeros(s.K, N), objective=0.0,
-                               dual_objective=0.0, kkt=OffloadKkt(0.0, 0.0, 0.0, 0.0))
+                               dual_objective=0.0, kkt=OffloadKkt(0.0, 0.0, 0.0))
 
     sp = _ScaledP2(s, traj, users=poor)
-    mu, nu, theta = _warm_start(sp)
-    z = _pack(mu, nu, theta[1 : N - 1], theta[N - 1] - theta[1 : N - 1].sum())
+    if warm is not None and np.array_equal(np.flatnonzero(warm.mu > 0.0), poor):
+        mu, nu, theta = _duals_to_scaled(warm)
+        mu, nu = mu[poor], nu[poor]
+    else:
+        mu, nu, theta = _warm_start(sp)
+    slack = max(theta[N - 1] - theta[1 : N - 1].sum(), 0.0)
+    z = _pack(mu, nu, theta[1 : N - 1], slack)
     opt = minimize(_neg_dual_and_grad, z, args=(sp,), jac=True,
                    method=_projected_newton, tol=tol)
     if not opt.success:

@@ -227,12 +227,14 @@ def _mission_energy(s: Scenario, traj, sol: OffloadSolution) -> float:
     return float(np.sum(propulsion_profile(s, traj))) + s.T * s.P_u + sol.objective
 
 
-def _descend(s: Scenario, traj, step, gain: float, energy: float, xi1: float,
-             tol: float):
+def _descend(s: Scenario, traj, sol: OffloadSolution, step, gain: float,
+             energy: float, xi1: float, tol: float):
     """Halve the joint step until the re-solved mission energy drops below
-    ``energy``.  Returns (traj, schedule, energy) of the accepted point, or
-    None once the halved step's model decrease is within ``xi1``.  A step
-    that ends on a speed cap may pass it by a rounding error."""
+    ``energy``.  Every re-solve starts from the prices of ``sol``, the
+    schedule at ``traj``: the path moves little, so they are near the
+    candidate's.  Returns (traj, schedule, energy) of the accepted point,
+    or None once the halved step's model decrease is within ``xi1``.  A
+    step that ends on a speed cap may pass it by a rounding error."""
     alpha = 1.0
     while gain * alpha * (2.0 - alpha) > xi1:
         cand = traj + alpha * step
@@ -241,12 +243,12 @@ def _descend(s: Scenario, traj, step, gain: float, energy: float, xi1: float,
         if np.max(speeds) > s.V_max * (1.0 + 1e-12):
             continue
         try:
-            sol = solve_p2(s, cand, tol=tol)
+            cand_sol = solve_p2(s, cand, tol=tol, warm=sol.duals)
         except InfeasibleTrajectoryError:
             continue
-        cand_energy = _mission_energy(s, cand, sol)
+        cand_energy = _mission_energy(s, cand, cand_sol)
         if cand_energy < energy:
-            return cand, sol, cand_energy
+            return cand, cand_sol, cand_energy
     return None
 
 
@@ -279,7 +281,7 @@ def run_algorithm1(s: Scenario, init="straight", xi1: float | None = None,
         if gain <= xi1:
             status = "converged"
             break
-        found = _descend(s, traj, step, gain, trace[-1][1], xi1, tol)
+        found = _descend(s, traj, sol, step, gain, trace[-1][1], xi1, tol)
         if found is None:
             status = "stalled"
             break

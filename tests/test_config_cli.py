@@ -1,3 +1,7 @@
+import ctypes
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -197,3 +201,27 @@ def test_cli_sweep_workers(tmp_path, ref_cfg):
     assert code == 0
     summary = (out / "summary.txt").read_text()
     assert summary.index("1.2") < summary.index("1.4")
+
+
+def _openblas_threads() -> list[int]:
+    """Thread counts of the OpenBLAS copies bundled with numpy and scipy."""
+    counts = []
+    for pkg, suffix in (("numpy", "64_"), ("scipy", "")):
+        site = Path(importlib.import_module(pkg).__file__).parents[1]
+        for path in sorted(site.glob(f"{pkg}.libs/libscipy_openblas*.so*")):
+            get = getattr(ctypes.CDLL(str(path)), f"scipy_openblas_get_num_threads{suffix}")
+            get.restype = ctypes.c_int
+            counts.append(get())
+    return counts
+
+
+def test_cli_runs_on_one_blas_thread(tmp_path, ref_cfg, monkeypatch):
+    from uavmec import cli
+    before = _openblas_threads()
+    if not before:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(_openblas_threads()) or 0)
+    assert main(["--scenario", str(ref_cfg), "--out", str(tmp_path / "out")]) == 0
+    assert seen == [[1] * len(before)]
+    assert _openblas_threads() == before

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from uavmec.model import Scenario, Plan, check_constraints
-from uavmec.planner import semicircle_trajectory
+from uavmec.planner import semicircle_trajectory, straight_line_trajectory
 from uavmec.offload_solver import (
     DualState,
     recover_primal,
@@ -18,7 +18,8 @@ from uavmec.offload_solver import (
     _ScaledP2,
     _warm_start,
     _pack,
-    _gap_jacobian,
+    _unpack,
+    _recover_scaled,
     _neg_dual_and_grad,
     _neg_dual_hessian,
 )
@@ -107,7 +108,7 @@ def _check_hessian_by_central_differences(s, traj, factors):
     N = s.N
     z = _pack(mu, nu, np.full(N - 2, theta[N - 1] / N), theta[N - 1])
     z = z * factors[: z.size]
-    H = _neg_dual_hessian(z, sp, _gap_jacobian(sp))
+    H = _neg_dual_hessian(z, sp)
     fd = np.empty_like(H)
     for j in range(z.size):
         h = 1e-5 * z[j]
@@ -130,6 +131,89 @@ def test_dual_hessian_matches_central_differences_ref(ref2x6, ref2x6_traj, facto
 @given(factors=_FACTORS)
 def test_dual_hessian_matches_central_differences_k5n20(k5n20, factors):
     _check_hessian_by_central_differences(*k5n20, factors)
+
+
+def _dense_dual_hessian(z, sp):
+    """Reference J_F diag(h_F)^-1 J_F^T, formed as a product.
+
+    The derivatives of the packed gaps (rows z = (mu, nu, theta_mid,
+    slack)) in the flattened primal (l, f_user, f_uav) are written out as
+    a dense matrix, the columns of variables on a bound are dropped and
+    the rest scaled by their inverse root curvatures.
+    """
+    K, N = sp.K, sp.N
+    KN = K * N
+    mu, nu, theta = _unpack(z, K, N)
+    l, f, fu = _recover_scaled(sp, mu, nu, theta, fill="cap")
+    V = np.flip(np.cumsum(np.flip(nu, axis=1), axis=1), axis=1)
+    rate = np.log(2.0) / sp.bl
+    tx_slope = sp.a_tx * rate * np.exp2(l / sp.bl)
+    A = np.zeros((K + KN + N - 1, 2 * KN + N))
+    for k in range(K):
+        A[k, k * N : (k + 1) * N] = -1.0                          # bit balance
+        A[k, KN + k * N : KN + (k + 1) * N] = -sp.bits_f
+        for m in range(N):                # slot n <= m spends into prefix m
+            A[K + k * N + m, k * N : k * N + m + 1] = tx_slope[k, : m + 1]
+            A[K + k * N + m, KN + k * N : KN + k * N + m + 1] = 3.0 * sp.c_f * f[k, : m + 1] ** 2
+    for i in range(1, N - 1):             # mid UAV prices, compute balance folded in
+        for k in range(K):
+            A[K + KN + i - 1, k * N + i : (k + 1) * N] = 1.0
+        A[K + KN + i - 1, 2 * KN + i + 1 :] = -sp.bits_f
+    A[-1, :KN] = 1.0                      # compute balance (the slack)
+    A[-1, 2 * KN :] = -sp.bits_f
+    free_l = (l > 0.0) & (l < sp.l_cap) & (V > 0.0)
+    free_l[:, N - 1] = False
+    free_f = (f > 0.0) & (f < sp.f_cap[:, None]) & (V > 0.0)
+    free = np.concatenate([free_l.ravel(), free_f.ravel(), fu > 0.0])
+    h = np.concatenate([(V * tx_slope * rate).ravel(), (6.0 * sp.c_f * f * V).ravel(),
+                        6.0 * sp.c_f * fu])
+    B = A[:, free] / np.sqrt(h[free])
+    return B @ B.T
+
+
+@st.composite
+def _prices_on_bounds(draw, s, traj):
+    """Warm-start prices scaled entrywise, then bent so that every kind of
+    bound is active: user 0's causality prices shrink by 1e-25 from a
+    drawn slot on (its bits reach l_cap and its cycles f_cap there, with
+    a positive price tail), user 1's bit price by 1e-3 (its bits stay at
+    0), and the slack and the first drawn mid UAV prices are zero (the
+    UAV idles in those slots)."""
+    sp = _ScaledP2(s, traj)
+    mu, nu, theta = _warm_start(sp)
+    K, N = s.K, s.N
+    factors = draw(arrays(np.float64, K + K * N + N - 1, elements=st.floats(0.5, 2.0)))
+    cut = draw(st.integers(1, N - 2))
+    idle = draw(st.integers(1, N // 2))
+    nu = nu * factors[K : K + K * N].reshape(K, N)
+    nu[0, cut:] *= 1e-25
+    mu = mu * factors[:K]
+    mu[1] *= 1e-3
+    # Dyadic mid prices sum exactly, so the UAV price gaps of the idle
+    # slots are exactly zero.
+    mid = np.round(theta[N - 1] / N * factors[K + K * N : -1] * 2.0 ** 10) / 2.0 ** 10
+    mid[: idle - 1] = 0.0
+    return sp, _pack(mu, nu, mid, 0.0)
+
+
+def _check_hessian_against_dense(sp, z):
+    mu, nu, theta = _unpack(z, sp.K, sp.N)
+    l, f, fu = _recover_scaled(sp, mu, nu, theta, fill="cap")
+    assert (l[:, : sp.N - 1] == 0.0).any() and (l == sp.l_cap).any()
+    assert (f == sp.f_cap[:, None]).any() and (fu[1:] == 0.0).any()
+    ref = _dense_dual_hessian(z, sp)
+    assert np.abs(_neg_dual_hessian(z, sp) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@given(data=st.data())
+def test_dual_hessian_matches_dense_product_table2(table2, data):
+    traj = straight_line_trajectory(table2)
+    _check_hessian_against_dense(*data.draw(_prices_on_bounds(table2, traj)))
+
+
+@given(data=st.data())
+def test_dual_hessian_matches_dense_product_k5n20(k5n20, data):
+    _check_hessian_against_dense(*data.draw(_prices_on_bounds(*k5n20)))
 
 
 def test_newton_trace_ascends_to_tolerance(ref_solution, ref_oracle):

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solveh_banded
 
 from uavmec.model import Scenario, check_constraints, evaluate_ledger
-from uavmec.offload_solver import solve_p2
+from uavmec.offload_solver import DualState, solve_p2
 from uavmec.planner import (
     run_algorithm1,
     run_baseline,
@@ -138,6 +138,40 @@ def test_joint_step_bends_straight_start(table2, table2_runs):
     _, residual = joint_step(table2, proposed.plan.traj, sol)
     assert residual <= table2.xi1
     assert np.abs(proposed.plan.traj - straight.plan.traj).max() <= 0.1
+
+
+@pytest.fixture(scope="module")
+def halved_candidate(table2):
+    """The straight start's schedule, its joint step halved, and the cold
+    schedule there."""
+    traj = straight_line_trajectory(table2)
+    sol = solve_p2(table2, traj)
+    step, _ = joint_step(table2, traj, sol)
+    cand = traj + 0.5 * step
+    return sol, cand, solve_p2(table2, cand)
+
+
+def test_warm_resolve_matches_cold(table2, halved_candidate):
+    """Started from the previous path's prices, the re-solve reaches the
+    cold solve's optimum within the same tolerance in fewer iterates."""
+    sol, cand, cold = halved_candidate
+    assert np.all(sol.duals.mu > 0.0)
+    warm = solve_p2(table2, cand, warm=sol.duals)
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert warm.kkt.max() <= 1e-6
+    assert len(warm.trace) < len(cold.trace)
+
+
+def test_warm_prices_of_other_users_are_ignored(table2, halved_candidate):
+    """Prices whose positive bit prices pick other users than the presolve
+    leaves start nothing: the solve runs exactly as a cold one."""
+    sol, cand, cold = halved_candidate
+    mu = sol.duals.mu.copy()
+    mu[0] = 0.0
+    other = DualState(mu=mu, nu=sol.duals.nu, theta=sol.duals.theta)
+    assert solve_p2(table2, cand, warm=other).trace == cold.trace
+    with pytest.raises(ValueError, match="warm prices"):
+        solve_p2(table2, cand, warm=DualState.zeros(table2.K, table2.N + 1))
 
 
 def test_uncapped_joint_step_is_the_newton_step(table2):

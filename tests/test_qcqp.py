@@ -33,19 +33,20 @@ def grid_refinement_minimum(p: qcqp.QcqpProblem, half_width: float,
     lo = np.full(p.dim, -half_width)
     hi = np.full(p.dim, half_width)
     best_x = None
+    ineq = p.ineq                     # a dense view, built on each read
+    q0, c0, d0 = p.objective
     for _ in range(levels):
         axes = [np.linspace(lo[d], hi[d], pts) for d in range(p.dim)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, p.dim)
         feas = np.ones(grid.shape[0], dtype=bool)
-        for q, c, d in p.ineq:
-            vals = 0.5 * np.einsum("ij,jk,ik->i", grid, q, grid) + grid @ c + d
+        for q, c, d in ineq:
+            vals = 0.5 * np.einsum("ij,ij->i", grid @ q, grid) + grid @ c + d
             feas &= vals <= 1e-12
         if not feas.any():
             lo *= 1.5
             hi *= 1.5
             continue
-        q0, c0, d0 = p.objective
-        obj = 0.5 * np.einsum("ij,jk,ik->i", grid, q0, grid) + grid @ c0 + d0
+        obj = 0.5 * np.einsum("ij,ij->i", grid @ q0, grid) + grid @ c0 + d0
         obj[~feas] = np.inf
         best = int(np.argmin(obj))
         best_x = grid[best]
