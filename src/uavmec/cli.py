@@ -2,8 +2,11 @@
 
 Writes one directory per (scheme, T) cell containing the trajectory,
 energy ledger and convergence trace as plain structured text, plus an
-aligned summary table.  Identical inputs produce byte-identical outputs
-(the solvers are deterministic and nothing is randomized).
+aligned summary table.  Each duration's cells are planned together, so
+the proposed scheme starts from the straight-line baseline's solve;
+``--workers`` spreads the durations over a thread pool.  Identical inputs
+produce byte-identical outputs (the solvers are deterministic and nothing
+is randomized).
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_scenario, ConfigParseError
-from .model import Scenario
-from .planner import SCHEMES, PlannerResult, SweepCell, _run_cell
+from .planner import SCHEMES, PlannerResult, SweepCell, _run_duration
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -52,15 +54,15 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_trajectory(path: Path, s: Scenario, result: PlannerResult) -> None:
-    traj = result.plan.traj
-    speeds = np.append(np.linalg.norm(np.diff(traj, axis=0), axis=1) / s.slot, 0.0)
+def _write_trajectory(path: Path, result: PlannerResult) -> None:
+    traj, slot = result.plan.traj, result.scenario.slot
+    speeds = np.append(np.linalg.norm(np.diff(traj, axis=0), axis=1) / slot, 0.0)
     _write_lines(path, ["# n x y speed"] + [f"{n + 1} {_fmt(x)} {_fmt(y)} {_fmt(v)}"
                                            for n, ((x, y), v) in enumerate(zip(traj, speeds))])
 
 
-def _write_ledger(path: Path, s: Scenario, result: PlannerResult) -> None:
-    led = result.ledger
+def _write_ledger(path: Path, result: PlannerResult) -> None:
+    s, led = result.scenario, result.ledger
     cols = ([f"harvested_{k + 1}" for k in range(s.K)]
             + [f"local_{k + 1}" for k in range(s.K)]
             + [f"tx_{k + 1}" for k in range(s.K)]
@@ -102,20 +104,19 @@ def run(cfg: RunConfig) -> int:
         return 2
 
     T_values = sorted(cfg.T_sweep) if cfg.T_sweep else [s.T]
-    jobs = [(T, scheme) for T in T_values for scheme in cfg.schemes]
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def plan(job):
-        T, scheme = job
-        return _run_cell(s, T, scheme, cfg.xi1)
+    def plan(T):
+        return _run_duration(s, T, cfg.schemes, cfg.xi1)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            cells = list(pool.map(plan, jobs))
+            per_T = list(pool.map(plan, T_values))
     else:
-        cells = [plan(job) for job in jobs]
+        per_T = [plan(T) for T in T_values]
+    cells = [cell for row in per_T for cell in row]
 
     header = f"{'scheme':<14} {'T':>6} {'uav_total':>16} {'iterations':>11} {'status':>10}"
     summary = [header, "-" * len(header)]
@@ -126,9 +127,8 @@ def run(cfg: RunConfig) -> int:
                            f"{res.iterations:>11d} {res.status:>10}")
             cell_dir = _cell_dir(out, cell)
             cell_dir.mkdir(parents=True, exist_ok=True)
-            st = s.with_T(cell.T)
-            _write_trajectory(cell_dir / "trajectory.txt", st, res)
-            _write_ledger(cell_dir / "ledger.txt", st, res)
+            _write_trajectory(cell_dir / "trajectory.txt", res)
+            _write_ledger(cell_dir / "ledger.txt", res)
             _write_trace(cell_dir / "trace.txt", res)
             if cfg.verbose:
                 _write_p2_trace(cell_dir / "offload_trace.txt", res)
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     parser.add_argument("--xi1", type=float, default=None,
                         help="outer-loop energy tolerance override [J]")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker pool size for sweep cells")
+                        help="worker threads over sweep durations")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 

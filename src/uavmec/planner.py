@@ -12,11 +12,17 @@ so the recorded energy trace is nonincreasing.
 Two fixed benchmark paths ship with the planner: a constant-speed straight
 dash between the endpoints, and a constant-speed semicircle whose diameter
 is the endpoint separation (flown on the side of the user centroid).
+
+A duration sweep plans each duration's schemes together.  The planner's
+first iterate from the straight start is the schedule optimum on the
+straight dash, which is exactly the straight-line baseline, so the
+proposed scheme starts from that baseline's result instead of solving the
+same schedule again.  Nothing is shared across durations or calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,13 +82,18 @@ class JointStepError(SolverError):
 
 @dataclass(frozen=True)
 class PlannerResult:
+    scenario: Scenario       # the mission the plan was made for
     plan: Plan
     ledger: EnergyLedger
+    schedule: OffloadSolution  # the schedule optimum on plan.traj
     outer_trace: tuple       # ((iteration, mission energy [J]), ...)
     scheme: str
     status: str              # "converged" | "iteration-limit" | "stalled"
-    # last schedule solve's (iteration, dual value, max violation) rows
-    p2_trace: tuple = ()
+
+    @property
+    def p2_trace(self) -> tuple:
+        """The final schedule solve's (iteration, dual value, max violation) rows."""
+        return self.schedule.trace
 
     @property
     def uav_total(self) -> float:
@@ -152,6 +163,11 @@ def semicircle_trajectory(s: Scenario) -> np.ndarray:
         raise BaselineSpeedError(
             f"baseline violates V_max: semicircle needs {step / s.slot:.4g} m/s")
     return traj
+
+
+def _same_scenario(a: Scenario, b: Scenario) -> bool:
+    return a is b or all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+                         for f in fields(Scenario))
 
 
 def _initial_trajectory(s: Scenario, init) -> np.ndarray:
@@ -257,23 +273,31 @@ def run_algorithm1(s: Scenario, init="straight", xi1: float | None = None,
     """Take capped joint steps until the plan is jointly stationary.
 
     ``init`` selects the starting path ("straight", "semi-circle", or an
-    explicit (N+1, 2) array), where the schedule is solved first.  Each
-    later iteration takes the :func:`joint_step`, halved until the
+    explicit (N+1, 2) array), where the schedule is solved first, or is a
+    :class:`PlannerResult` planned for ``s`` (a baseline's, say), whose
+    path and converged schedule are the start as they stand; a result
+    planned for another scenario raises ``ValueError``.  Each later
+    iteration takes the :func:`joint_step`, halved until the
     re-solved mission energy falls.  Status "converged": the step predicts
     a decrease within ``xi1``; "stalled": no halving predicting more than
     ``xi1`` lowers the energy; "iteration-limit": ``max_outer`` was hit (the
     last iterate is returned rather than failing).
     """
     xi1 = s.xi1 if xi1 is None else float(xi1)
-    traj = _initial_trajectory(s, init)
-    margins = probe_feasibility(s, traj)
-    if np.any(margins < 0.0):
-        k = int(np.argmin(margins))
-        raise InfeasibleScenarioError(
-            f"infeasible scenario: user {k} short by {-margins[k]:.4g} bits "
-            f"on the initial path")
+    if isinstance(init, PlannerResult):
+        if not _same_scenario(init.scenario, s):
+            raise ValueError("initial result was planned for another scenario")
+        traj, sol = init.plan.traj, init.schedule
+    else:
+        traj = _initial_trajectory(s, init)
+        margins = probe_feasibility(s, traj)
+        if np.any(margins < 0.0):
+            k = int(np.argmin(margins))
+            raise InfeasibleScenarioError(
+                f"infeasible scenario: user {k} short by {-margins[k]:.4g} bits "
+                f"on the initial path")
+        sol = solve_p2(s, traj, tol=tol)
 
-    sol = solve_p2(s, traj, tol=tol)
     trace = [(1, _mission_energy(s, traj, sol))]
     status = "iteration-limit"
     for i in range(2, max_outer + 1):
@@ -290,8 +314,8 @@ def run_algorithm1(s: Scenario, init="straight", xi1: float | None = None,
 
     plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
     ledger = evaluate_ledger(s, plan)
-    return PlannerResult(plan=plan, ledger=ledger, outer_trace=tuple(trace),
-                         scheme="proposed", status=status, p2_trace=sol.trace)
+    return PlannerResult(scenario=s, plan=plan, ledger=ledger, schedule=sol,
+                         outer_trace=tuple(trace), scheme="proposed", status=status)
 
 
 def run_baseline(s: Scenario, scheme: str, tol: float = 1e-6) -> PlannerResult:
@@ -308,30 +332,39 @@ def run_baseline(s: Scenario, scheme: str, tol: float = 1e-6) -> PlannerResult:
     sol = solve_p2(s, traj, tol=tol)
     plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
     ledger = evaluate_ledger(s, plan)
-    return PlannerResult(plan=plan, ledger=ledger,
+    return PlannerResult(scenario=s, plan=plan, ledger=ledger, schedule=sol,
                          outer_trace=((1, ledger.uav_total),),
-                         scheme=scheme, status="converged", p2_trace=sol.trace)
+                         scheme=scheme, status="converged")
 
 
-def _run_scheme(s: Scenario, scheme: str, xi1, tol) -> PlannerResult:
-    if scheme == "proposed":
-        return run_algorithm1(s, xi1=xi1, tol=tol)
-    return run_baseline(s, scheme, tol=tol)
+def _run_duration(s: Scenario, T: float, schemes: Sequence[str],
+                  xi1: float | None = None, tol: float = 1e-6) -> list[SweepCell]:
+    """Re-derive the timing for duration ``T`` and plan each scheme there.
 
-
-def _run_cell(s: Scenario, T: float, scheme: str, xi1=None,
-              tol: float = 1e-6) -> SweepCell:
-    """Re-derive the timing for duration ``T`` and plan one scheme there.
-
-    A scenario error (the duration breaks an invariant) or a solver error
-    ends only this cell: it is recorded as "infeasible" or "failed".
+    The straight-line baseline is planned first, and the proposed scheme
+    starts from its result; when that cell failed or was not asked for,
+    the proposed scheme starts cold from the straight dash.  A scenario
+    error (the duration breaks an invariant) or a solver error ends only
+    its own cell: it is recorded as "infeasible" or "failed".  Cells come
+    back in ``schemes`` order.
     """
-    try:
-        result = _run_scheme(s.with_T(T), scheme, xi1, tol)
-    except (ScenarioError, SolverError) as exc:
-        failure = "infeasible" if isinstance(exc, _INFEASIBLE) else "failed"
-        return SweepCell(T=T, scheme=scheme, result=None, error=str(exc), failure=failure)
-    return SweepCell(T=T, scheme=scheme, result=result)
+    cells: dict[str, SweepCell] = {}
+    for scheme in sorted(dict.fromkeys(schemes), key=lambda name: name != "straight-line"):
+        try:
+            st = s.with_T(T)
+            if scheme == "proposed":
+                straight = cells.get("straight-line")
+                init = straight.result if straight and straight.result else "straight"
+                result = run_algorithm1(st, init=init, xi1=xi1, tol=tol)
+            else:
+                result = run_baseline(st, scheme, tol=tol)
+        except (ScenarioError, SolverError) as exc:
+            failure = "infeasible" if isinstance(exc, _INFEASIBLE) else "failed"
+            cells[scheme] = SweepCell(T=T, scheme=scheme, result=None, error=str(exc),
+                                      failure=failure)
+        else:
+            cells[scheme] = SweepCell(T=T, scheme=scheme, result=result)
+    return [cells[scheme] for scheme in schemes]
 
 
 def sweep_T(s: Scenario, T_values: Iterable[float],
@@ -343,5 +376,5 @@ def sweep_T(s: Scenario, T_values: Iterable[float],
     Per-cell failures are captured in the cell instead of aborting the
     sweep.
     """
-    return [_run_cell(s, T, scheme, xi1, tol)
-            for T in sorted(float(t) for t in T_values) for scheme in schemes]
+    return [cell for T in sorted(float(t) for t in T_values)
+            for cell in _run_duration(s, T, schemes, xi1, tol)]

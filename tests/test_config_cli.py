@@ -195,12 +195,46 @@ def test_cli_bad_scenario_path(tmp_path):
 
 
 def test_cli_sweep_workers(tmp_path, ref_cfg):
-    out = tmp_path / "sweep"
-    code = main(["--scenario", str(ref_cfg), "--schemes", "straight-line",
-                 "--sweep-T", "1.2,1.4", "--out", str(out), "--workers", "2"])
-    assert code == 0
-    summary = (out / "summary.txt").read_text()
+    outs = {}
+    for workers in ("1", "2"):
+        out = outs[workers] = tmp_path / f"sweep{workers}"
+        code = main(["--scenario", str(ref_cfg), "--schemes", "all",
+                     "--sweep-T", "1.2,1.4", "--out", str(out), "--workers", workers])
+        assert code == 0
+    summary = (outs["2"] / "summary.txt").read_text()
     assert summary.index("1.2") < summary.index("1.4")
+    files = sorted(p.relative_to(outs["1"]) for p in outs["1"].rglob("*") if p.is_file())
+    assert len(files) == 1 + 6 * 3
+    assert files == sorted(p.relative_to(outs["2"]) for p in outs["2"].rglob("*")
+                           if p.is_file())
+    for rel in files:
+        assert (outs["1"] / rel).read_bytes() == (outs["2"] / rel).read_bytes(), rel
+
+
+def test_cli_plans_each_cell_through_one_entry_point(tmp_path, ref_cfg, monkeypatch):
+    """Every cell enters ``planner.run_algorithm1`` or
+    ``planner.run_baseline`` (scheme first and positional) exactly once,
+    looked up on the module at call time, so wrappers placed there see
+    each cell."""
+    from uavmec import planner
+
+    calls = []
+
+    def counted(fn, scheme):
+        def wrapper(s, *args, **kwargs):
+            calls.append((scheme(args), s.T))
+            return fn(s, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(planner, "run_algorithm1",
+                        counted(planner.run_algorithm1, lambda args: "proposed"))
+    monkeypatch.setattr(planner, "run_baseline",
+                        counted(planner.run_baseline, lambda args: args[0]))
+    code = main(["--scenario", str(ref_cfg), "--schemes", "all",
+                 "--sweep-T", "1.2,1.4", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert sorted(calls) == sorted((scheme, T) for scheme in planner.SCHEMES
+                                   for T in (1.2, 1.4))
 
 
 def _openblas_threads() -> list[int]:

@@ -245,16 +245,75 @@ def test_iteration_limit_status(ref2x6):
 
 # --- sweeps ------------------------------------------------------------------
 
+def _same_result(a, b) -> bool:
+    """Bit-for-bit equal plans, totals and final schedule traces."""
+    return (a.uav_total == b.uav_total and a.p2_trace == b.p2_trace
+            and a.outer_trace == b.outer_trace
+            and all(np.array_equal(getattr(a.plan, f), getattr(b.plan, f))
+                    for f in ("traj", "l", "f_user", "f_uav")))
+
+
 def test_sweep_ordering_and_consistency(ref2x6):
-    cells = sweep_T(ref2x6, [1.4, 1.2], schemes=("straight-line", "proposed"))
-    assert [c.T for c in cells] == [1.2, 1.2, 1.4, 1.4]
-    assert [c.scheme for c in cells] == ["straight-line", "proposed"] * 2
     single = run_baseline(ref2x6, "straight-line")
-    first = next(c for c in cells if c.T == 1.2 and c.scheme == "straight-line")
-    assert first.result.uav_total == pytest.approx(single.uav_total, rel=1e-12)
     direct = run_algorithm1(ref2x6)
-    prop = next(c for c in cells if c.T == 1.2 and c.scheme == "proposed")
-    assert prop.result.uav_total == pytest.approx(direct.uav_total, rel=1e-12)
+    for schemes in (("straight-line", "proposed"), ("proposed", "straight-line")):
+        cells = sweep_T(ref2x6, [1.4, 1.2], schemes=schemes)
+        assert [c.T for c in cells] == [1.2, 1.2, 1.4, 1.4]
+        assert [c.scheme for c in cells] == list(schemes) * 2
+        first = next(c for c in cells if c.T == 1.2 and c.scheme == "straight-line")
+        assert first.result.uav_total == single.uav_total
+        prop = next(c for c in cells if c.T == 1.2 and c.scheme == "proposed")
+        assert prop.result.uav_total == direct.uav_total
+
+
+def test_sweep_solves_each_straight_schedule_once(ref2x6, monkeypatch):
+    """Per duration, the proposed cell starts from the straight-line
+    baseline's schedule instead of solving it again, and both cells equal
+    separate calls bit for bit."""
+    from uavmec import planner
+
+    cold_straight = []
+
+    def counted(s, traj, tol=1e-6, warm=None):
+        if warm is None and np.array_equal(traj, straight_line_trajectory(s)):
+            cold_straight.append(s.T)
+        return solve_p2(s, traj, tol=tol, warm=warm)
+
+    monkeypatch.setattr(planner, "solve_p2", counted)
+    cells = sweep_T(ref2x6, [1.2, 1.4])
+    assert cold_straight == [1.2, 1.4]
+    monkeypatch.undo()
+    for T in (1.2, 1.4):
+        by_scheme = {c.scheme: c.result for c in cells if c.T == T}
+        st = ref2x6.with_T(T)
+        assert _same_result(by_scheme["proposed"], run_algorithm1(st))
+        assert _same_result(by_scheme["straight-line"], run_baseline(st, "straight-line"))
+
+
+def test_sweep_proposed_starts_cold_when_straight_line_fails(ref2x6, monkeypatch):
+    from uavmec import planner
+    from uavmec.errors import SolverError
+
+    baseline = planner.run_baseline
+
+    def broken(s, scheme, *args, **kwargs):
+        if scheme == "straight-line":
+            raise SolverError("straight-line broke")
+        return baseline(s, scheme, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "run_baseline", broken)
+    cells = sweep_T(ref2x6, [1.2], schemes=("proposed", "straight-line"))
+    assert [c.status for c in cells] == ["converged", "failed"]
+    assert _same_result(cells[0].result, run_algorithm1(ref2x6))
+
+
+def test_result_start_must_come_from_the_same_scenario(ref2x6):
+    start = run_baseline(ref2x6, "straight-line")
+    assert _same_result(run_algorithm1(ref2x6, init=start), run_algorithm1(ref2x6))
+    with pytest.raises(ValueError):
+        run_algorithm1(ref2x6.with_T(1.4), init=start)
+    with pytest.raises(ValueError):
+        run_algorithm1(Scenario(**{**_fields(ref2x6), "N": 8}), init=start)
 
 
 def test_sweep_marks_failed_cells(ref2x6):
