@@ -21,8 +21,10 @@ works in Mbit / GHz / mJ, which conditions the multipliers to order one.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -152,24 +154,27 @@ class OffloadSolution:
 # ---------------------------------------------------------------------------
 
 class _ScaledP2:
-    """Per-trajectory constants in Mbit / GHz / mJ units.
+    """Per-trajectory constants in Mbit / GHz / mJ units."""
 
-    ``users`` restricts the instance to a subset of user indices (the
-    pricing problem after provably self-sufficient users are presolved).
-    """
-
-    def __init__(self, s: Scenario, traj, users=None):
-        sel = np.arange(s.K) if users is None else np.asarray(users, dtype=int)
-        self.K, self.N = sel.size, s.N
-        self.h = channel_gains(s, traj)[sel]                       # (K, N)
-        self.eharv = harvest_increments(s, traj)[sel] / _EN        # (K, N) mJ
-        self.a_tx = s.lam * s.Gamma * s.sigma2 / self.h / _EN      # (K, N) mJ
+    def __init__(self, s: Scenario, traj):
+        self.K, self.N = s.K, s.N
+        self.eharv = harvest_increments(s, traj) / _EN             # (K, N) mJ
+        self.a_tx = s.lam * s.Gamma * s.sigma2 / channel_gains(s, traj) / _EN   # (K, N) mJ
         self.bl = s.B * s.lam / _BIT                               # Mbit per subslot
         self.bits_f = s.slot * _FREQ / s.M / _BIT                  # Mbit per GHz-slot
         self.c_f = s.gamma_c * s.slot * _FREQ ** 3 / _EN           # mJ per GHz^3-slot
-        self.R = s.R[sel] / _BIT                                   # Mbit
+        self.R = s.R / _BIT                                        # Mbit
         self.l_cap = EXPONENT_CAP * self.bl
         self.f_cap = np.maximum(self.R / self.bits_f, 1.0)         # (K,) GHz
+
+    def rows(self, users) -> "_ScaledP2":
+        """The instance restricted to a subset of user indices (the pricing
+        problem after provably self-sufficient users are presolved)."""
+        sub = copy.copy(self)
+        sub.K = len(users)
+        for name in ("eharv", "a_tx", "R", "f_cap"):
+            setattr(sub, name, getattr(self, name)[users])
+        return sub
 
     def tx_energy(self, l: np.ndarray) -> np.ndarray:
         return self.a_tx * (np.exp2(np.minimum(l, self.l_cap) / self.bl) - 1.0)
@@ -193,6 +198,14 @@ class _ScaledP2:
         c4 = float(l[:, : self.N - 1].sum() - self.bits_f * fu.sum())
         return c1, c2, c3, c4
 
+    def lagrangian(self, mu, nu, theta, fu, gaps) -> float:
+        """Lagrangian [mJ] at a primal point with UAV frequencies ``fu`` and
+        constraint gaps ``gaps`` (from :meth:`violations`)."""
+        c1, c2, c3, c4 = gaps
+        obj = self.c_f * float(np.sum(fu ** 3))
+        return (obj + float(mu @ c1) + float(np.sum(nu * c2))
+                + float(theta[: self.N - 1] @ c3) + theta[self.N - 1] * c4)
+
 
 def _theta_tail(theta: np.ndarray) -> np.ndarray:
     """tail[i] = sum of theta[i .. N-2]; tail[N-1] = 0."""
@@ -200,19 +213,30 @@ def _theta_tail(theta: np.ndarray) -> np.ndarray:
     return np.append(np.cumsum(theta[: n - 1][::-1])[::-1], 0.0)
 
 
-def _recover_scaled(sp: _ScaledP2, mu, nu, theta, fill: str):
+class _Point(NamedTuple):
+    """Scaled prices with their energy-price tails ``V`` (V[k, n] = sum of
+    nu[k, n:]) and UAV price tails, the Lagrangian minimizer (l, f, fu)
+    there, its gaps (c1, c2, c3, c4) and the dual value."""
+
+    mu: np.ndarray
+    nu: np.ndarray
+    theta: np.ndarray
+    V: np.ndarray
+    tail: np.ndarray
+    primal: tuple
+    gaps: tuple
+    value: float
+
+
+def _recover_scaled(sp: _ScaledP2, mu, nu, theta) -> _Point:
     """Closed-form minimizer of the Lagrangian at the given prices.
 
-    ``fill`` selects the behaviour on slots whose remaining energy price is
-    exactly zero (the closed forms degenerate there): "cap" returns the
-    true box-constrained minimizer (variables at their caps), used for the
-    dual value and gradient; "demand" fills the offload with the user's
-    remaining bit demand, a more useful primal guess.  The two agree
-    whenever no price tail vanishes, which holds at any dual optimum of a
-    bound-energy instance.
+    The minimizer is separable per variable.  Where a user's remaining
+    energy price V vanishes under a positive bit price, the Lagrangian
+    falls linearly in that slot's bits and cycles, and the minimizer sits
+    at their caps (``l_cap``, ``f_cap``), which keeps the dual finite.  No
+    price tail vanishes at a dual optimum of a bound-energy instance.
     """
-    if fill not in ("cap", "demand"):
-        raise ValueError(f"unknown fill mode {fill!r}")
     K, N = sp.K, sp.N
     V = np.flip(np.cumsum(np.flip(nu, axis=1), axis=1), axis=1)   # (K, N)
     tail = _theta_tail(theta)                                     # (N,)
@@ -235,45 +259,21 @@ def _recover_scaled(sp: _ScaledP2, mu, nu, theta, fill: str):
         l_closed = np.where(arg > 1.0, sp.bl * np.log2(np.maximum(arg, 1.0)), 0.0)
     l[:, : N - 1] = np.clip(np.where(ok, l_closed, 0.0), 0.0, sp.l_cap)
 
-    # User frequencies (clipped at the whole-demand cap so that the dual
-    # stays finite when an energy-price tail vanishes).
+    # User frequencies, clipped at the whole-demand cap.
     pos = V > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         f_closed = np.sqrt(mu[:, None] * sp.bits_f / (3.0 * sp.c_f *
                                                       np.where(pos, V, 1.0)))
     f = np.where(pos, np.minimum(f_closed, sp.f_cap[:, None]), 0.0)
 
-    # Degenerate slots: no remaining energy price.  Without bit-price
-    # pressure (mu = 0) there is nothing to fill; both variants then agree
-    # with the clamped closed forms and return zeros.
-    deg = ~pos
-    if np.any(deg & (mu[:, None] > 0.0)):
-        if fill == "cap":
-            f = np.where(deg & (mu[:, None] > 0.0), sp.f_cap[:, None], f)
-            l_deg = deg[:, : N - 1] & (w > 0.0)
-            l[:, : N - 1] = np.where(l_deg, sp.l_cap, l[:, : N - 1])
-        else:
-            for k in range(K):
-                if mu[k] <= 0.0 or not deg[k].any():
-                    continue
-                have = sp.bits_f * f[k].sum() + l[k, : N - 1].sum()
-                rem = max(0.0, sp.R[k] - have)
-                for n in range(N - 1):
-                    if deg[k, n] and rem > 0.0:
-                        take = min(rem, sp.l_cap)
-                        l[k, n] = take
-                        rem -= take
-    return l, f, fu
+    # Slots with no remaining energy price: the Lagrangian falls linearly in
+    # bits priced w > 0 and in cycles priced mu > 0, which go to their caps.
+    f = np.where(~pos & (mu[:, None] > 0.0), sp.f_cap[:, None], f)
+    l[:, : N - 1] = np.where(~pos[:, : N - 1] & (w > 0.0), sp.l_cap, l[:, : N - 1])
 
-
-def _dual_value_scaled(sp: _ScaledP2, mu, nu, theta) -> tuple[float, tuple]:
-    """Dual function value (mJ) and the constraint gaps at its argmin."""
-    l, f, fu = _recover_scaled(sp, mu, nu, theta, fill="cap")
-    c1, c2, c3, c4 = sp.violations(l, f, fu)
-    obj = sp.c_f * float(np.sum(fu ** 3))
-    g = (obj + float(mu @ c1) + float(np.sum(nu * c2))
-         + float(theta[: sp.N - 1] @ c3) + theta[sp.N - 1] * c4)
-    return g, (c1, c2, c3, c4)
+    gaps = sp.violations(l, f, fu)
+    return _Point(mu=mu, nu=nu, theta=theta, V=V, tail=tail, primal=(l, f, fu),
+                  gaps=gaps, value=sp.lagrangian(mu, nu, theta, fu, gaps))
 
 
 def _duals_to_scaled(d: DualState):
@@ -289,38 +289,30 @@ def _primal_from_scaled(l, f, fu):
 # ---------------------------------------------------------------------------
 
 def recover_primal(s: Scenario, traj, d: DualState):
-    """Closed-form plan slice (l, f_user, f_uav) at the given prices (SI).
+    """Minimizer (l, f_user, f_uav) of the Lagrangian at the given prices (SI).
 
-    Raises :class:`DualRecoveryError` when the price state is outside the
+    Where a user's energy-price tail vanishes under a positive bit price,
+    the minimizer puts that slot's bits and cycles at their caps.  Raises
+    :class:`DualRecoveryError` when the price state is outside the
     recoverable cone (the UAV-frequency root would be imaginary).
     """
     if not d.recovery_feasible:
         raise DualRecoveryError("dual iterate outside recoverable region")
-    sp = _ScaledP2(s, traj)
-    mu, nu, theta = _duals_to_scaled(d)
-    l, f, fu = _recover_scaled(sp, mu, nu, theta, fill="demand")
-    return _primal_from_scaled(l, f, fu)
+    point = _recover_scaled(_ScaledP2(s, traj), *_duals_to_scaled(d))
+    return _primal_from_scaled(*point.primal)
 
 
 def dual_value(s: Scenario, traj, d: DualState) -> float:
     """Lagrangian dual lower bound on the UAV compute energy [J]."""
-    sp = _ScaledP2(s, traj)
-    mu, nu, theta = _duals_to_scaled(d)
-    g, _ = _dual_value_scaled(sp, mu, nu, theta)
-    return g * _EN
+    return _recover_scaled(_ScaledP2(s, traj), *_duals_to_scaled(d)).value * _EN
 
 
 def lagrangian_value(s: Scenario, traj, plan_part, d: DualState) -> float:
     """Lagrangian of the fixed-trajectory subproblem at an SI primal point [J]."""
     sp = _ScaledP2(s, traj)
-    mu, nu, theta = _duals_to_scaled(d)
     l, f, fu = plan_part
-    l, f, fu = l / _BIT, np.asarray(f) / _FREQ, np.asarray(fu) / _FREQ
-    c1, c2, c3, c4 = sp.violations(np.asarray(l, dtype=float), f, fu)
-    obj = sp.c_f * float(np.sum(fu ** 3))
-    g = (obj + float(mu @ c1) + float(np.sum(nu * c2))
-         + float(theta[: sp.N - 1] @ c3) + theta[sp.N - 1] * c4)
-    return g * _EN
+    l, f, fu = np.asarray(l, dtype=float) / _BIT, np.asarray(f) / _FREQ, np.asarray(fu) / _FREQ
+    return sp.lagrangian(*_duals_to_scaled(d), fu, sp.violations(l, f, fu)) * _EN
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +361,17 @@ def probe_feasibility(s: Scenario, traj) -> np.ndarray:
     subproblem feasible.  Returns deliverable bits minus demand [bits].
     """
     sp = _ScaledP2(s, traj)
-    loc, tx, _ = _policy_split_scaled(sp)
+    return _margins(sp, _policy_split_scaled(sp))
+
+
+def _margins(sp: _ScaledP2, split) -> np.ndarray:
+    loc, tx, _ = split
     return ((loc + tx).sum(axis=1) - sp.R) * _BIT
 
 
-def _warm_start(sp: _ScaledP2):
-    """Price estimates derived from the spend-as-harvested policy.
+def _warm_start(sp: _ScaledP2, split):
+    """Price estimates derived from the spend-as-harvested policy ``split``
+    (:func:`_policy_split_scaled` on ``sp``).
 
     The policy's budget split fixes the local-compute marginal price per
     bit; the offloaded remainder sizes the UAV frequency ladder and with
@@ -382,7 +379,7 @@ def _warm_start(sp: _ScaledP2):
     the Newton ascent refines everything.
     """
     K, N = sp.K, sp.N
-    loc, tx, loc_e = _policy_split_scaled(sp)
+    loc, _, loc_e = split
     loc_bits = loc.sum(axis=1)
     off = np.maximum(sp.R - loc_bits, 0.02 * sp.R)
     fu_bar = max(float(off.sum()) / (sp.bits_f * (N - 1)), 1e-9)
@@ -417,19 +414,22 @@ def _unpack(z, K, N):
 
 
 def _neg_dual_and_grad(z, sp: _ScaledP2):
-    K, N = sp.K, sp.N
-    mu, nu, theta = _unpack(z, K, N)
-    g, (c1, c2, c3, c4) = _dual_value_scaled(sp, mu, nu, theta)
+    """Negated dual value and packed gradient at z, and the :class:`_Point`
+    they were read off."""
+    N = sp.N
+    point = _recover_scaled(sp, *_unpack(z, sp.K, N))
+    c1, c2, c3, c4 = point.gaps
     # Reparametrized theta: mid prices also feed the last (dominating) one.
-    g_mid = c3[1 : N - 1] + c4
-    grad = np.concatenate([c1, c2.ravel(), g_mid, [c4]])
-    return -g, -grad
+    grad = np.concatenate([c1, c2.ravel(), c3[1 : N - 1] + c4, [c4]])
+    return -point.value, -grad, point
 
 
-def _residuals_scaled(sp: _ScaledP2, mu, nu, theta, l, f, fu) -> OffloadKkt:
-    """Scaled KKT residuals at a recovered primal/dual pair."""
-    K, N = sp.K, sp.N
-    c1, c2, c3, c4 = sp.violations(l, f, fu)
+def _residuals_scaled(sp: _ScaledP2, point: _Point) -> OffloadKkt:
+    """Scaled KKT residuals at a price point and its Lagrangian minimizer."""
+    N = sp.N
+    mu, nu, theta, V, tail = point.mu, point.nu, point.theta, point.V, point.tail
+    l, f, fu = point.primal
+    c1, c2, c3, c4 = point.gaps
     primal = max(float(np.abs(c1).max(initial=0.0)),
                  float(np.max(c2, initial=0.0)),
                  float(np.max(c3, initial=0.0)),
@@ -439,8 +439,6 @@ def _residuals_scaled(sp: _ScaledP2, mu, nu, theta, l, f, fu) -> OffloadKkt:
 
     # Stationarity: the closed forms zero the interior gradients by
     # construction; report the projected gradient to catch cap clipping.
-    V = np.flip(np.cumsum(np.flip(nu, axis=1), axis=1), axis=1)
-    tail = _theta_tail(theta)
     w = mu[:, None] + tail[None, 1:N] - theta[N - 1]
     dl = (sp.a_tx[:, : N - 1] * math.log(2.0) / sp.bl
           * np.exp2(l[:, : N - 1] / sp.bl) * V[:, : N - 1]) - w
@@ -455,8 +453,8 @@ def _residuals_scaled(sp: _ScaledP2, mu, nu, theta, l, f, fu) -> OffloadKkt:
     return OffloadKkt(stationarity=stat, primal=primal, complementarity=comp)
 
 
-def _neg_dual_hessian(z, sp: _ScaledP2) -> np.ndarray:
-    """Hessian of the negated dual at z, J_F diag(h_F)^-1 J_F^T.
+def _neg_dual_hessian(sp: _ScaledP2, point: _Point) -> np.ndarray:
+    """Hessian of the negated dual at a price point, J_F diag(h_F)^-1 J_F^T.
 
     The Lagrangian is separable in the primal, so each variable strictly
     inside its bounds follows the prices through its own stationarity
@@ -478,9 +476,8 @@ def _neg_dual_hessian(z, sp: _ScaledP2) -> np.ndarray:
     and prefix-sum differences.
     """
     K, N = sp.K, sp.N
-    mu, nu, theta = _unpack(z, K, N)
-    l, f, fu = _recover_scaled(sp, mu, nu, theta, fill="cap")
-    V = np.flip(np.cumsum(np.flip(nu, axis=1), axis=1), axis=1)
+    l, f, fu = point.primal
+    V = point.V
     rate = math.log(2.0) / sp.bl
     tx_slope = sp.a_tx * rate * np.exp2(l / sp.bl)
     free_l = (l > 0.0) & (l < sp.l_cap) & (V > 0.0)
@@ -528,10 +525,10 @@ def _natural_residual(z, grad) -> float:
     return float(np.abs(np.minimum(z, grad)).max())
 
 
-def _newton_step(sp: _ScaledP2, value_grad, z, phi, grad, res,
-                 damping: float, polish: bool):
+def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bool):
     """One damped projected Newton step on the negated dual over z >= 0.
 
+    ``ev`` is ``evaluate(z)`` (see :func:`_neg_dual_and_grad`).
     Multipliers within ``res`` of zero whose gradient pushes them out are
     sent to the bound (the epsilon-active set); the others take a
     Levenberg-Marquardt step, damped by ``damping`` times the largest
@@ -545,12 +542,12 @@ def _newton_step(sp: _ScaledP2, value_grad, z, phi, grad, res,
     tail of its energy prices strands the iterate on a kink of the dual.
     A full step relaxes the damping tenfold and a shortened one stiffens it
     tenfold; a failed search retries a hundredfold stiffer (or gives up
-    when polishing).  Returns the accepted (z, phi, grad, res, damping),
-    or None.
+    when polishing).  Returns the accepted (z, ev, res, damping), or None.
     """
+    phi, grad, point = ev
     act = (z <= min(res, 1e-3)) & (grad > 0.0)
     free = ~act
-    H = _neg_dual_hessian(z, sp)[np.ix_(free, free)]
+    H = _neg_dual_hessian(sp, point)[np.ix_(free, free)]
     scale = float(np.diag(H).max(initial=0.0)) or 1.0
     floor = np.zeros_like(z)
     floor[: sp.K] = 0.1 * z[: sp.K]
@@ -568,12 +565,12 @@ def _newton_step(sp: _ScaledP2, value_grad, z, phi, grad, res,
         alpha = 1.0
         for _ in range(30):
             zt = np.maximum(z + alpha * d, floor)
-            phit, gradt = value_grad(zt)
+            phit, gradt, _ = evt = evaluate(zt)
             rest = _natural_residual(zt, gradt)
             armijo = phit <= phi + 1e-4 * float(grad @ (zt - z))
             if (rest < res and phit <= phi + noise) or (armijo and not polish):
                 damping = damping / 10.0 if alpha == 1.0 else damping * 10.0
-                return zt, phit, gradt, rest, max(damping, 1e-12)
+                return zt, evt, rest, max(damping, 1e-12)
             alpha *= 0.5
         if polish:
             return None
@@ -581,41 +578,40 @@ def _newton_step(sp: _ScaledP2, value_grad, z, phi, grad, res,
     return None
 
 
-def _projected_newton(fun, x0, args, jac, tol, maxiter=200, **_):
+def _projected_newton(fun, x0, args, tol, maxiter=200, **_):
     """:func:`_newton_step` iterated from ``x0``, as a ``minimize`` method.
 
-    ``fun`` and ``jac`` are the negated dual and its gradient in z >= 0;
-    ``args`` is ``(sp,)``.  Once the scaled KKT max of the recovered
-    schedule is within ``tol``, only residual-shrinking steps are taken.
-    The result adds ``kkt``, the scaled ``primal`` at ``x`` and the
+    ``fun(z, *args)`` is :func:`_neg_dual_and_grad`, ``args`` is ``(sp,)``;
+    each point is evaluated once, and an accepted point's KKT residuals
+    and Hessian read that evaluation.  Once the scaled KKT max is within
+    ``tol``, only residual-shrinking steps are taken.  The result adds
+    ``kkt``, the :class:`_Point` ``point`` at ``x`` and the
     :class:`OffloadSolution` ``trace`` rows, ``x0`` first.
     """
     sp, = args
     nfev = 0
 
-    def value_grad(z):
+    def evaluate(z):
         nonlocal nfev
         nfev += 1
-        return fun(z, sp), jac(z, sp)
+        return fun(z, sp)
 
     z = x0
-    phi, grad = value_grad(z)
-    res = _natural_residual(z, grad)
+    ev = evaluate(z)
+    res = _natural_residual(z, ev[1])
     damping = 1.0
     trace: list[tuple[int, float, float]] = []
     for it in range(1, maxiter + 1):
-        mu, nu, theta = _unpack(z, sp.K, sp.N)
-        primal = _recover_scaled(sp, mu, nu, theta, fill="demand")
-        kkt = _residuals_scaled(sp, mu, nu, theta, *primal)
+        phi, grad, point = ev
+        kkt = _residuals_scaled(sp, point)
         trace.append((it, -phi * _EN, kkt.max()))
         step = (None if it == maxiter else
-                _newton_step(sp, value_grad, z, phi, grad, res, damping,
-                             polish=kkt.max() <= tol))
+                _newton_step(sp, evaluate, z, ev, res, damping, polish=kkt.max() <= tol))
         if step is None:
             break
-        z, phi, grad, res, damping = step
+        z, ev, res, damping = step
     return OptimizeResult(x=z, fun=phi, jac=grad, nit=it - 1, nfev=nfev,
-                          success=kkt.max() <= tol, kkt=kkt, primal=primal,
+                          success=kkt.max() <= tol, kkt=kkt, point=point,
                           trace=trace)
 
 
@@ -627,16 +623,18 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
     start for the multipliers, then projected Newton ascent of the dual,
     run through scipy's ``minimize`` as a custom method
     (:func:`_projected_newton`), so no scipy algorithm takes part.  The
-    start is ``warm``, the prices of a nearby schedule (the previous
-    path's, in the planner), when the users that survive the presolve are
-    exactly those with a positive ``warm.mu``; otherwise it is derived
-    from the spend-as-harvested policy.  The dominating last UAV price
-    becomes a slack variable, which turns the admissible price cone into
-    the box z >= 0; the dual Hessian is analytic in the closed-form
-    recovery and assembled from per-user prefix and suffix sums.  Once
-    the scaled KKT residuals (primal feasibility, complementarity and
-    projected stationarity of the recovered schedule) are within ``tol``,
-    ascent continues for as long as the natural residual keeps shrinking.
+    probe and the cold start read one run of the spend-as-harvested
+    policy.  The start is ``warm``, the prices of a nearby schedule (the
+    previous path's, in the planner), when the users that survive the
+    presolve are exactly those with a positive ``warm.mu``; otherwise it
+    is derived from that policy.  The dominating last UAV price becomes a
+    slack variable, which turns the admissible price cone into the box
+    z >= 0.  Each price point is recovered once, as the closed-form
+    Lagrangian minimizer; the dual value and gradient and, at accepted
+    iterates, the KKT residuals and the analytic dual Hessian (per-user
+    prefix and suffix sums) all read that minimizer.  Once the KKT residuals
+    of the minimizer are within ``tol``, ascent continues for as long as
+    the natural residual keeps shrinking; the last minimizer is returned.
     ``trace`` holds one (iteration, dual value [J], max KKT residual) row
     per iterate, the start first.
 
@@ -649,7 +647,9 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
         raise ValueError(f"warm prices of shape {warm.nu.shape} for {s.K} users "
                          f"over {N} slots")
 
-    margins = probe_feasibility(s, traj)
+    sp = _ScaledP2(s, traj)
+    split = _policy_split_scaled(sp)
+    margins = _margins(sp, split)
     if np.any(margins < 0.0):
         k = int(np.argmin(margins))
         raise InfeasibleTrajectoryError(
@@ -683,21 +683,20 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
                                duals=DualState.zeros(s.K, N), objective=0.0,
                                dual_objective=0.0, kkt=OffloadKkt(0.0, 0.0, 0.0))
 
-    sp = _ScaledP2(s, traj, users=poor)
+    sp = sp.rows(poor)
     if warm is not None and np.array_equal(np.flatnonzero(warm.mu > 0.0), poor):
         mu, nu, theta = _duals_to_scaled(warm)
         mu, nu = mu[poor], nu[poor]
     else:
-        mu, nu, theta = _warm_start(sp)
+        mu, nu, theta = _warm_start(sp, [part[poor] for part in split])
     slack = max(theta[N - 1] - theta[1 : N - 1].sum(), 0.0)
     z = _pack(mu, nu, theta[1 : N - 1], slack)
-    opt = minimize(_neg_dual_and_grad, z, args=(sp,), jac=True,
-                   method=_projected_newton, tol=tol)
+    opt = minimize(_neg_dual_and_grad, z, args=(sp,), method=_projected_newton, tol=tol)
     if not opt.success:
         raise DualIterationLimitError(
             f"dual iteration limit: residuals {opt.kkt} above tol {tol}")
-    mu, nu, theta = _unpack(opt.x, sp.K, N)
-    l, f, fu = opt.primal
+    mu, nu, theta = opt.point.mu, opt.point.nu, opt.point.theta
+    l, f, fu = opt.point.primal
 
     l_full[poor] = l * _BIT
     f_full[poor] = f * _FREQ

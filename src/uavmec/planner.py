@@ -43,7 +43,6 @@ from .model import (
 from .offload_solver import (
     OffloadSolution,
     solve_p2,
-    probe_feasibility,
     InfeasibleTrajectoryError,
 )
 from .trajectory_solver import speed_capped_propulsion
@@ -273,8 +272,9 @@ def run_algorithm1(s: Scenario, init="straight", xi1: float | None = None,
     """Take capped joint steps until the plan is jointly stationary.
 
     ``init`` selects the starting path ("straight", "semi-circle", or an
-    explicit (N+1, 2) array), where the schedule is solved first, or is a
-    :class:`PlannerResult` planned for ``s`` (a baseline's, say), whose
+    explicit (N+1, 2) array), where the schedule is solved first (its
+    feasibility probe failing raises :class:`InfeasibleScenarioError`), or
+    is a :class:`PlannerResult` planned for ``s`` (a baseline's, say), whose
     path and converged schedule are the start as they stand; a result
     planned for another scenario raises ``ValueError``.  Each later
     iteration takes the :func:`joint_step`, halved until the
@@ -290,13 +290,11 @@ def run_algorithm1(s: Scenario, init="straight", xi1: float | None = None,
         traj, sol = init.plan.traj, init.schedule
     else:
         traj = _initial_trajectory(s, init)
-        margins = probe_feasibility(s, traj)
-        if np.any(margins < 0.0):
-            k = int(np.argmin(margins))
+        try:
+            sol = solve_p2(s, traj, tol=tol)
+        except InfeasibleTrajectoryError as exc:
             raise InfeasibleScenarioError(
-                f"infeasible scenario: user {k} short by {-margins[k]:.4g} bits "
-                f"on the initial path")
-        sol = solve_p2(s, traj, tol=tol)
+                f"infeasible scenario on the initial path: {exc}") from exc
 
     trace = [(1, _mission_energy(s, traj, sol))]
     status = "iteration-limit"

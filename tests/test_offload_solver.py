@@ -17,6 +17,7 @@ from uavmec.offload_solver import (
     DualRecoveryError,
     _ScaledP2,
     _warm_start,
+    _policy_split_scaled,
     _pack,
     _unpack,
     _recover_scaled,
@@ -71,6 +72,31 @@ def test_recovery_rejects_price_cone_violation(ref2x6, ref2x6_traj):
         recover_primal(s, ref2x6_traj, d)
 
 
+@st.composite
+def _prices_with_vanished_tail(draw, s):
+    """Admissible SI prices under which user 0's energy-price tail
+    vanishes from a drawn slot on while its bit price stays positive."""
+    K, N = s.K, s.N
+    unit = st.floats(0.0, 1.0)
+    mu = draw(arrays(np.float64, K, elements=st.floats(0.01, 1.0))) * 1e-6
+    nu = draw(arrays(np.float64, (K, N), elements=unit)) * 300.0
+    nu[0, draw(st.integers(1, N - 2)):] = 0.0
+    mid = draw(arrays(np.float64, N - 2, elements=unit)) * 2e-7
+    theta = np.concatenate([[0.0], mid, [mid.sum() + draw(unit) * 5e-7]])
+    return DualState(mu=mu, nu=nu, theta=theta)
+
+
+@given(data=st.data())
+def test_dual_value_is_the_lagrangian_at_the_recovered_primal(ref2x6, ref2x6_traj, data):
+    """recover_primal returns the Lagrangian minimizer, so the dual value is
+    the Lagrangian there, also where a price tail vanishes (the minimizer
+    then puts that user's bits and cycles at their caps)."""
+    d = data.draw(_prices_with_vanished_tail(ref2x6))
+    g = dual_value(ref2x6, ref2x6_traj, d)
+    plan_part = recover_primal(ref2x6, ref2x6_traj, d)
+    assert abs(lagrangian_value(ref2x6, ref2x6_traj, plan_part, d) - g) <= 1e-12 * abs(g)
+
+
 def test_recovery_monotone_in_channel(ref_solution, ref2x6, ref2x6_traj):
     """At fixed prices, a better channel can only raise the offloaded bits."""
     s = ref2x6
@@ -104,11 +130,11 @@ def _check_hessian_by_central_differences(s, traj, factors):
     its gradient, at warm-start prices scaled entrywise by ``factors``
     (all mid UAV prices made positive, so every price is interior)."""
     sp = _ScaledP2(s, traj)
-    mu, nu, theta = _warm_start(sp)
+    mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
     N = s.N
     z = _pack(mu, nu, np.full(N - 2, theta[N - 1] / N), theta[N - 1])
     z = z * factors[: z.size]
-    H = _neg_dual_hessian(z, sp)
+    H = _neg_dual_hessian(sp, _neg_dual_and_grad(z, sp)[2])
     fd = np.empty_like(H)
     for j in range(z.size):
         h = 1e-5 * z[j]
@@ -144,7 +170,7 @@ def _dense_dual_hessian(z, sp):
     K, N = sp.K, sp.N
     KN = K * N
     mu, nu, theta = _unpack(z, K, N)
-    l, f, fu = _recover_scaled(sp, mu, nu, theta, fill="cap")
+    l, f, fu = _recover_scaled(sp, mu, nu, theta).primal
     V = np.flip(np.cumsum(np.flip(nu, axis=1), axis=1), axis=1)
     rate = np.log(2.0) / sp.bl
     tx_slope = sp.a_tx * rate * np.exp2(l / sp.bl)
@@ -180,7 +206,7 @@ def _prices_on_bounds(draw, s, traj):
     0), and the slack and the first drawn mid UAV prices are zero (the
     UAV idles in those slots)."""
     sp = _ScaledP2(s, traj)
-    mu, nu, theta = _warm_start(sp)
+    mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
     K, N = s.K, s.N
     factors = draw(arrays(np.float64, K + K * N + N - 1, elements=st.floats(0.5, 2.0)))
     cut = draw(st.integers(1, N - 2))
@@ -197,12 +223,12 @@ def _prices_on_bounds(draw, s, traj):
 
 
 def _check_hessian_against_dense(sp, z):
-    mu, nu, theta = _unpack(z, sp.K, sp.N)
-    l, f, fu = _recover_scaled(sp, mu, nu, theta, fill="cap")
+    point = _recover_scaled(sp, *_unpack(z, sp.K, sp.N))
+    l, f, fu = point.primal
     assert (l[:, : sp.N - 1] == 0.0).any() and (l == sp.l_cap).any()
     assert (f == sp.f_cap[:, None]).any() and (fu[1:] == 0.0).any()
     ref = _dense_dual_hessian(z, sp)
-    assert np.abs(_neg_dual_hessian(z, sp) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(_neg_dual_hessian(sp, point) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @given(data=st.data())
