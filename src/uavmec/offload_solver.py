@@ -166,13 +166,23 @@ class _ScaledP2:
         self.R = s.R / _BIT                                        # Mbit
         self.l_cap = EXPONENT_CAP * self.bl
         self.f_cap = np.maximum(self.R / self.bits_f, 1.0)         # (K,) GHz
+        self.a_ln2 = self.a_tx[:, : self.N - 1] * math.log(2.0)   # TX slots' a_tx ln 2
+        self.cum_eharv = np.cumsum(self.eharv, axis=1)
+        # Slot index structure of the dual Hessian's blocks (see
+        # _neg_dual_hessian): the UAV prices in z order as the first slot
+        # whose bits they count, and the min / max / >= tables.
+        slots = np.arange(self.N)
+        self.first = np.append(np.arange(1, self.N - 1), 0)
+        self.slot_min = np.minimum.outer(slots, slots)
+        self.first_max = np.maximum.outer(self.first, self.first)
+        self.after_first = slots[:, None] >= self.first
 
     def rows(self, users) -> "_ScaledP2":
         """The instance restricted to a subset of user indices (the pricing
         problem after provably self-sufficient users are presolved)."""
         sub = copy.copy(self)
         sub.K = len(users)
-        for name in ("eharv", "a_tx", "R", "f_cap"):
+        for name in ("eharv", "a_tx", "R", "f_cap", "a_ln2", "cum_eharv"):
             setattr(sub, name, getattr(self, name)[users])
         return sub
 
@@ -188,7 +198,7 @@ class _ScaledP2:
         """
         local_e = self.c_f * f ** 3
         tx_e = self.tx_energy(l)
-        c2 = np.cumsum(local_e + tx_e, axis=1) - np.cumsum(self.eharv, axis=1)
+        c2 = np.cumsum(local_e + tx_e, axis=1) - self.cum_eharv
         bits = self.bits_f * f.sum(axis=1) + l[:, : self.N - 1].sum(axis=1)
         c1 = self.R - bits
         cum_fu = np.cumsum(fu)
@@ -238,7 +248,7 @@ def _recover_scaled(sp: _ScaledP2, mu, nu, theta) -> _Point:
     price tail vanishes at a dual optimum of a bound-energy instance.
     """
     K, N = sp.K, sp.N
-    V = np.flip(np.cumsum(np.flip(nu, axis=1), axis=1), axis=1)   # (K, N)
+    V = np.cumsum(nu[:, ::-1], axis=1)[:, ::-1]                  # (K, N)
     tail = _theta_tail(theta)                                     # (N,)
     theta_last = theta[N - 1]
 
@@ -248,28 +258,20 @@ def _recover_scaled(sp: _ScaledP2, mu, nu, theta) -> _Point:
     fu = np.zeros(N)
     fu[1:] = np.sqrt(sp.bits_f * np.maximum(gap, 0.0) / (3.0 * sp.c_f))
 
-    # Offloaded bits: price per bit for slot n is w = mu + tail[n+1] - theta_N.
+    # Offloaded bits priced w = mu + tail[n+1] - theta_N per bit in slot n,
+    # and user frequencies clipped at the whole-demand cap.  Where no energy
+    # price remains, the Lagrangian falls linearly in bits priced w > 0 and
+    # in cycles priced mu > 0: the ratios below are infinite and the bits
+    # and cycles go to their caps.
     w = mu[:, None] + tail[None, 1:N] - theta_last                # (K, N-1)
+    V_pos = np.where(V > 0.0, V, 0.0)
     l = np.zeros((K, N))
-    V_off = V[:, : N - 1]
-    ok = (V_off > 0.0) & (w > 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        arg = np.where(ok, w * sp.bl / (sp.a_tx[:, : N - 1] * math.log(2.0)
-                                        * np.where(V_off > 0, V_off, 1.0)), 0.0)
-        l_closed = np.where(arg > 1.0, sp.bl * np.log2(np.maximum(arg, 1.0)), 0.0)
-    l[:, : N - 1] = np.clip(np.where(ok, l_closed, 0.0), 0.0, sp.l_cap)
-
-    # User frequencies, clipped at the whole-demand cap.
-    pos = V > 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f_closed = np.sqrt(mu[:, None] * sp.bits_f / (3.0 * sp.c_f *
-                                                      np.where(pos, V, 1.0)))
-    f = np.where(pos, np.minimum(f_closed, sp.f_cap[:, None]), 0.0)
-
-    # Slots with no remaining energy price: the Lagrangian falls linearly in
-    # bits priced w > 0 and in cycles priced mu > 0, which go to their caps.
-    f = np.where(~pos & (mu[:, None] > 0.0), sp.f_cap[:, None], f)
-    l[:, : N - 1] = np.where(~pos[:, : N - 1] & (w > 0.0), sp.l_cap, l[:, : N - 1])
+        arg = w * sp.bl / (sp.a_ln2 * V_pos[:, : N - 1])
+        l[:, : N - 1] = np.where(w > 0.0, np.minimum(
+            sp.bl * np.log2(np.maximum(arg, 1.0)), sp.l_cap), 0.0)
+        f_closed = np.sqrt(mu[:, None] * sp.bits_f / (3.0 * sp.c_f * V_pos))
+    f = np.where(mu[:, None] > 0.0, np.minimum(f_closed, sp.f_cap[:, None]), 0.0)
 
     gaps = sp.violations(l, f, fu)
     return _Point(mu=mu, nu=nu, theta=theta, V=V, tail=tail, primal=(l, f, fu),
@@ -493,14 +495,11 @@ def _neg_dual_hessian(sp: _ScaledP2, point: _Point) -> np.ndarray:
     H = np.zeros((K + KN + N - 1, K + KN + N - 1))
     nus = slice(K, K + KN)
     ths = slice(K + KN, None)
-    slots = np.arange(N)
-    # The UAV prices in z order (mid prices, then the slack), each as the
-    # first slot whose bits its gap counts.
-    first = np.append(np.arange(1, N - 1), 0)
-    bits_tail = np.flip(np.cumsum(np.flip(wl, axis=1), axis=1), axis=1)   # n >= i
+    first = sp.first
+    bits_tail = np.cumsum(wl[:, ::-1], axis=1)[:, ::-1]                   # n >= i
     tx_head = np.zeros((K, N + 1))                                         # n < m
     tx_head[:, 1:] = np.cumsum(tx_slope * wl, axis=1)
-    uav_tail = np.append(np.flip(np.cumsum(np.flip(wu[1:]))), 0.0)         # j > i
+    uav_tail = np.append(np.cumsum(wu[:0:-1])[::-1], 0.0)                  # j > i
 
     H[np.arange(K), np.arange(K)] = wl.sum(axis=1) + sp.bits_f ** 2 * wf.sum(axis=1)
     H[np.repeat(np.arange(K), N), K + np.arange(KN)] = np.cumsum(
@@ -509,11 +508,11 @@ def _neg_dual_hessian(sp: _ScaledP2, point: _Point) -> np.ndarray:
     nu_nu = np.cumsum(tx_slope ** 2 * wl + e_f ** 2 * wf, axis=1)
     for k in range(K):
         block = slice(K + k * N, K + (k + 1) * N)
-        H[block, block] = nu_nu[k, np.minimum.outer(slots, slots)]
-    H[nus, ths] = np.where(slots[:, None] >= first, tx_head[:, 1:, None]
+        H[block, block] = nu_nu[k, sp.slot_min]
+    H[nus, ths] = np.where(sp.after_first, tx_head[:, 1:, None]
                            - tx_head[:, None, first], 0.0).reshape(KN, N - 1)
     theta_theta = bits_tail.sum(axis=0) + sp.bits_f ** 2 * uav_tail
-    H[ths, ths] = theta_theta[np.maximum.outer(first, first)]
+    H[ths, ths] = theta_theta[sp.first_max]
     H[nus, :K] = H[:K, nus].T
     H[ths, :K] = H[:K, ths].T
     H[ths, nus] = H[nus, ths].T
@@ -547,7 +546,8 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
     phi, grad, point = ev
     act = (z <= min(res, 1e-3)) & (grad > 0.0)
     free = ~act
-    H = _neg_dual_hessian(sp, point)[np.ix_(free, free)]
+    idx = np.flatnonzero(free)
+    H = _neg_dual_hessian(sp, point)[idx[:, None], idx]
     scale = float(np.diag(H).max(initial=0.0)) or 1.0
     floor = np.zeros_like(z)
     floor[: sp.K] = 0.1 * z[: sp.K]
