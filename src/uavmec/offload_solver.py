@@ -534,14 +534,18 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
     Hessian diagonal.  The path z(a) = max(z + a d, floor) is searched by
     halving a until the value passes an Armijo test or, once the value no
     longer resolves the progress, the natural residual shrinks without the
-    value rising; with ``polish`` only residual-shrinking points count.
+    value rising.  With ``polish`` only the full step is tried, and only if
+    it shrinks the natural residual without raising the value: one or two
+    such steps reach the rounding floor, beyond which shorter steps would
+    only move noise.
     The floor is zero except for the bit prices, which keep a tenth of
     their value per step: every user left in the pricing problem needs a
     positive bit price, and a bit price that collapses to zero with the
     tail of its energy prices strands the iterate on a kink of the dual.
     A full step relaxes the damping tenfold and a shortened one stiffens it
-    tenfold; a failed search retries a hundredfold stiffer (or gives up
-    when polishing).  Returns the accepted (z, ev, res, damping), or None.
+    tenfold; a failed search retries a hundredfold stiffer, and a failed
+    polish step ends the ascent.  Returns the accepted (z, ev, res,
+    damping), or None.
     """
     phi, grad, point = ev
     act = (z <= min(res, 1e-3)) & (grad > 0.0)
@@ -563,7 +567,7 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
         d = -z.copy()
         d[free] = -cho_solve(factor, grad[free])
         alpha = 1.0
-        for _ in range(30):
+        for _ in range(1 if polish else 30):
             zt = np.maximum(z + alpha * d, floor)
             phit, gradt, _ = evt = evaluate(zt)
             rest = _natural_residual(zt, gradt)
@@ -584,7 +588,9 @@ def _projected_newton(fun, x0, args, tol, maxiter=200, **_):
     ``fun(z, *args)`` is :func:`_neg_dual_and_grad`, ``args`` is ``(sp,)``;
     each point is evaluated once, and an accepted point's KKT residuals
     and Hessian read that evaluation.  Once the scaled KKT max is within
-    ``tol``, only residual-shrinking steps are taken.  The result adds
+    ``tol``, each step is one full polish step that must shrink the
+    natural residual (one evaluation), and the first that does not ends
+    the loop.  The result adds
     ``kkt``, the :class:`_Point` ``point`` at ``x`` and the
     :class:`OffloadSolution` ``trace`` rows, ``x0`` first.
     """
@@ -633,8 +639,10 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
     Lagrangian minimizer; the dual value and gradient and, at accepted
     iterates, the KKT residuals and the analytic dual Hessian (per-user
     prefix and suffix sums) all read that minimizer.  Once the KKT residuals
-    of the minimizer are within ``tol``, ascent continues for as long as
-    the natural residual keeps shrinking; the last minimizer is returned.
+    of the minimizer are within ``tol``, ascent continues by full Newton
+    steps for as long as each shrinks the natural residual (one evaluation
+    per step, typically one or two steps to the rounding floor); the last
+    minimizer is returned.
     ``trace`` holds one (iteration, dual value [J], max KKT residual) row
     per iterate, the start first.
 
@@ -694,7 +702,8 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
     opt = minimize(_neg_dual_and_grad, z, args=(sp,), method=_projected_newton, tol=tol)
     if not opt.success:
         raise DualIterationLimitError(
-            f"dual iteration limit: residuals {opt.kkt} above tol {tol}")
+            f"dual iteration limit after {opt.nit} Newton steps and {opt.nfev} "
+            f"evaluations: residuals {opt.kkt} above tol {tol}")
     mu, nu, theta = opt.point.mu, opt.point.nu, opt.point.theta
     l, f, fu = opt.point.primal
 

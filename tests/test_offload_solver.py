@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from uavmec.model import Scenario, Plan, check_constraints
 from uavmec.planner import semicircle_trajectory, straight_line_trajectory
+from uavmec import offload_solver
 from uavmec.offload_solver import (
     DualState,
     recover_primal,
@@ -14,6 +15,7 @@ from uavmec.offload_solver import (
     primal_oracle_p2,
     probe_feasibility,
     InfeasibleTrajectoryError,
+    DualIterationLimitError,
     DualRecoveryError,
     _ScaledP2,
     _warm_start,
@@ -253,6 +255,85 @@ def test_newton_trace_ascends_to_tolerance(ref_solution, ref_oracle):
     assert np.all(values <= oracle_obj + 1e-6)
     assert resid[-1] <= 1e-6
     assert resid[-1] == ref_solution.kkt.max()
+
+
+def _solve_logging_evaluations(monkeypatch, s, traj):
+    """Cold solve_p2, logging "eval" for every dual evaluation and the KKT
+    max of every trace row, in the order they happen."""
+    log = []
+    evaluate = offload_solver._neg_dual_and_grad
+    residuals = offload_solver._residuals_scaled
+
+    def counted_evaluate(z, sp):
+        log.append("eval")
+        return evaluate(z, sp)
+
+    def logged_residuals(sp, point):
+        kkt = residuals(sp, point)
+        log.append(kkt.max())
+        return kkt
+
+    monkeypatch.setattr(offload_solver, "_neg_dual_and_grad", counted_evaluate)
+    monkeypatch.setattr(offload_solver, "_residuals_scaled", logged_residuals)
+    sol = solve_p2(s, traj)
+    return sol, log
+
+
+@pytest.mark.parametrize("instance", ["table2", "ref2x6"])
+def test_polish_costs_one_evaluation_per_step(monkeypatch, request, instance):
+    """Once the KKT max is within tol, each polish step is one evaluation
+    of the full step, and the first step that no longer shrinks the
+    natural residual ends the solve (no search along shorter steps)."""
+    s = request.getfixturevalue(instance)
+    sol, log = _solve_logging_evaluations(monkeypatch, s, straight_line_trajectory(s))
+    rows = [i for i, entry in enumerate(log) if entry != "eval"]
+    assert [log[i] for i in rows] == [kkt for _, _, kkt in sol.trace]
+    first = next(i for i in rows if log[i] <= 1e-6)
+    after = log[first + 1 :]
+    assert after.count("eval") <= (len(after) - after.count("eval")) + 1
+
+
+def test_rows_subsets_every_per_user_array(table2):
+    """The restricted instance ``sp.rows(u)`` prices exactly like the
+    instance built from a scenario holding only users u on the same path.
+    Halving the users doubles each user's TX subslot, so bandwidth and
+    capacity gap are halved to keep the same physics bit for bit."""
+    traj = straight_line_trajectory(table2)
+    users = np.array([1, 3])
+    fields = {n: getattr(table2, n) for n in table2.__dataclass_fields__}
+    sub = Scenario(**{**fields, "K": users.size, "user_pos": table2.user_pos[users],
+                      "R": table2.R[users], "B": table2.B / 2, "Gamma": table2.Gamma / 2})
+    sp = _ScaledP2(table2, traj)
+    mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        args = (mu[users] * rng.uniform(0.1, 10.0, users.size),
+                nu[users] * rng.uniform(0.1, 10.0, (users.size, table2.N)),
+                theta * rng.uniform(0.5, 2.0, table2.N))
+        restricted = _recover_scaled(sp.rows(users), *args)
+        own = _recover_scaled(_ScaledP2(sub, traj), *args)
+        for a, b in zip(restricted, own):
+            for x, y in (zip(a, b) if isinstance(a, tuple) else [(a, b)]):
+                assert np.array_equal(x, y)
+
+
+def test_large15_schedule_ends_typed(ref2x6):
+    """A feasible schedule on which the dual ascent stalls (the presolve
+    leaves one user and the damping swings between 1e-1 and 1e+1): the
+    solve either meets tol or raises the typed iteration-limit error,
+    whose message tells the Newton steps and evaluations it used."""
+    fields = {n: getattr(ref2x6, n) for n in ref2x6.__dataclass_fields__}
+    s = Scenario(**{**fields, "K": 2, "N": 40, "T": 8.0, "P_u": 57622.0,
+                    "user_pos": [[2.319, 5.285], [5.696, -0.885]],
+                    "R": [2.670e6, 3.325e6], "qF": [8.0, 0.0]})
+    traj = semicircle_trajectory(s)
+    assert np.all(probe_feasibility(s, traj) > 0.0)
+    try:
+        sol = solve_p2(s, traj)
+    except DualIterationLimitError as exc:
+        assert "Newton steps" in str(exc) and "evaluations" in str(exc)
+    else:
+        assert sol.kkt.max() <= 1e-6
 
 
 # --- feasibility probe -------------------------------------------------------
