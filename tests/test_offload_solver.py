@@ -99,6 +99,17 @@ def test_dual_value_is_the_lagrangian_at_the_recovered_primal(ref2x6, ref2x6_tra
     assert abs(lagrangian_value(ref2x6, ref2x6_traj, plan_part, d) - g) <= 1e-12 * abs(g)
 
 
+def test_recovery_finite_at_rounding_negative_bit_price(ref2x6, ref2x6_traj):
+    """DualState admits prices a rounding below zero; a bit price of -1e-30
+    buys no cycles instead of a NaN frequency (square root of a negative)."""
+    theta = np.zeros(ref2x6.N)
+    theta[-1] = 1e-7
+    d = DualState(mu=[1e-7, -1e-30], nu=np.full((ref2x6.K, ref2x6.N), 10.0), theta=theta)
+    _, f, _ = recover_primal(ref2x6, ref2x6_traj, d)
+    assert not f[1].any()
+    assert np.isfinite(dual_value(ref2x6, ref2x6_traj, d))
+
+
 def test_recovery_monotone_in_channel(ref_solution, ref2x6, ref2x6_traj):
     """At fixed prices, a better channel can only raise the offloaded bits."""
     s = ref2x6
@@ -257,9 +268,14 @@ def test_newton_trace_ascends_to_tolerance(ref_solution, ref_oracle):
     assert resid[-1] == ref_solution.kkt.max()
 
 
-def _solve_logging_evaluations(monkeypatch, s, traj):
-    """Cold solve_p2, logging "eval" for every dual evaluation and the KKT
-    max of every trace row, in the order they happen."""
+@pytest.mark.parametrize("instance", ["table2", "ref2x6"])
+def test_polish_costs_one_evaluation_per_step(monkeypatch, request, instance):
+    """Once the KKT max is within tol, each polish step is one evaluation
+    of the full step, and the first step that no longer shrinks the
+    natural residual ends the solve (no search along shorter steps).
+    The cold solve logs "eval" per dual evaluation and the KKT max of
+    each trace row, in the order they happen."""
+    s = request.getfixturevalue(instance)
     log = []
     evaluate = offload_solver._neg_dual_and_grad
     residuals = offload_solver._residuals_scaled
@@ -275,17 +291,7 @@ def _solve_logging_evaluations(monkeypatch, s, traj):
 
     monkeypatch.setattr(offload_solver, "_neg_dual_and_grad", counted_evaluate)
     monkeypatch.setattr(offload_solver, "_residuals_scaled", logged_residuals)
-    sol = solve_p2(s, traj)
-    return sol, log
-
-
-@pytest.mark.parametrize("instance", ["table2", "ref2x6"])
-def test_polish_costs_one_evaluation_per_step(monkeypatch, request, instance):
-    """Once the KKT max is within tol, each polish step is one evaluation
-    of the full step, and the first step that no longer shrinks the
-    natural residual ends the solve (no search along shorter steps)."""
-    s = request.getfixturevalue(instance)
-    sol, log = _solve_logging_evaluations(monkeypatch, s, straight_line_trajectory(s))
+    sol = solve_p2(s, straight_line_trajectory(s))
     rows = [i for i, entry in enumerate(log) if entry != "eval"]
     assert [log[i] for i in rows] == [kkt for _, _, kkt in sol.trace]
     first = next(i for i in rows if log[i] <= 1e-6)
@@ -319,7 +325,7 @@ def test_rows_subsets_every_per_user_array(table2):
 
 def test_large15_schedule_ends_typed(ref2x6):
     """A feasible schedule on which the dual ascent stalls (the presolve
-    leaves one user and the damping swings between 1e-1 and 1e+1): the
+    leaves one user and the damping swings between 1e-1 and 1e+2): the
     solve either meets tol or raises the typed iteration-limit error,
     whose message tells the Newton steps and evaluations it used."""
     fields = {n: getattr(ref2x6, n) for n in ref2x6.__dataclass_fields__}
