@@ -15,11 +15,6 @@ from .model import (
     ScenarioError,
     DimensionError,
     OffloadRangeError,
-    channel_gain,
-    harvested_energy_prefix,
-    offload_tx_power,
-    compute_energy,
-    propulsion_energy,
     evaluate_ledger,
     check_constraints,
 )
@@ -30,7 +25,6 @@ from .offload_solver import (
     OffloadSolution,
     recover_primal,
     solve_p2,
-    primal_oracle_p2,
     probe_feasibility,
 )
 from .trajectory_solver import (

@@ -3,10 +3,11 @@
 Writes one directory per (scheme, T) cell containing the trajectory,
 energy ledger and convergence trace as plain structured text, plus an
 aligned summary table.  Each duration's cells are planned together, so
-the proposed scheme starts from the straight-line baseline's solve;
-``--workers`` spreads the durations over a thread pool.  Identical inputs
-produce byte-identical outputs (the solvers are deterministic and nothing
-is randomized).
+the proposed scheme starts from the straight-line baseline's solve and
+the semi-circle baseline's schedule solve from its prices; ``--workers``
+spreads the durations over a thread pool.  Identical inputs produce
+byte-identical outputs (the solvers are deterministic and nothing is
+randomized).
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ it), receives offloaded computation bits over TDMA subslots, computes them
 on board, and spends propulsion energy proportional to squared speed.
 
 This module holds the scenario description, the candidate plan (offloaded
-bits, CPU frequencies, trajectory), all per-slot energy formulas, the full
+bits, CPU frequencies, trajectory), the per-slot energy formulas
+(vectorized over users and slots), the full
 feasibility checker for the joint planning problem, and the energy ledger
 used as the planner objective.  Everything here is a pure function of its
 inputs; :class:`Scenario` and :class:`Plan` are immutable after
@@ -40,14 +41,9 @@ __all__ = [
     "DimensionError",
     "OffloadRangeError",
     "EXPONENT_CAP",
-    "channel_gain",
     "channel_gains",
     "harvest_increments",
-    "harvested_energy_prefix",
-    "offload_tx_power",
     "tx_energy",
-    "compute_energy",
-    "propulsion_energy",
     "propulsion_profile",
     "evaluate_ledger",
     "check_constraints",
@@ -185,19 +181,6 @@ class Scenario:
 # Per-slot physics
 # ---------------------------------------------------------------------------
 
-def channel_gain(s: Scenario, q_u, k: int) -> float:
-    """LoS channel power gain between the UAV at ``q_u`` and user ``k``.
-
-    Inverse-square law in 3-D distance: beta0 / (H^2 + ||q_u - q_k||^2).
-    ``k`` is a 0-based user index.
-    """
-    if not 0 <= k < s.K:
-        raise IndexError(f"user index {k} out of range [0, {s.K})")
-    q_u = np.asarray(q_u, dtype=float)
-    d2 = float(np.sum((q_u - s.user_pos[k]) ** 2))
-    return s.beta0 / (s.H ** 2 + d2)
-
-
 def channel_gains(s: Scenario, traj) -> np.ndarray:
     """(K, N) channel gains; slot n uses trajectory point n."""
     traj = np.asarray(traj, dtype=float)
@@ -212,70 +195,12 @@ def harvest_increments(s: Scenario, traj) -> np.ndarray:
     return s.slot * s.eta * s.P_u * channel_gains(s, traj)
 
 
-def harvested_energy_prefix(s: Scenario, traj, k: int, n: int) -> float:
-    """Total energy harvested by user ``k`` over the first ``n`` slots [J].
-
-    ``n`` is a slot count in 1..N.  Nondecreasing in ``n``.
-    """
-    if not 1 <= n <= s.N:
-        raise ValueError(f"slot count n={n} outside 1..{s.N}")
-    if not 0 <= k < s.K:
-        raise IndexError(f"user index {k} out of range [0, {s.K})")
-    traj = np.asarray(traj, dtype=float)
-    if traj.shape[0] < n:
-        raise DimensionError(f"trajectory has {traj.shape[0]} points, need >= {n}")
-    d2 = np.sum((traj[:n] - s.user_pos[k]) ** 2, axis=1)
-    h = s.beta0 / (s.H ** 2 + d2)
-    return float(s.slot * s.eta * s.P_u * np.sum(h))
-
-
-def offload_tx_power(s: Scenario, gain: float, l_bits: float) -> float:
-    """User TX power needed to push ``l_bits`` through one subslot [W].
-
-    Inverts the capacity formula at gap ``Gamma``:
-    P = Gamma * sigma2 * (2^(l/(B lam)) - 1) / gain.
-    Zero iff ``l_bits`` is zero; strictly convex and increasing in the load.
-    """
-    if gain <= 0:
-        raise ValueError("channel gain must be positive")
-    if l_bits < 0:
-        raise ValueError("offloaded bits must be nonnegative")
-    ratio = l_bits / (s.B * s.lam)
-    if ratio > EXPONENT_CAP:
-        raise OffloadRangeError(
-            f"offload load out of numeric range: l/(B lam) = {ratio:.3g} > {EXPONENT_CAP}")
-    return s.Gamma * s.sigma2 * (2.0 ** ratio - 1.0) / gain
-
-
 def tx_energy(s: Scenario, gains: np.ndarray, l: np.ndarray) -> np.ndarray:
     """Vectorized per-slot TX energy lam * P_k for a (K, N) load matrix [J]."""
     ratio = np.asarray(l, dtype=float) / (s.B * s.lam)
     if np.any(ratio > EXPONENT_CAP):
         raise OffloadRangeError("offload load out of numeric range")
     return s.lam * s.Gamma * s.sigma2 * (np.exp2(ratio) - 1.0) / gains
-
-
-def compute_energy(s: Scenario, f) -> float | np.ndarray:
-    """CMOS compute energy for one slot at CPU frequency ``f`` [J].
-
-    gamma_c * (T/N) * f^3; the same law applies to users and to the UAV.
-    """
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
-        raise ValueError("CPU frequency must be nonnegative")
-    out = s.gamma_c * s.slot * f ** 3
-    return float(out) if out.ndim == 0 else out
-
-
-def propulsion_energy(s: Scenario, q_a, q_b) -> float:
-    """Propulsion energy for one slot moving from q_a to q_b [J].
-
-    kappa * v^2 with v = ||q_b - q_a|| / (T/N).
-    """
-    q_a = np.asarray(q_a, dtype=float)
-    q_b = np.asarray(q_b, dtype=float)
-    v = float(np.linalg.norm(q_b - q_a)) / s.slot
-    return s.kappa * v * v
 
 
 def propulsion_profile(s: Scenario, traj) -> np.ndarray:
@@ -329,17 +254,6 @@ class Plan:
         if (self.K, self.N) != (s.K, s.N):
             raise DimensionError(
                 f"plan is {self.K} users x {self.N} slots, scenario wants {s.K} x {s.N}")
-
-
-def zero_plan(s: Scenario, traj=None) -> Plan:
-    """All-zero decisions on the given (or endpoint-interpolated) trajectory."""
-    if traj is None:
-        t = np.linspace(0.0, 1.0, s.N + 1)[:, None]
-        traj = s.q0[None, :] + t * (s.qF - s.q0)[None, :]
-    return Plan(traj=np.asarray(traj, dtype=float),
-                l=np.zeros((s.K, s.N)),
-                f_user=np.zeros((s.K, s.N)),
-                f_uav=np.zeros(s.N))
 
 
 @dataclass(frozen=True)

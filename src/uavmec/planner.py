@@ -17,7 +17,10 @@ A duration sweep plans each duration's schemes together.  The planner's
 first iterate from the straight start is the schedule optimum on the
 straight dash, which is exactly the straight-line baseline, so the
 proposed scheme starts from that baseline's result instead of solving the
-same schedule again.  Nothing is shared across durations or calls.
+same schedule again.  The semi-circle baseline's schedule solve starts
+from the same result's prices: optimal multipliers move continuously with
+the problem data, so they start its dual ascent close to its optimum.
+Nothing is shared across durations or calls.
 """
 
 from __future__ import annotations
@@ -316,18 +319,25 @@ def run_algorithm1(s: Scenario, init="straight", xi1: float | None = None,
                          outer_trace=tuple(trace), scheme="proposed", status=status)
 
 
-def run_baseline(s: Scenario, scheme: str, tol: float = 1e-6) -> PlannerResult:
-    """Fix the path to a benchmark shape and solve the schedule once."""
+def run_baseline(s: Scenario, scheme: str, tol: float = 1e-6,
+                 init: PlannerResult | None = None) -> PlannerResult:
+    """Fix the path to a benchmark shape and solve the schedule once.
+
+    ``init``, a :class:`PlannerResult` planned for ``s`` (the straight-line
+    baseline's, say), starts the schedule's dual ascent from its converged
+    prices; a result planned for another scenario raises ``ValueError``.
+    The optimal prices move continuously with the path, so another path's
+    are a near start; without ``init`` the ascent starts cold.
+    """
+    if init is not None and not _same_scenario(init.scenario, s):
+        raise ValueError("initial result was planned for another scenario")
     if scheme == "straight-line":
         traj = straight_line_trajectory(s)
     elif scheme == "semi-circle":
         traj = semicircle_trajectory(s)
     else:
         raise ValueError(f"unknown baseline scheme {scheme!r}")
-    speeds = np.linalg.norm(np.diff(traj, axis=0), axis=1) / s.slot
-    if np.max(speeds) > s.V_max * (1.0 + 1e-12):
-        raise BaselineSpeedError(f"baseline violates V_max: {np.max(speeds):.4g} m/s")
-    sol = solve_p2(s, traj, tol=tol)
+    sol = solve_p2(s, traj, tol=tol, warm=None if init is None else init.schedule.duals)
     plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
     ledger = evaluate_ledger(s, plan)
     return PlannerResult(scenario=s, plan=plan, ledger=ledger, schedule=sol,
@@ -339,29 +349,32 @@ def _run_duration(s: Scenario, T: float, schemes: Sequence[str],
                   xi1: float | None = None, tol: float = 1e-6) -> list[SweepCell]:
     """Re-derive the timing for duration ``T`` and plan each scheme there.
 
-    The straight-line baseline is planned first, and the proposed scheme
-    starts from its result; when that cell failed or was not asked for,
-    the proposed scheme starts cold from the straight dash.  A scenario
+    The straight-line baseline is planned first, and the other schemes
+    start from its result: the proposed scheme from its path and schedule,
+    the semi-circle baseline's schedule solve from its prices.  When that
+    cell failed or was not asked for, both start cold.  A scenario
     error (the duration breaks an invariant) or a solver error ends only
     its own cell: it is recorded as "infeasible" or "failed".  Cells come
     back in ``schemes`` order.
     """
     cells: dict[str, SweepCell] = {}
+    start = None
     for scheme in sorted(dict.fromkeys(schemes), key=lambda name: name != "straight-line"):
         try:
             st = s.with_T(T)
             if scheme == "proposed":
-                straight = cells.get("straight-line")
-                init = straight.result if straight and straight.result else "straight"
-                result = run_algorithm1(st, init=init, xi1=xi1, tol=tol)
+                result = run_algorithm1(st, init="straight" if start is None else start,
+                                        xi1=xi1, tol=tol)
             else:
-                result = run_baseline(st, scheme, tol=tol)
+                result = run_baseline(st, scheme, tol=tol, init=start)
         except (ScenarioError, SolverError) as exc:
             failure = "infeasible" if isinstance(exc, _INFEASIBLE) else "failed"
             cells[scheme] = SweepCell(T=T, scheme=scheme, result=None, error=str(exc),
                                       failure=failure)
         else:
             cells[scheme] = SweepCell(T=T, scheme=scheme, result=result)
+            if scheme == "straight-line":
+                start = result
     return [cells[scheme] for scheme in schemes]
 
 

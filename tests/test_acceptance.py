@@ -19,6 +19,7 @@ from uavmec import qcqp
 from uavmec.trajectory_solver import solve_p3
 from uavmec.planner import sweep_T, straight_line_trajectory, semicircle_trajectory
 
+from references import primal_oracle_p2
 from test_qcqp import _random_instance, grid_refinement_minimum
 
 T_GRID = (2.0, 2.2, 2.4)
@@ -86,7 +87,7 @@ def test_criterion_1_harvest_bound_suite(table2):
 def test_criterion_2_schedule_solver_matches_oracle(ref2x6, ref2x6_traj):
     t0 = time.monotonic()
     sol = osv.solve_p2(ref2x6, ref2x6_traj)
-    _, oracle_obj = osv.primal_oracle_p2(ref2x6, ref2x6_traj)
+    _, oracle_obj = primal_oracle_p2(ref2x6, ref2x6_traj)
     elapsed = time.monotonic() - t0
     rel = abs(sol.objective - oracle_obj) / oracle_obj
     ok = rel <= 5e-3 and sol.kkt.max() <= 1e-6 and elapsed < 30.0

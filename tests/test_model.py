@@ -8,17 +8,20 @@ from uavmec.model import (
     ScenarioError,
     DimensionError,
     OffloadRangeError,
+    propulsion_profile,
+    evaluate_ledger,
+    check_constraints,
+)
+from uavmec.planner import straight_line_trajectory
+
+from references import (
     channel_gain,
     harvested_energy_prefix,
     offload_tx_power,
     compute_energy,
     propulsion_energy,
-    propulsion_profile,
-    evaluate_ledger,
-    check_constraints,
     zero_plan,
 )
-from uavmec.planner import straight_line_trajectory
 
 
 def test_derived_timing(table2):

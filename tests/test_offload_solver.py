@@ -12,7 +12,6 @@ from uavmec.offload_solver import (
     dual_value,
     lagrangian_value,
     solve_p2,
-    primal_oracle_p2,
     probe_feasibility,
     InfeasibleTrajectoryError,
     DualIterationLimitError,
@@ -26,6 +25,8 @@ from uavmec.offload_solver import (
     _neg_dual_and_grad,
     _neg_dual_hessian,
 )
+
+from references import primal_oracle_p2
 
 # Frozen after the first oracle-verified converged run on the reference
 # instance (both routes agreed to 9e-9 relative).

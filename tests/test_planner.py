@@ -290,6 +290,46 @@ def test_sweep_solves_each_straight_schedule_once(ref2x6, monkeypatch):
         assert _same_result(by_scheme["straight-line"], run_baseline(st, "straight-line"))
 
 
+def test_sweep_semicircle_starts_from_straight_prices(ref2x6, monkeypatch):
+    """Per duration, the semi-circle baseline's schedule solve starts from
+    the straight-line baseline's converged prices, equals a separate call
+    with that start bit for bit and matches the cold solve."""
+    from uavmec import planner
+
+    semi_warm = []
+
+    def recorded(s, traj, tol=1e-6, warm=None):
+        if np.array_equal(traj, semicircle_trajectory(s)):
+            semi_warm.append(warm)
+        return solve_p2(s, traj, tol=tol, warm=warm)
+
+    monkeypatch.setattr(planner, "solve_p2", recorded)
+    cells = sweep_T(ref2x6, [1.2, 1.4], schemes=("semi-circle", "straight-line"))
+    monkeypatch.undo()
+    assert len(semi_warm) == 2
+    for T, warm in zip((1.2, 1.4), semi_warm):
+        by_scheme = {c.scheme: c.result for c in cells if c.T == T}
+        straight, semi = by_scheme["straight-line"], by_scheme["semi-circle"]
+        assert warm is straight.schedule.duals
+        st = ref2x6.with_T(T)
+        assert _same_result(semi, run_baseline(st, "semi-circle", init=straight))
+        cold = run_baseline(st, "semi-circle")
+        assert semi.uav_total == pytest.approx(cold.uav_total, rel=1e-10)
+        rep = check_constraints(st, semi.plan)
+        assert rep.feasible(1e-6), rep.summary()
+
+
+def test_semicircle_from_straight_prices_halves_the_climb(table2):
+    """On the reference mission the straight-line prices start the
+    semi-circle schedule's ascent near its optimum: at most half the cold
+    solve's Newton rows at every swept duration."""
+    cells = sweep_T(table2, [2.0, 2.2, 2.4], schemes=("straight-line", "semi-circle"))
+    for cell in cells:
+        if cell.scheme == "semi-circle":
+            cold = run_baseline(table2.with_T(cell.T), "semi-circle")
+            assert 2 * len(cell.result.p2_trace) <= len(cold.p2_trace)
+
+
 def test_sweep_proposed_starts_cold_when_straight_line_fails(ref2x6, monkeypatch):
     from uavmec import planner
     from uavmec.errors import SolverError
@@ -302,9 +342,10 @@ def test_sweep_proposed_starts_cold_when_straight_line_fails(ref2x6, monkeypatch
         return baseline(s, scheme, *args, **kwargs)
 
     monkeypatch.setattr(planner, "run_baseline", broken)
-    cells = sweep_T(ref2x6, [1.2], schemes=("proposed", "straight-line"))
-    assert [c.status for c in cells] == ["converged", "failed"]
+    cells = sweep_T(ref2x6, [1.2], schemes=("proposed", "straight-line", "semi-circle"))
+    assert [c.status for c in cells] == ["converged", "failed", "converged"]
     assert _same_result(cells[0].result, run_algorithm1(ref2x6))
+    assert _same_result(cells[2].result, run_baseline(ref2x6, "semi-circle"))
 
 
 def test_result_start_must_come_from_the_same_scenario(ref2x6):
@@ -314,6 +355,10 @@ def test_result_start_must_come_from_the_same_scenario(ref2x6):
         run_algorithm1(ref2x6.with_T(1.4), init=start)
     with pytest.raises(ValueError):
         run_algorithm1(Scenario(**{**_fields(ref2x6), "N": 8}), init=start)
+    with pytest.raises(ValueError):
+        run_baseline(ref2x6.with_T(1.4), "semi-circle", init=start)
+    with pytest.raises(ValueError):
+        run_baseline(Scenario(**{**_fields(ref2x6), "N": 8}), "semi-circle", init=start)
 
 
 def test_sweep_marks_failed_cells(ref2x6):

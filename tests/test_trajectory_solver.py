@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uavmec.model import (Plan, Scenario, channel_gains, check_constraints,
-                          harvested_energy_prefix, tx_energy)
+from uavmec.model import Plan, Scenario, channel_gains, check_constraints, tx_energy
 from uavmec import offload_solver as osv, qcqp
 from uavmec.trajectory_solver import (
     sca_lower_bound,
@@ -12,6 +11,8 @@ from uavmec.trajectory_solver import (
     ExpansionInfeasibleError,
 )
 from uavmec.planner import straight_line_trajectory, semicircle_trajectory
+
+from references import harvested_energy_prefix
 
 
 def _random_trajectories(s, rng, count, box=20.0):
