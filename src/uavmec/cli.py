@@ -17,6 +17,7 @@ import contextlib
 import ctypes
 import dataclasses
 import importlib.util
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -45,6 +46,12 @@ class RunConfig:
         for scheme in self.schemes:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}; pick from {SCHEMES}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ValueError(f"a scheme is named twice in {self.schemes}")
+        if self.T_sweep is not None and len(set(self.T_sweep)) < len(self.T_sweep):
+            raise ValueError(f"a duration is named twice in {self.T_sweep}")
+        if self.xi1 is not None and (not (self.xi1 > 0) or not math.isfinite(self.xi1)):
+            raise ValueError(f"xi1 must be positive and finite, got {self.xi1}")
 
 
 def _fmt(v: float) -> str:

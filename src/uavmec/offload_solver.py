@@ -10,6 +10,8 @@ maximized over the multipliers directly.  The closed forms are
 differentiable in the prices, which makes the dual Hessian exact and cheap;
 one projected Newton method (Bertsekas, SIAM J. Control Optim. 20(2),
 1982) with Levenberg-Marquardt damping climbs it on the nonnegative box.
+:func:`solve_p2` calls that loop (:func:`minimize`) directly; no
+``scipy.optimize`` routine takes part.
 
 All public interfaces take and return SI units.  Internally the solver
 works in Mbit / GHz / mJ, which conditions the multipliers to order one.
@@ -24,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import OptimizeResult, minimize
 
 from .errors import SolverError
 from .model import (
@@ -123,7 +124,8 @@ class OffloadKkt:
     complementarity: float
 
     def max(self) -> float:
-        return max(self.stationarity, self.primal, self.complementarity)
+        """Largest residual; NaN if any residual is NaN."""
+        return float(np.max([self.stationarity, self.primal, self.complementarity]))
 
 
 @dataclass(frozen=True)
@@ -577,33 +579,44 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
     return None
 
 
-def _projected_newton(fun, x0, args, tol, maxiter=200, **_):
-    """:func:`_newton_step` iterated from ``x0``, as a ``minimize`` method.
+class _Ascent(NamedTuple):
+    """Outcome of :func:`minimize`: the last iterate's :class:`_Point` and
+    KKT residuals, the :class:`OffloadSolution` ``trace`` rows, and the
+    Newton steps and dual evaluations taken."""
 
-    ``fun(z, *args)`` is :func:`_neg_dual_and_grad`, ``args`` is ``(sp,)``;
-    each point is evaluated once, and an accepted point's KKT residuals
-    and Hessian read that evaluation.  Once the scaled KKT max is within
-    ``tol``, each step is one full polish step that must shrink the
-    natural residual (one evaluation), and the first that does not ends
-    the loop.  The result adds
-    ``kkt``, the :class:`_Point` ``point`` at ``x`` and the
-    :class:`OffloadSolution` ``trace`` rows, ``x0`` first.
+    point: _Point
+    kkt: OffloadKkt
+    trace: list
+    nit: int
+    nfev: int
+
+
+def minimize(sp: _ScaledP2, z, tol: float, maxiter: int = 200) -> _Ascent:
+    """Projected Newton ascent of the dual of ``sp`` from the packed prices
+    ``z``: :func:`_newton_step` iterated.
+
+    Each point is evaluated once (:func:`_neg_dual_and_grad`), and an
+    accepted point's KKT residuals and Hessian read that evaluation.  Once
+    the scaled KKT max is within ``tol``, each step is one full polish
+    step that must shrink the natural residual (one evaluation), and the
+    first that does not ends the loop.  The caller checks ``kkt`` against
+    ``tol``.  The name stays because the benchmark traces this binding
+    and reads ``nit`` and ``nfev`` off its result; renaming it waits for a
+    benchmark that no longer does.
     """
-    sp, = args
     nfev = 0
 
     def evaluate(z):
         nonlocal nfev
         nfev += 1
-        return fun(z, sp)
+        return _neg_dual_and_grad(z, sp)
 
-    z = x0
     ev = evaluate(z)
     res = _natural_residual(z, ev[1])
     damping = 1.0
     trace: list[tuple[int, float, float]] = []
     for it in range(1, maxiter + 1):
-        phi, grad, point = ev
+        phi, _, point = ev
         kkt = _residuals_scaled(sp, point)
         trace.append((it, -phi * _EN, kkt.max()))
         step = (None if it == maxiter else
@@ -611,9 +624,7 @@ def _projected_newton(fun, x0, args, tol, maxiter=200, **_):
         if step is None:
             break
         z, ev, res, damping = step
-    return OptimizeResult(x=z, fun=phi, jac=grad, nit=it - 1, nfev=nfev,
-                          success=kkt.max() <= tol, kkt=kkt, point=point,
-                          trace=trace)
+    return _Ascent(point=point, kkt=kkt, trace=trace, nit=it - 1, nfev=nfev)
 
 
 def solve_p2(s: Scenario, traj, tol: float = 1e-6,
@@ -621,9 +632,8 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
     """Optimal offload/CPU schedule for a fixed trajectory.
 
     Pipeline: feasibility probe, presolve of self-sufficient users, a
-    start for the multipliers, then projected Newton ascent of the dual,
-    run through scipy's ``minimize`` as a custom method
-    (:func:`_projected_newton`), so no scipy algorithm takes part.  The
+    start for the multipliers, then projected Newton ascent of the dual
+    (:func:`minimize`, called directly).  The
     probe and the cold start read one run of the spend-as-harvested
     policy.  The start is ``warm``, the prices of a nearby schedule (the
     previous path's, in the planner), when the users that survive the
@@ -694,8 +704,8 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
         mu, nu, theta = _warm_start(sp, [part[poor] for part in split])
     slack = max(theta[N - 1] - theta[1 : N - 1].sum(), 0.0)
     z = _pack(mu, nu, theta[1 : N - 1], slack)
-    opt = minimize(_neg_dual_and_grad, z, args=(sp,), method=_projected_newton, tol=tol)
-    if not opt.success:
+    opt = minimize(sp, z, tol)
+    if not opt.kkt.max() <= tol:
         raise DualIterationLimitError(
             f"dual iteration limit after {opt.nit} Newton steps and {opt.nfev} "
             f"evaluations: residuals {opt.kkt} above tol {tol}")
@@ -712,5 +722,5 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
     objective = sp.c_f * float(np.sum(fu ** 3)) * _EN
     return OffloadSolution(l=l_full, f_user=f_full, f_uav=fu * _FREQ,
                            duals=duals, objective=objective,
-                           dual_objective=-opt.fun * _EN,
+                           dual_objective=opt.point.value * _EN,
                            kkt=opt.kkt, trace=tuple(opt.trace))

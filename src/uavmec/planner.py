@@ -25,6 +25,7 @@ Nothing is shared across durations or calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -284,9 +285,13 @@ def run_algorithm1(s: Scenario, init="straight", xi1: float | None = None,
     re-solved mission energy falls.  Status "converged": the step predicts
     a decrease within ``xi1``; "stalled": no halving predicting more than
     ``xi1`` lowers the energy; "iteration-limit": ``max_outer`` was hit (the
-    last iterate is returned rather than failing).
+    last iterate is returned rather than failing).  ``xi1`` must be
+    positive and finite (``ValueError`` otherwise): the halving loop ends
+    only once the predicted decrease falls within it.
     """
     xi1 = s.xi1 if xi1 is None else float(xi1)
+    if not (xi1 > 0) or not math.isfinite(xi1):
+        raise ValueError(f"xi1 must be positive and finite, got {xi1}")
     if isinstance(init, PlannerResult):
         if not _same_scenario(init.scenario, s):
             raise ValueError("initial result was planned for another scenario")

@@ -1,5 +1,8 @@
 import ctypes
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,11 +115,24 @@ def _render(s, **overrides) -> str:
 def test_empty_schemes_rejected(tmp_path):
     with pytest.raises(ValueError, match="schemes"):
         RunConfig(scenario_path="x.cfg", schemes=())
+    with pytest.raises(ValueError, match="duration is named twice"):
+        RunConfig(scenario_path="x.cfg", T_sweep=(2.0, 2.2, 2.0))
 
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError, match="unknown scheme"):
         RunConfig(scenario_path="x.cfg", schemes=("zigzag",))
+    with pytest.raises(ValueError, match="scheme is named twice"):
+        RunConfig(scenario_path="x.cfg", schemes=("straight-line", "straight-line"))
+
+
+@pytest.mark.parametrize("xi1", [-1.0, 0.0, float("nan"), float("inf")])
+def test_nonpositive_or_nonfinite_xi1_rejected(xi1, capsys):
+    with pytest.raises(ValueError, match="xi1"):
+        RunConfig(scenario_path="x.cfg", xi1=xi1)
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "x.cfg", "--xi1", repr(xi1)])
+    assert exc.value.code == 2 and "xi1 must be positive" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +275,15 @@ def test_cli_runs_on_one_blas_thread(tmp_path, ref_cfg, monkeypatch):
     assert main(["--scenario", str(ref_cfg), "--out", str(tmp_path / "out")]) == 0
     assert seen == [[1] * len(before)]
     assert _openblas_threads() == before
+
+
+def test_import_leaves_scipy_optimize_out():
+    """The package runs its own dual ascent, so importing it and its CLI
+    loads no ``scipy.optimize`` (a third of the import time).  A fresh
+    interpreter: the test references import scipy's ``minimize``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, uavmec, uavmec.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

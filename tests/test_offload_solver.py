@@ -8,6 +8,7 @@ from uavmec.planner import semicircle_trajectory, straight_line_trajectory
 from uavmec import offload_solver
 from uavmec.offload_solver import (
     DualState,
+    OffloadKkt,
     recover_primal,
     dual_value,
     lagrangian_value,
@@ -275,11 +276,15 @@ def test_polish_costs_one_evaluation_per_step(monkeypatch, request, instance):
     of the full step, and the first step that no longer shrinks the
     natural residual ends the solve (no search along shorter steps).
     The cold solve logs "eval" per dual evaluation and the KKT max of
-    each trace row, in the order they happen."""
+    each trace row, in the order they happen.  The ascent's counters
+    (those DualIterationLimitError reports and the benchmark reads) agree
+    with that log."""
     s = request.getfixturevalue(instance)
     log = []
+    ascents = []
     evaluate = offload_solver._neg_dual_and_grad
     residuals = offload_solver._residuals_scaled
+    ascend = offload_solver.minimize
 
     def counted_evaluate(z, sp):
         log.append("eval")
@@ -290,14 +295,32 @@ def test_polish_costs_one_evaluation_per_step(monkeypatch, request, instance):
         log.append(kkt.max())
         return kkt
 
+    def captured_minimize(*args, **kwargs):
+        ascents.append(ascend(*args, **kwargs))
+        return ascents[-1]
+
     monkeypatch.setattr(offload_solver, "_neg_dual_and_grad", counted_evaluate)
     monkeypatch.setattr(offload_solver, "_residuals_scaled", logged_residuals)
+    monkeypatch.setattr(offload_solver, "minimize", captured_minimize)
     sol = solve_p2(s, straight_line_trajectory(s))
     rows = [i for i, entry in enumerate(log) if entry != "eval"]
     assert [log[i] for i in rows] == [kkt for _, _, kkt in sol.trace]
     first = next(i for i in rows if log[i] <= 1e-6)
     after = log[first + 1 :]
     assert after.count("eval") <= (len(after) - after.count("eval")) + 1
+    opt, = ascents
+    assert opt.nit == len(sol.trace) - 1
+    assert opt.nfev == log.count("eval")
+
+
+def test_kkt_max_is_nan_if_any_residual_is():
+    """solve_p2 accepts a solve only if ``kkt.max() <= tol``, so a NaN
+    residual in any position must reach that test."""
+    nan = float("nan")
+    for kkt in (OffloadKkt(nan, 0.0, 0.0), OffloadKkt(1e-9, nan, 0.0),
+                OffloadKkt(1e-9, 0.0, nan)):
+        assert np.isnan(kkt.max())
+    assert OffloadKkt(1e-9, 3e-9, 2e-9).max() == 3e-9
 
 
 def test_rows_subsets_every_per_user_array(table2):

@@ -243,6 +243,17 @@ def test_iteration_limit_status(ref2x6):
     assert res.iterations == 1
 
 
+@pytest.mark.parametrize("xi1", [-1.0, 0.0, float("nan"), float("inf")])
+def test_nonpositive_or_nonfinite_xi1_rejected(ref2x6, xi1):
+    """The halving loop ends only once the predicted decrease is within a
+    positive xi1; a plain ValueError also ends a sweep instead of being
+    recorded as an infeasible cell."""
+    with pytest.raises(ValueError, match="xi1"):
+        run_algorithm1(ref2x6, xi1=xi1)
+    with pytest.raises(ValueError, match="xi1"):
+        sweep_T(ref2x6, [ref2x6.T], schemes=("proposed",), xi1=xi1)
+
+
 # --- sweeps ------------------------------------------------------------------
 
 def _same_result(a, b) -> bool:
