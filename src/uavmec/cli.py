@@ -48,7 +48,9 @@ class RunConfig:
                 raise ValueError(f"unknown scheme {scheme!r}; pick from {SCHEMES}")
         if len(set(self.schemes)) < len(self.schemes):
             raise ValueError(f"a scheme is named twice in {self.schemes}")
-        if self.T_sweep is not None and len(set(self.T_sweep)) < len(self.T_sweep):
+        # A duration's cells are written under its label f"{T:g}".
+        sweep = self.T_sweep or ()
+        if len({f"{T:g}" for T in sweep}) < len(sweep):
             raise ValueError(f"a duration is named twice in {self.T_sweep}")
         if self.xi1 is not None and (not (self.xi1 > 0) or not math.isfinite(self.xi1)):
             raise ValueError(f"xi1 must be positive and finite, got {self.xi1}")

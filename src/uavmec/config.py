@@ -10,12 +10,13 @@ Written files are always pure SI and round-trip exactly.
 from __future__ import annotations
 
 import ast
+import dataclasses
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .model import Scenario, ScenarioError
+from .model import Scenario
 
 __all__ = [
     "ConfigParseError",
@@ -90,7 +91,7 @@ def parse_scenario_text(text: str) -> Scenario:
                 raise ConfigParseError(f"bad array for {key}: {exc}", lineno) from None
         elif key in _INT_FIELDS:
             v = _parse_scalar(raw, lineno)
-            if v != int(v):
+            if not v.is_integer():
                 raise ConfigParseError(f"{key} must be an integer, got {raw!r}", lineno)
             values[key] = int(v)
         else:
@@ -103,14 +104,13 @@ def parse_scenario_text(text: str) -> Scenario:
     # Name the user index when the demand list is short, the most common slip.
     k = values["K"]
     r = values["R"]
-    if np.ndim(r) != 1 or len(r) != k:
-        got = 0 if np.ndim(r) == 0 else len(np.atleast_1d(r))
+    if r.ndim == 1 and len(r) < k:
         raise ConfigParseError(
-            f"R has {got} entries but K={k}; missing demand for user {got + 1}",
-            where.get("R"))
+            f"R has {len(r)} entries but K={k}; missing demand for user {len(r) + 1}",
+            where["R"])
     try:
         return Scenario(**values)
-    except ScenarioError as exc:
+    except ValueError as exc:
         raise ConfigParseError(f"invalid scenario: {exc}") from exc
 
 
@@ -130,28 +130,12 @@ def write_scenario(s: Scenario, path) -> None:
             return "[" + ", ".join(fmt(v) for v in a) + "]"
         return "[" + ", ".join(fmt_arr(row) for row in a) + "]"
 
-    lines = [
-        f"K = {s.K}",
-        f"user_pos = {fmt_arr(s.user_pos)}",
-        f"R = {fmt_arr(s.R)}",
-        f"H = {fmt(s.H)}",
-        f"T = {fmt(s.T)}",
-        f"N = {s.N}",
-        f"P_u = {fmt(s.P_u)}",
-        f"eta = {fmt(s.eta)}",
-        f"B = {fmt(s.B)}",
-        f"sigma2 = {fmt(s.sigma2)}",
-        f"Gamma = {fmt(s.Gamma)}",
-        f"beta0 = {fmt(s.beta0)}",
-        f"M = {fmt(s.M)}",
-        f"gamma_c = {fmt(s.gamma_c)}",
-        f"W_mass = {fmt(s.W_mass)}",
-        f"V_max = {fmt(s.V_max)}",
-        f"q0 = {fmt_arr(s.q0)}",
-        f"qF = {fmt_arr(s.qF)}",
-        f"xi = {fmt(s.xi)}",
-        f"xi1 = {fmt(s.xi1)}",
-    ]
+    lines = []
+    for field in dataclasses.fields(Scenario):
+        v = getattr(s, field.name)
+        text = (fmt_arr(v) if isinstance(v, np.ndarray)
+                else str(v) if isinstance(v, int) else fmt(v))
+        lines.append(f"{field.name} = {text}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

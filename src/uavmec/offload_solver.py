@@ -19,7 +19,6 @@ works in Mbit / GHz / mJ, which conditions the multipliers to order one.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,7 +40,6 @@ __all__ = [
     "OffloadKkt",
     "InfeasibleTrajectoryError",
     "DualIterationLimitError",
-    "DualRecoveryError",
     "recover_primal",
     "dual_value",
     "lagrangian_value",
@@ -58,15 +56,13 @@ _PRICE = _BIT / _EN
 
 
 class InfeasibleTrajectoryError(SolverError):
-    """The demand cannot be met with the energy this trajectory delivers."""
+    """A user's demand is not certified by the spend-as-harvested policy on
+    this trajectory (a sufficient test, so the demand may still be
+    feasible)."""
 
 
 class DualIterationLimitError(SolverError):
     """Dual ascent stalled before reaching the requested KKT tolerance."""
-
-
-class DualRecoveryError(SolverError, ValueError):
-    """Dual iterate outside recoverable region (caller must project)."""
 
 
 @dataclass(frozen=True)
@@ -101,14 +97,6 @@ class DualState:
     @classmethod
     def zeros(cls, K: int, N: int) -> "DualState":
         return cls(mu=np.zeros(K), nu=np.zeros((K, N)), theta=np.zeros(N))
-
-    @property
-    def recovery_feasible(self) -> bool:
-        """The last price must dominate the mid-horizon prefix prices,
-        otherwise the UAV-frequency closed form has no real root."""
-        n = self.theta.shape[0]
-        mid = float(np.sum(self.theta[1 : n - 1]))
-        return self.theta[n - 1] >= mid - 1e-12 * max(1.0, mid)
 
 
 @dataclass(frozen=True)
@@ -151,16 +139,18 @@ class OffloadSolution:
 # ---------------------------------------------------------------------------
 
 class _ScaledP2:
-    """Per-trajectory constants in Mbit / GHz / mJ units."""
+    """Per-trajectory constants in Mbit / GHz / mJ units, for the scenario's
+    users picked by ``users`` (an index or slice; all of them by default)."""
 
-    def __init__(self, s: Scenario, traj):
-        self.K, self.N = s.K, s.N
-        self.eharv = harvest_increments(s, traj) / _EN             # (K, N) mJ
-        self.a_tx = s.lam * s.Gamma * s.sigma2 / channel_gains(s, traj) / _EN   # (K, N) mJ
+    def __init__(self, s: Scenario, traj, users=slice(None)):
+        self.N = s.N
+        self.eharv = harvest_increments(s, traj)[users] / _EN      # (K, N) mJ
+        self.a_tx = s.lam * s.Gamma * s.sigma2 / channel_gains(s, traj)[users] / _EN  # (K, N) mJ
         self.bl = s.B * s.lam / _BIT                               # Mbit per subslot
         self.bits_f = s.slot * _FREQ / s.M / _BIT                  # Mbit per GHz-slot
         self.c_f = s.gamma_c * s.slot * _FREQ ** 3 / _EN           # mJ per GHz^3-slot
-        self.R = s.R / _BIT                                        # Mbit
+        self.R = s.R[users] / _BIT                                 # Mbit
+        self.K = self.R.shape[0]
         self.l_cap = EXPONENT_CAP * self.bl
         self.f_cap = np.maximum(self.R / self.bits_f, 1.0)         # (K,) GHz
         self.a_ln2 = self.a_tx[:, : self.N - 1] * math.log(2.0)   # TX slots' a_tx ln 2
@@ -173,15 +163,6 @@ class _ScaledP2:
         self.slot_min = np.minimum.outer(slots, slots)
         self.first_max = np.maximum.outer(self.first, self.first)
         self.after_first = slots[:, None] >= self.first
-
-    def rows(self, users) -> "_ScaledP2":
-        """The instance restricted to a subset of user indices (the pricing
-        problem after provably self-sufficient users are presolved)."""
-        sub = copy.copy(self)
-        sub.K = len(users)
-        for name in ("eharv", "a_tx", "R", "f_cap", "a_ln2", "cum_eharv"):
-            setattr(sub, name, getattr(self, name)[users])
-        return sub
 
     def tx_energy(self, l: np.ndarray) -> np.ndarray:
         return self.a_tx * (np.exp2(np.minimum(l, self.l_cap) / self.bl) - 1.0)
@@ -291,12 +272,10 @@ def recover_primal(s: Scenario, traj, d: DualState):
     """Minimizer (l, f_user, f_uav) of the Lagrangian at the given prices (SI).
 
     Where a user's energy-price tail vanishes under a positive bit price,
-    the minimizer puts that slot's bits and cycles at their caps.  Raises
-    :class:`DualRecoveryError` when the price state is outside the
-    recoverable cone (the UAV-frequency root would be imaginary).
+    the minimizer puts that slot's bits and cycles at their caps.  Every
+    nonnegative price state has one: a UAV slot whose price gap is negative
+    idles.
     """
-    if not d.recovery_feasible:
-        raise DualRecoveryError("dual iterate outside recoverable region")
     point = _recover_scaled(_ScaledP2(s, traj), *_duals_to_scaled(d))
     return _primal_from_scaled(*point.primal)
 
@@ -631,16 +610,19 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
              warm: DualState | None = None) -> OffloadSolution:
     """Optimal offload/CPU schedule for a fixed trajectory.
 
-    Pipeline: feasibility probe, presolve of self-sufficient users, a
-    start for the multipliers, then projected Newton ascent of the dual
-    (:func:`minimize`, called directly).  The
-    probe and the cold start read one run of the spend-as-harvested
-    policy.  The start is ``warm``, the prices of a nearby schedule (the
-    previous path's, in the planner), when the users that survive the
-    presolve are exactly those with a positive ``warm.mu``; otherwise it
-    is derived from that policy.  The dominating last UAV price becomes a
-    slack variable, which turns the admissible price cone into the box
-    z >= 0.  Each price point is recovered once, as the closed-form
+    Pipeline: presolve of self-sufficient users, feasibility probe of the
+    users left, a start for their multipliers, then projected Newton
+    ascent of the dual (:func:`minimize`, called directly).  The presolve
+    fixes a local-only schedule for every user that has one; only the
+    users left (``poor``) are priced, on one :class:`_ScaledP2` built for
+    them.  The probe and the cold start read one run of the
+    spend-as-harvested policy on those users.  The start is ``warm``, the
+    prices of a nearby schedule (the previous path's, in the planner),
+    when the users left are exactly those with a positive ``warm.mu``;
+    otherwise it is derived from that policy.  The ascent searches the
+    prices whose last UAV price dominates the mid ones; that price becomes
+    a slack variable, which turns the search region into the box z >= 0.
+    Each price point is recovered once, as the closed-form
     Lagrangian minimizer; the dual value and gradient and, at accepted
     iterates, the KKT residuals and the analytic dual Hessian (per-user
     prefix and suffix sums) all read that minimizer.  Once the KKT residuals
@@ -651,23 +633,15 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
     ``trace`` holds one (iteration, dual value [J], max KKT residual) row
     per iterate, the start first.
 
-    Raises :class:`InfeasibleTrajectoryError` when the feasibility probe
-    fails, :class:`DualIterationLimitError` when ascent stalls above
+    Raises :class:`InfeasibleTrajectoryError` when the probe does not
+    certify a user left by the presolve (the message names its scenario
+    index), :class:`DualIterationLimitError` when ascent stalls above
     ``tol`` and ``ValueError`` when ``warm`` does not fit the scenario.
     """
     N = s.N
     if warm is not None and warm.nu.shape != (s.K, N):
         raise ValueError(f"warm prices of shape {warm.nu.shape} for {s.K} users "
                          f"over {N} slots")
-
-    sp = _ScaledP2(s, traj)
-    split = _policy_split_scaled(sp)
-    margins = _margins(sp, split)
-    if np.any(margins < 0.0):
-        k = int(np.argmin(margins))
-        raise InfeasibleTrajectoryError(
-            f"infeasible for this trajectory: user {k} short by "
-            f"{-margins[k]:.4g} bits under the spend-as-harvested policy")
 
     # Presolve: a user whose whole demand fits a local-only schedule inside
     # its causal budget never offloads and prices at zero.  Left in the
@@ -689,19 +663,27 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
     bits_sah = f_sah.sum(axis=1) * s.slot / s.M
     local = ~rich & (bits_sah >= s.R)
     f_full[local] = f_sah[local] * (s.R[local] / bits_sah[local])[:, None]
-    poor = np.where(~(rich | local))[0]
+    poor = np.flatnonzero(~(rich | local))
 
     if poor.size == 0:
         return OffloadSolution(l=l_full, f_user=f_full, f_uav=np.zeros(N),
                                duals=DualState.zeros(s.K, N), objective=0.0,
                                dual_objective=0.0, kkt=OffloadKkt(0.0, 0.0, 0.0))
 
-    sp = sp.rows(poor)
+    sp = _ScaledP2(s, traj, poor)
+    split = _policy_split_scaled(sp)
+    margins = _margins(sp, split)
+    if np.any(margins < 0.0):
+        k = int(np.argmin(margins))
+        raise InfeasibleTrajectoryError(
+            f"infeasible for this trajectory: user {poor[k]} short by "
+            f"{-margins[k]:.4g} bits under the spend-as-harvested policy")
+
     if warm is not None and np.array_equal(np.flatnonzero(warm.mu > 0.0), poor):
         mu, nu, theta = _duals_to_scaled(warm)
         mu, nu = mu[poor], nu[poor]
     else:
-        mu, nu, theta = _warm_start(sp, [part[poor] for part in split])
+        mu, nu, theta = _warm_start(sp, split)
     slack = max(theta[N - 1] - theta[1 : N - 1].sum(), 0.0)
     z = _pack(mu, nu, theta[1 : N - 1], slack)
     opt = minimize(sp, z, tol)

@@ -67,6 +67,19 @@ def test_missing_demand_names_user(table2):
         parse_scenario_text(text)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("K", "nan"), ("K", "inf"), ("N", "inf"),
+    ("user_pos", "[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]"),
+    ("R", "[[1, 2], [3, 4], [5, 6], [7, 8]]"),
+])
+def test_malformed_field_is_a_parse_error(table2, field, value):
+    """Non-finite counts and arrays of the wrong shape end in
+    ConfigParseError, not in another exception from the model."""
+    with pytest.raises(ConfigParseError) as exc:
+        parse_scenario_text(_render(table2, **{field: value}))
+    assert "missing demand" not in str(exc.value)
+
+
 def test_missing_required_field(table2):
     text = "\n".join(ln for ln in _render(table2).splitlines()
                      if not ln.startswith("B ="))
@@ -115,8 +128,9 @@ def _render(s, **overrides) -> str:
 def test_empty_schemes_rejected(tmp_path):
     with pytest.raises(ValueError, match="schemes"):
         RunConfig(scenario_path="x.cfg", schemes=())
-    with pytest.raises(ValueError, match="duration is named twice"):
-        RunConfig(scenario_path="x.cfg", T_sweep=(2.0, 2.2, 2.0))
+    for sweep in ((2.0, 2.2, 2.0), (2.0, 2.0000001)):
+        with pytest.raises(ValueError, match="duration is named twice"):
+            RunConfig(scenario_path="x.cfg", T_sweep=sweep)
 
 
 def test_unknown_scheme_rejected():
@@ -208,6 +222,13 @@ def test_cli_bad_scenario_path(tmp_path):
     code = main(["--scenario", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+def test_cli_malformed_scenario_exits_2(tmp_path, table2, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_render(table2, K="nan"))
+    assert main(["--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "K must be an integer" in capsys.readouterr().err
 
 
 def test_cli_sweep_workers(tmp_path, ref_cfg):

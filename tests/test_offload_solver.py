@@ -16,7 +16,6 @@ from uavmec.offload_solver import (
     probe_feasibility,
     InfeasibleTrajectoryError,
     DualIterationLimitError,
-    DualRecoveryError,
     _ScaledP2,
     _warm_start,
     _policy_split_scaled,
@@ -67,13 +66,17 @@ def test_recovery_first_uav_slot_always_zero(ref_solution, ref2x6, ref2x6_traj):
     assert fu[0] == 0.0
 
 
-def test_recovery_rejects_price_cone_violation(ref2x6, ref2x6_traj):
+def test_recovery_idles_uav_without_dominating_last_price(ref2x6, ref2x6_traj):
+    """A mid UAV price with no dominating last one leaves every UAV price
+    gap negative: the minimizer idles the UAV, and the dual value is the
+    Lagrangian there."""
     s = ref2x6
     theta = np.zeros(s.N)
     theta[1] = 1.0                              # mid price with no dominating last
     d = DualState(mu=np.zeros(s.K), nu=np.zeros((s.K, s.N)), theta=theta)
-    with pytest.raises(DualRecoveryError):
-        recover_primal(s, ref2x6_traj, d)
+    plan_part = recover_primal(s, ref2x6_traj, d)
+    assert not plan_part[2].any()
+    assert dual_value(s, ref2x6_traj, d) == lagrangian_value(s, ref2x6_traj, plan_part, d)
 
 
 @st.composite
@@ -324,7 +327,7 @@ def test_kkt_max_is_nan_if_any_residual_is():
 
 
 def test_rows_subsets_every_per_user_array(table2):
-    """The restricted instance ``sp.rows(u)`` prices exactly like the
+    """The instance ``_ScaledP2(s, traj, u)`` prices exactly like the
     instance built from a scenario holding only users u on the same path.
     Halving the users doubles each user's TX subslot, so bandwidth and
     capacity gap are halved to keep the same physics bit for bit."""
@@ -340,7 +343,7 @@ def test_rows_subsets_every_per_user_array(table2):
         args = (mu[users] * rng.uniform(0.1, 10.0, users.size),
                 nu[users] * rng.uniform(0.1, 10.0, (users.size, table2.N)),
                 theta * rng.uniform(0.5, 2.0, table2.N))
-        restricted = _recover_scaled(sp.rows(users), *args)
+        restricted = _recover_scaled(_ScaledP2(table2, traj, users), *args)
         own = _recover_scaled(_ScaledP2(sub, traj), *args)
         for a, b in zip(restricted, own):
             for x, y in (zip(a, b) if isinstance(a, tuple) else [(a, b)]):
@@ -371,6 +374,37 @@ def test_large15_schedule_ends_typed(ref2x6):
 def test_probe_positive_on_reference(ref2x6, ref2x6_traj):
     margins = probe_feasibility(ref2x6, ref2x6_traj)
     assert np.all(margins > 0.0)
+
+
+def _rich_user(**overrides):
+    """One user at the start of a fast dash: its harvest comes early, so the
+    constant frequency fits inside it, while spending each slot's harvest
+    as it comes delivers less than the demand."""
+    fields = dict(K=1, N=10, T=2.0, H=10.0, user_pos=[[0.0, 0.0]], R=[5e5], P_u=1e5,
+                  eta=0.8, B=1e3, sigma2=1e-9, Gamma=1.0, beta0=1e-5, M=1e3,
+                  gamma_c=1e-28, W_mass=9.65, V_max=100.0, q0=[0.0, 0.0], qF=[100.0, 0.0])
+    s = Scenario(**{**fields, **overrides})
+    return s, straight_line_trajectory(s)
+
+
+def test_presolved_user_is_not_probed():
+    """The probe runs on the users the presolve leaves: a user whose
+    constant frequency fits its harvest is planned locally although the
+    spend-as-harvested policy falls short of its demand."""
+    s, traj = _rich_user()
+    assert probe_feasibility(s, traj)[0] < 0.0
+    sol = solve_p2(s, traj)
+    assert not sol.l.any() and sol.objective == 0.0
+    plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
+    assert check_constraints(s, plan).feasible(1e-6)
+
+
+def test_infeasible_error_names_the_scenario_user():
+    """A starved user behind a presolved one is named by its index in the
+    scenario, not in the priced subset."""
+    s, traj = _rich_user(K=2, user_pos=[[0.0, 0.0], [100.0, 0.0]], R=[5e5, 5e7])
+    with pytest.raises(InfeasibleTrajectoryError, match="user 1 short"):
+        solve_p2(s, traj)
 
 
 def test_probe_and_solver_flag_starved_instance(ref2x6, ref2x6_traj):
@@ -575,15 +609,18 @@ def test_random_scenarios_match_oracle(seed):
 
 
 def test_weak_duality_at_random_prices(ref2x6, ref2x6_traj, ref_oracle):
-    """The dual value is a lower bound on the optimum at any admissible
-    price state, not just along the solver's own path."""
+    """The dual value is a lower bound on the optimum at any nonnegative
+    price state, not just along the solver's own path, also where the last
+    UAV price does not dominate the mid ones."""
     _, oracle_obj = ref_oracle
     rng = np.random.default_rng(3)
     K, N = ref2x6.K, ref2x6.N
-    for _ in range(25):
+    for i in range(50):
         theta = np.zeros(N)
         theta[1 : N - 1] = rng.uniform(0.0, 2e-7, N - 2)
-        theta[N - 1] = theta[1 : N - 1].sum() + rng.uniform(0.0, 5e-7)
+        mid = theta[1 : N - 1].sum()
+        # The last half leaves the last price below the mid prices' sum.
+        theta[N - 1] = mid + rng.uniform(0.0, 5e-7) if i < 25 else rng.uniform(0.0, mid)
         d = DualState(mu=rng.uniform(0.0, 1e-6, K),
                       nu=rng.uniform(0.0, 300.0, (K, N)),
                       theta=theta)
