@@ -17,7 +17,6 @@ import contextlib
 import ctypes
 import dataclasses
 import importlib.util
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -36,7 +35,6 @@ class RunConfig:
     schemes: tuple[str, ...] = SCHEMES
     T_sweep: tuple[float, ...] | None = None
     output_dir: str = "results"
-    xi1: float | None = None
     verbose: bool = False
     workers: int = 1
 
@@ -52,8 +50,6 @@ class RunConfig:
         sweep = self.T_sweep or ()
         if len({f"{T:g}" for T in sweep}) < len(sweep):
             raise ValueError(f"a duration is named twice in {self.T_sweep}")
-        if self.xi1 is not None and (not (self.xi1 > 0) or not math.isfinite(self.xi1)):
-            raise ValueError(f"xi1 must be positive and finite, got {self.xi1}")
 
 
 def _fmt(v: float) -> str:
@@ -105,21 +101,21 @@ def _cell_dir(out: Path, cell: SweepCell) -> Path:
 def run(cfg: RunConfig) -> int:
     """Execute all requested cells, write result files, print the summary.
 
-    Returns the process exit status: 0 iff every cell converged.
+    Returns the process exit status: 0 iff every cell converged, 2 when
+    the scenario cannot be read or the output directory cannot be made.
     """
+    out = Path(cfg.output_dir)
     try:
         s = load_scenario(cfg.scenario_path)
-    except (ConfigParseError, FileNotFoundError) as exc:
+        out.mkdir(parents=True, exist_ok=True)
+    except (ConfigParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     T_values = sorted(cfg.T_sweep) if cfg.T_sweep else [s.T]
 
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     def plan(T):
-        return _run_duration(s, T, cfg.schemes, cfg.xi1)
+        return _run_duration(s, T, cfg.schemes)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -203,8 +199,6 @@ def main(argv=None) -> int:
     parser.add_argument("--sweep-T", default=None,
                         help="comma list of mission durations [s]")
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--xi1", type=float, default=None,
-                        help="outer-loop energy tolerance override [J]")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads over sweep durations")
     parser.add_argument("--verbose", action="store_true")
@@ -220,8 +214,8 @@ def main(argv=None) -> int:
             parser.error(f"--sweep-T must be a comma list of numbers, got {args.sweep_T!r}")
     try:
         cfg = RunConfig(scenario_path=args.scenario, schemes=schemes,
-                        T_sweep=sweep, output_dir=args.out, xi1=args.xi1,
-                        verbose=args.verbose, workers=max(1, args.workers))
+                        T_sweep=sweep, output_dir=args.out, verbose=args.verbose,
+                        workers=max(1, args.workers))
     except ValueError as exc:
         parser.error(str(exc))
     with _one_blas_thread():

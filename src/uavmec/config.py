@@ -115,8 +115,12 @@ def parse_scenario_text(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario file."""
-    return parse_scenario_text(Path(path).read_text())
+    """Read and validate a UTF-8 scenario file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_scenario_text(text)
 
 
 def write_scenario(s: Scenario, path) -> None:

@@ -130,11 +130,12 @@ class Scenario:
         if int(self.N) != self.N or self.N < 2:
             raise ScenarioError(f"N must be an integer >= 2, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "user_pos",
-                           _as_array(self.user_pos, (self.K, 2), "user_pos"))
-        object.__setattr__(self, "R", _as_array(self.R, (self.K,), "R"))
-        object.__setattr__(self, "q0", _as_array(self.q0, (2,), "q0"))
-        object.__setattr__(self, "qF", _as_array(self.qF, (2,), "qF"))
+        for name, shape in (("user_pos", (self.K, 2)), ("R", (self.K,)),
+                            ("q0", (2,)), ("qF", (2,))):
+            a = _as_array(getattr(self, name), shape, name)
+            if not np.all(np.isfinite(a)):
+                raise ScenarioError(f"{name} entries must be finite")
+            object.__setattr__(self, name, a)
         positive = {
             "H": self.H, "T": self.T, "P_u": self.P_u, "B": self.B,
             "sigma2": self.sigma2, "Gamma": self.Gamma, "beta0": self.beta0,

@@ -53,6 +53,8 @@ _FREQ = 1e9
 _EN = 1e-3
 # Bit-price multipliers (per-bit prices) scale by mJ/Mbit over J/bit.
 _PRICE = _BIT / _EN
+_TOL = 1e-6            # scaled KKT tolerance a schedule solve must meet
+_MAX_STEPS = 200       # dual ascent iterates at most
 
 
 class InfeasibleTrajectoryError(SolverError):
@@ -570,18 +572,19 @@ class _Ascent(NamedTuple):
     nfev: int
 
 
-def minimize(sp: _ScaledP2, z, tol: float, maxiter: int = 200) -> _Ascent:
+def minimize(sp: _ScaledP2, z) -> _Ascent:
     """Projected Newton ascent of the dual of ``sp`` from the packed prices
     ``z``: :func:`_newton_step` iterated.
 
     Each point is evaluated once (:func:`_neg_dual_and_grad`), and an
     accepted point's KKT residuals and Hessian read that evaluation.  Once
-    the scaled KKT max is within ``tol``, each step is one full polish
+    the scaled KKT max is within ``_TOL``, each step is one full polish
     step that must shrink the natural residual (one evaluation), and the
-    first that does not ends the loop.  The caller checks ``kkt`` against
-    ``tol``.  The name stays because the benchmark traces this binding
-    and reads ``nit`` and ``nfev`` off its result; renaming it waits for a
-    benchmark that no longer does.
+    first that does not ends the loop, as does the ``_MAX_STEPS``-th
+    iterate.  The caller checks ``kkt`` against ``_TOL``.  The name stays
+    because the benchmark traces this binding and reads ``nit`` and
+    ``nfev`` off its result; renaming it waits for a benchmark that no
+    longer does.
     """
     nfev = 0
 
@@ -594,20 +597,19 @@ def minimize(sp: _ScaledP2, z, tol: float, maxiter: int = 200) -> _Ascent:
     res = _natural_residual(z, ev[1])
     damping = 1.0
     trace: list[tuple[int, float, float]] = []
-    for it in range(1, maxiter + 1):
+    for it in range(1, _MAX_STEPS + 1):
         phi, _, point = ev
         kkt = _residuals_scaled(sp, point)
         trace.append((it, -phi * _EN, kkt.max()))
-        step = (None if it == maxiter else
-                _newton_step(sp, evaluate, z, ev, res, damping, polish=kkt.max() <= tol))
+        step = (None if it == _MAX_STEPS else
+                _newton_step(sp, evaluate, z, ev, res, damping, polish=kkt.max() <= _TOL))
         if step is None:
             break
         z, ev, res, damping = step
     return _Ascent(point=point, kkt=kkt, trace=trace, nit=it - 1, nfev=nfev)
 
 
-def solve_p2(s: Scenario, traj, tol: float = 1e-6,
-             warm: DualState | None = None) -> OffloadSolution:
+def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolution:
     """Optimal offload/CPU schedule for a fixed trajectory.
 
     Pipeline: presolve of self-sufficient users, feasibility probe of the
@@ -626,17 +628,17 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
     Lagrangian minimizer; the dual value and gradient and, at accepted
     iterates, the KKT residuals and the analytic dual Hessian (per-user
     prefix and suffix sums) all read that minimizer.  Once the KKT residuals
-    of the minimizer are within ``tol``, ascent continues by full Newton
-    steps for as long as each shrinks the natural residual (one evaluation
-    per step, typically one or two steps to the rounding floor); the last
-    minimizer is returned.
-    ``trace`` holds one (iteration, dual value [J], max KKT residual) row
-    per iterate, the start first.
+    of the minimizer are within ``_TOL`` (1e-6), ascent continues by full
+    Newton steps for as long as each shrinks the natural residual (one
+    evaluation per step, typically one or two steps to the rounding floor);
+    the last minimizer is returned.  ``trace`` holds one (iteration, dual
+    value [J], max KKT residual) row per iterate, the start first, at most
+    ``_MAX_STEPS`` (200) rows.
 
     Raises :class:`InfeasibleTrajectoryError` when the probe does not
     certify a user left by the presolve (the message names its scenario
-    index), :class:`DualIterationLimitError` when ascent stalls above
-    ``tol`` and ``ValueError`` when ``warm`` does not fit the scenario.
+    index), :class:`DualIterationLimitError` when ascent ends above
+    ``_TOL`` and ``ValueError`` when ``warm`` does not fit the scenario.
     """
     N = s.N
     if warm is not None and warm.nu.shape != (s.K, N):
@@ -686,11 +688,11 @@ def solve_p2(s: Scenario, traj, tol: float = 1e-6,
         mu, nu, theta = _warm_start(sp, split)
     slack = max(theta[N - 1] - theta[1 : N - 1].sum(), 0.0)
     z = _pack(mu, nu, theta[1 : N - 1], slack)
-    opt = minimize(sp, z, tol)
-    if not opt.kkt.max() <= tol:
+    opt = minimize(sp, z)
+    if not opt.kkt.max() <= _TOL:
         raise DualIterationLimitError(
             f"dual iteration limit after {opt.nit} Newton steps and {opt.nfev} "
-            f"evaluations: residuals {opt.kkt} above tol {tol}")
+            f"evaluations: residuals {opt.kkt} above tol {_TOL}")
     mu, nu, theta = opt.point.mu, opt.point.nu, opt.point.theta
     l, f, fu = opt.point.primal
 

@@ -5,9 +5,10 @@ then takes joint path steps, re-solving the schedule after each.  The
 schedule duals give the gradient of the optimal compute energy along the
 path (Danskin's theorem); a step minimizes propulsion plus that
 linearization under the speed caps, a convex QCQP, and predicts its energy
-decrease.  The planner stops once that prediction is within ``xi1`` and
-otherwise takes the step, halved until the re-solved mission energy falls,
-so the recorded energy trace is nonincreasing.
+decrease.  The planner stops once that prediction is within ``s.xi1``
+and otherwise takes the step, halved until the re-solved mission energy
+falls, so the recorded energy trace is nonincreasing; ``_MAX_OUTER``
+bounds the iterations.
 
 Two fixed benchmark paths ship with the planner: a constant-speed straight
 dash between the endpoints, and a constant-speed semicircle whose diameter
@@ -25,7 +26,6 @@ Nothing is shared across durations or calls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -69,6 +69,7 @@ __all__ = [
 
 SCHEMES = ("proposed", "straight-line", "semi-circle")
 _DASH_BLEND = 1e-2     # dash weight in each joint step's strictly feasible start
+_MAX_OUTER = 50        # planner iterations before status "iteration-limit"
 
 
 class InfeasibleScenarioError(SolverError):
@@ -168,6 +169,9 @@ def semicircle_trajectory(s: Scenario) -> np.ndarray:
     return traj
 
 
+_PATHS = {"straight-line": straight_line_trajectory, "semi-circle": semicircle_trajectory}
+
+
 def _same_scenario(a: Scenario, b: Scenario) -> bool:
     return a is b or all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
                          for f in fields(Scenario))
@@ -175,11 +179,9 @@ def _same_scenario(a: Scenario, b: Scenario) -> bool:
 
 def _initial_trajectory(s: Scenario, init) -> np.ndarray:
     if isinstance(init, str):
-        if init == "straight":
-            return straight_line_trajectory(s)
-        if init == "semi-circle":
-            return semicircle_trajectory(s)
-        raise ValueError(f"unknown initialization {init!r}")
+        if init not in _PATHS:
+            raise ValueError(f"unknown initialization {init!r}; pick from {tuple(_PATHS)}")
+        return _PATHS[init](s)
     traj = np.asarray(init, dtype=float)
     if traj.shape != (s.N + 1, 2):
         raise ValueError(f"initial trajectory must be {(s.N + 1, 2)}, got {traj.shape}")
@@ -247,22 +249,22 @@ def _mission_energy(s: Scenario, traj, sol: OffloadSolution) -> float:
 
 
 def _descend(s: Scenario, traj, sol: OffloadSolution, step, gain: float,
-             energy: float, xi1: float, tol: float):
+             energy: float):
     """Halve the joint step until the re-solved mission energy drops below
     ``energy``.  Every re-solve starts from the prices of ``sol``, the
     schedule at ``traj``: the path moves little, so they are near the
     candidate's.  Returns (traj, schedule, energy) of the accepted point,
-    or None once the halved step's model decrease is within ``xi1``.  A
+    or None once the halved step's model decrease is within ``s.xi1``.  A
     step that ends on a speed cap may pass it by a rounding error."""
     alpha = 1.0
-    while gain * alpha * (2.0 - alpha) > xi1:
+    while gain * alpha * (2.0 - alpha) > s.xi1:
         cand = traj + alpha * step
         alpha *= 0.5
         speeds = np.linalg.norm(np.diff(cand, axis=0), axis=1) / s.slot
         if np.max(speeds) > s.V_max * (1.0 + 1e-12):
             continue
         try:
-            cand_sol = solve_p2(s, cand, tol=tol, warm=sol.duals)
+            cand_sol = solve_p2(s, cand, warm=sol.duals)
         except InfeasibleTrajectoryError:
             continue
         cand_energy = _mission_energy(s, cand, cand_sol)
@@ -271,27 +273,22 @@ def _descend(s: Scenario, traj, sol: OffloadSolution, step, gain: float,
     return None
 
 
-def run_algorithm1(s: Scenario, init="straight", xi1: float | None = None,
-                   max_outer: int = 50, tol: float = 1e-6) -> PlannerResult:
+def run_algorithm1(s: Scenario, init="straight-line") -> PlannerResult:
     """Take capped joint steps until the plan is jointly stationary.
 
-    ``init`` selects the starting path ("straight", "semi-circle", or an
-    explicit (N+1, 2) array), where the schedule is solved first (its
-    feasibility probe failing raises :class:`InfeasibleScenarioError`), or
-    is a :class:`PlannerResult` planned for ``s`` (a baseline's, say), whose
-    path and converged schedule are the start as they stand; a result
-    planned for another scenario raises ``ValueError``.  Each later
-    iteration takes the :func:`joint_step`, halved until the
-    re-solved mission energy falls.  Status "converged": the step predicts
-    a decrease within ``xi1``; "stalled": no halving predicting more than
-    ``xi1`` lowers the energy; "iteration-limit": ``max_outer`` was hit (the
-    last iterate is returned rather than failing).  ``xi1`` must be
-    positive and finite (``ValueError`` otherwise): the halving loop ends
-    only once the predicted decrease falls within it.
+    ``init`` selects the starting path (a fixed path by its scheme name,
+    "straight-line" or "semi-circle", or an explicit (N+1, 2) array), where
+    the schedule is solved first (its feasibility probe failing raises
+    :class:`InfeasibleScenarioError`), or is a :class:`PlannerResult`
+    planned for ``s`` (a baseline's, say), whose path and converged
+    schedule are the start as they stand; a result planned for another
+    scenario raises ``ValueError``.  Each later iteration takes the
+    :func:`joint_step`, halved until the re-solved mission energy falls.
+    Status "converged": the step predicts a decrease within ``s.xi1``;
+    "stalled": no halving predicting more than ``s.xi1`` lowers the energy;
+    "iteration-limit": ``_MAX_OUTER`` (50) iterations were taken (the last
+    iterate is returned rather than failing).
     """
-    xi1 = s.xi1 if xi1 is None else float(xi1)
-    if not (xi1 > 0) or not math.isfinite(xi1):
-        raise ValueError(f"xi1 must be positive and finite, got {xi1}")
     if isinstance(init, PlannerResult):
         if not _same_scenario(init.scenario, s):
             raise ValueError("initial result was planned for another scenario")
@@ -299,19 +296,19 @@ def run_algorithm1(s: Scenario, init="straight", xi1: float | None = None,
     else:
         traj = _initial_trajectory(s, init)
         try:
-            sol = solve_p2(s, traj, tol=tol)
+            sol = solve_p2(s, traj)
         except InfeasibleTrajectoryError as exc:
             raise InfeasibleScenarioError(
                 f"infeasible scenario on the initial path: {exc}") from exc
 
     trace = [(1, _mission_energy(s, traj, sol))]
     status = "iteration-limit"
-    for i in range(2, max_outer + 1):
+    for i in range(2, _MAX_OUTER + 1):
         step, gain = joint_step(s, traj, sol)
-        if gain <= xi1:
+        if gain <= s.xi1:
             status = "converged"
             break
-        found = _descend(s, traj, sol, step, gain, trace[-1][1], xi1, tol)
+        found = _descend(s, traj, sol, step, gain, trace[-1][1])
         if found is None:
             status = "stalled"
             break
@@ -324,8 +321,7 @@ def run_algorithm1(s: Scenario, init="straight", xi1: float | None = None,
                          outer_trace=tuple(trace), scheme="proposed", status=status)
 
 
-def run_baseline(s: Scenario, scheme: str, tol: float = 1e-6,
-                 init: PlannerResult | None = None) -> PlannerResult:
+def run_baseline(s: Scenario, scheme: str, init: PlannerResult | None = None) -> PlannerResult:
     """Fix the path to a benchmark shape and solve the schedule once.
 
     ``init``, a :class:`PlannerResult` planned for ``s`` (the straight-line
@@ -336,13 +332,10 @@ def run_baseline(s: Scenario, scheme: str, tol: float = 1e-6,
     """
     if init is not None and not _same_scenario(init.scenario, s):
         raise ValueError("initial result was planned for another scenario")
-    if scheme == "straight-line":
-        traj = straight_line_trajectory(s)
-    elif scheme == "semi-circle":
-        traj = semicircle_trajectory(s)
-    else:
+    if scheme not in _PATHS:
         raise ValueError(f"unknown baseline scheme {scheme!r}")
-    sol = solve_p2(s, traj, tol=tol, warm=None if init is None else init.schedule.duals)
+    traj = _PATHS[scheme](s)
+    sol = solve_p2(s, traj, warm=None if init is None else init.schedule.duals)
     plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
     ledger = evaluate_ledger(s, plan)
     return PlannerResult(scenario=s, plan=plan, ledger=ledger, schedule=sol,
@@ -350,8 +343,7 @@ def run_baseline(s: Scenario, scheme: str, tol: float = 1e-6,
                          scheme=scheme, status="converged")
 
 
-def _run_duration(s: Scenario, T: float, schemes: Sequence[str],
-                  xi1: float | None = None, tol: float = 1e-6) -> list[SweepCell]:
+def _run_duration(s: Scenario, T: float, schemes: Sequence[str]) -> list[SweepCell]:
     """Re-derive the timing for duration ``T`` and plan each scheme there.
 
     The straight-line baseline is planned first, and the other schemes
@@ -368,10 +360,9 @@ def _run_duration(s: Scenario, T: float, schemes: Sequence[str],
         try:
             st = s.with_T(T)
             if scheme == "proposed":
-                result = run_algorithm1(st, init="straight" if start is None else start,
-                                        xi1=xi1, tol=tol)
+                result = run_algorithm1(st, init="straight-line" if start is None else start)
             else:
-                result = run_baseline(st, scheme, tol=tol, init=start)
+                result = run_baseline(st, scheme, init=start)
         except (ScenarioError, SolverError) as exc:
             failure = "infeasible" if isinstance(exc, _INFEASIBLE) else "failed"
             cells[scheme] = SweepCell(T=T, scheme=scheme, result=None, error=str(exc),
@@ -384,8 +375,7 @@ def _run_duration(s: Scenario, T: float, schemes: Sequence[str],
 
 
 def sweep_T(s: Scenario, T_values: Iterable[float],
-            schemes: Sequence[str] = SCHEMES, xi1: float | None = None,
-            tol: float = 1e-6) -> list[SweepCell]:
+            schemes: Sequence[str] = SCHEMES) -> list[SweepCell]:
     """Re-derive the timing for each mission duration and run every scheme.
 
     Output is ordered by T (ascending), then by the given scheme order.
@@ -393,4 +383,4 @@ def sweep_T(s: Scenario, T_values: Iterable[float],
     sweep.
     """
     return [cell for T in sorted(float(t) for t in T_values)
-            for cell in _run_duration(s, T, schemes, xi1, tol)]
+            for cell in _run_duration(s, T, schemes)]

@@ -42,7 +42,12 @@ __all__ = [
 ]
 
 _BARRIER_MU = 10.0          # barrier parameter growth per outer iteration
+_GAP_TOL = 1e-9             # duality-gap bound m / t of solve and phase 1
+_MAX_OUTER = 60             # barrier outer iterations before "max-iter"
 _NEWTON_TOL = 1e-10         # Newton decrement^2 / 2 threshold
+_CENTER_STEPS = 100         # damped Newton steps per centering
+_PHASE1_CAP = 1.0           # phase 1 stops raising the margin at this cap
+_PHASE1_PROX = 1e-9         # phase 1's proximal pull toward the hint
 _LS_ALPHA = 0.25            # Armijo fraction
 _LS_BETA = 0.5              # backtracking shrink factor
 
@@ -157,13 +162,13 @@ class Rows:
         np.add.at(q, (self.row, self.j, self.k), self.val)
         return [(q[i], self.c[i], float(self.d[i])) for i in range(self.m)]
 
-    def lifted(self, s_cap: float) -> "Rows":
-        """Phase-1 rows in (x, s): g_i(x) + s <= 0, then the cap s <= s_cap."""
+    def lifted(self) -> "Rows":
+        """Phase-1 rows in (x, s): g_i(x) + s <= 0, then the cap s <= _PHASE1_CAP."""
         c = np.zeros((self.m + 1, self.dim + 1))
         c[:-1, :-1] = self.c
         c[:, -1] = 1.0
         return Rows(self.dim + 1, self.row, self.j, self.k, self.val, c,
-                    np.append(self.d, -s_cap))
+                    np.append(self.d, -_PHASE1_CAP))
 
     def quad_forms(self, x) -> np.ndarray:
         """(m,) values of 0.5 x'Qi x."""
@@ -316,7 +321,7 @@ def _newton_solve(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(hess, -grad, rcond=None)[0]
 
 
-def _center(obj, rows: Rows, x: np.ndarray, t: float, max_steps: int = 100):
+def _center(obj, rows: Rows, x: np.ndarray, t: float):
     """Damped Newton minimization of the barrier objective at fixed t.
 
     Along a fixed direction every constraint restricts to an exact
@@ -330,7 +335,7 @@ def _center(obj, rows: Rows, x: np.ndarray, t: float, max_steps: int = 100):
     val, grad, hess, g, gx = _grad_hess_barrier(obj, rows, x, t)
     if not np.isfinite(val):
         return x
-    for _ in range(max_steps):
+    for _ in range(_CENTER_STEPS):
         dx = _newton_solve(hess, grad)
         decr2 = float(-grad @ dx)
         if not np.isfinite(decr2) or decr2 <= 0:
@@ -382,35 +387,36 @@ def _strictly_feasible(p: QcqpProblem, x, margin: float = 0.0) -> bool:
     return bool(np.all(p.ineq_values(x) < -margin))
 
 
-def phase1(p: QcqpProblem, x_hint=None, s_cap: float = 1.0,
-           tol: float = 1e-9, prox: float = 1e-9) -> tuple[np.ndarray, float, str]:
-    """Maximize the slack margin s subject to g_i(x) <= -s.
+def phase1(p: QcqpProblem, x_hint=None) -> tuple[np.ndarray, float, str]:
+    """Maximize the slack margin s subject to g_i(x) <= -s, up to the cap
+    ``_PHASE1_CAP`` (1), until the barrier's duality gap is within
+    ``_GAP_TOL``.
 
     Returns (x, margin, status) with status "feasible" when margin > 0 and
     "infeasible" otherwise.  A tiny proximal pull toward the hint keeps the
     Newton systems full rank (the raw margin objective has no curvature of
-    its own); it perturbs the reported margin by at most prox times the
-    squared drift.
+    its own); it perturbs the reported margin by at most ``_PHASE1_PROX``
+    times the squared drift.
     """
     if p.m == 0:
         x = np.zeros(p.dim) if x_hint is None else np.asarray(x_hint, dtype=float)
         return x, float("inf"), "feasible"
     x0 = np.zeros(p.dim) if x_hint is None else np.asarray(x_hint, dtype=float).copy()
     g0 = p.ineq_values(x0)
-    if np.all(g0 < -0.01 * s_cap):
+    if np.all(g0 < -0.01 * _PHASE1_CAP):
         return x0, float(-np.max(g0)), "feasible"
 
     n = p.dim
-    q_prox = 2.0 * prox * np.eye(n + 1)
+    q_prox = 2.0 * _PHASE1_PROX * np.eye(n + 1)
     q_prox[-1, -1] = 0.0
-    c_prox = np.concatenate([-2.0 * prox * x0, [-1.0]])
-    obj = (q_prox, c_prox, prox * float(x0 @ x0))
-    rows = p.rows.lifted(s_cap)
+    c_prox = np.concatenate([-2.0 * _PHASE1_PROX * x0, [-1.0]])
+    obj = (q_prox, c_prox, _PHASE1_PROX * float(x0 @ x0))
+    rows = p.rows.lifted()
 
-    s0 = min(-float(np.max(g0)) - 1.0, s_cap - 1.0)
+    s0 = min(-float(np.max(g0)) - 1.0, _PHASE1_CAP - 1.0)
     z = np.concatenate([x0, [s0]])
     t = 1.0
-    while rows.m / t > tol:
+    while rows.m / t > _GAP_TOL:
         z = _center(obj, rows, z, t)
         t *= _BARRIER_MU
     x, s = z[:n], float(z[-1])
@@ -418,8 +424,7 @@ def phase1(p: QcqpProblem, x_hint=None, s_cap: float = 1.0,
     return x, s, status
 
 
-def _barrier(p: QcqpProblem, tol: float, max_iter: int,
-             x0) -> tuple[np.ndarray, np.ndarray, str, float, list]:
+def _barrier(p: QcqpProblem, x0) -> tuple[np.ndarray, np.ndarray, str, float, list]:
     """Log-barrier outer loop from a strictly feasible start."""
     q0, c0, _ = p.objective
     if p.m == 0:
@@ -446,9 +451,9 @@ def _barrier(p: QcqpProblem, tol: float, max_iter: int,
         gap = float(np.sum(lam * (-g)))
         trace.append((t, p.objective_value(x), gap))
         outer += 1
-        if p.m / t <= tol:
+        if p.m / t <= _GAP_TOL:
             return x, lam, "optimal", gap, trace
-        if outer >= max_iter:
+        if outer >= _MAX_OUTER:
             return x, lam, "max-iter", gap, trace
         t *= _BARRIER_MU
 
@@ -516,22 +521,23 @@ def _polish(p: QcqpProblem, x: np.ndarray, lam: np.ndarray, t_final: float):
     return best
 
 
-def solve(p: QcqpProblem, tol: float = 1e-9, max_iter: int = 60,
-          x0=None) -> QcqpSolution:
-    """Solve a convex QCQP to the requested duality-gap tolerance.
+def solve(p: QcqpProblem, x0=None) -> QcqpSolution:
+    """Solve a convex QCQP until the barrier's duality gap is within
+    ``_GAP_TOL`` (1e-9); after ``_MAX_OUTER`` (60) centerings it ends
+    "max-iter".
 
     ``x0`` is an optional strictly feasible hint; phase 1 runs otherwise.
     Raises :class:`QcqpInfeasibleError` when phase 1 certifies that no
     strictly feasible point exists.
     """
-    x, lam, status, gap, trace = _barrier(p, tol, max_iter, x0)
+    x, lam, status, gap, trace = _barrier(p, x0)
     if status == "optimal" and p.m > 0:
         t_final = trace[-1][0]
         x, lam = _polish(p, x, lam, t_final)
         gap = float(np.sum(lam * (-p.ineq_values(x))))
     kkt = kkt_residuals(p, x, lam)
     # Fails closed: a NaN residual is not within the bound.
-    if status == "optimal" and not kkt.max() <= max(np.sqrt(tol), 1e-6) * (
+    if status == "optimal" and not kkt.max() <= np.sqrt(_GAP_TOL) * (
             1.0 + abs(p.objective_value(x))):
         status = "max-iter"
     return QcqpSolution(x=x, lambdas=lam, status=status, kkt=kkt,

@@ -34,6 +34,8 @@ __all__ = [
     "solve_p3",
 ]
 
+_SCA_MAX_ITERS = 100        # refinement rounds before ScaIterationLimitError
+
 
 class ExpansionInfeasibleError(SolverError, ValueError):
     """Expansion point violates the speed, endpoint or causality constraints."""
@@ -242,18 +244,17 @@ class ScaState:
     trajectory_history: list = field(default_factory=list)
 
 
-def solve_p3(s: Scenario, plan_part, init_traj, xi: float | None = None,
-             max_iters: int = 100) -> tuple[np.ndarray, ScaState]:
+def solve_p3(s: Scenario, plan_part, init_traj) -> tuple[np.ndarray, ScaState]:
     """Refine the path at a fixed schedule until the iterates stop moving.
 
     Convergence test: total point displacement between successive paths at
-    most ``xi`` (scenario default).  Every iterate satisfies the true
-    energy-causality constraints because each subproblem is a restriction.
+    most ``s.xi``, within ``_SCA_MAX_ITERS`` (100) rounds.  Every iterate
+    satisfies the true energy-causality constraints because each
+    subproblem is a restriction.
     """
-    xi = s.xi if xi is None else float(xi)
     traj = np.asarray(init_traj, dtype=float).copy()
     state = ScaState(iterations=0)
-    for _ in range(max_iters):
+    for _ in range(_SCA_MAX_ITERS):
         asm = assemble_p4(s, plan_part, traj)
         x_exp = asm.pack(traj)
         # A schedule that saturates its budgets pins the path: the
@@ -279,7 +280,7 @@ def solve_p3(s: Scenario, plan_part, init_traj, xi: float | None = None,
         state.trajectory_history.append(new_traj.copy())
         disp = float(np.sum(np.linalg.norm(new_traj - traj, axis=1)))
         traj = new_traj
-        if disp <= xi:
+        if disp <= s.xi:
             return traj, state
-    raise ScaIterationLimitError(
-        f"SCA iteration limit: displacement {disp:.3g} > xi={xi} after {max_iters} rounds")
+    raise ScaIterationLimitError(f"SCA iteration limit: displacement {disp:.3g} "
+                                 f"> xi={s.xi} after {_SCA_MAX_ITERS} rounds")

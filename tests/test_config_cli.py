@@ -1,6 +1,7 @@
 import ctypes
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,12 +142,25 @@ def test_unknown_scheme_rejected():
 
 
 @pytest.mark.parametrize("xi1", [-1.0, 0.0, float("nan"), float("inf")])
-def test_nonpositive_or_nonfinite_xi1_rejected(xi1, capsys):
-    with pytest.raises(ValueError, match="xi1"):
-        RunConfig(scenario_path="x.cfg", xi1=xi1)
-    with pytest.raises(SystemExit) as exc:
-        main(["--scenario", "x.cfg", "--xi1", repr(xi1)])
-    assert exc.value.code == 2 and "xi1 must be positive" in capsys.readouterr().err
+def test_nonpositive_or_nonfinite_xi1_rejected(tmp_path, table2, xi1, capsys):
+    """xi1 is set in the scenario file only, and the scenario refuses a
+    tolerance the planner's halving loop could not end on."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_render(table2, xi1=repr(xi1)))
+    assert main(["--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "xi1 must be positive" in capsys.readouterr().err
+
+
+def test_readme_flags_match_help(capsys):
+    """README's "Flags:" paragraph names exactly the options that
+    ``uavmec --help`` prints, so a removed flag cannot stay documented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("Flags:")
+    documented = set(re.findall(r"--[a-zA-Z][\w-]*", readme[start:readme.index("\n\n", start)]))
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    printed = set(re.findall(r"--[a-zA-Z][\w-]*", capsys.readouterr().out)) - {"--help"}
+    assert documented == printed
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +243,37 @@ def test_cli_malformed_scenario_exits_2(tmp_path, table2, capsys):
     cfg.write_text(_render(table2, K="nan"))
     assert main(["--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "K must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"q0": "[1e999, 0.0]", "qF": "[1e999, 0.0]"}, "q0"),
+    ({"R": "[1e999, 4e6, 6e6, 3e6]"}, "R"),
+])
+def test_cli_nonfinite_array_exits_2(tmp_path, table2, capsys, overrides, field):
+    """An overflowing array entry is a scenario error (exit 2), not a
+    solver crash or a cell short by inf bits."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_render(table2, **overrides))
+    assert main(["--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{field} entries must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["scenario-is-directory", "scenario-not-utf8", "out-is-file"])
+def test_cli_unusable_path_exits_2(tmp_path, ref_cfg, capsys, case):
+    """A scenario path that is a directory or not UTF-8 text, and an
+    output path that is a file, are reported as errors with exit 2 (exit 1
+    means a cell did not converge)."""
+    scenario, out = ref_cfg, tmp_path / "out"
+    if case == "scenario-is-directory":
+        scenario = tmp_path
+    elif case == "scenario-not-utf8":
+        scenario = tmp_path / "binary.cfg"
+        scenario.write_bytes(b"K = 2\n\xff\xfe\n")
+    else:
+        out.write_text("")
+    assert main(["--scenario", str(scenario), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_sweep_workers(tmp_path, ref_cfg):

@@ -40,6 +40,18 @@ def test_scenario_rejects_bad_eta(table2):
         Scenario(**{**_fields(table2), "eta": 1.5})
 
 
+@pytest.mark.parametrize("overrides", [
+    {"q0": [1e999, 0.0], "qF": [1e999, 0.0]},     # the dash reads nan > V_max: False
+    {"qF": [10.0, np.nan]},
+    {"R": [1e999, 4e6, 6e6, 3e6]},
+    {"user_pos": [[0.0, 0.0], [0.0, 10.0], [np.nan, 10.0], [10.0, 0.0]]},
+])
+def test_scenario_rejects_nonfinite_arrays(table2, overrides):
+    field = next(iter(overrides))
+    with pytest.raises(ScenarioError, match=f"{field} entries must be finite"):
+        Scenario(**{**_fields(table2), **overrides})
+
+
 def _fields(s: Scenario) -> dict:
     return {name: getattr(s, name) for name in s.__dataclass_fields__}
 

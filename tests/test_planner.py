@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
-from uavmec.model import Scenario, check_constraints, evaluate_ledger
+from uavmec.model import Scenario, ScenarioError, check_constraints, evaluate_ledger
 from uavmec.offload_solver import DualState, solve_p2
 from uavmec.planner import (
     run_algorithm1,
@@ -237,8 +237,11 @@ def test_infeasible_scenario_raises(ref2x6):
         run_algorithm1(starved)
 
 
-def test_iteration_limit_status(ref2x6):
-    res = run_algorithm1(ref2x6, max_outer=1)
+def test_iteration_limit_status(ref2x6, monkeypatch):
+    from uavmec import planner
+
+    monkeypatch.setattr(planner, "_MAX_OUTER", 1)
+    res = run_algorithm1(ref2x6)
     assert res.status == "iteration-limit"
     assert res.iterations == 1
 
@@ -246,12 +249,10 @@ def test_iteration_limit_status(ref2x6):
 @pytest.mark.parametrize("xi1", [-1.0, 0.0, float("nan"), float("inf")])
 def test_nonpositive_or_nonfinite_xi1_rejected(ref2x6, xi1):
     """The halving loop ends only once the predicted decrease is within a
-    positive xi1; a plain ValueError also ends a sweep instead of being
-    recorded as an infeasible cell."""
-    with pytest.raises(ValueError, match="xi1"):
-        run_algorithm1(ref2x6, xi1=xi1)
-    with pytest.raises(ValueError, match="xi1"):
-        sweep_T(ref2x6, [ref2x6.T], schemes=("proposed",), xi1=xi1)
+    positive xi1, and the planner reads xi1 only from its scenario, which
+    refuses any other."""
+    with pytest.raises(ScenarioError, match="xi1"):
+        Scenario(**{**_fields(ref2x6), "xi1": xi1})
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -285,10 +286,10 @@ def test_sweep_solves_each_straight_schedule_once(ref2x6, monkeypatch):
 
     cold_straight = []
 
-    def counted(s, traj, tol=1e-6, warm=None):
+    def counted(s, traj, warm=None):
         if warm is None and np.array_equal(traj, straight_line_trajectory(s)):
             cold_straight.append(s.T)
-        return solve_p2(s, traj, tol=tol, warm=warm)
+        return solve_p2(s, traj, warm=warm)
 
     monkeypatch.setattr(planner, "solve_p2", counted)
     cells = sweep_T(ref2x6, [1.2, 1.4])
@@ -309,10 +310,10 @@ def test_sweep_semicircle_starts_from_straight_prices(ref2x6, monkeypatch):
 
     semi_warm = []
 
-    def recorded(s, traj, tol=1e-6, warm=None):
+    def recorded(s, traj, warm=None):
         if np.array_equal(traj, semicircle_trajectory(s)):
             semi_warm.append(warm)
-        return solve_p2(s, traj, tol=tol, warm=warm)
+        return solve_p2(s, traj, warm=warm)
 
     monkeypatch.setattr(planner, "solve_p2", recorded)
     cells = sweep_T(ref2x6, [1.2, 1.4], schemes=("semi-circle", "straight-line"))
@@ -434,8 +435,14 @@ def test_semicircle_start_descends_to_straight_start_energy(ref2x6):
 
 
 def test_explicit_array_initialization(ref2x6):
-    from_straight = run_algorithm1(ref2x6)
-    explicit = run_algorithm1(ref2x6, init=straight_line_trajectory(ref2x6))
-    assert explicit.uav_total == pytest.approx(from_straight.uav_total, rel=1e-9)
-    with pytest.raises(ValueError):
-        run_algorithm1(ref2x6, init="zigzag")
+    """``init`` names a fixed path as ``run_baseline`` names its scheme
+    ("straight-line" by default), and a name starts where that path's
+    array does."""
+    assert _same_result(run_algorithm1(ref2x6, init="straight-line"), run_algorithm1(ref2x6))
+    for name, path in (("straight-line", straight_line_trajectory(ref2x6)),
+                       ("semi-circle", semicircle_trajectory(ref2x6))):
+        assert _same_result(run_algorithm1(ref2x6, init=name),
+                            run_algorithm1(ref2x6, init=path))
+    for unknown in ("zigzag", "straight"):
+        with pytest.raises(ValueError, match="unknown initialization"):
+            run_algorithm1(ref2x6, init=unknown)

@@ -212,7 +212,7 @@ def test_nonfinite_multiplier_is_not_optimal(monkeypatch):
     p = qcqp.QcqpProblem.from_dense(1, (np.zeros((1, 1)), np.array([-1.0]), 0.0),
                                     [(np.zeros((1, 1)), np.array([1.0]), -1.0)])
 
-    def nan_barrier(p, tol, max_iter, x0):
+    def nan_barrier(p, x0):
         return np.array([0.5]), np.array([np.nan]), "optimal", 0.0, [(1e9, -0.5, 0.0)]
 
     monkeypatch.setattr(qcqp, "_barrier", nan_barrier)
@@ -233,7 +233,7 @@ def test_polish_clips_weakly_active_multiplier(monkeypatch):
         [(np.zeros((2, 2)), np.array([1.0, 0.0]), -1.0),
          (np.zeros((2, 2)), np.array([0.0, 1.0]), -1.0)])
 
-    def off_center(p, tol, max_iter, x0):
+    def off_center(p, x0):
         x = np.array([1.0 - 1e-6, 1e-2])
         return x, np.array([1e-3, 1e-9]), "optimal", 0.0, [(1e9, p.objective_value(x), 0.0)]
 
