@@ -102,7 +102,8 @@ def run(cfg: RunConfig) -> int:
     """Execute all requested cells, write result files, print the summary.
 
     Returns the process exit status: 0 iff every cell converged, 2 when
-    the scenario cannot be read or the output directory cannot be made.
+    the scenario cannot be read or an output directory or file cannot be
+    made.
     """
     out = Path(cfg.output_dir)
     try:
@@ -126,25 +127,29 @@ def run(cfg: RunConfig) -> int:
 
     header = f"{'scheme':<14} {'T':>6} {'uav_total':>16} {'iterations':>11} {'status':>10}"
     summary = [header, "-" * len(header)]
-    for cell in cells:
-        if cell.result is not None:
-            res = cell.result
-            summary.append(f"{cell.scheme:<14} {cell.T:>6g} {res.uav_total:>16.6f} "
-                           f"{res.iterations:>11d} {res.status:>10}")
-            cell_dir = _cell_dir(out, cell)
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            _write_trajectory(cell_dir / "trajectory.txt", res)
-            _write_ledger(cell_dir / "ledger.txt", res)
-            _write_trace(cell_dir / "trace.txt", res)
-            if cfg.verbose:
-                _write_p2_trace(cell_dir / "offload_trace.txt", res)
-        else:
-            summary.append(f"{cell.scheme:<14} {cell.T:>6g} {'-':>16} {'-':>11} "
-                           f"{cell.status:>10}")
-            if cfg.verbose and cell.error:
-                summary.append(f"    {cell.error}")
-    table = "\n".join(summary) + "\n"
-    (out / "summary.txt").write_text(table)
+    try:
+        for cell in cells:
+            if cell.result is not None:
+                res = cell.result
+                summary.append(f"{cell.scheme:<14} {cell.T:>6g} {res.uav_total:>16.6f} "
+                               f"{res.iterations:>11d} {res.status:>10}")
+                cell_dir = _cell_dir(out, cell)
+                cell_dir.mkdir(parents=True, exist_ok=True)
+                _write_trajectory(cell_dir / "trajectory.txt", res)
+                _write_ledger(cell_dir / "ledger.txt", res)
+                _write_trace(cell_dir / "trace.txt", res)
+                if cfg.verbose:
+                    _write_p2_trace(cell_dir / "offload_trace.txt", res)
+            else:
+                summary.append(f"{cell.scheme:<14} {cell.T:>6g} {'-':>16} {'-':>11} "
+                               f"{cell.status:>10}")
+                if cfg.verbose and cell.error:
+                    summary.append(f"    {cell.error}")
+        table = "\n".join(summary) + "\n"
+        (out / "summary.txt").write_text(table)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(table, end="")
 
     failed = [c for c in cells if not c.converged]

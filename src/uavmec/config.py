@@ -26,12 +26,9 @@ __all__ = [
     "bundled_scenario",
 ]
 
-_SCALAR_FIELDS = ("H", "T", "P_u", "eta", "B", "sigma2", "Gamma", "beta0",
-                  "M", "gamma_c", "W_mass", "V_max", "xi", "xi1")
-_INT_FIELDS = ("K", "N")
-_ARRAY_FIELDS = ("user_pos", "R", "q0", "qF")
-_OPTIONAL = ("xi", "xi1")
-_ALL_FIELDS = _INT_FIELDS + _SCALAR_FIELDS + _ARRAY_FIELDS
+# Each field's kind is its annotation: "int", "float" or "np.ndarray".  A
+# field with a default may be left out.
+_FIELDS = {f.name: f for f in dataclasses.fields(Scenario)}
 
 
 class ConfigParseError(ValueError):
@@ -67,7 +64,6 @@ def _parse_scalar(raw: str, line: int) -> float:
 def parse_scenario_text(text: str) -> Scenario:
     """Parse scenario file contents into a validated :class:`Scenario`."""
     values: dict[str, object] = {}
-    where: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -77,19 +73,19 @@ def parse_scenario_text(text: str) -> Scenario:
                                    lineno)
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_FIELDS:
+        if key not in _FIELDS:
             raise ConfigParseError(f"unknown field {key!r}", lineno)
         if key in values:
             raise ConfigParseError(f"duplicate field {key!r}", lineno)
-        where[key] = lineno
-        if key in _ARRAY_FIELDS:
+        kind = _FIELDS[key].type
+        if kind == "np.ndarray":
             if not raw.startswith("["):
                 raise ConfigParseError(f"{key} must be a bracketed array", lineno)
             try:
                 values[key] = np.asarray(ast.literal_eval(raw), dtype=float)
             except (ValueError, SyntaxError) as exc:
                 raise ConfigParseError(f"bad array for {key}: {exc}", lineno) from None
-        elif key in _INT_FIELDS:
+        elif kind == "int":
             v = _parse_scalar(raw, lineno)
             if not v.is_integer():
                 raise ConfigParseError(f"{key} must be an integer, got {raw!r}", lineno)
@@ -97,17 +93,10 @@ def parse_scenario_text(text: str) -> Scenario:
         else:
             values[key] = _parse_scalar(raw, lineno)
 
-    missing = [f for f in _ALL_FIELDS if f not in values and f not in _OPTIONAL]
+    missing = [name for name, f in _FIELDS.items()
+               if name not in values and f.default is dataclasses.MISSING]
     if missing:
         raise ConfigParseError(f"missing required fields: {', '.join(missing)}")
-
-    # Name the user index when the demand list is short, the most common slip.
-    k = values["K"]
-    r = values["R"]
-    if r.ndim == 1 and len(r) < k:
-        raise ConfigParseError(
-            f"R has {len(r)} entries but K={k}; missing demand for user {len(r) + 1}",
-            where["R"])
     try:
         return Scenario(**values)
     except ValueError as exc:

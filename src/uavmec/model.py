@@ -27,8 +27,7 @@ Conventions
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -130,21 +129,20 @@ class Scenario:
         if int(self.N) != self.N or self.N < 2:
             raise ScenarioError(f"N must be an integer >= 2, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
+        if np.ndim(self.R) == 1 and np.size(self.R) < self.K:
+            # Name the user index when the demand list is short, the most common slip.
+            raise DimensionError(f"R has {np.size(self.R)} entries but K={self.K}; "
+                                 f"missing demand for user {np.size(self.R) + 1}")
         for name, shape in (("user_pos", (self.K, 2)), ("R", (self.K,)),
                             ("q0", (2,)), ("qF", (2,))):
             a = _as_array(getattr(self, name), shape, name)
             if not np.all(np.isfinite(a)):
                 raise ScenarioError(f"{name} entries must be finite")
             object.__setattr__(self, name, a)
-        positive = {
-            "H": self.H, "T": self.T, "P_u": self.P_u, "B": self.B,
-            "sigma2": self.sigma2, "Gamma": self.Gamma, "beta0": self.beta0,
-            "M": self.M, "gamma_c": self.gamma_c, "W_mass": self.W_mass,
-            "V_max": self.V_max, "xi": self.xi, "xi1": self.xi1,
-        }
-        for name, value in positive.items():
-            if not (value > 0) or not math.isfinite(value):
-                raise ScenarioError(f"{name} must be positive and finite, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and f.name != "eta" and not (0 < value < np.inf):
+                raise ScenarioError(f"{f.name} must be positive and finite, got {value}")
         if not (0.0 < self.eta <= 1.0):
             raise ScenarioError(f"eta must lie in (0, 1], got {self.eta}")
         if np.any(self.R < 0):
@@ -338,16 +336,7 @@ class ConstraintReport:
     signs: ConstraintCheck
 
     def entries(self) -> dict[str, ConstraintCheck]:
-        return {
-            "demand": self.demand,
-            "energy_causal": self.energy_causal,
-            "uav_causal": self.uav_causal,
-            "uav_balance": self.uav_balance,
-            "pipeline": self.pipeline,
-            "speed": self.speed,
-            "endpoints": self.endpoints,
-            "signs": self.signs,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def feasible(self, tol: float = 1e-6) -> bool:
         return all(c.ok(tol) for c in self.entries().values())
@@ -371,11 +360,7 @@ def check_constraints(s: Scenario, p: Plan) -> ConstraintReport:
     carries a natural scale so callers can apply a single relative
     tolerance across mixed units.
     """
-    p.validate_shapes(s)
-    gains = channel_gains(s, p.traj)
-    harvested = harvest_increments(s, p.traj)
-    local = s.gamma_c * s.slot * p.f_user ** 3
-    tx = tx_energy(s, gains, p.l)
+    led = evaluate_ledger(s, p)
 
     # Per-user bit balance: local bits over all N slots plus offloaded bits
     # over the first N-1 slots must equal the demand exactly.
@@ -387,8 +372,8 @@ def check_constraints(s: Scenario, p: Plan) -> ConstraintReport:
 
     # Energy causality: cumulative spending can never exceed cumulative
     # harvest, for every user and every prefix.
-    spend_prefix = np.cumsum(local + tx, axis=1)
-    harv_prefix = np.cumsum(harvested, axis=1)
+    spend_prefix = np.cumsum(led.local + led.tx, axis=1)
+    harv_prefix = np.cumsum(led.harvested, axis=1)
     gap = spend_prefix - harv_prefix
     energy_causal = ConstraintCheck(float(np.max(np.maximum(gap, 0.0))),
                                     float(np.max(harv_prefix[:, -1])))

@@ -6,9 +6,9 @@ schedule duals give the gradient of the optimal compute energy along the
 path (Danskin's theorem); a step minimizes propulsion plus that
 linearization under the speed caps, a convex QCQP, and predicts its energy
 decrease.  The planner stops once that prediction is within ``s.xi1``
-and otherwise takes the step, halved until the re-solved mission energy
-falls, so the recorded energy trace is nonincreasing; ``_MAX_OUTER``
-bounds the iterations.
+and otherwise takes the step, halved until the re-solved plan's mission
+energy (its ledger ``uav_total``) falls, so the recorded energy trace is
+nonincreasing; ``_MAX_OUTER`` bounds the iterations.
 
 Two fixed benchmark paths ship with the planner: a constant-speed straight
 dash between the endpoints, and a constant-speed semicircle whose diameter
@@ -26,7 +26,7 @@ Nothing is shared across durations or calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ from .model import (
     harvest_increments,
     tx_energy,
     evaluate_ledger,
-    propulsion_profile,
 )
 from .offload_solver import (
     OffloadSolution,
@@ -90,8 +89,7 @@ class PlannerResult:
     plan: Plan
     ledger: EnergyLedger
     schedule: OffloadSolution  # the schedule optimum on plan.traj
-    outer_trace: tuple       # ((iteration, mission energy [J]), ...)
-    scheme: str
+    outer_trace: tuple       # ((iteration, ledger uav_total [J]), ...)
     status: str              # "converged" | "iteration-limit" | "stalled"
 
     @property
@@ -244,32 +242,35 @@ def joint_step(s: Scenario, traj, sol: OffloadSolution) -> tuple[np.ndarray, flo
     return step, -float((q0 @ x + c0 + grad) @ dx + 0.5 * dx @ q0 @ dx)
 
 
-def _mission_energy(s: Scenario, traj, sol: OffloadSolution) -> float:
-    return float(np.sum(propulsion_profile(s, traj))) + s.T * s.P_u + sol.objective
+def _priced(s: Scenario, traj, sol: OffloadSolution) -> PlannerResult:
+    """The plan flying ``traj`` on schedule ``sol``, its ledger, and a
+    converged one-entry trace holding the ledger's ``uav_total``."""
+    plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
+    ledger = evaluate_ledger(s, plan)
+    return PlannerResult(scenario=s, plan=plan, ledger=ledger, schedule=sol,
+                         outer_trace=((1, ledger.uav_total),), status="converged")
 
 
-def _descend(s: Scenario, traj, sol: OffloadSolution, step, gain: float,
-             energy: float):
-    """Halve the joint step until the re-solved mission energy drops below
-    ``energy``.  Every re-solve starts from the prices of ``sol``, the
-    schedule at ``traj``: the path moves little, so they are near the
-    candidate's.  Returns (traj, schedule, energy) of the accepted point,
+def _descend(s: Scenario, res: PlannerResult, step, gain: float):
+    """Halve the joint step from ``res`` until the re-solved plan's ledger
+    ``uav_total`` drops below the one of ``res``.  Every re-solve starts
+    from the prices of ``res.schedule``: the path moves little, so they are
+    near the candidate's.  Returns the accepted candidate's priced result,
     or None once the halved step's model decrease is within ``s.xi1``.  A
     step that ends on a speed cap may pass it by a rounding error."""
     alpha = 1.0
     while gain * alpha * (2.0 - alpha) > s.xi1:
-        cand = traj + alpha * step
+        cand = res.plan.traj + alpha * step
         alpha *= 0.5
         speeds = np.linalg.norm(np.diff(cand, axis=0), axis=1) / s.slot
         if np.max(speeds) > s.V_max * (1.0 + 1e-12):
             continue
         try:
-            cand_sol = solve_p2(s, cand, warm=sol.duals)
+            found = _priced(s, cand, solve_p2(s, cand, warm=res.schedule.duals))
         except InfeasibleTrajectoryError:
             continue
-        cand_energy = _mission_energy(s, cand, cand_sol)
-        if cand_energy < energy:
-            return cand, cand_sol, cand_energy
+        if found.uav_total < res.uav_total:
+            return found
     return None
 
 
@@ -283,7 +284,8 @@ def run_algorithm1(s: Scenario, init="straight-line") -> PlannerResult:
     planned for ``s`` (a baseline's, say), whose path and converged
     schedule are the start as they stand; a result planned for another
     scenario raises ``ValueError``.  Each later iteration takes the
-    :func:`joint_step`, halved until the re-solved mission energy falls.
+    :func:`joint_step`, halved until the re-solved plan's ledger
+    ``uav_total`` falls; ``outer_trace`` holds those totals.
     Status "converged": the step predicts a decrease within ``s.xi1``;
     "stalled": no halving predicting more than ``s.xi1`` lowers the energy;
     "iteration-limit": ``_MAX_OUTER`` (50) iterations were taken (the last
@@ -292,7 +294,7 @@ def run_algorithm1(s: Scenario, init="straight-line") -> PlannerResult:
     if isinstance(init, PlannerResult):
         if not _same_scenario(init.scenario, s):
             raise ValueError("initial result was planned for another scenario")
-        traj, sol = init.plan.traj, init.schedule
+        res = init
     else:
         traj = _initial_trajectory(s, init)
         try:
@@ -300,25 +302,22 @@ def run_algorithm1(s: Scenario, init="straight-line") -> PlannerResult:
         except InfeasibleTrajectoryError as exc:
             raise InfeasibleScenarioError(
                 f"infeasible scenario on the initial path: {exc}") from exc
+        res = _priced(s, traj, sol)
 
-    trace = [(1, _mission_energy(s, traj, sol))]
+    trace = [(1, res.uav_total)]
     status = "iteration-limit"
     for i in range(2, _MAX_OUTER + 1):
-        step, gain = joint_step(s, traj, sol)
+        step, gain = joint_step(s, res.plan.traj, res.schedule)
         if gain <= s.xi1:
             status = "converged"
             break
-        found = _descend(s, traj, sol, step, gain, trace[-1][1])
+        found = _descend(s, res, step, gain)
         if found is None:
             status = "stalled"
             break
-        traj, sol, energy = found
-        trace.append((i, energy))
-
-    plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
-    ledger = evaluate_ledger(s, plan)
-    return PlannerResult(scenario=s, plan=plan, ledger=ledger, schedule=sol,
-                         outer_trace=tuple(trace), scheme="proposed", status=status)
+        res = found
+        trace.append((i, res.uav_total))
+    return replace(res, scenario=s, outer_trace=tuple(trace), status=status)
 
 
 def run_baseline(s: Scenario, scheme: str, init: PlannerResult | None = None) -> PlannerResult:
@@ -335,12 +334,8 @@ def run_baseline(s: Scenario, scheme: str, init: PlannerResult | None = None) ->
     if scheme not in _PATHS:
         raise ValueError(f"unknown baseline scheme {scheme!r}")
     traj = _PATHS[scheme](s)
-    sol = solve_p2(s, traj, warm=None if init is None else init.schedule.duals)
-    plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
-    ledger = evaluate_ledger(s, plan)
-    return PlannerResult(scenario=s, plan=plan, ledger=ledger, schedule=sol,
-                         outer_trace=((1, ledger.uav_total),),
-                         scheme=scheme, status="converged")
+    warm = None if init is None else init.schedule.duals
+    return _priced(s, traj, solve_p2(s, traj, warm=warm))
 
 
 def _run_duration(s: Scenario, T: float, schemes: Sequence[str]) -> list[SweepCell]:

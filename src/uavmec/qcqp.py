@@ -240,12 +240,17 @@ class QcqpProblem:
 
 @dataclass
 class QcqpSolution:
+    """A solve's point and multipliers, judged by their KKT residuals.
+
+    The barrier's duality gaps are in ``trace``; after the polish the
+    ``kkt`` residuals, not a gap, decide the "optimal" status.
+    """
+
     x: np.ndarray
     lambdas: np.ndarray
     status: str                      # "optimal" | "max-iter" | "infeasible"
     kkt: KktReport
     objective: float
-    gap: float
     # (barrier_t, objective, duality gap) after each outer centering
     trace: list[tuple[float, float, float]] = field(default_factory=list)
 
@@ -284,8 +289,6 @@ def _grad_hess_barrier(obj, rows: Rows, x: np.ndarray, t: float):
     val = t * (0.5 * x @ q0 @ x + c0 @ x + d0)
     grad = t * (q0 @ x + c0)
     hess = t * q0
-    if not rows.m:
-        return val, grad, hess, np.zeros(0), np.zeros((0, rows.dim))
     gx = rows.gradients(x)
     g = rows.values(x)
     if np.any(g >= 0.0):
@@ -424,14 +427,14 @@ def phase1(p: QcqpProblem, x_hint=None) -> tuple[np.ndarray, float, str]:
     return x, s, status
 
 
-def _barrier(p: QcqpProblem, x0) -> tuple[np.ndarray, np.ndarray, str, float, list]:
+def _barrier(p: QcqpProblem, x0) -> tuple[np.ndarray, np.ndarray, str, list]:
     """Log-barrier outer loop from a strictly feasible start."""
     q0, c0, _ = p.objective
     if p.m == 0:
         x, res, _, _ = np.linalg.lstsq(q0, -c0, rcond=None)
         if np.max(np.abs(q0 @ x + c0), initial=0.0) > 1e-8 * (1.0 + np.abs(c0).max(initial=0.0)):
             raise ValueError("objective is unbounded below (no constraints bind it)")
-        return x, np.zeros(0), "optimal", 0.0, [(np.inf, p.objective_value(x), 0.0)]
+        return x, np.zeros(0), "optimal", [(np.inf, p.objective_value(x), 0.0)]
 
     if x0 is not None and _strictly_feasible(p, x0, margin=1e-12):
         x = np.asarray(x0, dtype=float).copy()
@@ -448,13 +451,12 @@ def _barrier(p: QcqpProblem, x0) -> tuple[np.ndarray, np.ndarray, str, float, li
         x = _center(p.objective, p.rows, x, t)
         g = p.ineq_values(x)
         lam = 1.0 / (t * (-g))
-        gap = float(np.sum(lam * (-g)))
-        trace.append((t, p.objective_value(x), gap))
+        trace.append((t, p.objective_value(x), float(np.sum(lam * (-g)))))
         outer += 1
         if p.m / t <= _GAP_TOL:
-            return x, lam, "optimal", gap, trace
+            return x, lam, "optimal", trace
         if outer >= _MAX_OUTER:
-            return x, lam, "max-iter", gap, trace
+            return x, lam, "max-iter", trace
         t *= _BARRIER_MU
 
 
@@ -465,8 +467,6 @@ def _polish(p: QcqpProblem, x: np.ndarray, lam: np.ndarray, t_final: float):
     recomputed with the multipliers clipped at zero, are strictly better
     (a weakly active row can take a slightly negative multiplier).
     """
-    if p.m == 0:
-        return x, lam
     g = p.ineq_values(x)
     gscale = 1.0 + float(np.abs(g).max(initial=0.0))
     act_tol = max(np.sqrt(p.m / t_final) * gscale, 1e-9 * gscale)
@@ -530,15 +530,13 @@ def solve(p: QcqpProblem, x0=None) -> QcqpSolution:
     Raises :class:`QcqpInfeasibleError` when phase 1 certifies that no
     strictly feasible point exists.
     """
-    x, lam, status, gap, trace = _barrier(p, x0)
+    x, lam, status, trace = _barrier(p, x0)
     if status == "optimal" and p.m > 0:
-        t_final = trace[-1][0]
-        x, lam = _polish(p, x, lam, t_final)
-        gap = float(np.sum(lam * (-p.ineq_values(x))))
+        x, lam = _polish(p, x, lam, trace[-1][0])
     kkt = kkt_residuals(p, x, lam)
     # Fails closed: a NaN residual is not within the bound.
     if status == "optimal" and not kkt.max() <= np.sqrt(_GAP_TOL) * (
             1.0 + abs(p.objective_value(x))):
         status = "max-iter"
     return QcqpSolution(x=x, lambdas=lam, status=status, kkt=kkt,
-                        objective=p.objective_value(x), gap=gap, trace=trace)
+                        objective=p.objective_value(x), trace=trace)

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import importlib
 import os
 import re
@@ -17,6 +18,7 @@ from uavmec.config import (
     bundled_scenario,
 )
 from uavmec.cli import RunConfig, main
+from uavmec.model import Scenario
 
 
 # --- parsing -----------------------------------------------------------------
@@ -79,6 +81,23 @@ def test_malformed_field_is_a_parse_error(table2, field, value):
     with pytest.raises(ConfigParseError) as exc:
         parse_scenario_text(_render(table2, **{field: value}))
     assert "missing demand" not in str(exc.value)
+
+
+@pytest.mark.parametrize("key, line, message", [
+    ("T", "H = 10.0", "duplicate field 'H'"),
+    ("H", "H 10.0", "expected 'key = value'"),
+    ("R", "R = 2e6, 4e6, 6e6, 3e6", "R must be a bracketed array"),
+    ("R", "R = [2e6, 4e6,, 6e6, 3e6]", "bad array for R"),
+    ("P_u", "P_u = ten dBm", "cannot parse number 'ten'"),
+    ("P_u", "P_u = 50 dB m", "cannot parse value '50 dB m'"),
+])
+def test_parse_error_names_its_line(table2, key, line, message):
+    lines = _render(table2).splitlines()
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key} ="))
+    lines[idx] = line
+    with pytest.raises(ConfigParseError, match=rf"^line {idx + 1}: {re.escape(message)}") as exc:
+        parse_scenario_text("\n".join(lines))
+    assert exc.value.line == idx + 1
 
 
 def test_missing_required_field(table2):
@@ -163,6 +182,19 @@ def test_readme_flags_match_help(capsys):
     assert documented == printed
 
 
+def test_readme_fields_match_scenario():
+    """README's "Required fields" sentence names the Scenario fields without
+    a default, in order, and then those with one as optional."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("Required fields:") + len("Required fields:")
+    required, _, optional = readme[start:readme.index(")", start)].partition("(optional")
+    fields = dataclasses.fields(Scenario)
+    assert re.findall(r"\w+", required) == [
+        f.name for f in fields if f.default is dataclasses.MISSING]
+    assert re.findall(r"`(\w+)`", optional) == [
+        f.name for f in fields if f.default is not dataclasses.MISSING]
+
+
 @pytest.fixture(scope="module")
 def ref_cfg(tmp_path_factory, ref2x6):
     path = tmp_path_factory.mktemp("cfg") / "ref.cfg"
@@ -204,7 +236,6 @@ def test_cli_byte_identical_reruns(tmp_path, ref_cfg):
 
 
 def test_cli_infeasible_cell_exit_code(tmp_path, ref2x6):
-    from uavmec.model import Scenario
     fields = {n: getattr(ref2x6, n) for n in ref2x6.__dataclass_fields__}
     starved = Scenario(**{**fields, "P_u": 1.0})
     cfg = tmp_path / "starved.cfg"
@@ -230,6 +261,13 @@ def test_cli_solver_error_fails_only_its_cell(tmp_path, ref_cfg, monkeypatch):
     assert rows[0].split()[0] == "proposed" and rows[0].split()[-1] == "failed"
     assert rows[1].split()[0] == "straight-line" and rows[1].split()[-1] == "converged"
     assert (out / "straight-line_T1.2" / "ledger.txt").exists()
+
+
+def test_cli_bad_sweep_exits_2(tmp_path, ref_cfg, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", str(ref_cfg), "--sweep-T", "2,x", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--sweep-T must be a comma list of numbers" in capsys.readouterr().err
 
 
 def test_cli_bad_scenario_path(tmp_path):
@@ -258,19 +296,23 @@ def test_cli_nonfinite_array_exits_2(tmp_path, table2, capsys, overrides, field)
     assert f"{field} entries must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["scenario-is-directory", "scenario-not-utf8", "out-is-file"])
+@pytest.mark.parametrize("case", ["scenario-is-directory", "scenario-not-utf8", "out-is-file",
+                                  "cell-dir-is-file"])
 def test_cli_unusable_path_exits_2(tmp_path, ref_cfg, capsys, case):
     """A scenario path that is a directory or not UTF-8 text, and an
-    output path that is a file, are reported as errors with exit 2 (exit 1
-    means a cell did not converge)."""
+    output path or a cell directory's path that is a file, are reported as
+    errors with exit 2 (exit 1 means a cell did not converge)."""
     scenario, out = ref_cfg, tmp_path / "out"
     if case == "scenario-is-directory":
         scenario = tmp_path
     elif case == "scenario-not-utf8":
         scenario = tmp_path / "binary.cfg"
         scenario.write_bytes(b"K = 2\n\xff\xfe\n")
-    else:
+    elif case == "out-is-file":
         out.write_text("")
+    else:
+        out.mkdir()
+        (out / "proposed_T1.2").write_text("")
     assert main(["--scenario", str(scenario), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -246,6 +246,34 @@ def test_iteration_limit_status(ref2x6, monkeypatch):
     assert res.iterations == 1
 
 
+def test_stalled_when_no_halving_resolves(table2, monkeypatch):
+    """When every halving's warm re-solve fails, the run ends "stalled" at
+    its start: a checked plan whose one trace entry is its ledger total."""
+    from uavmec import planner
+    from uavmec.offload_solver import InfeasibleTrajectoryError
+
+    def cold_only(s, traj, warm=None):
+        if warm is not None:
+            raise InfeasibleTrajectoryError("warm re-solve refused")
+        return solve_p2(s, traj)
+
+    monkeypatch.setattr(planner, "solve_p2", cold_only)
+    res = run_algorithm1(table2)
+    assert res.status == "stalled"
+    assert res.outer_trace == ((1, res.uav_total),)
+    assert check_constraints(table2, res.plan).feasible(1e-6)
+
+
+def test_outer_trace_ends_at_the_ledger_total(table2):
+    """The descent prices every plan with its ledger, so the last trace
+    entry of each proposed cell is its reported uav_total exactly."""
+    cells = sweep_T(table2, [2.0, 2.2, 2.4])
+    proposed = [c.result for c in cells if c.scheme == "proposed"]
+    assert len(proposed) == 3
+    for res in proposed:
+        assert res.outer_trace[-1][1] == res.uav_total
+
+
 @pytest.mark.parametrize("xi1", [-1.0, 0.0, float("nan"), float("inf")])
 def test_nonpositive_or_nonfinite_xi1_rejected(ref2x6, xi1):
     """The halving loop ends only once the predicted decrease is within a

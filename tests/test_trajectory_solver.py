@@ -235,7 +235,7 @@ def test_non_optimal_subproblem_falls_back_to_expansion(table2, semi_p2, monkeyp
         return qcqp.QcqpSolution(x=np.full(p.dim, np.nan), lambdas=np.full(p.m, np.nan),
                                  status=status,
                                  kkt=qcqp.KktReport(np.inf, np.inf, np.inf, np.inf),
-                                 objective=np.nan, gap=np.nan)
+                                 objective=np.nan)
 
     monkeypatch.setattr(qcqp, "solve", broken)
     out, state = solve_p3(table2, slack, semi)
