@@ -2,12 +2,13 @@
 
 Writes one directory per (scheme, T) cell containing the trajectory,
 energy ledger and convergence trace as plain structured text, plus an
-aligned summary table.  Each duration's cells are planned together, so
-the proposed scheme starts from the straight-line baseline's solve and
-the semi-circle baseline's schedule solve from its prices; ``--workers``
-spreads the durations over a thread pool.  Identical inputs produce
-byte-identical outputs (the solvers are deterministic and nothing is
-randomized).
+aligned summary table.  The cells are planned by :func:`planner.sweep_T`:
+each duration's cells together, so the proposed scheme starts from the
+straight-line baseline's solve and the semi-circle baseline's schedule
+solve from its prices, and the durations in order, each straight-line
+solve starting from the previous duration's prices (cold when that cell
+failed or was not asked for).  Identical inputs produce byte-identical
+outputs (the solvers are deterministic and nothing is randomized).
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import ctypes
 import dataclasses
 import importlib.util
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .config import load_scenario, ConfigParseError
-from .planner import SCHEMES, PlannerResult, SweepCell, _run_duration
+from .planner import SCHEMES, PlannerResult, sweep_T
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -36,7 +36,6 @@ class RunConfig:
     T_sweep: tuple[float, ...] | None = None
     output_dir: str = "results"
     verbose: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if not self.schemes:
@@ -94,8 +93,8 @@ def _write_p2_trace(path: Path, result: PlannerResult) -> None:
         f"{it} {_fmt(g)} {_fmt(viol)}" for it, g, viol in result.p2_trace])
 
 
-def _cell_dir(out: Path, cell: SweepCell) -> Path:
-    return out / f"{cell.scheme}_T{cell.T:g}"
+def _cell_dir(out: Path, scheme: str, T: float) -> Path:
+    return out / f"{scheme}_T{T:g}"
 
 
 def run(cfg: RunConfig) -> int:
@@ -103,7 +102,8 @@ def run(cfg: RunConfig) -> int:
 
     Returns the process exit status: 0 iff every cell converged, 2 when
     the scenario cannot be read or an output directory or file cannot be
-    made.
+    made.  A cell directory's name taken by a file is found before any
+    cell is planned.
     """
     out = Path(cfg.output_dir)
     try:
@@ -113,17 +113,14 @@ def run(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    T_values = sorted(cfg.T_sweep) if cfg.T_sweep else [s.T]
-
-    def plan(T):
-        return _run_duration(s, T, cfg.schemes)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            per_T = list(pool.map(plan, T_values))
-    else:
-        per_T = [plan(T) for T in T_values]
-    cells = [cell for row in per_T for cell in row]
+    T_values = cfg.T_sweep or (s.T,)
+    for scheme in cfg.schemes:
+        for T in T_values:
+            cell_dir = _cell_dir(out, scheme, T)
+            if cell_dir.exists() and not cell_dir.is_dir():
+                print(f"error: cell directory {cell_dir} is taken by a file", file=sys.stderr)
+                return 2
+    cells = sweep_T(s, T_values, cfg.schemes)
 
     header = f"{'scheme':<14} {'T':>6} {'uav_total':>16} {'iterations':>11} {'status':>10}"
     summary = [header, "-" * len(header)]
@@ -133,7 +130,7 @@ def run(cfg: RunConfig) -> int:
                 res = cell.result
                 summary.append(f"{cell.scheme:<14} {cell.T:>6g} {res.uav_total:>16.6f} "
                                f"{res.iterations:>11d} {res.status:>10}")
-                cell_dir = _cell_dir(out, cell)
+                cell_dir = _cell_dir(out, cell.scheme, cell.T)
                 cell_dir.mkdir(parents=True, exist_ok=True)
                 _write_trajectory(cell_dir / "trajectory.txt", res)
                 _write_ledger(cell_dir / "ledger.txt", res)
@@ -205,7 +202,9 @@ def main(argv=None) -> int:
                         help="comma list of mission durations [s]")
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads over sweep durations")
+                        help="ignored: the durations are chained, so they run in order; "
+                             "the flag goes with the benchmark contract change of ROADMAP "
+                             "item 1, since bench/ still passes it")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -219,8 +218,7 @@ def main(argv=None) -> int:
             parser.error(f"--sweep-T must be a comma list of numbers, got {args.sweep_T!r}")
     try:
         cfg = RunConfig(scenario_path=args.scenario, schemes=schemes,
-                        T_sweep=sweep, output_dir=args.out, verbose=args.verbose,
-                        workers=max(1, args.workers))
+                        T_sweep=sweep, output_dir=args.out, verbose=args.verbose)
     except ValueError as exc:
         parser.error(str(exc))
     with _one_blas_thread():

@@ -301,37 +301,29 @@ def lagrangian_value(s: Scenario, traj, plan_part, d: DualState) -> float:
 
 def _policy_split_scaled(sp: _ScaledP2):
     """Spend-as-harvested policy: each slot's harvest increment is spent in
-    the same slot, split to maximize bits (no TX in the last slot).
+    the same slot, split to maximize bits (no TX in the last slot, which
+    spends it all locally).
 
+    Local bits grow as the cube root of the local energy x and TX bits as
+    log2 of the rest, so a slot's bit count is concave in x; 60 bisection
+    rounds on the sign of its slope find the best split to rounding.
     Returns (local bits, TX bits, local energy) as (K, N) scaled arrays.
     The policy is feasible by construction, so its totals lower-bound the
     deliverable bits per user.
     """
     e = sp.eharv
-    can_tx = np.ones((sp.K, sp.N), dtype=bool)
-    can_tx[:, -1] = False
-
-    def parts_for_split(x):
-        # x = energy given to local compute; the rest goes to TX
-        f = np.cbrt(np.maximum(x, 0.0) / sp.c_f)
-        loc = sp.bits_f * f
-        rest = np.maximum(e - x, 0.0)
-        tx = np.where(can_tx, sp.bl * np.log2(1.0 + rest / sp.a_tx), 0.0)
-        return loc, tx
-
-    lo = np.zeros_like(e)
-    hi = e.copy()
-    for _ in range(70):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        b1 = sum(parts_for_split(m1))
-        b2 = sum(parts_for_split(m2))
-        better_hi = b1 < b2
-        lo = np.where(better_hi, m1, lo)
-        hi = np.where(better_hi, hi, m2)
+    room = sp.a_tx + e                              # a_tx + e - x = room - x
+    loc_gain = sp.bits_f / (3.0 * np.cbrt(sp.c_f))  # local slope times x^(2/3)
+    tx_gain = sp.bl / math.log(2.0)                 # TX slope times (a_tx + e - x)
+    lo, hi = np.zeros_like(e), e.copy()
+    for _ in range(60):
+        x = 0.5 * (lo + hi)
+        rising = loc_gain * (room - x) > tx_gain * np.cbrt(x) ** 2
+        np.copyto(lo, x, where=rising)
+        np.copyto(hi, x, where=~rising)
     x = 0.5 * (lo + hi)
-    loc, tx = parts_for_split(x)
-    return loc, tx, x
+    x[:, -1] = e[:, -1]
+    return sp.bits_f * np.cbrt(x / sp.c_f), sp.bl * np.log2(1.0 + (e - x) / sp.a_tx), x
 
 
 def probe_feasibility(s: Scenario, traj) -> np.ndarray:

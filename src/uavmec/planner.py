@@ -21,7 +21,9 @@ proposed scheme starts from that baseline's result instead of solving the
 same schedule again.  The semi-circle baseline's schedule solve starts
 from the same result's prices: optimal multipliers move continuously with
 the problem data, so they start its dual ascent close to its optimum.
-Nothing is shared across durations or calls.
+For the same reason the durations are chained: each straight-line solve
+starts from the previous duration's straight-line prices, and cold when
+that cell failed or was not asked for.  Nothing is shared across calls.
 """
 
 from __future__ import annotations
@@ -323,13 +325,15 @@ def run_algorithm1(s: Scenario, init="straight-line") -> PlannerResult:
 def run_baseline(s: Scenario, scheme: str, init: PlannerResult | None = None) -> PlannerResult:
     """Fix the path to a benchmark shape and solve the schedule once.
 
-    ``init``, a :class:`PlannerResult` planned for ``s`` (the straight-line
-    baseline's, say), starts the schedule's dual ascent from its converged
-    prices; a result planned for another scenario raises ``ValueError``.
-    The optimal prices move continuously with the path, so another path's
-    are a near start; without ``init`` the ascent starts cold.
+    ``init``, a :class:`PlannerResult` planned for ``s`` at any duration
+    (the straight-line baseline's, say, here or at the previous swept
+    duration), starts the schedule's dual ascent from its converged
+    prices; only those are read.  A result planned for another scenario
+    raises ``ValueError``.  The optimal prices move continuously with the
+    path and the duration, so another path's or duration's are a near
+    start; without ``init`` the ascent starts cold.
     """
-    if init is not None and not _same_scenario(init.scenario, s):
+    if init is not None and not _same_scenario(init.scenario.with_T(s.T), s):
         raise ValueError("initial result was planned for another scenario")
     if scheme not in _PATHS:
         raise ValueError(f"unknown baseline scheme {scheme!r}")
@@ -338,44 +342,41 @@ def run_baseline(s: Scenario, scheme: str, init: PlannerResult | None = None) ->
     return _priced(s, traj, solve_p2(s, traj, warm=warm))
 
 
-def _run_duration(s: Scenario, T: float, schemes: Sequence[str]) -> list[SweepCell]:
-    """Re-derive the timing for duration ``T`` and plan each scheme there.
-
-    The straight-line baseline is planned first, and the other schemes
-    start from its result: the proposed scheme from its path and schedule,
-    the semi-circle baseline's schedule solve from its prices.  When that
-    cell failed or was not asked for, both start cold.  A scenario
-    error (the duration breaks an invariant) or a solver error ends only
-    its own cell: it is recorded as "infeasible" or "failed".  Cells come
-    back in ``schemes`` order.
-    """
-    cells: dict[str, SweepCell] = {}
-    start = None
-    for scheme in sorted(dict.fromkeys(schemes), key=lambda name: name != "straight-line"):
-        try:
-            st = s.with_T(T)
-            if scheme == "proposed":
-                result = run_algorithm1(st, init="straight-line" if start is None else start)
-            else:
-                result = run_baseline(st, scheme, init=start)
-        except (ScenarioError, SolverError) as exc:
-            failure = "infeasible" if isinstance(exc, _INFEASIBLE) else "failed"
-            cells[scheme] = SweepCell(T=T, scheme=scheme, result=None, error=str(exc),
-                                      failure=failure)
-        else:
-            cells[scheme] = SweepCell(T=T, scheme=scheme, result=result)
-            if scheme == "straight-line":
-                start = result
-    return [cells[scheme] for scheme in schemes]
-
-
 def sweep_T(s: Scenario, T_values: Iterable[float],
             schemes: Sequence[str] = SCHEMES) -> list[SweepCell]:
     """Re-derive the timing for each mission duration and run every scheme.
 
-    Output is ordered by T (ascending), then by the given scheme order.
-    Per-cell failures are captured in the cell instead of aborting the
-    sweep.
+    Durations run in ascending order.  At each, the straight-line baseline
+    is planned first, its schedule solve starting from the previous
+    duration's straight-line prices, and the other schemes start from its
+    result: the proposed scheme from its path and schedule, the
+    semi-circle baseline's schedule solve from its prices.  A solve whose
+    start would come from a cell that failed or was not asked for starts
+    cold.  A scenario error (the duration breaks an invariant) or a solver
+    error ends only its own cell: it is recorded as "infeasible" or
+    "failed".  Output is ordered by T, then by the given scheme order.
     """
-    return [cell for T in sorted(float(t) for t in T_values)
-            for cell in _run_duration(s, T, schemes)]
+    cells: list[SweepCell] = []
+    prev = None
+    for T in sorted(float(t) for t in T_values):
+        row: dict[str, SweepCell] = {}
+        start = None
+        for scheme in sorted(dict.fromkeys(schemes), key=lambda name: name != "straight-line"):
+            try:
+                st = s.with_T(T)
+                if scheme == "proposed":
+                    result = run_algorithm1(st, init="straight-line" if start is None else start)
+                else:
+                    result = run_baseline(st, scheme,
+                                          init=prev if scheme == "straight-line" else start)
+            except (ScenarioError, SolverError) as exc:
+                failure = "infeasible" if isinstance(exc, _INFEASIBLE) else "failed"
+                row[scheme] = SweepCell(T=T, scheme=scheme, result=None, error=str(exc),
+                                        failure=failure)
+            else:
+                row[scheme] = SweepCell(T=T, scheme=scheme, result=result)
+                if scheme == "straight-line":
+                    start = result
+        prev = start
+        cells += [row[scheme] for scheme in schemes]
+    return cells

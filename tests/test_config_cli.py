@@ -298,10 +298,16 @@ def test_cli_nonfinite_array_exits_2(tmp_path, table2, capsys, overrides, field)
 
 @pytest.mark.parametrize("case", ["scenario-is-directory", "scenario-not-utf8", "out-is-file",
                                   "cell-dir-is-file"])
-def test_cli_unusable_path_exits_2(tmp_path, ref_cfg, capsys, case):
+def test_cli_unusable_path_exits_2(tmp_path, ref_cfg, capsys, monkeypatch, case):
     """A scenario path that is a directory or not UTF-8 text, and an
     output path or a cell directory's path that is a file, are reported as
-    errors with exit 2 (exit 1 means a cell did not converge)."""
+    errors with exit 2 (exit 1 means a cell did not converge) before any
+    cell is planned."""
+    from uavmec import planner
+
+    calls = []
+    for name in ("run_algorithm1", "run_baseline"):
+        monkeypatch.setattr(planner, name, lambda *args, **kwargs: calls.append(args))
     scenario, out = ref_cfg, tmp_path / "out"
     if case == "scenario-is-directory":
         scenario = tmp_path
@@ -316,6 +322,7 @@ def test_cli_unusable_path_exits_2(tmp_path, ref_cfg, capsys, case):
     assert main(["--scenario", str(scenario), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert calls == []
 
 
 def test_cli_sweep_workers(tmp_path, ref_cfg):

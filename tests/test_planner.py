@@ -307,27 +307,72 @@ def test_sweep_ordering_and_consistency(ref2x6):
 
 
 def test_sweep_solves_each_straight_schedule_once(ref2x6, monkeypatch):
-    """Per duration, the proposed cell starts from the straight-line
-    baseline's schedule instead of solving it again, and both cells equal
-    separate calls bit for bit."""
+    """Per duration the straight dash's schedule is solved once: the
+    proposed cell starts from the straight-line baseline's result instead
+    of solving it again.  Only the first duration's straight-line solve
+    starts cold; each later one starts from the previous duration's
+    straight-line prices, equals that separate call bit for bit and
+    matches the cold solve."""
     from uavmec import planner
 
-    cold_straight = []
+    straight_warm = []
 
-    def counted(s, traj, warm=None):
-        if warm is None and np.array_equal(traj, straight_line_trajectory(s)):
-            cold_straight.append(s.T)
+    def recorded(s, traj, warm=None):
+        if np.array_equal(traj, straight_line_trajectory(s)):
+            straight_warm.append((s.T, warm))
         return solve_p2(s, traj, warm=warm)
 
-    monkeypatch.setattr(planner, "solve_p2", counted)
-    cells = sweep_T(ref2x6, [1.2, 1.4])
-    assert cold_straight == [1.2, 1.4]
+    T_grid = (1.2, 1.4, 1.6)
+    monkeypatch.setattr(planner, "solve_p2", recorded)
+    cells = sweep_T(ref2x6, T_grid)
     monkeypatch.undo()
-    for T in (1.2, 1.4):
-        by_scheme = {c.scheme: c.result for c in cells if c.T == T}
+    straight = {c.T: c.result for c in cells if c.scheme == "straight-line"}
+    assert [T for T, _ in straight_warm] == list(T_grid)
+    assert straight_warm[0][1] is None
+    first = ref2x6.with_T(T_grid[0])
+    assert _same_result(straight[T_grid[0]], run_baseline(first, "straight-line"))
+    for (T, warm), prev in zip(straight_warm[1:], T_grid):
+        assert warm is straight[prev].schedule.duals
         st = ref2x6.with_T(T)
-        assert _same_result(by_scheme["proposed"], run_algorithm1(st))
-        assert _same_result(by_scheme["straight-line"], run_baseline(st, "straight-line"))
+        assert _same_result(straight[T], run_baseline(st, "straight-line", init=straight[prev]))
+        cold = run_baseline(st, "straight-line")
+        assert straight[T].uav_total == pytest.approx(cold.uav_total, rel=1e-10)
+    for T in T_grid:
+        proposed = next(c.result for c in cells if c.T == T and c.scheme == "proposed")
+        assert _same_result(proposed, run_algorithm1(ref2x6.with_T(T), init=straight[T]))
+
+
+def test_chained_straight_schedule_halves_the_climb(table2):
+    """On the reference mission the previous duration's straight-line
+    prices start the next straight-line schedule's ascent near its
+    optimum: at most half the cold solve's Newton rows."""
+    cells = sweep_T(table2, [2.0, 2.2, 2.4], schemes=("straight-line",))
+    for cell in cells[1:]:
+        cold = run_baseline(table2.with_T(cell.T), "straight-line")
+        assert 2 * len(cell.result.p2_trace) <= len(cold.p2_trace)
+
+
+def test_sweep_straight_chain_restarts_cold_after_a_failed_cell(ref2x6, monkeypatch):
+    """A failed straight-line cell breaks the chain: the next duration's
+    straight-line solve starts cold and equals a separate call."""
+    from uavmec import planner
+    from uavmec.errors import SolverError
+
+    baseline = planner.run_baseline
+    inits = []
+
+    def broken_at_1_4(s, scheme, init=None):
+        inits.append(init)
+        if s.T == 1.4:
+            raise SolverError("straight-line broke")
+        return baseline(s, scheme, init=init)
+
+    monkeypatch.setattr(planner, "run_baseline", broken_at_1_4)
+    cells = sweep_T(ref2x6, [1.2, 1.4, 1.6], schemes=("straight-line",))
+    monkeypatch.undo()
+    assert [c.status for c in cells] == ["converged", "failed", "converged"]
+    assert inits[0] is None and inits[1] is cells[0].result and inits[2] is None
+    assert _same_result(cells[2].result, run_baseline(ref2x6.with_T(1.6), "straight-line"))
 
 
 def test_sweep_semicircle_starts_from_straight_prices(ref2x6, monkeypatch):
@@ -389,14 +434,20 @@ def test_sweep_proposed_starts_cold_when_straight_line_fails(ref2x6, monkeypatch
 
 
 def test_result_start_must_come_from_the_same_scenario(ref2x6):
+    """The planner reads a result's path, so it must come from the same
+    scenario; a baseline reads only its prices, so another duration's will
+    do, but another slot count raises."""
     start = run_baseline(ref2x6, "straight-line")
     assert _same_result(run_algorithm1(ref2x6, init=start), run_algorithm1(ref2x6))
     with pytest.raises(ValueError):
         run_algorithm1(ref2x6.with_T(1.4), init=start)
     with pytest.raises(ValueError):
         run_algorithm1(Scenario(**{**_fields(ref2x6), "N": 8}), init=start)
-    with pytest.raises(ValueError):
-        run_baseline(ref2x6.with_T(1.4), "semi-circle", init=start)
+    other_T = ref2x6.with_T(1.4)
+    semi = run_baseline(other_T, "semi-circle", init=start)
+    assert semi.scenario is other_T
+    assert semi.uav_total == pytest.approx(
+        run_baseline(other_T, "semi-circle").uav_total, rel=1e-10)
     with pytest.raises(ValueError):
         run_baseline(Scenario(**{**_fields(ref2x6), "N": 8}), "semi-circle", init=start)
 
