@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import ctypes
 import dataclasses
-import importlib.util
 import sys
 from pathlib import Path
 
@@ -158,28 +157,28 @@ def run(cfg: RunConfig) -> int:
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with the OpenBLAS copies bundled with numpy (64-bit
-    interface) and scipy on one thread each, and restore the previous
-    counts after it.  A copy whose thread-count symbols do not resolve is
-    left alone.
+    """Run the block with the OpenBLAS copy bundled with numpy (64-bit
+    interface) on one thread, and restore the previous count after it.
+    numpy is the package's only runtime dependency, so its copy is the one
+    the planner calls.  A copy whose thread-count symbols do not resolve,
+    or a numpy built without a bundled OpenBLAS, is left alone.
 
     The planner's matrices have at most a few hundred rows, where OpenBLAS
     threads cost more in hand-offs than they save.  The library leaves
     threading to its caller; only the command line pins it.
     """
     blas = []
-    for pkg, suffix in (("numpy", "64_"), ("scipy", "")):
-        libs = Path(importlib.util.find_spec(pkg).origin).parents[1] / f"{pkg}.libs"
-        for path in sorted(libs.glob("libscipy_openblas*.so*")):
-            try:
-                lib = ctypes.CDLL(str(path))
-                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-                get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            blas.append((set_threads, get_threads()))
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            set_threads = lib.scipy_openblas_set_num_threads64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        blas.append((set_threads, get_threads()))
     for set_threads, _ in blas:
         set_threads(1)
     try:

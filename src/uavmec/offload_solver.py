@@ -10,8 +10,8 @@ maximized over the multipliers directly.  The closed forms are
 differentiable in the prices, which makes the dual Hessian exact and cheap;
 one projected Newton method (Bertsekas, SIAM J. Control Optim. 20(2),
 1982) with Levenberg-Marquardt damping climbs it on the nonnegative box.
-:func:`solve_p2` calls that loop (:func:`minimize`) directly; no
-``scipy.optimize`` routine takes part.
+:func:`solve_p2` calls that loop (:func:`minimize`) directly, and each
+damped Newton system is one ``np.linalg.solve``.
 
 All public interfaces take and return SI units.  Internally the solver
 works in Mbit / GHz / mJ, which conditions the multipliers to order one.
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SolverError
 from .model import (
@@ -529,13 +528,12 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
     while damping < 1e10:
         damped = H.copy()
         damped.flat[:: H.shape[0] + 1] += damping * scale
+        d = -z
         try:
-            factor = cho_factor(damped, overwrite_a=True)
+            d[free] = -np.linalg.solve(damped, grad[free])
         except np.linalg.LinAlgError:
             damping *= 10.0
             continue
-        d = -z.copy()
-        d[free] = -cho_solve(factor, grad[free])
         alpha = 1.0
         for _ in range(1 if polish else 30):
             zt = np.maximum(z + alpha * d, floor)

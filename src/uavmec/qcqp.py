@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SolverError
 
@@ -302,11 +301,10 @@ def _grad_hess_barrier(obj, rows: Rows, x: np.ndarray, t: float):
 
 
 def _newton_solve(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve hess @ dx = -grad by Cholesky, with a regularized fallback.
-
-    The LAPACK factorization is the one ``scipy.linalg.solve(assume_a="pos")``
-    runs, without the condition estimate that call adds to every solve.
-    """
+    """Solve hess @ dx = -grad by LU (numpy has no triangular solve to pair
+    with a Cholesky factor).  ``hess`` is positive semidefinite, so when the
+    solve raises or returns non-finite values a growing diagonal shift is
+    tried, then least squares."""
     n = hess.shape[0]
     if n == 0:
         return np.zeros(0)
@@ -314,11 +312,10 @@ def _newton_solve(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(hess).max()))
     for _ in range(8):
         try:
-            factor = scipy.linalg.cho_factor(hess + reg * np.eye(n))
-            dx = scipy.linalg.cho_solve(factor, -grad)
+            dx = np.linalg.solve(hess + reg * np.eye(n), -grad)
             if np.all(np.isfinite(dx)):
                 return dx
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+        except np.linalg.LinAlgError:
             pass
         reg = max(reg * 100.0, 1e-12 * scale)
     return np.linalg.lstsq(hess, -grad, rcond=None)[0]
@@ -399,7 +396,9 @@ def phase1(p: QcqpProblem, x_hint=None) -> tuple[np.ndarray, float, str]:
     "infeasible" otherwise.  A tiny proximal pull toward the hint keeps the
     Newton systems full rank (the raw margin objective has no curvature of
     its own); it perturbs the reported margin by at most ``_PHASE1_PROX``
-    times the squared drift.
+    times the squared drift.  The barrier parameter starts at m / (cap - s0),
+    sized to the start's gap (Boyd & Vandenberghe, section 11.3.1), so a far
+    hint's first centering does not run out of Newton steps short of its center.
     """
     if p.m == 0:
         x = np.zeros(p.dim) if x_hint is None else np.asarray(x_hint, dtype=float)
@@ -418,7 +417,7 @@ def phase1(p: QcqpProblem, x_hint=None) -> tuple[np.ndarray, float, str]:
 
     s0 = min(-float(np.max(g0)) - 1.0, _PHASE1_CAP - 1.0)
     z = np.concatenate([x0, [s0]])
-    t = 1.0
+    t = min(1.0, rows.m / (_PHASE1_CAP - s0))
     while rows.m / t > _GAP_TOL:
         z = _center(obj, rows, z, t)
         t *= _BARRIER_MU

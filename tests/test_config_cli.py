@@ -1,6 +1,5 @@
 import ctypes
 import dataclasses
-import importlib
 import os
 import re
 import subprocess
@@ -369,14 +368,15 @@ def test_cli_plans_each_cell_through_one_entry_point(tmp_path, ref_cfg, monkeypa
 
 
 def _openblas_threads() -> list[int]:
-    """Thread counts of the OpenBLAS copies bundled with numpy and scipy."""
+    """Thread count of the OpenBLAS copy bundled with numpy, the one the
+    planner calls (empty when numpy bundles none; the test references'
+    scipy has a copy of its own)."""
     counts = []
-    for pkg, suffix in (("numpy", "64_"), ("scipy", "")):
-        site = Path(importlib.import_module(pkg).__file__).parents[1]
-        for path in sorted(site.glob(f"{pkg}.libs/libscipy_openblas*.so*")):
-            get = getattr(ctypes.CDLL(str(path)), f"scipy_openblas_get_num_threads{suffix}")
-            get.restype = ctypes.c_int
-            counts.append(get())
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        get.restype = ctypes.c_int
+        counts.append(get())
     return counts
 
 
@@ -384,7 +384,7 @@ def test_cli_runs_on_one_blas_thread(tmp_path, ref_cfg, monkeypatch):
     from uavmec import cli
     before = _openblas_threads()
     if not before:
-        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        pytest.skip("numpy bundles no OpenBLAS here")
     seen = []
     monkeypatch.setattr(cli, "run", lambda cfg: seen.append(_openblas_threads()) or 0)
     assert main(["--scenario", str(ref_cfg), "--out", str(tmp_path / "out")]) == 0
@@ -393,12 +393,14 @@ def test_cli_runs_on_one_blas_thread(tmp_path, ref_cfg, monkeypatch):
 
 
 def test_import_leaves_scipy_optimize_out():
-    """The package runs its own dual ascent, so importing it and its CLI
-    loads no ``scipy.optimize`` (a third of the import time).  A fresh
-    interpreter: the test references import scipy's ``minimize``."""
+    """numpy is the package's only runtime dependency, so importing it and
+    its CLI loads no ``scipy`` module at all (``scipy.linalg`` alone is two
+    thirds of the import time).  A fresh interpreter: the test references
+    import scipy."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, uavmec, uavmec.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, uavmec, uavmec.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

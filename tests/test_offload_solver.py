@@ -316,6 +316,51 @@ def test_polish_costs_one_evaluation_per_step(monkeypatch, request, instance):
     assert opt.nfev == log.count("eval")
 
 
+def test_newton_step_stiffens_damping_when_the_solve_fails(monkeypatch, ref2x6,
+                                                           ref2x6_traj):
+    """A damped Newton system that ``np.linalg.solve`` rejects as singular
+    is retried ten times stiffer: the step taken is the one a tenfold
+    damping takes directly."""
+    sp = _ScaledP2(ref2x6, ref2x6_traj)
+    mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
+    N = ref2x6.N
+    z = _pack(mu, nu, theta[1 : N - 1], max(theta[N - 1] - theta[1 : N - 1].sum(), 0.0))
+
+    def evaluate(z):
+        return _neg_dual_and_grad(z, sp)
+
+    ev = evaluate(z)
+    res = offload_solver._natural_residual(z, ev[1])
+    expected = offload_solver._newton_step(sp, evaluate, z, ev, res, 10.0, polish=False)
+    assert expected is not None
+    solve = np.linalg.solve
+    calls = []
+
+    def fails_once(a, b):
+        calls.append(a)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fails_once)
+    got = offload_solver._newton_step(sp, evaluate, z, ev, res, 1.0, polish=False)
+    assert len(calls) == 2
+    assert np.array_equal(got[0], expected[0])
+    assert got[2:] == expected[2:]
+
+
+def test_singular_newton_systems_end_in_the_iteration_limit(monkeypatch, table2):
+    """When every damped system is singular the damping climbs past its
+    cap, the ascent stops at its start, and ``solve_p2`` raises its typed
+    error rather than numpy's LinAlgError."""
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(DualIterationLimitError, match="after 0 Newton steps"):
+        solve_p2(table2, straight_line_trajectory(table2))
+
+
 def test_kkt_max_is_nan_if_any_residual_is():
     """solve_p2 accepts a solve only if ``kkt.max() <= tol``, so a NaN
     residual in any position must reach that test."""

@@ -177,6 +177,29 @@ def test_phase1_margin_stops_at_cap():
     assert margin == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("hint", [30.0, 1e3])
+def test_solve_from_a_far_hint_reaches_the_origin(hint):
+    """A hint far outside the ball ||x||^2 <= 100 starts phase 1 at a
+    margin of about -hint^2; its barrier parameter starts sized to that gap,
+    so phase 1 reaches the cap and the solve ends optimal at the origin."""
+    p = qcqp.QcqpProblem.from_dense(dim=2, objective=(np.eye(2), np.zeros(2), 0.0),
+                                    ineq=[(2 * np.eye(2), np.zeros(2), -100.0)])
+    _, margin, status = qcqp.phase1(p, x_hint=np.array([hint, 0.0]))
+    assert status == "feasible"
+    assert margin == pytest.approx(1.0, abs=1e-6)
+    sol = qcqp.solve(p, x0=np.array([hint, 0.0]))
+    assert sol.status == "optimal"
+    assert np.abs(sol.x).max() <= 1e-8
+
+
+def test_newton_solve_regularizes_a_singular_hessian():
+    """A singular Newton system (the LU solve raises) is solved with the
+    first diagonal shift, 1e-12 times the Hessian's scale (at least 1)."""
+    g = np.array([1.0, -2.0])
+    dx = qcqp._newton_solve(np.zeros((2, 2)), g)
+    assert dx == pytest.approx(-g / 1e-12, rel=1e-15)
+
+
 # --- randomized vs grid oracle ----------------------------------------------
 
 @pytest.mark.parametrize("seed,dim,m", [(0, 2, 3), (1, 3, 4), (2, 4, 5),
