@@ -1,4 +1,4 @@
-"""Convex QCQP solver (log-barrier interior point) on structured constraint rows.
+"""Convex QCQP solver (primal-dual interior point) on structured constraint rows.
 
 Solves
     minimize    0.5 x'Q0 x + c0'x + d0
@@ -7,18 +7,17 @@ with all Qi symmetric positive semidefinite.  The constraints have one
 representation, :class:`Rows`: the nonzero entries of every Qi as
 (row, j, k, value) triplets, plus the stacked c and d.  Structured callers
 build the triplets directly; dense (Q, c, d) triples go through one
-converter.  Row values, gradients, ray quadratic forms and the barrier
-Hessian's weighted sum of the Qi are scatter-adds over those triplets, so
-their cost follows the number of nonzeros rather than m * dim^2.
-Diagonal, two-point and dense rows share that one mechanism.  The
-objective and the Newton systems stay dense; the Hessian's gradient
-outer-product term is dense anyway.
+converter.  Row values, gradients and the Newton matrix's weighted sum of
+the Qi are scatter-adds over those triplets, so their cost follows the
+number of nonzeros rather than m * dim^2.  Diagonal, two-point and dense
+rows share that one mechanism.  The objective and the Newton systems stay
+dense; the matrix's gradient outer-product term is dense anyway.
 
-Algorithm: a phase-1 margin maximization produces a strictly feasible start
-when the caller cannot supply one, then a standard log-barrier outer loop
-with damped Newton inner steps (backtracking line search, parameters
-0.25/0.5) drives the duality gap below tolerance.  A final active-set
-Newton polish sharpens the KKT residuals to near machine precision.
+Algorithm: one Mehrotra predictor-corrector loop on (x, s, lam), with
+g(x) + s = 0 and s, lam > 0 (Mehrotra, SIAM J. Optim. 2(4), 1992; Nocedal
+& Wright section 19.1), stopping on its own gap and KKT residuals.  It
+starts from a strictly feasible point: the caller's, or the one phase 1
+finds by maximizing the slack margin with the same loop.
 """
 
 from __future__ import annotations
@@ -40,15 +39,11 @@ __all__ = [
     "kkt_residuals",
 ]
 
-_BARRIER_MU = 10.0          # barrier parameter growth per outer iteration
-_GAP_TOL = 1e-9             # duality-gap bound m / t of solve and phase 1
-_MAX_OUTER = 60             # barrier outer iterations before "max-iter"
-_NEWTON_TOL = 1e-10         # Newton decrement^2 / 2 threshold
-_CENTER_STEPS = 100         # damped Newton steps per centering
+_GAP_TOL = 1e-9             # relative residual bound of the primal-dual loop's stop
+_MAX_STEPS = 300            # primal-dual steps before "max-iter"
 _PHASE1_CAP = 1.0           # phase 1 stops raising the margin at this cap
-_PHASE1_PROX = 1e-9         # phase 1's proximal pull toward the hint
-_LS_ALPHA = 0.25            # Armijo fraction
-_LS_BETA = 0.5              # backtracking shrink factor
+_PHASE1_PROX = 1e-12        # phase 1's proximal pull toward the hint
+_EPS = np.finfo(float).eps
 
 
 class QcqpInfeasibleError(SolverError):
@@ -241,8 +236,8 @@ class QcqpProblem:
 class QcqpSolution:
     """A solve's point and multipliers, judged by their KKT residuals.
 
-    The barrier's duality gaps are in ``trace``; after the polish the
-    ``kkt`` residuals, not a gap, decide the "optimal" status.
+    The primal-dual loop's gaps are in ``trace``; an "optimal" stop keeps
+    its status only with ``kkt`` within sqrt(_GAP_TOL) (1 + |objective|).
     """
 
     x: np.ndarray
@@ -250,7 +245,7 @@ class QcqpSolution:
     status: str                      # "optimal" | "max-iter" | "infeasible"
     kkt: KktReport
     objective: float
-    # (barrier_t, objective, duality gap) after each outer centering
+    # (m / gap, objective, gap s'lam) at each primal-dual iterate
     trace: list[tuple[float, float, float]] = field(default_factory=list)
 
 
@@ -276,158 +271,141 @@ def kkt_residuals(p: QcqpProblem, x, lambdas) -> KktReport:
 # Internals
 # ---------------------------------------------------------------------------
 
-def _grad_hess_barrier(obj, rows: Rows, x: np.ndarray, t: float):
-    """Value, gradient, Hessian of t*f0(x) - sum log(-g_i(x)), plus the
-    constraint values and gradients (for reuse in the line search).
-
-    ``obj`` is the objective triple (Q0, c0, d0) and ``rows`` the
-    constraint rows.  The values come from :meth:`Rows.values`, as in every
-    feasibility test and multiplier, so they agree bit for bit.
-    """
-    q0, c0, d0 = obj
-    val = t * (0.5 * x @ q0 @ x + c0 @ x + d0)
-    grad = t * (q0 @ x + c0)
-    hess = t * q0
-    gx = rows.gradients(x)
-    g = rows.values(x)
-    if np.any(g >= 0.0):
-        return np.inf, grad, hess, g, gx
-    inv = -1.0 / g
-    val -= float(np.sum(np.log(-g)))
-    grad = grad + inv @ gx
-    gxw = gx * inv[:, None]
-    hess = hess + rows.q_sum(inv) + gxw.T @ gxw
-    return val, grad, hess, g, gx
-
-
 def _newton_solve(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve hess @ dx = -grad by LU (numpy has no triangular solve to pair
-    with a Cholesky factor).  ``hess`` is positive semidefinite, so when the
-    solve raises or returns non-finite values a growing diagonal shift is
-    tried, then least squares."""
-    n = hess.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    reg = 0.0
-    scale = max(1.0, float(np.abs(hess).max()))
+    with a Cholesky factor).  When the solve raises or returns non-finite
+    values, a growing diagonal shift is tried, then least squares."""
+    shifted = hess
+    reg = 1e-12 * max(1.0, float(np.abs(hess).max(initial=0.0)))
     for _ in range(8):
         try:
-            dx = np.linalg.solve(hess + reg * np.eye(n), -grad)
+            dx = np.linalg.solve(shifted, -grad)
             if np.all(np.isfinite(dx)):
                 return dx
         except np.linalg.LinAlgError:
             pass
-        reg = max(reg * 100.0, 1e-12 * scale)
+        shifted = hess + reg * np.eye(hess.shape[0])
+        reg *= 100.0
     return np.linalg.lstsq(hess, -grad, rcond=None)[0]
 
 
-def _center(obj, rows: Rows, x: np.ndarray, t: float):
-    """Damped Newton minimization of the barrier objective at fixed t.
+def _to_boundary(s, ds, lam, dlam) -> float:
+    """Largest a keeping s + a ds >= 0 and lam + a dlam >= 0 (inf if none shrinks)."""
+    v, dv = np.concatenate([s, lam]), np.concatenate([ds, dlam])
+    shrink = dv < 0.0
+    return float(np.min(-v[shrink] / dv[shrink], initial=np.inf))
 
-    Along a fixed direction every constraint restricts to an exact
-    quadratic in the step length, so the line search (boundary step plus
-    Armijo backtracking) runs on precomputed ray coefficients.  A step the
-    ray accepts is kept only if the constraint values recomputed at the new
-    point are strictly negative too: rounding can put a boundary row at
-    exactly zero there while the ray predicted a tiny negative value.
+
+def _newton_system(obj, rows: Rows, x: np.ndarray, s: np.ndarray, lam: np.ndarray):
+    """At (x, s, lam) for objective ``obj`` = (Q0, c0, d0) and ``rows``:
+    f(x), the dual residual Q0 x + c0 + gx' lam, the row values g (from
+    :meth:`Rows.values`, bit for bit as every feasibility test reads them),
+    their gradients gx, and the step's Newton matrix with its ``keep`` mask.
+
+    The step eliminates ds and dlam into the reduced matrix
+    H = A + gx' diag(w) gx, with A = Q0 + sum lam_i Qi and w = lam / s.  A
+    row with w_i ||g_i||^2 above 1 / sqrt(eps) times A's scale would round
+    A's digits away in that sum, so it keeps dlam_i as an unknown, giving
+    [[H without the kept rows, gx_k'], [gx_k, -diag(1 / w_k)]].
     """
     q0, c0, d0 = obj
-    val, grad, hess, g, gx = _grad_hess_barrier(obj, rows, x, t)
-    if not np.isfinite(val):
-        return x
-    for _ in range(_CENTER_STEPS):
-        dx = _newton_solve(hess, grad)
-        decr2 = float(-grad @ dx)
-        if not np.isfinite(decr2) or decr2 <= 0:
-            dx = -grad / max(1.0, float(np.abs(hess).max()))
-            decr2 = float(-grad @ dx)
-            if decr2 <= 0:
-                break
-        if 0.5 * decr2 <= _NEWTON_TOL:
-            break
-        # Ray coefficients: each g_i(x + a dx) = qa_i a^2 + qb_i a + qc_i.
-        qa = rows.quad_forms(dx)
-        qb = gx @ dx
-        qc = g
-        f_a = 0.5 * dx @ q0 @ dx
-        f_b = (q0 @ x + c0) @ dx
-        f_c = 0.5 * x @ q0 @ x + c0 @ x + d0
-
-        # Fraction-to-boundary initial step.
-        cand = np.full(rows.m, np.inf)
-        quad = qa > 0.0
-        disc = np.sqrt(np.maximum(qb[quad] ** 2 - 4.0 * qa[quad] * qc[quad], 0.0))
-        cand[quad] = (-qb[quad] + disc) / (2.0 * qa[quad])
-        lin = (~quad) & (qb > 0.0)
-        cand[lin] = -qc[lin] / qb[lin]
-        alpha_max = float(np.min(cand, initial=np.inf))
-        step = min(1.0, 0.99 * alpha_max) if alpha_max > 0 else 1.0
-
-        accepted = False
-        for _ in range(100):
-            g_ray = qa * step * step + qb * step + qc
-            if np.all(g_ray < 0.0):
-                v_cand = t * (f_a * step * step + f_b * step + f_c)
-                v_cand -= float(np.sum(np.log(-g_ray)))
-                if v_cand <= val - _LS_ALPHA * step * decr2:
-                    x_new = x + step * dx
-                    new = _grad_hess_barrier(obj, rows, x_new, t)
-                    if np.isfinite(new[0]):
-                        x = x_new
-                        val, grad, hess, g, gx = new
-                        accepted = True
-                        break
-            step *= _LS_BETA
-        if not accepted:
-            break
-    return x
+    g, gx = rows.values(x), rows.gradients(x)
+    w = lam / s
+    a = q0 + rows.q_sum(lam)
+    keep = w * np.einsum("ij,ij->i", gx, gx) > (1.0 + np.abs(a).max()) / np.sqrt(_EPS)
+    gxw = gx * np.sqrt(np.where(keep, 0.0, w))[:, None]
+    matrix = a + gxw.T @ gxw
+    if keep.any():
+        matrix = np.block([[matrix, gx[keep].T], [gx[keep], np.diag(-1.0 / w[keep])]])
+    # f as objective_value computes it: a solve's last trace row holds its objective
+    return (float(0.5 * x @ q0 @ x + c0 @ x + d0), q0 @ x + c0 + lam @ gx, g, gx,
+            matrix, keep)
 
 
-def _strictly_feasible(p: QcqpProblem, x, margin: float = 0.0) -> bool:
-    return bool(np.all(p.ineq_values(x) < -margin))
+def _interior_point(obj, rows: Rows, x: np.ndarray):
+    """Mehrotra predictor-corrector on g(x) + s = 0 with s, lam > 0, from a
+    strictly feasible x with s = -g(x) and lam = 1 / s.
+
+    Each step solves the :func:`_newton_system` for the predictor, then for
+    the corrector, whose centering target sigma * mu (sigma = (mu_aff / mu)^3)
+    is floored at eps (1 + |f|) / m so that the gap cannot outrun the
+    residuals' rounding, and moves 0.99 of the way to the boundary of
+    s, lam >= 0.  Stops "optimal" once the gap s'lam is within m eps (1 + |f|)
+    and the dual and primal residuals within ``_GAP_TOL`` of their scales,
+    "max-iter" after ``_MAX_STEPS`` steps.  Returns (x, lam, status, trace)
+    with one trace row (m / gap, f(x), gap) per iterate.
+    """
+    q0, c0, _ = obj
+    n, m = x.size, rows.m
+    s = -rows.values(x)
+    lam = 1.0 / s
+    trace = []
+    for step in range(_MAX_STEPS + 1):
+        f, r_dual, g, gx, matrix, keep = _newton_system(obj, rows, x, s, lam)
+        r_pri = g + s
+        gap = float(s @ lam)
+        trace.append((m / gap, f, gap))
+        floor = _EPS * (1.0 + abs(f))
+        if (gap <= m * floor
+                and np.abs(r_dual).max() <= _GAP_TOL * (
+                    1.0 + np.abs(c0).max() + np.abs(q0 @ x).max())
+                and np.abs(r_pri).max() <= _GAP_TOL * (1.0 + np.abs(rows.d).max())):
+            return x, lam, "optimal", trace
+        if step == _MAX_STEPS or not (np.isfinite(gap) and np.isfinite(f)):
+            return x, lam, "max-iter", trace
+
+        def direction(r_cent):      # r_cent: s * lam minus the centering target
+            rhs = np.where(keep, 0.0, (lam * r_pri - r_cent) / s)
+            sol = _newton_solve(matrix, np.concatenate(
+                [r_dual + gx.T @ rhs, (r_pri - r_cent / lam)[keep]]))
+            dx = sol[:n]
+            ds = -r_pri - gx @ dx
+            dlam = -(r_cent + lam * ds) / s
+            dlam[keep] = sol[n:]
+            return dx, ds, dlam
+
+        _, ds, dlam = direction(s * lam)
+        a = min(1.0, _to_boundary(s, ds, lam, dlam))
+        sigma = (float((s + a * ds) @ (lam + a * dlam)) / gap) ** 3      # (mu_aff / mu)^3
+        dx, ds, dlam = direction(s * lam + ds * dlam - max(sigma * gap, floor) / m)
+        a = min(1.0, 0.99 * _to_boundary(s, ds, lam, dlam))
+        x, s, lam = x + a * dx, s + a * ds, lam + a * dlam
 
 
 def phase1(p: QcqpProblem, x_hint=None) -> tuple[np.ndarray, float, str]:
     """Maximize the slack margin s subject to g_i(x) <= -s, up to the cap
-    ``_PHASE1_CAP`` (1), until the barrier's duality gap is within
-    ``_GAP_TOL``.
+    ``_PHASE1_CAP`` (1), with the primal-dual loop of :func:`solve` on the
+    lifted rows.
 
-    Returns (x, margin, status) with status "feasible" when margin > 0 and
-    "infeasible" otherwise.  A tiny proximal pull toward the hint keeps the
-    Newton systems full rank (the raw margin objective has no curvature of
-    its own); it perturbs the reported margin by at most ``_PHASE1_PROX``
-    times the squared drift.  The barrier parameter starts at m / (cap - s0),
-    sized to the start's gap (Boyd & Vandenberghe, section 11.3.1), so a far
-    hint's first centering does not run out of Newton steps short of its center.
+    Returns (x, margin, status): the margin x attains, min(cap, -max g(x)),
+    and status "feasible" when it is positive, "infeasible" otherwise.  A
+    hint strictly inside every row by 0.01 * cap (or a problem without
+    rows) is returned as it stands.  A tiny proximal pull toward the hint
+    keeps the Newton systems full rank (the margin objective has no
+    curvature of its own).  It perturbs the margin by at most
+    ``_PHASE1_PROX`` times the squared drift, and it is kept below the
+    loop's dual tolerance: once the slack rows' multipliers vanish, a
+    stronger pull would drive full Newton steps in x across their curved
+    boundaries.
     """
-    if p.m == 0:
-        x = np.zeros(p.dim) if x_hint is None else np.asarray(x_hint, dtype=float)
-        return x, float("inf"), "feasible"
     x0 = np.zeros(p.dim) if x_hint is None else np.asarray(x_hint, dtype=float).copy()
     g0 = p.ineq_values(x0)
     if np.all(g0 < -0.01 * _PHASE1_CAP):
-        return x0, float(-np.max(g0)), "feasible"
+        return x0, -float(np.max(g0, initial=-np.inf)), "feasible"
 
     n = p.dim
-    q_prox = 2.0 * _PHASE1_PROX * np.eye(n + 1)
-    q_prox[-1, -1] = 0.0
+    q_prox = np.diag(np.append(np.full(n, 2.0 * _PHASE1_PROX), 0.0))
     c_prox = np.concatenate([-2.0 * _PHASE1_PROX * x0, [-1.0]])
     obj = (q_prox, c_prox, _PHASE1_PROX * float(x0 @ x0))
-    rows = p.rows.lifted()
-
     s0 = min(-float(np.max(g0)) - 1.0, _PHASE1_CAP - 1.0)
-    z = np.concatenate([x0, [s0]])
-    t = min(1.0, rows.m / (_PHASE1_CAP - s0))
-    while rows.m / t > _GAP_TOL:
-        z = _center(obj, rows, z, t)
-        t *= _BARRIER_MU
-    x, s = z[:n], float(z[-1])
-    status = "feasible" if s > 0.0 else "infeasible"
-    return x, s, status
+    z, _, _, _ = _interior_point(obj, p.rows.lifted(), np.append(x0, s0))
+    x = z[:n]
+    margin = min(_PHASE1_CAP, -float(np.max(p.ineq_values(x))))
+    return x, margin, "feasible" if margin > 0.0 else "infeasible"
 
 
 def _barrier(p: QcqpProblem, x0) -> tuple[np.ndarray, np.ndarray, str, list]:
-    """Log-barrier outer loop from a strictly feasible start."""
+    """The primal-dual loop from x0 if strictly feasible, else from phase 1's point."""
     q0, c0, _ = p.objective
     if p.m == 0:
         x, res, _, _ = np.linalg.lstsq(q0, -c0, rcond=None)
@@ -435,103 +413,25 @@ def _barrier(p: QcqpProblem, x0) -> tuple[np.ndarray, np.ndarray, str, list]:
             raise ValueError("objective is unbounded below (no constraints bind it)")
         return x, np.zeros(0), "optimal", [(np.inf, p.objective_value(x), 0.0)]
 
-    if x0 is not None and _strictly_feasible(p, x0, margin=1e-12):
+    if x0 is not None and np.all(p.ineq_values(x0) < -1e-12):
         x = np.asarray(x0, dtype=float).copy()
     else:
         x, margin, status = phase1(p, x_hint=x0)
-        if status == "infeasible" or not _strictly_feasible(p, x):
+        if status == "infeasible" or not np.all(p.ineq_values(x) < 0.0):
             raise QcqpInfeasibleError(
                 f"no strictly feasible point found (phase-1 margin {margin:.3g})")
-
-    t = 1.0
-    trace = []
-    outer = 0
-    while True:
-        x = _center(p.objective, p.rows, x, t)
-        g = p.ineq_values(x)
-        lam = 1.0 / (t * (-g))
-        trace.append((t, p.objective_value(x), float(np.sum(lam * (-g)))))
-        outer += 1
-        if p.m / t <= _GAP_TOL:
-            return x, lam, "optimal", trace
-        if outer >= _MAX_OUTER:
-            return x, lam, "max-iter", trace
-        t *= _BARRIER_MU
-
-
-def _polish(p: QcqpProblem, x: np.ndarray, lam: np.ndarray, t_final: float):
-    """Newton refinement on the active-set KKT equations.
-
-    Keeps the refined point only if it stays feasible and its residuals,
-    recomputed with the multipliers clipped at zero, are strictly better
-    (a weakly active row can take a slightly negative multiplier).
-    """
-    g = p.ineq_values(x)
-    gscale = 1.0 + float(np.abs(g).max(initial=0.0))
-    act_tol = max(np.sqrt(p.m / t_final) * gscale, 1e-9 * gscale)
-    active = np.where((-g <= act_tol) | (lam >= np.sqrt(p.m / t_final)))[0]
-    q0, c0, _ = p.objective
-
-    def residual(xc, lam_act):
-        grads = p.ineq_gradients(xc)[active]
-        r = q0 @ xc + c0 + lam_act @ grads
-        ga = p.ineq_values(xc)[active]
-        return np.concatenate([r, ga])
-
-    xc = x.copy()
-    lam_act = lam[active].copy()
-    best = (x, lam)
-    best_res = kkt_residuals(p, x, lam).max()
-    w = np.zeros(p.m)
-    for _ in range(30):
-        f = residual(xc, lam_act)
-        if np.max(np.abs(f), initial=0.0) < 1e-14 * (1.0 + np.abs(c0).max(initial=0.0)):
-            break
-        w[active] = lam_act
-        h = q0 + p.rows.q_sum(w)
-        grads = p.ineq_gradients(xc)[active]
-        na = len(active)
-        jac = np.zeros((p.dim + na, p.dim + na))
-        jac[: p.dim, : p.dim] = h
-        if na:
-            jac[: p.dim, p.dim:] = grads.T
-            jac[p.dim:, : p.dim] = grads
-        try:
-            delta = np.linalg.lstsq(jac, -f, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        step = 1.0
-        improved = False
-        for _ in range(30):
-            x_try = xc + step * delta[: p.dim]
-            lam_try = lam_act + step * delta[p.dim:]
-            if np.linalg.norm(residual(x_try, lam_try)) < np.linalg.norm(f):
-                xc, lam_act = x_try, lam_try
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    lam_full = np.zeros(p.m)
-    lam_full[active] = np.maximum(lam_act, 0.0)
-    if (np.all(p.ineq_values(xc) <= 1e-9 * gscale)
-            and kkt_residuals(p, xc, lam_full).max() < best_res):
-        best = (xc, lam_full)
-    return best
+    return _interior_point(p.objective, p.rows, x)
 
 
 def solve(p: QcqpProblem, x0=None) -> QcqpSolution:
-    """Solve a convex QCQP until the barrier's duality gap is within
-    ``_GAP_TOL`` (1e-9); after ``_MAX_OUTER`` (60) centerings it ends
-    "max-iter".
-
-    ``x0`` is an optional strictly feasible hint; phase 1 runs otherwise.
+    """Solve a convex QCQP with the Mehrotra predictor-corrector primal-dual
+    loop; after ``_MAX_STEPS`` (300) steps it ends "max-iter".  An "optimal"
+    x may exceed a row by up to ``_GAP_TOL`` (1 + max |d_i|), the loop's
+    primal tolerance.  ``x0`` is an optional strictly feasible hint; phase 1 runs otherwise.
     Raises :class:`QcqpInfeasibleError` when phase 1 certifies that no
     strictly feasible point exists.
     """
     x, lam, status, trace = _barrier(p, x0)
-    if status == "optimal" and p.m > 0:
-        x, lam = _polish(p, x, lam, trace[-1][0])
     kkt = kkt_residuals(p, x, lam)
     # Fails closed: a NaN residual is not within the bound.
     if status == "optimal" and not kkt.max() <= np.sqrt(_GAP_TOL) * (

@@ -188,7 +188,7 @@ def assemble_p4(s: Scenario, plan_part, expansion_traj) -> P4Assembly:
     # constant from prefix sums over slots.  Dropped: prefixes without
     # spending (0 <= harvest), and rows touching no free point (the
     # first-slot prefix is a constant; a saturating schedule makes it read
-    # 0 <= 0, which would deny the barrier method its interior).
+    # 0 <= 0, which would deny the interior-point solver its interior).
     local_e = s.gamma_c * s.slot * f_user ** 3                    # (K, N)
     t_coef = tx_energy(s, s.beta0, l)           # per unit of H^2 + ||p - u||^2
     r2 = np.sum((exp[None, : s.N] - s.user_pos[:, None]) ** 2, axis=2)     # (K, N)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uavmec import qcqp
+from uavmec.model import Scenario
+from uavmec.planner import run_algorithm1
 
 
 def _random_instance(rng, dim, m):
@@ -244,38 +246,130 @@ def test_nonfinite_multiplier_is_not_optimal(monkeypatch):
     assert sol.status == "max-iter"
 
 
-def test_polish_clips_weakly_active_multiplier(monkeypatch):
-    """A row within the active tolerance that is slack at the optimum takes
-    a negative multiplier in the active-set polish.  The polished point,
-    judged with that multiplier clipped at zero, still beats a poorly
-    centered barrier point, so the solve ends optimal within delta of the
-    true optimum (1 - delta, 0)."""
+def test_weakly_active_row_keeps_a_nonnegative_multiplier():
+    """Row x1 <= 1 is slack by only delta at the optimum (1 - delta, 0):
+    the solve ends optimal with nonnegative multipliers and the objective
+    within delta^2 of the optimum."""
     delta = 1e-5
     p = qcqp.QcqpProblem.from_dense(
         2, (np.eye(2), np.array([delta - 1.0, 0.0]), 0.0),
         [(np.zeros((2, 2)), np.array([1.0, 0.0]), -1.0),
          (np.zeros((2, 2)), np.array([0.0, 1.0]), -1.0)])
-
-    def off_center(p, x0):
-        x = np.array([1.0 - 1e-6, 1e-2])
-        return x, np.array([1e-3, 1e-9]), "optimal", [(1e9, p.objective_value(x), 0.0)]
-
-    monkeypatch.setattr(qcqp, "_barrier", off_center)
     sol = qcqp.solve(p)
     assert sol.status == "optimal"
-    assert sol.kkt.stationarity == pytest.approx(delta, rel=1e-6)
     assert np.all(sol.lambdas >= 0.0)
     assert p.objective_value(sol.x) <= p.objective_value([1.0 - delta, 0.0]) + delta ** 2
 
 
-def test_outer_objective_monotone_and_gap_bound():
+def test_trace_rows_follow_the_stop_rule():
+    """Each trace row is (m / gap, f, gap); the last one meets the stop
+    rule and holds the returned objective."""
     rng = np.random.default_rng(21)
     p = _random_instance(rng, 5, 4)
     sol = qcqp.solve(p)
-    objs = [row[1] for row in sol.trace]
-    assert all(b <= a + 1e-9 * max(1.0, abs(a)) for a, b in zip(objs, objs[1:]))
+    assert sol.status == "optimal"
     for t, _, gap in sol.trace:
-        assert gap <= p.m / t * (1.0 + 1e-6)
+        assert t * gap == pytest.approx(p.m, rel=1e-12)
+    _, f, gap = sol.trace[-1]
+    assert f == sol.objective
+    assert gap <= p.m * qcqp._EPS * (1.0 + abs(f))
+    q0, c0, _ = p.objective
+    assert sol.kkt.stationarity <= qcqp._GAP_TOL * (
+        1.0 + np.abs(c0).max() + np.abs(q0 @ sol.x).max())
+
+
+def test_one_row_from_its_own_boundary_ends_optimal():
+    """One ellipse row with d = -1e-6 and x0 = 0 just inside it, under a
+    steep objective: the start's slack is 1e-6 and its multiplier 1e6,
+    yet the solve ends optimal."""
+    q0 = np.array([[1.96029411388216, 1.7299471135545508],
+                   [1.7299471135545508, 2.4556095397994095]])
+    c0 = np.array([-137.62911642520754, -73.46680376739675])
+    q1 = np.array([[0.9052101090722267, -1.0205228030454156],
+                   [-1.0205228030454156, 1.5470285992365422]])
+    c1 = np.array([0.22877652816412952, -0.6231948027150641])
+    p = qcqp.QcqpProblem.from_dense(2, (q0, c0, 0.0), [(q1, c1, -1e-6)])
+    sol = qcqp.solve(p, x0=np.zeros(2))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(-406.2309, abs=1e-4)
+
+
+def test_capped_joint_steps_take_few_newton_solves(table2, monkeypatch):
+    """With V_max at 1.001 times table2's dash speed both joint-step QCQPs
+    bind their caps; each needs at most 40 Newton solves (20 steps)."""
+    dash = float(np.linalg.norm(table2.qF - table2.q0)) / table2.T
+    capped = Scenario(**{**{n: getattr(table2, n) for n in table2.__dataclass_fields__},
+                         "V_max": 1.001 * dash})
+    counts = []
+    newton_solve, solve = qcqp._newton_solve, qcqp.solve
+
+    def counted_newton_solve(hess, grad):
+        counts[-1] += 1
+        return newton_solve(hess, grad)
+
+    def counted_solve(p, x0=None):
+        counts.append(0)
+        return solve(p, x0)
+
+    monkeypatch.setattr(qcqp, "_newton_solve", counted_newton_solve)
+    monkeypatch.setattr(qcqp, "solve", counted_solve)
+    assert run_algorithm1(capped).status == "converged"
+    assert counts and max(counts) <= 40
+
+
+def _row_matrix(rng, kind, dim):
+    """A PSD row matrix: "diagonal" (some zeros), "two-point" w (x_i - x_j)^2
+    or "dense"."""
+    if kind == "diagonal":
+        return np.diag(rng.uniform(0.0, 3.0, dim) * (rng.random(dim) < 0.6))
+    if kind == "two-point":
+        i, j = rng.choice(dim, size=2, replace=False)
+        w = rng.uniform(0.1, 3.0)
+        q = np.zeros((dim, dim))
+        q[i, i] = q[j, j] = w
+        q[i, j] = q[j, i] = -w
+        return q
+    a = rng.normal(size=(dim, dim))
+    return a @ a.T
+
+
+@st.composite
+def hinted_problems(draw):
+    """Convex problems strictly feasible at the origin: diagonal, two-point
+    and dense rows with d from -3 down to -1e-6, a positive definite Q0
+    with c0 scaled by up to 100, and no hint or one at scale 0, 1 or 30."""
+    dim = draw(st.integers(2, 8))
+    kinds = draw(st.lists(st.sampled_from(["diagonal", "two-point", "dense"]),
+                          min_size=1, max_size=10))
+    ds = draw(st.lists(st.sampled_from([-3.0, -1.0, -1e-3, -1e-6]),
+                       min_size=len(kinds), max_size=len(kinds)))
+    c0_scale = draw(st.sampled_from([1.0, 10.0, 100.0]))
+    hint_scale = draw(st.sampled_from([None, 0.0, 1.0, 30.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ineq = []
+    for kind, d in zip(kinds, ds):
+        ineq.append((_row_matrix(rng, kind, dim), rng.normal(size=dim), d))
+    a0 = rng.normal(size=(dim, dim))
+    p = qcqp.QcqpProblem.from_dense(
+        dim=dim, objective=(a0 @ a0.T + 0.1 * np.eye(dim), c0_scale * rng.normal(size=dim), 0.0),
+        ineq=ineq)
+    return p, None if hint_scale is None else hint_scale * rng.normal(size=dim)
+
+
+@given(hinted_problems())
+def test_solve_ends_optimal_or_certifies_infeasibility(case):
+    """Every draw ends optimal within the KKT bound of ``solve``, or raises
+    QcqpInfeasibleError only where phase 1's margin is not positive."""
+    p, hint = case
+    try:
+        sol = qcqp.solve(p, x0=hint)
+    except qcqp.QcqpInfeasibleError:
+        _, margin, _ = qcqp.phase1(p, x_hint=hint)
+        assert margin <= 0.0
+        return
+    assert sol.status == "optimal"
+    kkt = qcqp.kkt_residuals(p, sol.x, sol.lambdas)
+    assert kkt.max() <= np.sqrt(qcqp._GAP_TOL) * (1.0 + abs(sol.objective))
 
 
 # --- structured constraint rows vs a dense reference ------------------------
@@ -283,7 +377,8 @@ def test_outer_objective_monotone_and_gap_bound():
 @st.composite
 def mixed_row_problems(draw):
     """Random convex problems mixing diagonal, two-point and dense PSD rows,
-    with a point x strictly inside every row and a direction dx."""
+    with a point x strictly inside every row, a direction dx, and slacks
+    from 1e-14 to 10 and multipliers from 1e-3 to 100."""
     dim = draw(st.integers(2, 7))
     kinds = draw(st.lists(st.sampled_from(["diagonal", "two-point", "dense"]),
                           min_size=1, max_size=8))
@@ -291,24 +386,16 @@ def mixed_row_problems(draw):
     x = rng.normal(size=dim)
     ineq = []
     for kind in kinds:
-        if kind == "diagonal":
-            q = np.diag(rng.uniform(0.0, 3.0, dim) * (rng.random(dim) < 0.6))
-        elif kind == "two-point":
-            i, j = rng.choice(dim, size=2, replace=False)
-            w = rng.uniform(0.1, 3.0)
-            q = np.zeros((dim, dim))
-            q[i, i] = q[j, j] = w
-            q[i, j] = q[j, i] = -w
-        else:
-            a = rng.normal(size=(dim, dim))
-            q = a @ a.T
+        q = _row_matrix(rng, kind, dim)
         c = rng.normal(size=dim)
         d = -(0.5 * x @ q @ x + c @ x) - rng.uniform(0.1, 2.0)
         ineq.append((q, c, d))
     a0 = rng.normal(size=(dim, dim))
     p = qcqp.QcqpProblem.from_dense(dim=dim, objective=(a0 @ a0.T, rng.normal(size=dim), 0.5),
                                     ineq=ineq)
-    return p, x, rng.normal(size=dim), float(rng.uniform(0.1, 100.0))
+    m = len(kinds)
+    return (p, x, rng.normal(size=dim), 10.0 ** rng.uniform(-14.0, 1.0, m),
+            rng.uniform(1e-3, 100.0, m))
 
 
 def _close(got, ref):
@@ -317,7 +404,7 @@ def _close(got, ref):
 
 @given(mixed_row_problems())
 def test_structured_rows_match_dense_reference(case):
-    p, x, dx, t = case
+    p, x, dx, s, lam = case
     qs = [q for q, _, _ in p.ineq]
     g = np.array([0.5 * x @ q @ x + c @ x + d for q, c, d in p.ineq])
     gx = np.array([q @ x + c for q, c, _ in p.ineq])
@@ -326,16 +413,19 @@ def test_structured_rows_match_dense_reference(case):
     assert _close(p.rows.quad_forms(dx), np.array([0.5 * dx @ q @ dx for q in qs]))
 
     q0, c0, d0 = p.objective
-    inv = -1.0 / g
-    val = t * (0.5 * x @ q0 @ x + c0 @ x + d0) - np.sum(np.log(-g))
-    grad = t * (q0 @ x + c0) + inv @ gx
-    hess = (t * q0 + sum(w * q for w, q in zip(inv, qs))
-            + sum(w * w * np.outer(r, r) for w, r in zip(inv, gx)))
-    got = qcqp._grad_hess_barrier(p.objective, p.rows, x, t)
-    # the barrier reads the constraint values with the same formula as the
-    # feasibility tests and multipliers, bit for bit
-    assert np.array_equal(got[3], p.ineq_values(x))
-    assert _close(np.array(got[0]), np.array(val))
-    assert _close(got[1], grad)
-    assert _close(got[2], hess)
-    assert np.array_equal(got[2], got[2].T)
+    w = lam / s
+    hess = (q0 + sum(li * q for li, q in zip(lam, qs))
+            + sum(wi * np.outer(r, r) for wi, r in zip(w, gx)))
+    f, r_dual, got_g, got_gx, matrix, keep = qcqp._newton_system(p.objective, p.rows, x, s, lam)
+    # the loop reads the constraint values with the same formula as the
+    # feasibility tests, bit for bit
+    assert np.array_equal(got_g, p.ineq_values(x))
+    assert _close(np.array(f), np.array(0.5 * x @ q0 @ x + c0 @ x + d0))
+    assert _close(r_dual, q0 @ x + c0 + lam @ gx)
+    assert _close(got_gx, gx)
+    assert np.array_equal(matrix, matrix.T)
+    # the rows kept as unknowns fold back into the reduced matrix
+    n = p.dim
+    assert np.array_equal(matrix[n:, n:], np.diag(-1.0 / w[keep]))
+    reduced = matrix[:n, :n] + matrix[:n, n:] @ np.diag(w[keep]) @ matrix[n:, :n]
+    assert _close(reduced, hess)
