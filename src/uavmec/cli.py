@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,78 +24,38 @@ import numpy as np
 from .config import load_scenario, ConfigParseError
 from .planner import SCHEMES, PlannerResult, sweep_T
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    scenario_path: str
-    schemes: tuple[str, ...] = SCHEMES
-    T_sweep: tuple[float, ...] | None = None
-    output_dir: str = "results"
-    verbose: bool = False
-
-    def __post_init__(self):
-        if not self.schemes:
-            raise ValueError("schemes list must not be empty")
-        for scheme in self.schemes:
-            if scheme not in SCHEMES:
-                raise ValueError(f"unknown scheme {scheme!r}; pick from {SCHEMES}")
-        if len(set(self.schemes)) < len(self.schemes):
-            raise ValueError(f"a scheme is named twice in {self.schemes}")
-        # A duration's cells are written under its label f"{T:g}".
-        sweep = self.T_sweep or ()
-        if len({f"{T:g}" for T in sweep}) < len(sweep):
-            raise ValueError(f"a duration is named twice in {self.T_sweep}")
+def _write_table(path: Path, header: str, rows, footer: str | None = None) -> None:
+    """Write ``header``, one line per row (its 1-based index, then each
+    value as ``repr(float(v))``) and ``footer`` when given."""
+    lines = [header] + [" ".join([str(i)] + [repr(v) for v in row])
+                        for i, row in enumerate(np.asarray(rows, dtype=float).tolist(), 1)]
+    path.write_text("\n".join(lines + ([footer] if footer else [])) + "\n")
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_trajectory(path: Path, result: PlannerResult) -> None:
-    traj, slot = result.plan.traj, result.scenario.slot
-    speeds = np.append(np.linalg.norm(np.diff(traj, axis=0), axis=1) / slot, 0.0)
-    _write_lines(path, ["# n x y speed"] + [f"{n + 1} {_fmt(x)} {_fmt(y)} {_fmt(v)}"
-                                           for n, ((x, y), v) in enumerate(zip(traj, speeds))])
-
-
-def _write_ledger(path: Path, result: PlannerResult) -> None:
-    s, led = result.scenario, result.ledger
-    cols = ([f"harvested_{k + 1}" for k in range(s.K)]
-            + [f"local_{k + 1}" for k in range(s.K)]
-            + [f"tx_{k + 1}" for k in range(s.K)]
-            + ["uav_compute", "propulsion"])
-    lines = ["# n " + " ".join(cols)]
-    for n in range(s.N):
-        row = [str(n + 1)]
-        row += [_fmt(led.harvested[k, n]) for k in range(s.K)]
-        row += [_fmt(led.local[k, n]) for k in range(s.K)]
-        row += [_fmt(led.tx[k, n]) for k in range(s.K)]
-        row += [_fmt(led.uav_compute[n]), _fmt(led.propulsion[n])]
-        lines.append(" ".join(row))
-    lines.append(f"# uav_total = {_fmt(led.uav_total)}")
-    _write_lines(path, lines)
-
-
-def _write_trace(path: Path, result: PlannerResult) -> None:
-    _write_lines(path, ["# i E_u"] + [f"{i} {_fmt(e)}" for i, e in result.outer_trace])
-
-
-def _write_p2_trace(path: Path, result: PlannerResult) -> None:
-    _write_lines(path, ["# iter dual_value max_violation"] + [
-        f"{it} {_fmt(g)} {_fmt(viol)}" for it, g, viol in result.p2_trace])
+def _write_cell(cell_dir: Path, result: PlannerResult, verbose: bool) -> None:
+    s, led, traj = result.scenario, result.ledger, result.plan.traj
+    speeds = np.append(np.linalg.norm(np.diff(traj, axis=0), axis=1) / s.slot, 0.0)
+    _write_table(cell_dir / "trajectory.txt", "# n x y speed", np.column_stack([traj, speeds]))
+    cols = [f"{name}_{k + 1}" for name in ("harvested", "local", "tx") for k in range(s.K)]
+    _write_table(cell_dir / "ledger.txt", "# n " + " ".join(cols + ["uav_compute", "propulsion"]),
+                 np.column_stack([led.harvested.T, led.local.T, led.tx.T,
+                                  led.uav_compute, led.propulsion]),
+                 footer=f"# uav_total = {float(led.uav_total)!r}")
+    _write_table(cell_dir / "trace.txt", "# i E_u", [[e] for _, e in result.outer_trace])
+    if verbose:
+        _write_table(cell_dir / "offload_trace.txt", "# iter dual_value max_violation",
+                     [row[1:] for row in result.p2_trace])
 
 
 def _cell_dir(out: Path, scheme: str, T: float) -> Path:
     return out / f"{scheme}_T{T:g}"
 
 
-def run(cfg: RunConfig) -> int:
+def _run(scenario_path: str, schemes: tuple[str, ...], T_sweep: tuple[float, ...] | None,
+         out: Path, verbose: bool) -> int:
     """Execute all requested cells, write result files, print the summary.
 
     Returns the process exit status: 0 iff every cell converged, 2 when
@@ -104,22 +63,21 @@ def run(cfg: RunConfig) -> int:
     made.  A cell directory's name taken by a file is found before any
     cell is planned.
     """
-    out = Path(cfg.output_dir)
     try:
-        s = load_scenario(cfg.scenario_path)
+        s = load_scenario(scenario_path)
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    T_values = cfg.T_sweep or (s.T,)
-    for scheme in cfg.schemes:
+    T_values = T_sweep or (s.T,)
+    for scheme in schemes:
         for T in T_values:
             cell_dir = _cell_dir(out, scheme, T)
             if cell_dir.exists() and not cell_dir.is_dir():
                 print(f"error: cell directory {cell_dir} is taken by a file", file=sys.stderr)
                 return 2
-    cells = sweep_T(s, T_values, cfg.schemes)
+    cells = sweep_T(s, T_values, schemes)
 
     header = f"{'scheme':<14} {'T':>6} {'uav_total':>16} {'iterations':>11} {'status':>10}"
     summary = [header, "-" * len(header)]
@@ -131,15 +89,11 @@ def run(cfg: RunConfig) -> int:
                                f"{res.iterations:>11d} {res.status:>10}")
                 cell_dir = _cell_dir(out, cell.scheme, cell.T)
                 cell_dir.mkdir(parents=True, exist_ok=True)
-                _write_trajectory(cell_dir / "trajectory.txt", res)
-                _write_ledger(cell_dir / "ledger.txt", res)
-                _write_trace(cell_dir / "trace.txt", res)
-                if cfg.verbose:
-                    _write_p2_trace(cell_dir / "offload_trace.txt", res)
+                _write_cell(cell_dir, res, verbose)
             else:
                 summary.append(f"{cell.scheme:<14} {cell.T:>6g} {'-':>16} {'-':>11} "
                                f"{cell.status:>10}")
-                if cfg.verbose and cell.error:
+                if verbose and cell.error:
                     summary.append(f"    {cell.error}")
         table = "\n".join(summary) + "\n"
         (out / "summary.txt").write_text(table)
@@ -149,7 +103,7 @@ def run(cfg: RunConfig) -> int:
     print(table, end="")
 
     failed = [c for c in cells if not c.converged]
-    if failed and cfg.verbose:
+    if failed and verbose:
         for c in failed:
             print(f"cell {c.scheme} T={c.T:g}: {c.error or c.status}", file=sys.stderr)
     return 0 if not failed else 1
@@ -163,9 +117,12 @@ def _one_blas_thread():
     the planner calls.  A copy whose thread-count symbols do not resolve,
     or a numpy built without a bundled OpenBLAS, is left alone.
 
-    The planner's matrices have at most a few hundred rows, where OpenBLAS
-    threads cost more in hand-offs than they save.  The library leaves
-    threading to its caller; only the command line pins it.
+    The planner's matrices have at most a few hundred rows.  At the
+    default count (one thread per CPU) threads neither help nor hurt the
+    table2 sweep beyond noise, but with more threads than CPUs an unpinned
+    sweep that takes 0.4 s pinned had not ended after 20 s on a 2-vCPU
+    host (README "Performance").  The library leaves threading to its
+    caller; only the command line pins it.
     """
     blas = []
     libs = Path(np.__file__).parents[1] / "numpy.libs"
@@ -215,13 +172,18 @@ def main(argv=None) -> int:
             sweep = tuple(float(t) for t in args.sweep_T.split(","))
         except ValueError:
             parser.error(f"--sweep-T must be a comma list of numbers, got {args.sweep_T!r}")
-    try:
-        cfg = RunConfig(scenario_path=args.scenario, schemes=schemes,
-                        T_sweep=sweep, output_dir=args.out, verbose=args.verbose)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if not schemes:
+        parser.error("schemes list must not be empty")
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            parser.error(f"unknown scheme {scheme!r}; pick from {SCHEMES}")
+    if len(set(schemes)) < len(schemes):
+        parser.error(f"a scheme is named twice in {schemes}")
+    # A duration's cells are written under its label f"{T:g}".
+    if sweep and len({f"{T:g}" for T in sweep}) < len(sweep):
+        parser.error(f"a duration is named twice in {sweep}")
     with _one_blas_thread():
-        return run(cfg)
+        return _run(args.scenario, schemes, sweep, Path(args.out), args.verbose)
 
 
 if __name__ == "__main__":

@@ -181,10 +181,14 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 def channel_gains(s: Scenario, traj) -> np.ndarray:
-    """(K, N) channel gains; slot n uses trajectory point n."""
+    """(K, N) channel gains; slot n uses trajectory point n.  Every
+    path-dependent quantity reads these, so a non-finite point is refused
+    here (``ValueError``)."""
     traj = np.asarray(traj, dtype=float)
     if traj.shape[0] < s.N:
         raise DimensionError(f"trajectory has {traj.shape[0]} points, need >= {s.N}")
+    if not np.all(np.isfinite(traj)):
+        raise ValueError("trajectory entries must be finite")
     d2 = np.sum((traj[None, : s.N, :] - s.user_pos[:, None, :]) ** 2, axis=2)
     return s.beta0 / (s.H ** 2 + d2)
 

@@ -104,6 +104,7 @@ class Rows:
     def checked(self, name: str = "ineq[{}]") -> "Rows":
         """Validated copy: duplicates summed, entries in row-major order, each
         Qi symmetrized.  Raises ValueError for an index out of range, a
+        non-finite entry of a Qi, c or d (naming the first such row), a
         missing or differing mirror entry (``numpy.allclose`` with absolute
         tolerance 1e-10 times the row's largest entry, at least 1), and a
         minimum eigenvalue below -1e-9 times the largest (at least 1).
@@ -112,6 +113,10 @@ class Rows:
         idx = np.stack([self.row, self.j, self.k], axis=1)
         if np.any((idx < 0) | (idx >= [m, dim, dim])):
             raise ValueError(f"rows: triplet index out of range for {m} rows in dimension {dim}")
+        bad = ~(np.isfinite(self.c).all(axis=1) & np.isfinite(self.d))
+        np.logical_or.at(bad, self.row, ~np.isfinite(self.val))
+        if bad.any():
+            raise ValueError(f"{name.format(int(np.argmax(bad)))}: entries must be finite")
         key, inv = np.unique((self.row * dim + self.j) * dim + self.k, return_inverse=True)
         val = np.bincount(inv, self.val, minlength=key.size)
         row, jk = np.divmod(key, dim * dim)
@@ -372,23 +377,30 @@ def _interior_point(obj, rows: Rows, x: np.ndarray):
         x, s, lam = x + a * dx, s + a * ds, lam + a * dlam
 
 
+def _finite_hint(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float).copy()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("hint entries must be finite")
+    return x
+
+
 def phase1(p: QcqpProblem, x_hint=None) -> tuple[np.ndarray, float, str]:
     """Maximize the slack margin s subject to g_i(x) <= -s, up to the cap
     ``_PHASE1_CAP`` (1), with the primal-dual loop of :func:`solve` on the
     lifted rows.
 
     Returns (x, margin, status): the margin x attains, min(cap, -max g(x)),
-    and status "feasible" when it is positive, "infeasible" otherwise.  A
-    hint strictly inside every row by 0.01 * cap (or a problem without
-    rows) is returned as it stands.  A tiny proximal pull toward the hint
-    keeps the Newton systems full rank (the margin objective has no
-    curvature of its own).  It perturbs the margin by at most
-    ``_PHASE1_PROX`` times the squared drift, and it is kept below the
-    loop's dual tolerance: once the slack rows' multipliers vanish, a
-    stronger pull would drive full Newton steps in x across their curved
-    boundaries.
+    and status "feasible" when it is positive, "infeasible" otherwise;
+    ``ValueError`` for a non-finite hint.  A hint strictly inside every row
+    by 0.01 * cap (or a problem without rows) is returned as it stands.  A
+    tiny proximal pull toward the hint keeps the Newton systems full rank
+    (the margin objective has no curvature of its own).  It perturbs the
+    margin by at most ``_PHASE1_PROX`` times the squared drift, and it is
+    kept below the loop's dual tolerance: once the slack rows' multipliers
+    vanish, a stronger pull would drive full Newton steps in x across
+    their curved boundaries.
     """
-    x0 = np.zeros(p.dim) if x_hint is None else np.asarray(x_hint, dtype=float).copy()
+    x0 = np.zeros(p.dim) if x_hint is None else _finite_hint(x_hint)
     g0 = p.ineq_values(x0)
     if np.all(g0 < -0.01 * _PHASE1_CAP):
         return x0, -float(np.max(g0, initial=-np.inf)), "feasible"
@@ -407,6 +419,8 @@ def phase1(p: QcqpProblem, x_hint=None) -> tuple[np.ndarray, float, str]:
 def _barrier(p: QcqpProblem, x0) -> tuple[np.ndarray, np.ndarray, str, list]:
     """The primal-dual loop from x0 if strictly feasible, else from phase 1's point."""
     q0, c0, _ = p.objective
+    if x0 is not None:
+        x0 = _finite_hint(x0)
     if p.m == 0:
         x, res, _, _ = np.linalg.lstsq(q0, -c0, rcond=None)
         if np.max(np.abs(q0 @ x + c0), initial=0.0) > 1e-8 * (1.0 + np.abs(c0).max(initial=0.0)):
@@ -414,7 +428,7 @@ def _barrier(p: QcqpProblem, x0) -> tuple[np.ndarray, np.ndarray, str, list]:
         return x, np.zeros(0), "optimal", [(np.inf, p.objective_value(x), 0.0)]
 
     if x0 is not None and np.all(p.ineq_values(x0) < -1e-12):
-        x = np.asarray(x0, dtype=float).copy()
+        x = x0
     else:
         x, margin, status = phase1(p, x_hint=x0)
         if status == "infeasible" or not np.all(p.ineq_values(x) < 0.0):
@@ -429,7 +443,7 @@ def solve(p: QcqpProblem, x0=None) -> QcqpSolution:
     x may exceed a row by up to ``_GAP_TOL`` (1 + max |d_i|), the loop's
     primal tolerance.  ``x0`` is an optional strictly feasible hint; phase 1 runs otherwise.
     Raises :class:`QcqpInfeasibleError` when phase 1 certifies that no
-    strictly feasible point exists.
+    strictly feasible point exists and ``ValueError`` for a non-finite hint.
     """
     x, lam, status, trace = _barrier(p, x0)
     kkt = kkt_residuals(p, x, lam)

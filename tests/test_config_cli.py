@@ -16,7 +16,7 @@ from uavmec.config import (
     write_scenario,
     bundled_scenario,
 )
-from uavmec.cli import RunConfig, main
+from uavmec.cli import main
 from uavmec.model import Scenario
 
 
@@ -142,21 +142,24 @@ def _render(s, **overrides) -> str:
     return text
 
 
-# --- run config / CLI --------------------------------------------------------
+# --- CLI ---------------------------------------------------------------------
 
-def test_empty_schemes_rejected(tmp_path):
-    with pytest.raises(ValueError, match="schemes"):
-        RunConfig(scenario_path="x.cfg", schemes=())
-    for sweep in ((2.0, 2.2, 2.0), (2.0, 2.0000001)):
-        with pytest.raises(ValueError, match="duration is named twice"):
-            RunConfig(scenario_path="x.cfg", T_sweep=sweep)
-
-
-def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError, match="unknown scheme"):
-        RunConfig(scenario_path="x.cfg", schemes=("zigzag",))
-    with pytest.raises(ValueError, match="scheme is named twice"):
-        RunConfig(scenario_path="x.cfg", schemes=("straight-line", "straight-line"))
+@pytest.mark.parametrize("args, message", [
+    (["--schemes", ","], "schemes list must not be empty"),
+    (["--schemes", "zigzag"], "unknown scheme 'zigzag'"),
+    (["--schemes", "straight-line,straight-line"], "a scheme is named twice"),
+    (["--sweep-T", "2,2.2,2"], "a duration is named twice in (2.0, 2.2, 2.0)"),
+    (["--sweep-T", "2,2.0000001"], "a duration is named twice in (2.0, 2.0000001)"),
+], ids=["empty-schemes", "unknown-scheme", "repeated-scheme", "repeated-duration",
+        "same-duration-label"])
+def test_cli_bad_schemes_or_durations_exit_2(tmp_path, capsys, args, message):
+    """An empty, unknown or repeated scheme and two durations with one
+    cell label are usage errors, reported before the scenario is read."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", str(tmp_path / "missing.cfg"), *args,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"uavmec: error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("xi1", [-1.0, 0.0, float("nan"), float("inf")])
@@ -386,7 +389,7 @@ def test_cli_runs_on_one_blas_thread(tmp_path, ref_cfg, monkeypatch):
     if not before:
         pytest.skip("numpy bundles no OpenBLAS here")
     seen = []
-    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(_openblas_threads()) or 0)
+    monkeypatch.setattr(cli, "_run", lambda *args: seen.append(_openblas_threads()) or 0)
     assert main(["--scenario", str(ref_cfg), "--out", str(tmp_path / "out")]) == 0
     assert seen == [[1] * len(before)]
     assert _openblas_threads() == before

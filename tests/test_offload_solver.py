@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from uavmec.model import Scenario, Plan, check_constraints
-from uavmec.planner import semicircle_trajectory, straight_line_trajectory
+from uavmec.planner import run_algorithm1, semicircle_trajectory, straight_line_trajectory
 from uavmec import offload_solver
 from uavmec.offload_solver import (
     DualState,
@@ -458,6 +458,38 @@ def test_probe_and_solver_flag_starved_instance(ref2x6, ref2x6_traj):
     assert np.any(probe_feasibility(starved, ref2x6_traj) < 0.0)
     with pytest.raises(InfeasibleTrajectoryError):
         solve_p2(starved, ref2x6_traj)
+
+
+def _with_point(traj, value):
+    bad = np.array(traj, dtype=float)
+    bad[2, 0] = value
+    return bad
+
+
+def _warm_with(sol, name, value):
+    prices = {n: np.array(getattr(sol.duals, n)) for n in ("mu", "nu", "theta")}
+    prices[name].flat[0] = value
+    return DualState(**prices)
+
+
+@pytest.mark.parametrize("case, message", [
+    (lambda s, traj, sol: solve_p2(s, traj, warm=_warm_with(sol, "nu", np.nan)),
+     "nu entries must be finite"),
+    (lambda s, traj, sol: solve_p2(s, traj, warm=_warm_with(sol, "theta", np.inf)),
+     "theta entries must be finite"),
+    (lambda s, traj, sol: solve_p2(s, _with_point(traj, np.nan)), "trajectory entries"),
+    (lambda s, traj, sol: solve_p2(s, _with_point(traj, np.inf)), "trajectory entries"),
+    (lambda s, traj, sol: probe_feasibility(s, _with_point(traj, np.nan)), "trajectory entries"),
+    (lambda s, traj, sol: run_algorithm1(s, init=_with_point(traj, np.nan)),
+     "trajectory entries"),
+], ids=["warm-nan-nu", "warm-inf-theta", "nan-point", "inf-point", "probe-nan-point",
+        "planner-nan-start"])
+def test_nonfinite_schedule_input_is_refused(ref2x6, ref2x6_traj, ref_solution, case, message):
+    """A NaN or inf price or path point is refused at the boundary, not
+    carried into a dual ascent that stalls on it or a margin that no sign
+    test refuses."""
+    with pytest.raises(ValueError, match=message):
+        case(ref2x6, ref2x6_traj, ref_solution)
 
 
 # --- solve_p2 ----------------------------------------------------------------

@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solveh_banded
 
 from uavmec.model import Scenario, ScenarioError, check_constraints, evaluate_ledger
-from uavmec.offload_solver import DualState, solve_p2
+from uavmec.errors import SolverError
+from uavmec.offload_solver import DualState, probe_feasibility, solve_p2
 from uavmec.planner import (
     run_algorithm1,
     run_baseline,
@@ -525,3 +527,52 @@ def test_explicit_array_initialization(ref2x6):
     for unknown in ("zigzag", "straight"):
         with pytest.raises(ValueError, match="unknown initialization"):
             run_algorithm1(ref2x6, init=unknown)
+
+
+# --- property: every run ends typed or feasible ------------------------------
+
+_DASH_FACTORS = (1.0 + 1e-9, 1.001, 1.05, 1.6, 2.0)
+
+
+@st.composite
+def _missions(draw):
+    """Random missions with the ``ref2x6`` physics between (0, 0) and
+    (10, 0): 1-4 users, 3-20 slots, T in [1.5, 3] s, V_max at or a little
+    above the dash speed (the semicircle fits only from 1.6x), and each
+    user's demand a 5-100% share of what the straight path's
+    spend-as-harvested policy certifies."""
+    K = draw(st.integers(1, 4))
+    T = draw(st.floats(1.5, 3.0))
+    fields = dict(
+        K=K, N=draw(st.integers(3, 20)), T=T, H=10.0,
+        user_pos=[[draw(st.floats(-2.0, 12.0)), draw(st.floats(-6.0, 10.0))]
+                  for _ in range(K)],
+        R=np.zeros(K), P_u=draw(st.floats(3e4, 1.5e5)), eta=0.8, B=2e6, sigma2=1e-9,
+        Gamma=1.0, beta0=1e-5, M=1e3, gamma_c=1e-28, W_mass=9.65,
+        V_max=draw(st.sampled_from(_DASH_FACTORS)) * 10.0 / T,
+        q0=[0.0, 0.0], qF=[10.0, 0.0])
+    capacity = probe_feasibility(Scenario(**fields), straight_line_trajectory(Scenario(**fields)))
+    share = np.array([draw(st.floats(0.05, 1.0)) for _ in range(K)])
+    return Scenario(**{**fields, "R": share * capacity}), draw(
+        st.sampled_from(["straight-line", "semi-circle"]))
+
+
+@settings(max_examples=60)
+@given(_missions())
+def test_every_run_ends_typed_or_feasible(case):
+    """A planner run either raises a typed SolverError or returns finite
+    arrays that pass check_constraints(1e-6), with an outer trace that
+    never rises.  "converged" is not required: a demand at the certified
+    capacity can leave no strictly feasible schedule near the path, and
+    the run then ends "stalled" on a feasible plan."""
+    s, start = case
+    try:
+        res = run_algorithm1(s, init=start)
+    except SolverError:
+        return
+    arrays = (*vars(res.plan).values(), *vars(res.ledger).values(), res.outer_trace)
+    assert all(np.all(np.isfinite(a)) for a in arrays)
+    rep = check_constraints(s, res.plan)
+    assert rep.feasible(1e-6), rep.summary()
+    trace = [e for _, e in res.outer_trace]
+    assert all(b <= a for a, b in zip(trace, trace[1:]))

@@ -150,6 +150,31 @@ def test_triplet_rows_validated():
         _triplet_problem([0, 0], [0], [0], [1.0])
 
 
+def _unit_ball(c=(0.0, 0.0), d=-1.0, q=((1.0, 0.0), (0.0, 1.0)), c0=(1.0, 1.0)):
+    """min 0.5 ||x||^2 + c0'x subject to 0.5 x'Qx + c'x + d <= 0 (feasible
+    at the origin with the defaults)."""
+    return qcqp.QcqpProblem.from_dense(dim=2, objective=(np.eye(2), np.array(c0), 0.0),
+                                       ineq=[(np.array(q), np.array(c), d)])
+
+
+@pytest.mark.parametrize("case, message", [
+    (lambda: qcqp.solve(_unit_ball(), x0=np.array([np.nan, 0.0])), "hint"),
+    (lambda: qcqp.solve(_unit_ball(), x0=np.array([np.inf, 0.0])), "hint"),
+    (lambda: qcqp.phase1(_unit_ball(), x_hint=np.array([np.nan, 0.0])), "hint"),
+    (lambda: _unit_ball(c=(np.nan, 0.0)), r"ineq\[0\]: entries must be finite"),
+    (lambda: _unit_ball(d=np.nan), r"ineq\[0\]: entries must be finite"),
+    (lambda: _unit_ball(q=((np.nan, 0.0), (0.0, 1.0))), r"ineq\[0\]: entries must be finite"),
+    (lambda: _unit_ball(c0=(np.inf, 1.0)), "objective: entries must be finite"),
+], ids=["solve-nan-hint", "solve-inf-hint", "phase1-nan-hint", "nan-c", "nan-d", "nan-q",
+        "inf-objective"])
+def test_nonfinite_data_or_hint_is_refused(case, message):
+    """A NaN or inf hint is refused rather than reported as a phase-1
+    margin of 1 on a feasible problem, and a non-finite row entry is named
+    by its row rather than accepted or left to a RuntimeWarning."""
+    with pytest.raises(ValueError, match=message):
+        case()
+
+
 # --- phase 1 ----------------------------------------------------------------
 
 def test_phase1_infeasible_pair_margin():
