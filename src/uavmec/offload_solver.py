@@ -10,8 +10,10 @@ maximized over the multipliers directly.  The closed forms are
 differentiable in the prices, which makes the dual Hessian exact and cheap;
 one projected Newton method (Bertsekas, SIAM J. Control Optim. 20(2),
 1982) with Levenberg-Marquardt damping climbs it on the nonnegative box.
-:func:`solve_p2` calls that loop (:func:`minimize`) directly, and each
-damped Newton system is one ``np.linalg.solve``.
+:func:`solve_p2` calls that loop (:func:`minimize`) directly.  Users couple
+only through the UAV prices, so each damped Newton system is one batched
+``np.linalg.solve`` over the users' blocks and one over the Schur
+complement on the free UAV prices (Nocedal & Wright, section 16.2).
 
 All public interfaces take and return SI units.  Internally the solver
 works in Mbit / GHz / mJ, which conditions the multipliers to order one.
@@ -159,14 +161,6 @@ class _ScaledP2:
         self.f_cap = np.maximum(self.R / self.bits_f, 1.0)         # (K,) GHz
         self.a_ln2 = self.a_tx[:, : self.N - 1] * math.log(2.0)   # TX slots' a_tx ln 2
         self.cum_eharv = np.cumsum(self.eharv, axis=1)
-        # Slot index structure of the dual Hessian's blocks (see
-        # _neg_dual_hessian): the UAV prices in z order as the first slot
-        # whose bits they count, and the min / max / >= tables.
-        slots = np.arange(self.N)
-        self.first = np.append(np.arange(1, self.N - 1), 0)
-        self.slot_min = np.minimum.outer(slots, slots)
-        self.first_max = np.maximum.outer(self.first, self.first)
-        self.after_first = slots[:, None] >= self.first
 
     def tx_energy(self, l: np.ndarray) -> np.ndarray:
         return self.a_tx * (np.exp2(np.minimum(l, self.l_cap) / self.bl) - 1.0)
@@ -180,47 +174,48 @@ class _ScaledP2:
         """
         local_e = self.c_f * f ** 3
         tx_e = self.tx_energy(l)
-        c2 = np.cumsum(local_e + tx_e, axis=1) - self.cum_eharv
-        bits = self.bits_f * f.sum(axis=1) + l[:, : self.N - 1].sum(axis=1)
-        c1 = self.R - bits
-        cum_fu = np.cumsum(fu)
-        cum_l = np.cumsum(l.sum(axis=0))
+        c2 = (local_e + tx_e).cumsum(axis=1) - self.cum_eharv
+        tx_bits = l[:, : self.N - 1].sum(axis=1)
+        c1 = self.R - (self.bits_f * f.sum(axis=1) + tx_bits)
+        cum_fu = fu.cumsum()
+        cum_l = l.sum(axis=0).cumsum()
         c3 = self.bits_f * cum_fu[: self.N - 1]
         c3[1:] -= cum_l[: self.N - 2]
-        c4 = float(l[:, : self.N - 1].sum() - self.bits_f * fu.sum())
+        c4 = float(tx_bits.sum() - self.bits_f * fu.sum())
         return c1, c2, c3, c4
 
     def lagrangian(self, mu, nu, theta, fu, gaps) -> float:
         """Lagrangian [mJ] at a primal point with UAV frequencies ``fu`` and
         constraint gaps ``gaps`` (from :meth:`violations`)."""
         c1, c2, c3, c4 = gaps
-        obj = self.c_f * float(np.sum(fu ** 3))
-        return (obj + float(mu @ c1) + float(np.sum(nu * c2))
+        obj = self.c_f * float((fu ** 3).sum())
+        return (obj + float(mu @ c1) + float((nu * c2).sum())
                 + float(theta[: self.N - 1] @ c3) + theta[self.N - 1] * c4)
 
 
-def _theta_tail(theta: np.ndarray) -> np.ndarray:
-    """tail[i] = sum of theta[i .. N-2]; tail[N-1] = 0."""
-    n = theta.shape[0]
-    return np.append(np.cumsum(theta[: n - 1][::-1])[::-1], 0.0)
+def _price_gaps(slack, mid) -> np.ndarray:
+    """UAV price gaps theta_N - sum of theta[n .. N-2] of slots n = 1 .. N-1:
+    the slack theta_N - sum(mid) plus the mid prices before slot n."""
+    return slack + np.concatenate(([0.0], mid.cumsum()))
 
 
 class _Point(NamedTuple):
     """Scaled prices with their energy-price tails ``V`` (V[k, n] = sum of
-    nu[k, n:]) and UAV price tails, the Lagrangian minimizer (l, f, fu)
-    there, its gaps (c1, c2, c3, c4) and the dual value."""
+    nu[k, n:]) and UAV price gaps (:func:`_price_gaps`), the Lagrangian
+    minimizer (l, f, fu) there, its gaps (c1, c2, c3, c4) and the dual
+    value."""
 
     mu: np.ndarray
     nu: np.ndarray
     theta: np.ndarray
     V: np.ndarray
-    tail: np.ndarray
+    uav_gap: np.ndarray
     primal: tuple
     gaps: tuple
     value: float
 
 
-def _recover_scaled(sp: _ScaledP2, mu, nu, theta) -> _Point:
+def _recover_scaled(sp: _ScaledP2, mu, nu, theta, uav_gap) -> _Point:
     """Closed-form minimizer of the Lagrangian at the given prices.
 
     The minimizer is separable per variable.  Where a user's remaining
@@ -230,22 +225,19 @@ def _recover_scaled(sp: _ScaledP2, mu, nu, theta) -> _Point:
     price tail vanishes at a dual optimum of a bound-energy instance.
     """
     K, N = sp.K, sp.N
-    V = np.cumsum(nu[:, ::-1], axis=1)[:, ::-1]                  # (K, N)
-    tail = _theta_tail(theta)                                     # (N,)
-    theta_last = theta[N - 1]
+    V = nu[:, ::-1].cumsum(axis=1)[:, ::-1]                       # (K, N)
 
     # UAV frequencies: zero in the first slot, then a square-root ladder of
-    # the remaining price mass.
-    gap = theta_last - tail[1:N]
+    # the price gaps.
     fu = np.zeros(N)
-    fu[1:] = np.sqrt(sp.bits_f * np.maximum(gap, 0.0) / (3.0 * sp.c_f))
+    fu[1:] = np.sqrt(sp.bits_f * np.maximum(uav_gap, 0.0) / (3.0 * sp.c_f))
 
-    # Offloaded bits priced w = mu + tail[n+1] - theta_N per bit in slot n,
-    # and user frequencies clipped at the whole-demand cap.  Where no energy
-    # price remains, the Lagrangian falls linearly in bits priced w > 0 and
-    # in cycles priced mu > 0: the ratios below are infinite and the bits
-    # and cycles go to their caps.
-    w = mu[:, None] + tail[None, 1:N] - theta_last                # (K, N-1)
+    # Offloaded bits priced w = mu - gap[n+1] per bit in slot n, and user
+    # frequencies clipped at the whole-demand cap.  Where no energy price
+    # remains, the Lagrangian falls linearly in bits priced w > 0 and in
+    # cycles priced mu > 0: the ratios below are infinite and the bits and
+    # cycles go to their caps.
+    w = mu[:, None] - uav_gap                                     # (K, N-1)
     V_pos = np.where(V > 0.0, V, 0.0)
     l = np.zeros((K, N))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -256,12 +248,15 @@ def _recover_scaled(sp: _ScaledP2, mu, nu, theta) -> _Point:
     f = np.where(mu[:, None] > 0.0, np.minimum(f_closed, sp.f_cap[:, None]), 0.0)
 
     gaps = sp.violations(l, f, fu)
-    return _Point(mu=mu, nu=nu, theta=theta, V=V, tail=tail, primal=(l, f, fu),
+    return _Point(mu=mu, nu=nu, theta=theta, V=V, uav_gap=uav_gap, primal=(l, f, fu),
                   gaps=gaps, value=sp.lagrangian(mu, nu, theta, fu, gaps))
 
 
 def _duals_to_scaled(d: DualState):
-    return d.mu * _PRICE, d.nu.copy(), d.theta * _PRICE
+    """Scaled (mu, nu, theta, UAV price gaps) of ``d``."""
+    theta = d.theta * _PRICE
+    mid = theta[1:-1]
+    return d.mu * _PRICE, d.nu.copy(), theta, _price_gaps(theta[-1] - mid.sum(), mid)
 
 
 def _primal_from_scaled(l, f, fu):
@@ -294,7 +289,7 @@ def lagrangian_value(s: Scenario, traj, plan_part, d: DualState) -> float:
     sp = _ScaledP2(s, traj)
     l, f, fu = plan_part
     l, f, fu = np.asarray(l, dtype=float) / _BIT, np.asarray(f) / _FREQ, np.asarray(fu) / _FREQ
-    return sp.lagrangian(*_duals_to_scaled(d), fu, sp.violations(l, f, fu)) * _EN
+    return sp.lagrangian(*_duals_to_scaled(d)[:3], fu, sp.violations(l, f, fu)) * _EN
 
 
 # ---------------------------------------------------------------------------
@@ -379,29 +374,30 @@ def _pack(mu, nu, theta_mid, slack):
 def _unpack(z, K, N):
     mu = z[:K]
     nu = z[K : K + K * N].reshape(K, N)
-    theta_mid = z[K + K * N : K + K * N + (N - 2)]
-    slack = z[-1]
-    theta = np.zeros(N)
-    theta[1 : N - 1] = theta_mid
-    theta[N - 1] = slack + theta_mid.sum()
-    return mu, nu, theta
+    mid = z[K + K * N : -1]
+    gap = _price_gaps(z[-1], mid)
+    return mu, nu, np.concatenate(([0.0], mid, gap[-1:])), gap
 
 
 def _neg_dual_and_grad(z, sp: _ScaledP2):
     """Negated dual value and packed gradient at z, and the :class:`_Point`
     they were read off."""
-    N = sp.N
-    point = _recover_scaled(sp, *_unpack(z, sp.K, N))
+    K, N = sp.K, sp.N
+    point = _recover_scaled(sp, *_unpack(z, K, N))
     c1, c2, c3, c4 = point.gaps
     # Reparametrized theta: mid prices also feed the last (dominating) one.
-    grad = np.concatenate([c1, c2.ravel(), c3[1 : N - 1] + c4, [c4]])
-    return -point.value, -grad, point
+    grad = np.empty_like(z)
+    np.negative(c1, out=grad[:K])
+    np.negative(c2.ravel(), out=grad[K : K + K * N])
+    np.subtract(-c4, c3[1 : N - 1], out=grad[K + K * N : -1])
+    grad[-1] = -c4
+    return -point.value, grad, point
 
 
 def _residuals_scaled(sp: _ScaledP2, point: _Point) -> OffloadKkt:
     """Scaled KKT residuals at a price point and its Lagrangian minimizer."""
     N = sp.N
-    mu, nu, theta, V, tail = point.mu, point.nu, point.theta, point.V, point.tail
+    mu, nu, theta, V, gap = point.mu, point.nu, point.theta, point.V, point.uav_gap
     l, f, fu = point.primal
     c1, c2, c3, c4 = point.gaps
     primal = max(float(np.abs(c1).max(initial=0.0)),
@@ -413,13 +409,12 @@ def _residuals_scaled(sp: _ScaledP2, point: _Point) -> OffloadKkt:
 
     # Stationarity: the closed forms zero the interior gradients by
     # construction; report the projected gradient to catch cap clipping.
-    w = mu[:, None] + tail[None, 1:N] - theta[N - 1]
-    dl = (sp.a_tx[:, : N - 1] * math.log(2.0) / sp.bl
-          * np.exp2(l[:, : N - 1] / sp.bl) * V[:, : N - 1]) - w
+    w = mu[:, None] - gap
+    dl = sp.a_ln2 / sp.bl * np.exp2(l[:, : N - 1] / sp.bl) * V[:, : N - 1] - w
     dl_proj = np.where(l[:, : N - 1] <= 0.0, np.minimum(dl, 0.0), dl)
     df = 3.0 * sp.c_f * f ** 2 * V - mu[:, None] * sp.bits_f
     df_proj = np.where(f <= 0.0, np.minimum(df, 0.0), df)
-    dfu = 3.0 * sp.c_f * fu[1:] ** 2 - sp.bits_f * (theta[N - 1] - tail[1:N])
+    dfu = 3.0 * sp.c_f * fu[1:] ** 2 - sp.bits_f * gap
     dfu_proj = np.where(fu[1:] <= 0.0, np.minimum(dfu, 0.0), dfu)
     stat = max(float(np.abs(dl_proj).max(initial=0.0)),
                float(np.abs(df_proj).max(initial=0.0)),
@@ -427,8 +422,14 @@ def _residuals_scaled(sp: _ScaledP2, point: _Point) -> OffloadKkt:
     return OffloadKkt(stationarity=stat, primal=primal, complementarity=comp)
 
 
-def _neg_dual_hessian(sp: _ScaledP2, point: _Point) -> np.ndarray:
-    """Hessian of the negated dual at a price point, J_F diag(h_F)^-1 J_F^T.
+def _hessian_blocks(sp: _ScaledP2, point: _Point, free):
+    """Hessian H_FF of the negated dual at a price point, J_F diag(h_F)^-1
+    J_F^T, on the packed prices where ``free`` holds, as blocks (users,
+    valid, A, C, uav, D).  Users couple only through the UAV prices: row p
+    of user k's block A[k] (K, P, P) is the packed price users[k, p] where
+    valid[k, p], else an identity row padding every block to one size.
+    C (K, P, U) couples those rows to the free UAV prices, at packed
+    positions uav, and D (U, U) is the UAV prices' own block.
 
     The Lagrangian is separable in the primal, so each variable strictly
     inside its bounds follows the prices through its own stationarity
@@ -463,32 +464,60 @@ def _neg_dual_hessian(sp: _ScaledP2, point: _Point) -> np.ndarray:
     wu = np.divide(1.0, 6.0 * sp.c_f * fu, out=np.zeros(N), where=fu > 0.0)
     e_f = 3.0 * sp.c_f * f ** 2
 
-    KN = K * N
-    H = np.zeros((K + KN + N - 1, K + KN + N - 1))
-    nus = slice(K, K + KN)
-    ths = slice(K + KN, None)
-    first = sp.first
-    bits_tail = np.cumsum(wl[:, ::-1], axis=1)[:, ::-1]                   # n >= i
-    tx_head = np.zeros((K, N + 1))                                         # n < m
-    tx_head[:, 1:] = np.cumsum(tx_slope * wl, axis=1)
-    uav_tail = np.append(np.cumsum(wu[:0:-1])[::-1], 0.0)                  # j > i
+    # A user's free prices as ascending codes, padded in front with 0:
+    # nu[k, m] is m + 1 and mu[k], if free, the last at N + 1.  So the
+    # entry between rows p and q of two causality prices is the prefix sum
+    # at the code of row min(p, q), zero on padding; the bit price's row
+    # and column are written after.
+    own = np.concatenate([free[K : K + K * N].reshape(K, N), free[:K, None]], axis=1)
+    count = own.sum(axis=1)
+    P = max(int(count.max()), 1)
+    code = np.sort(own * np.arange(1, N + 2), axis=1)[:, N + 1 - P :]
+    valid = code > 0
+    rows = np.arange(K)[:, None]
+    table = np.zeros((K, N + 2))
+    (tx_slope ** 2 * wl + e_f ** 2 * wf).cumsum(axis=1, out=table[:, 1 : N + 1])
+    A = table[rows, code][:, np.minimum.outer(np.arange(P), np.arange(P))]
+    A.reshape(K, -1)[:, :: P + 1] += ~valid
+    (-tx_slope * wl - sp.bits_f * e_f * wf).cumsum(axis=1, out=table[:, 1 : N + 1])
+    ks = np.flatnonzero(own[:, N])
+    A[ks, -1] = A[ks, :, -1] = table[ks[:, None], code[ks]]
+    A[ks, -1, -1] = (wl.sum(axis=1) + sp.bits_f ** 2 * wf.sum(axis=1))[ks]
 
-    H[np.arange(K), np.arange(K)] = wl.sum(axis=1) + sp.bits_f ** 2 * wf.sum(axis=1)
-    H[np.repeat(np.arange(K), N), K + np.arange(KN)] = np.cumsum(
-        -tx_slope * wl - sp.bits_f * e_f * wf, axis=1).ravel()
-    H[:K, ths] = -bits_tail[:, first]
-    nu_nu = np.cumsum(tx_slope ** 2 * wl + e_f ** 2 * wf, axis=1)
-    for k in range(K):
-        block = slice(K + k * N, K + (k + 1) * N)
-        H[block, block] = nu_nu[k, sp.slot_min]
-    H[nus, ths] = np.where(sp.after_first, tx_head[:, 1:, None]
-                           - tx_head[:, None, first], 0.0).reshape(KN, N - 1)
+    # UAV prices in z order as the first slot whose bits they count.  UAV
+    # price i counts the TX bits of slots n >= i, so causality price (k, m)
+    # couples to it through the nonnegative head difference over i <= n <= m.
+    uav = np.flatnonzero(free[K + K * N :])
+    first = (uav + 1) % (N - 1)
+    bits_tail = wl[:, ::-1].cumsum(axis=1)[:, ::-1]                        # n >= i
+    tx_head = np.zeros((K, N + 2))                                         # n < m
+    (tx_slope * wl).cumsum(axis=1, out=tx_head[:, 1 : N + 1])
+    uav_tail = np.append(np.cumsum(wu[:0:-1])[::-1], 0.0)                  # j > i
+    C = tx_head[rows, code][:, :, None] - tx_head[:, None, first]
+    np.maximum(C, 0.0, out=C)
+    C[ks, -1] = -bits_tail[ks[:, None], first]
     theta_theta = bits_tail.sum(axis=0) + sp.bits_f ** 2 * uav_tail
-    H[ths, ths] = theta_theta[sp.first_max]
-    H[nus, :K] = H[:K, nus].T
-    H[ths, :K] = H[:K, ths].T
-    H[ths, nus] = H[nus, ths].T
-    return H
+    D = theta_theta[np.maximum.outer(first, first)]
+    users = K + N * rows + code - 1
+    users[ks, -1] = ks
+    return users, valid, A, C, K + K * N + uav, D
+
+
+def _damped_solve(blocks, grad, shift: float) -> np.ndarray:
+    """Solution of (H_FF + shift I) x = grad_F from :func:`_hessian_blocks`,
+    ordered as users[valid] then uav: one batched solve eliminates the
+    user blocks, then one solves the Schur complement on the UAV prices."""
+    users, valid, A, C, uav, D = blocks
+    K, P, U = C.shape
+    A = A.copy()
+    A.reshape(K, -1)[:, :: P + 1] += shift * valid
+    g = np.where(valid, grad[users], 0.0)
+    X = np.linalg.solve(A, np.concatenate([C, g[:, :, None]], axis=2))
+    CX = C.reshape(K * P, U).T @ X.reshape(K * P, U + 1)
+    S = D - CX[:, :U]
+    S.flat[:: U + 1] += shift
+    x_uav = np.linalg.solve(S, grad[uav] - CX[:, U])
+    return np.concatenate([(X[:, :, U] - X[:, :, :U] @ x_uav)[valid], x_uav])
 
 
 def _natural_residual(z, grad) -> float:
@@ -502,14 +531,14 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
     ``ev`` is ``evaluate(z)`` (see :func:`_neg_dual_and_grad`).
     Multipliers within ``res`` of zero whose gradient pushes them out are
     sent to the bound (the epsilon-active set); the others take a
-    Levenberg-Marquardt step, damped by ``damping`` times the largest
-    Hessian diagonal.  The path z(a) = max(z + a d, floor) is searched by
-    halving a until the value passes an Armijo test or, once the value no
-    longer resolves the progress, the natural residual shrinks without the
-    value rising.  With ``polish`` only the full step is tried, and only if
-    it shrinks the natural residual without raising the value: one or two
-    such steps reach the rounding floor, beyond which shorter steps would
-    only move noise.
+    Levenberg-Marquardt step (:func:`_damped_solve`), damped by ``damping``
+    times their largest Hessian diagonal.  The path z(a) = max(z + a d,
+    floor) is searched by halving a until the value passes an Armijo test
+    or, once the value no longer resolves the progress, the natural
+    residual shrinks without the value rising.  With ``polish`` only the
+    full step is tried, and only if it shrinks the natural residual without
+    raising the value: one or two such steps reach the rounding floor,
+    beyond which shorter steps would only move noise.
     The floor is zero except for the bit prices, which keep a tenth of
     their value per step: every user left in the pricing problem needs a
     positive bit price, and a bit price that collapses to zero with the
@@ -520,20 +549,18 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
     damping), or None.
     """
     phi, grad, point = ev
-    act = (z <= min(res, 1e-3)) & (grad > 0.0)
-    free = ~act
-    idx = np.flatnonzero(free)
-    H = _neg_dual_hessian(sp, point)[idx[:, None], idx]
-    scale = float(np.diag(H).max(initial=0.0)) or 1.0
+    blocks = users, valid, A, _, uav, D = _hessian_blocks(
+        sp, point, ~((z <= min(res, 1e-3)) & (grad > 0.0)))
+    idx = np.concatenate([users[valid], uav])
+    scale = max(A.diagonal(axis1=1, axis2=2)[valid].max(initial=0.0),
+                D.diagonal().max(initial=0.0)) or 1.0
     floor = np.zeros_like(z)
     floor[: sp.K] = 0.1 * z[: sp.K]
     noise = 1e-13 * max(abs(phi), 1.0)
     while damping < 1e10:
-        damped = H.copy()
-        damped.flat[:: H.shape[0] + 1] += damping * scale
         d = -z
         try:
-            d[free] = -np.linalg.solve(damped, grad[free])
+            d[idx] = -_damped_solve(blocks, grad, damping * scale)
         except np.linalg.LinAlgError:
             damping *= 10.0
             continue
@@ -617,21 +644,23 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
     otherwise it is derived from that policy.  The ascent searches the
     prices whose last UAV price dominates the mid ones: it is written as a
     slack plus the mid prices' sum, so each slot's UAV price gap
-    theta_N - tail[n] is the slack plus the mid prices before slot n,
-    nonnegative everywhere on the box z >= 0.  The UAV frequency ladder's
-    clamp at a zero gap never binds there, and the dual is smooth on the
-    whole searched box.  The problem's own multipliers (theta >= 0, no
-    slack) form a box too, whose Hessian needs only the ``slot_min`` table
-    of the four, but there a gap can turn negative and put a kink in the
-    searched region: a prototype of that form reached the same statuses
-    and energies in more steps (Newton steps 166 -> 195 on the table2
-    sweep and 866 -> 1,007 on the benchmark's 24 generated baseline plans,
-    seed 1; dual evaluations 3,818 -> 5,363 on the proposed scheme from
-    both starts on those 12 scenarios).
-    Each price point is recovered once, as the closed-form
+    theta_N - tail[n] is the slack plus the mid prices before slot n
+    (read straight off z), nonnegative everywhere on the box z >= 0.  The
+    UAV frequency ladder's clamp at a zero gap never binds there, and the
+    dual is smooth on the whole searched box.  The problem's own
+    multipliers (theta >= 0, no slack) form a box too, but there a gap can
+    turn negative and put a kink in the searched region: a prototype of
+    that form reached the same statuses and energies in more steps (Newton
+    steps 166 -> 195 on the table2 sweep and 866 -> 1,007 on the
+    benchmark's 24 generated baseline plans, seed 1; dual evaluations
+    3,818 -> 5,363 on the proposed scheme from both starts on those 12
+    scenarios).  Each price point is recovered once, as the closed-form
     Lagrangian minimizer; the dual value and gradient and, at accepted
-    iterates, the KKT residuals and the analytic dual Hessian (per-user
-    prefix and suffix sums) all read that minimizer.  Once the KKT residuals
+    iterates, the KKT residuals and the analytic dual Hessian's blocks
+    (per-user prefix and suffix sums, :func:`_hessian_blocks`) all read
+    that minimizer.  Each damped Newton system is solved by eliminating
+    the users' blocks and then the Schur complement on the free UAV
+    prices (:func:`_damped_solve`).  Once the KKT residuals
     of the minimizer are within ``_TOL`` (1e-6), ascent continues by full
     Newton steps for as long as each shrinks the natural residual (one
     evaluation per step, typically one or two steps to the rounding floor);
@@ -687,7 +716,7 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
             f"{-margins[k]:.4g} bits under the spend-as-harvested policy")
 
     if warm is not None and np.array_equal(np.flatnonzero(warm.mu > 0.0), poor):
-        mu, nu, theta = _duals_to_scaled(warm)
+        mu, nu, theta, _ = _duals_to_scaled(warm)
         mu, nu = mu[poor], nu[poor]
     else:
         mu, nu, theta = _warm_start(sp, split)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from uavmec.model import Scenario, Plan, check_constraints
@@ -23,7 +23,9 @@ from uavmec.offload_solver import (
     _unpack,
     _recover_scaled,
     _neg_dual_and_grad,
-    _neg_dual_hessian,
+    _hessian_blocks,
+    _damped_solve,
+    _price_gaps,
 )
 
 from references import primal_oracle_p2
@@ -143,16 +145,37 @@ def k5n20():
     return Scenario(**{**fields, "R": demand}), traj
 
 
+def _assembled_hessian(sp, z, free=None):
+    """The blocks of :func:`_hessian_blocks` at z assembled into the dense
+    Hessian of the negated dual over the packed prices where ``free``
+    holds (all of them by default), with zero rows and columns elsewhere."""
+    free = np.ones(z.size, bool) if free is None else free
+    users, valid, A, C, uav, D = _hessian_blocks(sp, _neg_dual_and_grad(z, sp)[2], free)
+    H = np.zeros((z.size, z.size))
+    for k in range(sp.K):
+        rows, own = users[k, valid[k]], valid[k]
+        H[np.ix_(rows, rows)] = A[k][np.ix_(own, own)]
+        H[np.ix_(rows, uav)] = C[k, own]
+        H[np.ix_(uav, rows)] = C[k, own].T
+    H[np.ix_(uav, uav)] = D
+    return H
+
+
+def _interior_prices(sp, factors):
+    """Warm-start prices scaled entrywise by ``factors``, with every mid
+    UAV price positive, so every price is interior."""
+    mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
+    N = sp.N
+    z = _pack(mu, nu, np.full(N - 2, theta[N - 1] / N), theta[N - 1])
+    return z * factors[: z.size]
+
+
 def _check_hessian_by_central_differences(s, traj, factors):
     """Analytic Hessian of the negated dual against central differences of
-    its gradient, at warm-start prices scaled entrywise by ``factors``
-    (all mid UAV prices made positive, so every price is interior)."""
+    its gradient, at interior prices."""
     sp = _ScaledP2(s, traj)
-    mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
-    N = s.N
-    z = _pack(mu, nu, np.full(N - 2, theta[N - 1] / N), theta[N - 1])
-    z = z * factors[: z.size]
-    H = _neg_dual_hessian(sp, _neg_dual_and_grad(z, sp)[2])
+    z = _interior_prices(sp, factors)
+    H = _assembled_hessian(sp, z)
     fd = np.empty_like(H)
     for j in range(z.size):
         h = 1e-5 * z[j]
@@ -187,8 +210,8 @@ def _dense_dual_hessian(z, sp):
     """
     K, N = sp.K, sp.N
     KN = K * N
-    mu, nu, theta = _unpack(z, K, N)
-    l, f, fu = _recover_scaled(sp, mu, nu, theta).primal
+    mu, nu, theta, gap = _unpack(z, K, N)
+    l, f, fu = _recover_scaled(sp, mu, nu, theta, gap).primal
     V = np.flip(np.cumsum(np.flip(nu, axis=1), axis=1), axis=1)
     rate = np.log(2.0) / sp.bl
     tx_slope = sp.a_tx * rate * np.exp2(l / sp.bl)
@@ -216,23 +239,24 @@ def _dense_dual_hessian(z, sp):
 
 
 @st.composite
-def _prices_on_bounds(draw, s, traj):
-    """Warm-start prices scaled entrywise, then bent so that every kind of
-    bound is active: user 0's causality prices shrink by 1e-25 from a
-    drawn slot on (its bits reach l_cap and its cycles f_cap there, with
-    a positive price tail), user 1's bit price by 1e-3 (its bits stay at
-    0), and the slack and the first drawn mid UAV prices are zero (the
-    UAV idles in those slots)."""
-    sp = _ScaledP2(s, traj)
+def _prices_on_bounds(draw, s, traj, users=slice(None)):
+    """Warm-start prices of ``users`` scaled entrywise, then bent so that
+    every kind of bound is active: user 0's causality prices shrink by
+    1e-25 from a drawn slot on (its bits reach l_cap and its cycles f_cap
+    there, with a positive price tail), user 1's bit price (user 0's when
+    it is the only one) by 1e-3 (its bits stay at 0), and the slack and
+    the first drawn mid UAV prices are zero (the UAV idles in those
+    slots)."""
+    sp = _ScaledP2(s, traj, users)
     mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
-    K, N = s.K, s.N
+    K, N = sp.K, sp.N
     factors = draw(arrays(np.float64, K + K * N + N - 1, elements=st.floats(0.5, 2.0)))
     cut = draw(st.integers(1, N - 2))
     idle = draw(st.integers(1, N // 2))
     nu = nu * factors[K : K + K * N].reshape(K, N)
     nu[0, cut:] *= 1e-25
     mu = mu * factors[:K]
-    mu[1] *= 1e-3
+    mu[min(1, K - 1)] *= 1e-3
     # Dyadic mid prices sum exactly, so the UAV price gaps of the idle
     # slots are exactly zero.
     mid = np.round(theta[N - 1] / N * factors[K + K * N : -1] * 2.0 ** 10) / 2.0 ** 10
@@ -246,7 +270,7 @@ def _check_hessian_against_dense(sp, z):
     assert (l[:, : sp.N - 1] == 0.0).any() and (l == sp.l_cap).any()
     assert (f == sp.f_cap[:, None]).any() and (fu[1:] == 0.0).any()
     ref = _dense_dual_hessian(z, sp)
-    assert np.abs(_neg_dual_hessian(sp, point) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(_assembled_hessian(sp, z) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @given(data=st.data())
@@ -258,6 +282,111 @@ def test_dual_hessian_matches_dense_product_table2(table2, data):
 @given(data=st.data())
 def test_dual_hessian_matches_dense_product_k5n20(k5n20, data):
     _check_hessian_against_dense(*data.draw(_prices_on_bounds(*k5n20)))
+
+
+@pytest.fixture(scope="module")
+def large15(ref2x6):
+    """A schedule on which the dual ascent stalls: the presolve leaves one
+    user, and the damping swings between 1e-1 and 1e+2."""
+    fields = {n: getattr(ref2x6, n) for n in ref2x6.__dataclass_fields__}
+    s = Scenario(**{**fields, "K": 2, "N": 40, "T": 8.0, "P_u": 57622.0,
+                    "user_pos": [[2.319, 5.285], [5.696, -0.885]],
+                    "R": [2.670e6, 3.325e6], "qF": [8.0, 0.0]})
+    return s, semicircle_trajectory(s)
+
+
+_ACTIVE_SETS = ["all-free", "drawn", "one-user", "one-mu", "no-uav"]
+
+
+@st.composite
+def _free_prices(draw, sp, z):
+    """A drawn epsilon-active set's complement on the packed prices."""
+    K, N = sp.K, sp.N
+    kind = draw(st.sampled_from(_ACTIVE_SETS))
+    free = np.ones(z.size, bool)
+    k = draw(st.integers(0, K - 1))
+    if kind == "drawn":
+        free = draw(arrays(np.bool_, z.size))
+    elif kind == "one-user":
+        free[k] = False
+        free[K + k * N : K + (k + 1) * N] = False
+    elif kind == "one-mu":
+        free[k] = False
+    elif kind == "no-uav":
+        free[K + K * N :] = False
+    return free
+
+
+@pytest.mark.parametrize("instance", ["table2", "k5n20", "large15"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_eliminated_direction_matches_dense_damped_solve(request, instance, data):
+    """The block elimination solves the damped free Hessian system M x = g
+    (M = H_FF + shift I): on prices on and off the bounds, with drawn
+    epsilon-active sets (no free UAV price makes the Schur system empty)
+    and damping from 1e-12 to 1e8 times the largest free diagonal.
+
+    Its normwise backward error is within 16 eps, as for the dense LU of
+    ``np.linalg.solve``, and it equals that dense solve within 1e-10
+    relative.  Prices on the bounds leave H_FF singular, so at small
+    damping cond(M) reaches 5e13 and the dense solve itself moves by up to
+    5e-3 under a refined residual: there the two solves can agree only to
+    the float64 limit, 32 eps cond(M) (measured on table2: at most 0.54
+    eps cond(M) for damping up to 1, 4.2 eps cond(M) above, where
+    cond(M) is about 1)."""
+    if instance == "table2":
+        s = request.getfixturevalue("table2")
+        s_traj, users = (s, straight_line_trajectory(s)), slice(None)
+    elif instance == "k5n20":
+        s_traj, users = request.getfixturevalue("k5n20"), slice(None)
+    else:
+        s_traj, users = request.getfixturevalue("large15"), [1]
+    if data.draw(st.booleans()):
+        sp, z = data.draw(_prices_on_bounds(*s_traj, users))
+    else:
+        sp = _ScaledP2(*s_traj, users)
+        z = _interior_prices(sp, data.draw(arrays(
+            np.float64, sp.K + sp.K * sp.N + sp.N - 1, elements=st.floats(0.5, 2.0))))
+    free = data.draw(_free_prices(sp, z))
+    _, grad, point = _neg_dual_and_grad(z, sp)
+    blocks = users, valid, _, _, uav, _ = _hessian_blocks(sp, point, free)
+    idx = np.concatenate([users[valid], uav])
+    assert np.array_equal(np.sort(idx), np.flatnonzero(free))
+    if idx.size == 0:
+        assert _damped_solve(blocks, grad, 1.0).size == 0
+        return
+    H = _dense_dual_hessian(z, sp)[np.ix_(idx, idx)]
+    shift = 10.0 ** data.draw(st.floats(-12.0, 8.0)) * (np.diag(H).max() or 1.0)
+    M = H + shift * np.eye(idx.size)
+    g = grad[idx]
+    ref = np.linalg.solve(M, g)
+    got = _damped_solve(blocks, grad, shift)
+    eps = np.finfo(float).eps
+    norm = np.abs(M).sum(axis=1).max() * np.abs(got).max() + np.abs(g).max()
+    assert np.abs(M @ got - g).max() <= 16 * eps * norm
+    tol = max(1e-10, 32 * eps * np.linalg.cond(M))
+    assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("instance", ["table2", "k5n20"])
+def test_newton_systems_stay_per_user_and_uav_sized(monkeypatch, request, instance):
+    """No Newton system spans the whole price vector: during one solve
+    every batched system is a set of user blocks of at most N+1 rows, and
+    every single system (the Schur complement) has at most N-1 rows, one
+    per UAV price."""
+    s = request.getfixturevalue(instance)
+    s, traj = (s, straight_line_trajectory(s)) if instance == "table2" else s
+    solve = np.linalg.solve
+    shapes = []
+
+    def recorded(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    assert solve_p2(s, traj).kkt.max() <= 1e-6
+    assert {len(shape) for shape in shapes} == {2, 3}
+    assert all(shape[-1] <= (s.N - 1 if len(shape) == 2 else s.N + 1) for shape in shapes)
 
 
 def test_newton_trace_ascends_to_tolerance(ref_solution, ref_oracle):
@@ -318,9 +447,11 @@ def test_polish_costs_one_evaluation_per_step(monkeypatch, request, instance):
 
 def test_newton_step_stiffens_damping_when_the_solve_fails(monkeypatch, ref2x6,
                                                            ref2x6_traj):
-    """A damped Newton system that ``np.linalg.solve`` rejects as singular
-    is retried ten times stiffer: the step taken is the one a tenfold
-    damping takes directly."""
+    """A damped Newton system is two ``np.linalg.solve`` calls: the batched
+    user blocks, then the Schur complement on the free UAV prices.  When
+    either one raises LinAlgError the system is retried ten times stiffer:
+    the solves that follow are one full system, and the step taken is the
+    one a tenfold damping takes directly."""
     sp = _ScaledP2(ref2x6, ref2x6_traj)
     mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
     N = ref2x6.N
@@ -334,19 +465,20 @@ def test_newton_step_stiffens_damping_when_the_solve_fails(monkeypatch, ref2x6,
     expected = offload_solver._newton_step(sp, evaluate, z, ev, res, 10.0, polish=False)
     assert expected is not None
     solve = np.linalg.solve
-    calls = []
+    for failing in (1, 2):
+        calls = []
 
-    def fails_once(a, b):
-        calls.append(a)
-        if len(calls) == 1:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
+        def fails_once(a, b):
+            calls.append(a.ndim)
+            if len(calls) == failing:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", fails_once)
-    got = offload_solver._newton_step(sp, evaluate, z, ev, res, 1.0, polish=False)
-    assert len(calls) == 2
-    assert np.array_equal(got[0], expected[0])
-    assert got[2:] == expected[2:]
+        monkeypatch.setattr(np.linalg, "solve", fails_once)
+        got = offload_solver._newton_step(sp, evaluate, z, ev, res, 1.0, polish=False)
+        assert calls == [3, 2][:failing] + [3, 2]
+        assert np.array_equal(got[0], expected[0])
+        assert got[2:] == expected[2:]
 
 
 def test_singular_newton_systems_end_in_the_iteration_limit(monkeypatch, table2):
@@ -385,9 +517,10 @@ def test_rows_subsets_every_per_user_array(table2):
     mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
     rng = np.random.default_rng(7)
     for _ in range(20):
+        th = theta * rng.uniform(0.5, 2.0, table2.N)
         args = (mu[users] * rng.uniform(0.1, 10.0, users.size),
                 nu[users] * rng.uniform(0.1, 10.0, (users.size, table2.N)),
-                theta * rng.uniform(0.5, 2.0, table2.N))
+                th, _price_gaps(th[-1] - th[1:-1].sum(), th[1:-1]))
         restricted = _recover_scaled(_ScaledP2(table2, traj, users), *args)
         own = _recover_scaled(_ScaledP2(sub, traj), *args)
         for a, b in zip(restricted, own):
@@ -395,16 +528,11 @@ def test_rows_subsets_every_per_user_array(table2):
                 assert np.array_equal(x, y)
 
 
-def test_large15_schedule_ends_typed(ref2x6):
-    """A feasible schedule on which the dual ascent stalls (the presolve
-    leaves one user and the damping swings between 1e-1 and 1e+2): the
-    solve either meets tol or raises the typed iteration-limit error,
-    whose message tells the Newton steps and evaluations it used."""
-    fields = {n: getattr(ref2x6, n) for n in ref2x6.__dataclass_fields__}
-    s = Scenario(**{**fields, "K": 2, "N": 40, "T": 8.0, "P_u": 57622.0,
-                    "user_pos": [[2.319, 5.285], [5.696, -0.885]],
-                    "R": [2.670e6, 3.325e6], "qF": [8.0, 0.0]})
-    traj = semicircle_trajectory(s)
+def test_large15_schedule_ends_typed(large15):
+    """A feasible schedule on which the dual ascent stalls: the solve either
+    meets tol or raises the typed iteration-limit error, whose message
+    tells the Newton steps and evaluations it used."""
+    s, traj = large15
     assert np.all(probe_feasibility(s, traj) > 0.0)
     try:
         sol = solve_p2(s, traj)

@@ -20,6 +20,8 @@ from uavmec.planner import (
     BaselineSpeedError,
 )
 
+from references import primal_oracle_p2
+
 
 def _fields(s: Scenario) -> dict:
     return {name: getattr(s, name) for name in s.__dataclass_fields__}
@@ -535,16 +537,16 @@ _DASH_FACTORS = (1.0 + 1e-9, 1.001, 1.05, 1.6, 2.0)
 
 
 @st.composite
-def _missions(draw):
+def _missions(draw, max_cells=80):
     """Random missions with the ``ref2x6`` physics between (0, 0) and
-    (10, 0): 1-4 users, 3-20 slots, T in [1.5, 3] s, V_max at or a little
-    above the dash speed (the semicircle fits only from 1.6x), and each
-    user's demand a 5-100% share of what the straight path's
-    spend-as-harvested policy certifies."""
-    K = draw(st.integers(1, 4))
+    (10, 0): 1-4 users, 3-20 slots (at most ``max_cells`` user-slots), T in
+    [1.5, 3] s, V_max at or a little above the dash speed (the semicircle
+    fits only from 1.6x), and each user's demand a 5-100% share of what
+    the straight path's spend-as-harvested policy certifies."""
+    K = draw(st.integers(1, min(4, max_cells // 3)))
     T = draw(st.floats(1.5, 3.0))
     fields = dict(
-        K=K, N=draw(st.integers(3, 20)), T=T, H=10.0,
+        K=K, N=draw(st.integers(3, min(20, max_cells // K))), T=T, H=10.0,
         user_pos=[[draw(st.floats(-2.0, 12.0)), draw(st.floats(-6.0, 10.0))]
                   for _ in range(K)],
         R=np.zeros(K), P_u=draw(st.floats(3e4, 1.5e5)), eta=0.8, B=2e6, sigma2=1e-9,
@@ -576,3 +578,19 @@ def test_every_run_ends_typed_or_feasible(case):
     assert rep.feasible(1e-6), rep.summary()
     trace = [e for _, e in res.outer_trace]
     assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
+@settings(max_examples=4)
+@given(_missions(max_cells=12))
+def test_small_runs_match_the_primal_oracle(case):
+    """On missions of at most 12 user-slots, a run that returns a plan has
+    the UAV compute energy of ``primal_oracle_p2`` on its final path within
+    0.5% (the oracle tests' tolerance).  Four draws, because the oracle
+    takes up to 3.6 s on one."""
+    s, start = case
+    try:
+        res = run_algorithm1(s, init=start)
+    except SolverError:
+        return
+    _, oracle = primal_oracle_p2(s, res.plan.traj)
+    assert abs(res.ledger.uav_compute.sum() - oracle) <= 5e-3 * max(oracle, 1e-12)
