@@ -13,7 +13,12 @@ one projected Newton method (Bertsekas, SIAM J. Control Optim. 20(2),
 :func:`solve_p2` calls that loop (:func:`minimize`) directly.  Users couple
 only through the UAV prices, so each damped Newton system is one batched
 ``np.linalg.solve`` over the users' blocks and one over the Schur
-complement on the free UAV prices (Nocedal & Wright, section 16.2).
+complement on the free UAV prices (Nocedal & Wright, section 16.2).  A
+cold solve runs the same loop on a face of the dual first: the 2K + 1
+prices of the relaxation that keeps only each user's total energy budget
+and the UAV's total compute balance.  Its optimum starts the full ascent
+with nearly the right active set, which a projected Newton method needs
+to converge fast.
 
 All public interfaces take and return SI units.  Internally the solver
 works in Mbit / GHz / mJ, which conditions the multipliers to order one.
@@ -65,7 +70,9 @@ class InfeasibleTrajectoryError(SolverError):
 
 
 class DualIterationLimitError(SolverError):
-    """Dual ascent stalled before reaching the requested KKT tolerance."""
+    """Dual ascent stalled before reaching the requested KKT tolerance.  The
+    Newton steps and dual evaluations its message reports include a cold
+    solve's face phase (see :func:`minimize`)."""
 
 
 @dataclass(frozen=True)
@@ -132,7 +139,8 @@ class OffloadSolution:
     dual_objective: float    # best dual lower bound [J]
     kkt: OffloadKkt
     # (iteration, dual value [J], max scaled KKT residual) rows, one per
-    # Newton iterate
+    # Newton iterate; a cold solve's rows start with those of its face phase
+    # (see minimize), whose values are lower bounds too
     trace: tuple = ()
 
     @property
@@ -340,12 +348,15 @@ def _margins(sp: _ScaledP2, split) -> np.ndarray:
 
 def _warm_start(sp: _ScaledP2, split):
     """Price estimates derived from the spend-as-harvested policy ``split``
-    (:func:`_policy_split_scaled` on ``sp``).
+    (:func:`_policy_split_scaled` on ``sp``), which seed a cold solve's
+    face phase (:func:`minimize`).
 
     The policy's budget split fixes the local-compute marginal price per
     bit; the offloaded remainder sizes the UAV frequency ladder and with
-    it the compute-balance price.  Only orders of magnitude matter here:
-    the Newton ascent refines everything.
+    it the compute-balance price.  The face reads only the bit prices,
+    each user's energy-price total (returned spread evenly over its slots)
+    and the compute-balance price; it climbs from there to the
+    total-budget relaxation's optimum, which starts the full ascent.
     """
     K, N = sp.K, sp.N
     loc, _, loc_e = split
@@ -520,16 +531,27 @@ def _damped_solve(blocks, grad, shift: float) -> np.ndarray:
     return np.concatenate([(X[:, :, U] - X[:, :, :U] @ x_uav)[valid], x_uav])
 
 
-def _natural_residual(z, grad) -> float:
-    """Max-norm of min(z, grad): zero exactly at a minimizer over z >= 0."""
-    return float(np.abs(np.minimum(z, grad)).max())
+def _natural_residual(z, grad, kept=slice(None)) -> float:
+    """Max-norm of min(z, grad) over the ``kept`` prices: zero exactly at a
+    minimizer over z >= 0 with the other prices held."""
+    return float(np.abs(np.minimum(z[kept], grad[kept])).max())
 
 
-def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bool):
+def _face(K: int, N: int) -> np.ndarray:
+    """Packed positions of the total-budget relaxation's 2K + 1 prices: the
+    bit prices, each user's last causality price and the slack."""
+    return np.concatenate([np.arange(K), K + N * np.arange(K) + N - 1, [K + K * N + N - 2]])
+
+
+def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bool,
+                 kept=slice(None)):
     """One damped projected Newton step on the negated dual over z >= 0.
 
-    ``ev`` is ``evaluate(z)`` (see :func:`_neg_dual_and_grad`).
-    Multipliers within ``res`` of zero whose gradient pushes them out are
+    ``ev`` is ``evaluate(z)`` (see :func:`_neg_dual_and_grad`).  Only the
+    ``kept`` prices move: the others are never free and, at zero, stay
+    there, and ``res`` and the natural residuals compared against it are
+    taken over the kept prices (:func:`_natural_residual`).  Kept
+    multipliers within ``res`` of zero whose gradient pushes them out are
     sent to the bound (the epsilon-active set); the others take a
     Levenberg-Marquardt step (:func:`_damped_solve`), damped by ``damping``
     times their largest Hessian diagonal.  The path z(a) = max(z + a d,
@@ -549,8 +571,9 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
     damping), or None.
     """
     phi, grad, point = ev
-    blocks = users, valid, A, _, uav, D = _hessian_blocks(
-        sp, point, ~((z <= min(res, 1e-3)) & (grad > 0.0)))
+    free = np.zeros(z.size, bool)
+    free[kept] = ~((z <= min(res, 1e-3)) & (grad > 0.0))[kept]
+    blocks = users, valid, A, _, uav, D = _hessian_blocks(sp, point, free)
     idx = np.concatenate([users[valid], uav])
     scale = max(A.diagonal(axis1=1, axis2=2)[valid].max(initial=0.0),
                 D.diagonal().max(initial=0.0)) or 1.0
@@ -568,7 +591,7 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
         for _ in range(1 if polish else 30):
             zt = np.maximum(z + alpha * d, floor)
             phit, gradt, _ = evt = evaluate(zt)
-            rest = _natural_residual(zt, gradt)
+            rest = _natural_residual(zt, gradt, kept)
             armijo = phit <= phi + 1e-4 * float(grad @ (zt - z))
             if (rest < res and phit <= phi + noise) or (armijo and not polish):
                 damping = damping / 10.0 if alpha == 1.0 else damping * 10.0
@@ -583,7 +606,7 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
 class _Ascent(NamedTuple):
     """Outcome of :func:`minimize`: the last iterate's :class:`_Point` and
     KKT residuals, the :class:`OffloadSolution` ``trace`` rows, and the
-    Newton steps and dual evaluations taken."""
+    Newton steps and dual evaluations taken, face phase included."""
 
     point: _Point
     kkt: OffloadKkt
@@ -592,21 +615,31 @@ class _Ascent(NamedTuple):
     nfev: int
 
 
-def minimize(sp: _ScaledP2, z) -> _Ascent:
+def minimize(sp: _ScaledP2, z, face: bool = False) -> _Ascent:
     """Projected Newton ascent of the dual of ``sp`` from the packed prices
     ``z``: :func:`_newton_step` iterated.
 
-    Each point is evaluated once (:func:`_neg_dual_and_grad`), and an
+    With ``face`` the ascent first climbs the face where every price but
+    the bit prices, each user's last causality price and the slack
+    (:func:`_face`) stays at zero.  That face is the dual of the relaxation
+    that keeps only each user's total energy budget and the UAV's total
+    compute balance, so its values are lower bounds as well.  Once the
+    face's natural residual is within ``_TOL``, or the KKT max is, or a
+    face step fails, every price is released and the ascent goes on from
+    that point as it would from a start, at damping 1.  Each point is
+    evaluated once (:func:`_neg_dual_and_grad`), and an
     accepted point's KKT residuals and Hessian read that evaluation.  Once
     the scaled KKT max is within ``_TOL``, each step is one full polish
     step that must shrink the natural residual (one evaluation), and the
     first that does not ends the loop, as does the ``_MAX_STEPS``-th
-    iterate.  The caller checks ``kkt`` against ``_TOL``.  The name stays
+    iterate.  ``trace``, ``nit``, ``nfev`` and the ``_MAX_STEPS`` cap count
+    both phases.  The caller checks ``kkt`` against ``_TOL``.  The name stays
     because the benchmark traces this binding and reads ``nit`` and
     ``nfev`` off its result; renaming it waits for a benchmark that no
     longer does.
     """
     nfev = 0
+    kept = _face(sp.K, sp.N) if face else slice(None)
 
     def evaluate(z):
         nonlocal nfev
@@ -614,15 +647,25 @@ def minimize(sp: _ScaledP2, z) -> _Ascent:
         return _neg_dual_and_grad(z, sp)
 
     ev = evaluate(z)
-    res = _natural_residual(z, ev[1])
+    res = _natural_residual(z, ev[1], kept)
     damping = 1.0
     trace: list[tuple[int, float, float]] = []
     for it in range(1, _MAX_STEPS + 1):
-        phi, _, point = ev
+        phi, grad, point = ev
         kkt = _residuals_scaled(sp, point)
         trace.append((it, -phi * _EN, kkt.max()))
-        step = (None if it == _MAX_STEPS else
-                _newton_step(sp, evaluate, z, ev, res, damping, polish=kkt.max() <= _TOL))
+        if it == _MAX_STEPS:
+            break
+        step = None
+        if face:
+            if res > _TOL and kkt.max() > _TOL:
+                step = _newton_step(sp, evaluate, z, ev, res, damping, polish=False,
+                                    kept=kept)
+            if step is None:            # the face is climbed: release every price
+                face, kept, damping = False, slice(None), 1.0
+                res = _natural_residual(z, grad)
+        if step is None:
+            step = _newton_step(sp, evaluate, z, ev, res, damping, polish=kkt.max() <= _TOL)
         if step is None:
             break
         z, ev, res, damping = step
@@ -640,14 +683,21 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
     them.  The probe and the cold start read one run of the
     spend-as-harvested policy on those users.  The start is ``warm``, the
     prices of a nearby schedule (the previous path's, in the planner),
-    when the users left are exactly those with a positive ``warm.mu``;
-    otherwise it is derived from that policy.  The ascent searches the
-    prices whose last UAV price dominates the mid ones: it is written as a
-    slack plus the mid prices' sum, so each slot's UAV price gap
-    theta_N - tail[n] is the slack plus the mid prices before slot n
-    (read straight off z), nonnegative everywhere on the box z >= 0.  The
-    UAV frequency ladder's clamp at a zero gap never binds there, and the
-    dual is smooth on the whole searched box.  The problem's own
+    when the users left are exactly those with a positive ``warm.mu``.
+    Otherwise the solve is cold: it takes :func:`_warm_start`'s bit prices
+    and compute-balance price, puts each user's energy-price total on its
+    last slot, and the ascent first climbs the face of the 2K + 1 prices
+    that price only each user's total energy budget and the total compute
+    balance, then releases every price (``minimize(..., face=True)``).
+    The policy's prices are spread over every slot, where the optimum's
+    sit on one or two, and a full ascent from them churns its active set
+    for tens of steps; the face's optimum has nearly the right one.  The
+    ascent searches the prices whose last UAV price dominates the mid
+    ones: it is written as a slack plus the mid prices' sum, so each
+    slot's UAV price gap theta_N - tail[n] is the slack plus the mid
+    prices before slot n (read straight off z), nonnegative everywhere on
+    the box z >= 0.  The UAV frequency ladder's clamp at a zero gap never
+    binds there, and the dual is smooth on the whole searched box.  The problem's own
     multipliers (theta >= 0, no slack) form a box too, but there a gap can
     turn negative and put a kink in the searched region: a prototype of
     that form reached the same statuses and energies in more steps (Newton
@@ -665,8 +715,8 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
     Newton steps for as long as each shrinks the natural residual (one
     evaluation per step, typically one or two steps to the rounding floor);
     the last minimizer is returned.  ``trace`` holds one (iteration, dual
-    value [J], max KKT residual) row per iterate, the start first, at most
-    ``_MAX_STEPS`` (200) rows.
+    value [J], max KKT residual) row per iterate, the start first and the
+    face phase's rows included, at most ``_MAX_STEPS`` (200) rows.
 
     Raises :class:`InfeasibleTrajectoryError` when the probe does not
     certify a user left by the presolve (the message names its scenario
@@ -715,18 +765,22 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
             f"infeasible for this trajectory: user {poor[k]} short by "
             f"{-margins[k]:.4g} bits under the spend-as-harvested policy")
 
-    if warm is not None and np.array_equal(np.flatnonzero(warm.mu > 0.0), poor):
+    cold = warm is None or not np.array_equal(np.flatnonzero(warm.mu > 0.0), poor)
+    if cold:
+        mu, spread, theta = _warm_start(sp, split)
+        nu = np.zeros_like(spread)
+        nu[:, N - 1] = spread.sum(axis=1)
+    else:
         mu, nu, theta, _ = _duals_to_scaled(warm)
         mu, nu = mu[poor], nu[poor]
-    else:
-        mu, nu, theta = _warm_start(sp, split)
     slack = max(theta[N - 1] - theta[1 : N - 1].sum(), 0.0)
     z = _pack(mu, nu, theta[1 : N - 1], slack)
-    opt = minimize(sp, z)
+    opt = minimize(sp, z, face=cold)
     if not opt.kkt.max() <= _TOL:
         raise DualIterationLimitError(
             f"dual iteration limit after {opt.nit} Newton steps and {opt.nfev} "
-            f"evaluations: residuals {opt.kkt} above tol {_TOL}")
+            f"evaluations (a cold solve's face phase included): residuals {opt.kkt} "
+            f"above tol {_TOL}")
     mu, nu, theta = opt.point.mu, opt.point.nu, opt.point.theta
     l, f, fu = opt.point.primal
 

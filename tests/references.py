@@ -158,7 +158,10 @@ def primal_oracle_p2(s: Scenario, traj, tol: float = 1e-10,
         # Suffix sums turn the prefix-constraint terms into per-slot weights.
         s2 = np.flip(np.cumsum(np.flip(m2, axis=1), axis=1), axis=1)
         s3 = np.append(np.flip(np.cumsum(np.flip(m3))), 0.0)[:N]
-        dtx = sp.a_tx * math.log(2.0) / sp.bl * np.exp2(l / sp.bl)
+        # Derivative of the capped TX energy (_ScaledP2.tx_energy): flat past
+        # l_cap, where the uncapped exponential would overflow.
+        dtx = np.where(l > sp.l_cap, 0.0, sp.a_tx * math.log(2.0) / sp.bl
+                       * np.exp2(np.minimum(l, sp.l_cap) / sp.bl))
         g_l = s2 * dtx
         g_l[:, : N - 1] += -e1[:, None] + e4 - s3[None, 1:N]
         g_l[:, N - 1] = 0.0

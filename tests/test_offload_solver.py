@@ -445,6 +445,81 @@ def test_polish_costs_one_evaluation_per_step(monkeypatch, request, instance):
     assert opt.nfev == log.count("eval")
 
 
+@pytest.mark.parametrize("instance", ["table2", "k5n20", "ref2x6"])
+def test_cold_solve_climbs_the_face_first(monkeypatch, request, instance):
+    """A cold solve's first steps keep every causality price but each
+    user's last, and every mid UAV price, at exactly zero.  The face phase
+    ends on that face, at its natural residual within tol (or at a KKT max
+    within tol, or after a failed step), and the full ascent starts from
+    the point where it ended."""
+    s = request.getfixturevalue(instance)
+    s, traj = (s, straight_line_trajectory(s)) if isinstance(s, Scenario) else s
+    calls = []
+    step = offload_solver._newton_step
+
+    def recorded(sp, evaluate, z, ev, res, damping, polish, kept=slice(None)):
+        out = step(sp, evaluate, z, ev, res, damping, polish, kept)
+        calls.append((sp, z, kept, out))
+        return out
+
+    monkeypatch.setattr(offload_solver, "_newton_step", recorded)
+    assert solve_p2(s, traj).kkt.max() <= 1e-6
+    on_face = [not isinstance(kept, slice) for _, _, kept, _ in calls]
+    n_face = on_face.index(False)
+    assert n_face > 0 and not any(on_face[n_face:])
+    sp, z, kept, out = calls[n_face - 1]
+    K, N = sp.K, sp.N
+    assert np.array_equal(kept, offload_solver._face(K, N))
+    pinned = np.ones(z.size, bool)
+    pinned[kept] = False
+    assert pinned.sum() == K * (N - 1) + N - 2
+    released = calls[n_face][1]
+    for _, zf, _, _ in calls[:n_face]:
+        assert np.all(zf[pinned] == 0.0)
+    assert np.all(released[pinned] == 0.0)
+    if out is None:
+        assert released is z
+    else:
+        assert released is out[0]
+        ev = _neg_dual_and_grad(released, sp)
+        face_res = offload_solver._natural_residual(released, ev[1], kept)
+        assert face_res == out[2]
+        assert (face_res <= offload_solver._TOL
+                or offload_solver._residuals_scaled(sp, ev[2]).max() <= offload_solver._TOL)
+
+
+# Newton steps and dual evaluations of the cold solve when every cold solve
+# started the full ascent from the spend-as-harvested prices.
+_FULL_ASCENT_COUNTS = {"table2": (51, 139), "k5n20": (56, 149)}
+
+
+@pytest.mark.parametrize("instance", ["table2", "k5n20"])
+def test_face_start_shortens_the_cold_solve(monkeypatch, request, instance):
+    """Counting both phases, the cold solve on table2's straight path takes
+    at most 60% of the steps and evaluations of a full ascent from the
+    spend-as-harvested prices (30 and 38 against 51 and 139).  On k5n20
+    the face's own 18 steps keep it above that share (46 steps and 92
+    evaluations against 56 and 149): there it takes fewer steps and at
+    most two thirds of the evaluations."""
+    s = request.getfixturevalue(instance)
+    s, traj = (s, straight_line_trajectory(s)) if isinstance(s, Scenario) else s
+    ascents = []
+    ascend = offload_solver.minimize
+
+    def captured_minimize(*args, **kwargs):
+        ascents.append(ascend(*args, **kwargs))
+        return ascents[-1]
+
+    monkeypatch.setattr(offload_solver, "minimize", captured_minimize)
+    assert solve_p2(s, traj).kkt.max() <= 1e-6
+    opt, = ascents
+    steps, evaluations = _FULL_ASCENT_COUNTS[instance]
+    if instance == "table2":
+        assert opt.nit <= 0.6 * steps and opt.nfev <= 0.6 * evaluations
+    else:
+        assert opt.nit < steps and opt.nfev <= evaluations * 2 / 3
+
+
 def test_newton_step_stiffens_damping_when_the_solve_fails(monkeypatch, ref2x6,
                                                            ref2x6_traj):
     """A damped Newton system is two ``np.linalg.solve`` calls: the batched
