@@ -4,11 +4,9 @@ Writes one directory per (scheme, T) cell containing the trajectory,
 energy ledger and convergence trace as plain structured text, plus an
 aligned summary table.  The cells are planned by :func:`planner.sweep_T`:
 each duration's cells together, so the proposed scheme starts from the
-straight-line baseline's solve and the semi-circle baseline's schedule
-solve from its prices, and the durations in order, each straight-line
-solve starting from the previous duration's prices (cold when that cell
-failed or was not asked for).  Identical inputs produce byte-identical
-outputs (the solvers are deterministic and nothing is randomized).
+straight-line baseline's solve, and every baseline schedule solve starts
+cold.  Identical inputs produce byte-identical outputs (the solvers are
+deterministic and nothing is randomized).
 """
 
 from __future__ import annotations
@@ -158,9 +156,9 @@ def main(argv=None) -> int:
                         help="comma list of mission durations [s]")
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--workers", type=int, default=1,
-                        help="ignored: the durations are chained, so they run in order; "
-                             "the flag goes with the benchmark contract change of ROADMAP "
-                             "item 1, since bench/ still passes it")
+                        help="ignored: the cells run in order; the flag goes with the "
+                             "benchmark contract change of ROADMAP item 1, since bench/ "
+                             "still passes it")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 

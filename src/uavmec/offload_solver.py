@@ -14,11 +14,9 @@ one projected Newton method (Bertsekas, SIAM J. Control Optim. 20(2),
 only through the UAV prices, so each damped Newton system is one batched
 ``np.linalg.solve`` over the users' blocks and one over the Schur
 complement on the free UAV prices (Nocedal & Wright, section 16.2).  A
-cold solve runs the same loop on a face of the dual first: the 2K + 1
-prices of the relaxation that keeps only each user's total energy budget
-and the UAV's total compute balance.  Its optimum starts the full ascent
-with nearly the right active set, which a projected Newton method needs
-to converge fast.
+cold solve starts at the exact optimum of the relaxation that keeps only
+each user's total energy budget and the UAV's total compute balance, one
+water level per user, which has nearly the right active set.
 
 All public interfaces take and return SI units.  Internally the solver
 works in Mbit / GHz / mJ, which conditions the multipliers to order one.
@@ -70,9 +68,8 @@ class InfeasibleTrajectoryError(SolverError):
 
 
 class DualIterationLimitError(SolverError):
-    """Dual ascent stalled before reaching the requested KKT tolerance.  The
-    Newton steps and dual evaluations its message reports include a cold
-    solve's face phase (see :func:`minimize`)."""
+    """Dual ascent stalled before reaching the requested KKT tolerance; the
+    message reports the Newton steps and dual evaluations it took."""
 
 
 @dataclass(frozen=True)
@@ -139,8 +136,7 @@ class OffloadSolution:
     dual_objective: float    # best dual lower bound [J]
     kkt: OffloadKkt
     # (iteration, dual value [J], max scaled KKT residual) rows, one per
-    # Newton iterate; a cold solve's rows start with those of its face phase
-    # (see minimize), whose values are lower bounds too
+    # Newton iterate, the start first
     trace: tuple = ()
 
     @property
@@ -312,9 +308,9 @@ def _policy_split_scaled(sp: _ScaledP2):
     Local bits grow as the cube root of the local energy x and TX bits as
     log2 of the rest, so a slot's bit count is concave in x; 60 bisection
     rounds on the sign of its slope find the best split to rounding.
-    Returns (local bits, TX bits, local energy) as (K, N) scaled arrays.
-    The policy is feasible by construction, so its totals lower-bound the
-    deliverable bits per user.
+    Returns (local bits, TX bits) as (K, N) scaled arrays.  The policy is
+    feasible by construction, so its totals lower-bound the deliverable
+    bits per user.
     """
     e = sp.eharv
     room = sp.a_tx + e                              # a_tx + e - x = room - x
@@ -328,7 +324,7 @@ def _policy_split_scaled(sp: _ScaledP2):
         np.copyto(hi, x, where=~rising)
     x = 0.5 * (lo + hi)
     x[:, -1] = e[:, -1]
-    return sp.bits_f * np.cbrt(x / sp.c_f), sp.bl * np.log2(1.0 + (e - x) / sp.a_tx), x
+    return sp.bits_f * np.cbrt(x / sp.c_f), sp.bl * np.log2(1.0 + (e - x) / sp.a_tx)
 
 
 def probe_feasibility(s: Scenario, traj) -> np.ndarray:
@@ -337,41 +333,66 @@ def probe_feasibility(s: Scenario, traj) -> np.ndarray:
     A nonnegative margin for every user certifies the fixed-trajectory
     subproblem feasible.  Returns deliverable bits minus demand [bits].
     """
-    sp = _ScaledP2(s, traj)
-    return _margins(sp, _policy_split_scaled(sp))
+    return _margins(_ScaledP2(s, traj))
 
 
-def _margins(sp: _ScaledP2, split) -> np.ndarray:
-    loc, tx, _ = split
+def _margins(sp: _ScaledP2) -> np.ndarray:
+    loc, tx = _policy_split_scaled(sp)
     return ((loc + tx).sum(axis=1) - sp.R) * _BIT
 
 
-def _warm_start(sp: _ScaledP2, split):
-    """Price estimates derived from the spend-as-harvested policy ``split``
-    (:func:`_policy_split_scaled` on ``sp``), which seed a cold solve's
-    face phase (:func:`minimize`).
+def _total_budget_start(sp: _ScaledP2) -> np.ndarray:
+    """Packed optimal prices of the total-budget relaxation of ``sp``: the
+    problem with only each user's total energy budget and the UAV's total
+    compute balance kept, whose 2K + 1 prices are the bit prices, each
+    user's last causality price and the slack.  Every other price is 0.
 
-    The policy's budget split fixes the local-compute marginal price per
-    bit; the offloaded remainder sizes the UAV frequency ladder and with
-    it the compute-balance price.  The face reads only the bit prices,
-    each user's energy-price total (returned spread evenly over its slots)
-    and the compute-balance price; it climbs from there to the
-    total-budget relaxation's optimum, which starts the full ascent.
+    The UAV computes the total offload at one frequency fu, so the
+    relaxation's energy rises with that total and each user offloads the
+    least it can.  At a water level omega a user spends (omega - a_n)^+ on
+    TX in slot n, offloading L = sum of bl log2(omega / a_n)^+, and
+    computes the rest of its demand at one frequency f (water-filling with
+    the causality dropped; Ozel et al., IEEE JSAC 29(8), 2011).  While
+    local compute costs more per bit (m_loc = 3 c_f f^2 / bits_f) than TX
+    (m_tx = omega ln 2 / bl), its total energy c_f N f^3 + sum of
+    (omega - a_n)^+ falls as omega rises; 60 geometric bisection rounds
+    find where it meets the user's total harvest on that branch.  The
+    total offload prices the UAV cycles at slack = 3 c_f fu^2 / bits_f,
+    and the user's energy price V = slack / (m_loc - m_tx) on its last
+    slot with bit price mu = V m_loc make that schedule the Lagrangian
+    minimizer.  A user whose total harvest covers its demand locally
+    offloads nothing and, as in the relaxation, prices at zero.
     """
     K, N = sp.K, sp.N
-    loc, _, loc_e = split
-    loc_bits = loc.sum(axis=1)
-    off = np.maximum(sp.R - loc_bits, 0.02 * sp.R)
-    fu_bar = max(float(off.sum()) / (sp.bits_f * (N - 1)), 1e-9)
-    theta_last = 3.0 * sp.c_f * fu_bar ** 2 / sp.bits_f
-    f_bar = np.maximum(np.cbrt(loc_e.sum(axis=1) / (N * sp.c_f)), 1e-9)
-    p_loc = 3.0 * sp.c_f * f_bar ** 2 / sp.bits_f
-    v_bar = np.minimum(theta_last / (0.5 * p_loc), 1e12)
-    mu = np.full(K, 2.0 * theta_last)
-    nu = np.repeat((v_bar / N)[:, None], N, axis=1)
-    theta = np.zeros(N)
-    theta[N - 1] = theta_last
-    return mu, nu, theta
+    a = sp.a_tx[:, : N - 1]
+    budget = sp.cum_eharv[:, -1]
+    rate = math.log(2.0) / sp.bl
+
+    def schedule(omega):
+        off = sp.bl * np.log2(np.maximum(omega[:, None] / a, 1.0)).sum(axis=1)
+        f = np.maximum(sp.R - off, 0.0) / (sp.bits_f * N)
+        energy = sp.c_f * N * f ** 3 + np.maximum(omega[:, None] - a, 0.0).sum(axis=1)
+        return off, 3.0 * sp.c_f * f ** 2 / sp.bits_f, omega * rate, energy
+
+    # From the cheapest TX slot (no offload) up to where m_tx reaches the
+    # all-local m_loc, past which TX never pays.
+    lo = a.min(axis=1)
+    _, m_loc, _, energy = schedule(lo)
+    priced = energy > budget
+    hi = np.maximum(lo, m_loc / rate)
+    for _ in range(60):
+        omega = np.sqrt(lo * hi)
+        _, m_loc, m_tx, energy = schedule(omega)
+        rising = (m_loc > m_tx) & (energy > budget)
+        np.copyto(lo, omega, where=rising)
+        np.copyto(hi, omega, where=~rising)
+    off, m_loc, m_tx, _ = schedule(lo)   # an unpriced user's lo never moves: no offload
+    fu = off.sum() / (sp.bits_f * (N - 1))
+    slack = 3.0 * sp.c_f * fu ** 2 / sp.bits_f
+    V = np.where(priced, slack / np.where(priced, m_loc - m_tx, 1.0), 0.0)
+    nu = np.zeros((K, N))
+    nu[:, N - 1] = V
+    return _pack(V * m_loc, nu, np.zeros(N - 2), slack)
 
 
 # ---------------------------------------------------------------------------
@@ -531,28 +552,18 @@ def _damped_solve(blocks, grad, shift: float) -> np.ndarray:
     return np.concatenate([(X[:, :, U] - X[:, :, :U] @ x_uav)[valid], x_uav])
 
 
-def _natural_residual(z, grad, kept=slice(None)) -> float:
-    """Max-norm of min(z, grad) over the ``kept`` prices: zero exactly at a
-    minimizer over z >= 0 with the other prices held."""
-    return float(np.abs(np.minimum(z[kept], grad[kept])).max())
+def _natural_residual(z, grad) -> float:
+    """Max-norm of min(z, grad): zero exactly at a minimizer over z >= 0."""
+    return float(np.abs(np.minimum(z, grad)).max())
 
 
-def _face(K: int, N: int) -> np.ndarray:
-    """Packed positions of the total-budget relaxation's 2K + 1 prices: the
-    bit prices, each user's last causality price and the slack."""
-    return np.concatenate([np.arange(K), K + N * np.arange(K) + N - 1, [K + K * N + N - 2]])
-
-
-def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bool,
-                 kept=slice(None)):
+def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bool):
     """One damped projected Newton step on the negated dual over z >= 0.
 
-    ``ev`` is ``evaluate(z)`` (see :func:`_neg_dual_and_grad`).  Only the
-    ``kept`` prices move: the others are never free and, at zero, stay
-    there, and ``res`` and the natural residuals compared against it are
-    taken over the kept prices (:func:`_natural_residual`).  Kept
-    multipliers within ``res`` of zero whose gradient pushes them out are
-    sent to the bound (the epsilon-active set); the others take a
+    ``ev`` is ``evaluate(z)`` (see :func:`_neg_dual_and_grad`) and ``res``
+    its natural residual (:func:`_natural_residual`).  Multipliers within
+    ``res`` of zero whose gradient pushes them out are sent to the bound
+    (the epsilon-active set); the others take a
     Levenberg-Marquardt step (:func:`_damped_solve`), damped by ``damping``
     times their largest Hessian diagonal.  The path z(a) = max(z + a d,
     floor) is searched by halving a until the value passes an Armijo test
@@ -571,8 +582,7 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
     damping), or None.
     """
     phi, grad, point = ev
-    free = np.zeros(z.size, bool)
-    free[kept] = ~((z <= min(res, 1e-3)) & (grad > 0.0))[kept]
+    free = ~((z <= min(res, 1e-3)) & (grad > 0.0))
     blocks = users, valid, A, _, uav, D = _hessian_blocks(sp, point, free)
     idx = np.concatenate([users[valid], uav])
     scale = max(A.diagonal(axis1=1, axis2=2)[valid].max(initial=0.0),
@@ -591,7 +601,7 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
         for _ in range(1 if polish else 30):
             zt = np.maximum(z + alpha * d, floor)
             phit, gradt, _ = evt = evaluate(zt)
-            rest = _natural_residual(zt, gradt, kept)
+            rest = _natural_residual(zt, gradt)
             armijo = phit <= phi + 1e-4 * float(grad @ (zt - z))
             if (rest < res and phit <= phi + noise) or (armijo and not polish):
                 damping = damping / 10.0 if alpha == 1.0 else damping * 10.0
@@ -606,7 +616,7 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
 class _Ascent(NamedTuple):
     """Outcome of :func:`minimize`: the last iterate's :class:`_Point` and
     KKT residuals, the :class:`OffloadSolution` ``trace`` rows, and the
-    Newton steps and dual evaluations taken, face phase included."""
+    Newton steps and dual evaluations taken."""
 
     point: _Point
     kkt: OffloadKkt
@@ -615,31 +625,21 @@ class _Ascent(NamedTuple):
     nfev: int
 
 
-def minimize(sp: _ScaledP2, z, face: bool = False) -> _Ascent:
+def minimize(sp: _ScaledP2, z) -> _Ascent:
     """Projected Newton ascent of the dual of ``sp`` from the packed prices
-    ``z``: :func:`_newton_step` iterated.
+    ``z``: :func:`_newton_step` iterated from damping 1.
 
-    With ``face`` the ascent first climbs the face where every price but
-    the bit prices, each user's last causality price and the slack
-    (:func:`_face`) stays at zero.  That face is the dual of the relaxation
-    that keeps only each user's total energy budget and the UAV's total
-    compute balance, so its values are lower bounds as well.  Once the
-    face's natural residual is within ``_TOL``, or the KKT max is, or a
-    face step fails, every price is released and the ascent goes on from
-    that point as it would from a start, at damping 1.  Each point is
-    evaluated once (:func:`_neg_dual_and_grad`), and an
+    Each point is evaluated once (:func:`_neg_dual_and_grad`), and an
     accepted point's KKT residuals and Hessian read that evaluation.  Once
     the scaled KKT max is within ``_TOL``, each step is one full polish
     step that must shrink the natural residual (one evaluation), and the
     first that does not ends the loop, as does the ``_MAX_STEPS``-th
-    iterate.  ``trace``, ``nit``, ``nfev`` and the ``_MAX_STEPS`` cap count
-    both phases.  The caller checks ``kkt`` against ``_TOL``.  The name stays
+    iterate.  The caller checks ``kkt`` against ``_TOL``.  The name stays
     because the benchmark traces this binding and reads ``nit`` and
     ``nfev`` off its result; renaming it waits for a benchmark that no
     longer does.
     """
     nfev = 0
-    kept = _face(sp.K, sp.N) if face else slice(None)
 
     def evaluate(z):
         nonlocal nfev
@@ -647,25 +647,16 @@ def minimize(sp: _ScaledP2, z, face: bool = False) -> _Ascent:
         return _neg_dual_and_grad(z, sp)
 
     ev = evaluate(z)
-    res = _natural_residual(z, ev[1], kept)
+    res = _natural_residual(z, ev[1])
     damping = 1.0
     trace: list[tuple[int, float, float]] = []
     for it in range(1, _MAX_STEPS + 1):
-        phi, grad, point = ev
+        phi, _, point = ev
         kkt = _residuals_scaled(sp, point)
         trace.append((it, -phi * _EN, kkt.max()))
         if it == _MAX_STEPS:
             break
-        step = None
-        if face:
-            if res > _TOL and kkt.max() > _TOL:
-                step = _newton_step(sp, evaluate, z, ev, res, damping, polish=False,
-                                    kept=kept)
-            if step is None:            # the face is climbed: release every price
-                face, kept, damping = False, slice(None), 1.0
-                res = _natural_residual(z, grad)
-        if step is None:
-            step = _newton_step(sp, evaluate, z, ev, res, damping, polish=kkt.max() <= _TOL)
+        step = _newton_step(sp, evaluate, z, ev, res, damping, polish=kkt.max() <= _TOL)
         if step is None:
             break
         z, ev, res, damping = step
@@ -680,19 +671,15 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
     ascent of the dual (:func:`minimize`, called directly).  The presolve
     fixes a local-only schedule for every user that has one; only the
     users left (``poor``) are priced, on one :class:`_ScaledP2` built for
-    them.  The probe and the cold start read one run of the
-    spend-as-harvested policy on those users.  The start is ``warm``, the
-    prices of a nearby schedule (the previous path's, in the planner),
-    when the users left are exactly those with a positive ``warm.mu``.
-    Otherwise the solve is cold: it takes :func:`_warm_start`'s bit prices
-    and compute-balance price, puts each user's energy-price total on its
-    last slot, and the ascent first climbs the face of the 2K + 1 prices
-    that price only each user's total energy budget and the total compute
-    balance, then releases every price (``minimize(..., face=True)``).
-    The policy's prices are spread over every slot, where the optimum's
-    sit on one or two, and a full ascent from them churns its active set
-    for tens of steps; the face's optimum has nearly the right one.  The
-    ascent searches the prices whose last UAV price dominates the mid
+    them.  The start is ``warm``, the prices of a nearby schedule (the
+    previous path's, in the planner), when the users left are exactly
+    those with a positive ``warm.mu``.  Otherwise the solve is cold and
+    starts at the exact optimal prices of the relaxation that keeps only
+    each user's total energy budget and the UAV's total compute balance
+    (:func:`_total_budget_start`, one water level per user).  Those sit on
+    one slot per user, as the optimum's mostly do, so the ascent starts
+    with nearly the right active set, which a projected Newton method
+    needs to converge fast.  The ascent searches the prices whose last UAV price dominates the mid
     ones: it is written as a slack plus the mid prices' sum, so each
     slot's UAV price gap theta_N - tail[n] is the slack plus the mid
     prices before slot n (read straight off z), nonnegative everywhere on
@@ -715,8 +702,8 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
     Newton steps for as long as each shrinks the natural residual (one
     evaluation per step, typically one or two steps to the rounding floor);
     the last minimizer is returned.  ``trace`` holds one (iteration, dual
-    value [J], max KKT residual) row per iterate, the start first and the
-    face phase's rows included, at most ``_MAX_STEPS`` (200) rows.
+    value [J], max KKT residual) row per iterate, the start first, at most
+    ``_MAX_STEPS`` (200) rows.
 
     Raises :class:`InfeasibleTrajectoryError` when the probe does not
     certify a user left by the presolve (the message names its scenario
@@ -757,30 +744,24 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
                                dual_objective=0.0, kkt=OffloadKkt(0.0, 0.0, 0.0))
 
     sp = _ScaledP2(s, traj, poor)
-    split = _policy_split_scaled(sp)
-    margins = _margins(sp, split)
+    margins = _margins(sp)
     if not np.all(margins >= 0.0):      # fails closed: a NaN margin certifies nothing
         k = int(np.argmin(margins))
         raise InfeasibleTrajectoryError(
             f"infeasible for this trajectory: user {poor[k]} short by "
             f"{-margins[k]:.4g} bits under the spend-as-harvested policy")
 
-    cold = warm is None or not np.array_equal(np.flatnonzero(warm.mu > 0.0), poor)
-    if cold:
-        mu, spread, theta = _warm_start(sp, split)
-        nu = np.zeros_like(spread)
-        nu[:, N - 1] = spread.sum(axis=1)
-    else:
+    if warm is not None and np.array_equal(np.flatnonzero(warm.mu > 0.0), poor):
         mu, nu, theta, _ = _duals_to_scaled(warm)
-        mu, nu = mu[poor], nu[poor]
-    slack = max(theta[N - 1] - theta[1 : N - 1].sum(), 0.0)
-    z = _pack(mu, nu, theta[1 : N - 1], slack)
-    opt = minimize(sp, z, face=cold)
+        mid = theta[1 : N - 1]
+        z = _pack(mu[poor], nu[poor], mid, max(theta[N - 1] - mid.sum(), 0.0))
+    else:
+        z = _total_budget_start(sp)
+    opt = minimize(sp, z)
     if not opt.kkt.max() <= _TOL:
         raise DualIterationLimitError(
             f"dual iteration limit after {opt.nit} Newton steps and {opt.nfev} "
-            f"evaluations (a cold solve's face phase included): residuals {opt.kkt} "
-            f"above tol {_TOL}")
+            f"evaluations: residuals {opt.kkt} above tol {_TOL}")
     mu, nu, theta = opt.point.mu, opt.point.nu, opt.point.theta
     l, f, fu = opt.point.primal
 

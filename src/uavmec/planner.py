@@ -18,12 +18,9 @@ A duration sweep plans each duration's schemes together.  The planner's
 first iterate from the straight start is the schedule optimum on the
 straight dash, which is exactly the straight-line baseline, so the
 proposed scheme starts from that baseline's result instead of solving the
-same schedule again.  The semi-circle baseline's schedule solve starts
-from the same result's prices: optimal multipliers move continuously with
-the problem data, so they start its dual ascent close to its optimum.
-For the same reason the durations are chained: each straight-line solve
-starts from the previous duration's straight-line prices, and cold when
-that cell failed or was not asked for.  Nothing is shared across calls.
+same schedule again.  Every baseline's schedule solve starts cold, from
+the exact optimum of its total-budget relaxation, which is as near as
+another cell's prices.  Nothing is shared across calls.
 """
 
 from __future__ import annotations
@@ -322,24 +319,12 @@ def run_algorithm1(s: Scenario, init="straight-line") -> PlannerResult:
     return replace(res, scenario=s, outer_trace=tuple(trace), status=status)
 
 
-def run_baseline(s: Scenario, scheme: str, init: PlannerResult | None = None) -> PlannerResult:
-    """Fix the path to a benchmark shape and solve the schedule once.
-
-    ``init``, a :class:`PlannerResult` planned for ``s`` at any duration
-    (the straight-line baseline's, say, here or at the previous swept
-    duration), starts the schedule's dual ascent from its converged
-    prices; only those are read.  A result planned for another scenario
-    raises ``ValueError``.  The optimal prices move continuously with the
-    path and the duration, so another path's or duration's are a near
-    start; without ``init`` the ascent starts cold.
-    """
-    if init is not None and not _same_scenario(init.scenario.with_T(s.T), s):
-        raise ValueError("initial result was planned for another scenario")
+def run_baseline(s: Scenario, scheme: str) -> PlannerResult:
+    """Fix the path to a benchmark shape and solve the schedule once."""
     if scheme not in _PATHS:
         raise ValueError(f"unknown baseline scheme {scheme!r}")
     traj = _PATHS[scheme](s)
-    warm = None if init is None else init.schedule.duals
-    return _priced(s, traj, solve_p2(s, traj, warm=warm))
+    return _priced(s, traj, solve_p2(s, traj))
 
 
 def sweep_T(s: Scenario, T_values: Iterable[float],
@@ -347,17 +332,13 @@ def sweep_T(s: Scenario, T_values: Iterable[float],
     """Re-derive the timing for each mission duration and run every scheme.
 
     Durations run in ascending order.  At each, the straight-line baseline
-    is planned first, its schedule solve starting from the previous
-    duration's straight-line prices, and the other schemes start from its
-    result: the proposed scheme from its path and schedule, the
-    semi-circle baseline's schedule solve from its prices.  A solve whose
-    start would come from a cell that failed or was not asked for starts
-    cold.  A scenario error (the duration breaks an invariant) or a solver
-    error ends only its own cell: it is recorded as "infeasible" or
-    "failed".  Output is ordered by T, then by the given scheme order.
+    is planned first, and the proposed scheme starts from its path and
+    schedule, or from the straight dash when that cell failed or was not
+    asked for.  A scenario error (the duration breaks an invariant) or a
+    solver error ends only its own cell: it is recorded as "infeasible"
+    or "failed".  Output is ordered by T, then by the given scheme order.
     """
     cells: list[SweepCell] = []
-    prev = None
     for T in sorted(float(t) for t in T_values):
         row: dict[str, SweepCell] = {}
         start = None
@@ -367,8 +348,7 @@ def sweep_T(s: Scenario, T_values: Iterable[float],
                 if scheme == "proposed":
                     result = run_algorithm1(st, init="straight-line" if start is None else start)
                 else:
-                    result = run_baseline(st, scheme,
-                                          init=prev if scheme == "straight-line" else start)
+                    result = run_baseline(st, scheme)
             except (ScenarioError, SolverError) as exc:
                 failure = "infeasible" if isinstance(exc, _INFEASIBLE) else "failed"
                 row[scheme] = SweepCell(T=T, scheme=scheme, result=None, error=str(exc),
@@ -377,6 +357,5 @@ def sweep_T(s: Scenario, T_values: Iterable[float],
                 row[scheme] = SweepCell(T=T, scheme=scheme, result=result)
                 if scheme == "straight-line":
                     start = result
-        prev = start
         cells += [row[scheme] for scheme in schemes]
     return cells

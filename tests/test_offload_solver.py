@@ -17,8 +17,7 @@ from uavmec.offload_solver import (
     InfeasibleTrajectoryError,
     DualIterationLimitError,
     _ScaledP2,
-    _warm_start,
-    _policy_split_scaled,
+    _total_budget_start,
     _pack,
     _unpack,
     _recover_scaled,
@@ -161,10 +160,26 @@ def _assembled_hessian(sp, z, free=None):
     return H
 
 
+def _spread_start(sp):
+    """The cold start's prices (:func:`_total_budget_start`) as (mu, nu,
+    theta), with each user's energy price V_k spread evenly over its
+    slots.  A user the start leaves unpriced (its total harvest covers its
+    demand locally) takes the other users' mean prices, so every bit and
+    energy price is positive."""
+    K, N = sp.K, sp.N
+    mu, nu, theta, _ = _unpack(_total_budget_start(sp), K, N)
+    V = nu[:, N - 1]
+    priced = mu > 0.0
+    mu = np.where(priced, mu, mu[priced].mean())
+    V = np.where(priced, V, V[priced].mean())
+    return mu, np.repeat(V[:, None] / N, N, axis=1), theta
+
+
 def _interior_prices(sp, factors):
-    """Warm-start prices scaled entrywise by ``factors``, with every mid
-    UAV price positive, so every price is interior."""
-    mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
+    """Spread cold-start prices (:func:`_spread_start`) scaled entrywise by
+    ``factors``, with every mid UAV price positive, so every price is
+    interior."""
+    mu, nu, theta = _spread_start(sp)
     N = sp.N
     z = _pack(mu, nu, np.full(N - 2, theta[N - 1] / N), theta[N - 1])
     return z * factors[: z.size]
@@ -240,7 +255,7 @@ def _dense_dual_hessian(z, sp):
 
 @st.composite
 def _prices_on_bounds(draw, s, traj, users=slice(None)):
-    """Warm-start prices of ``users`` scaled entrywise, then bent so that
+    """Spread cold-start prices of ``users`` scaled entrywise, then bent so that
     every kind of bound is active: user 0's causality prices shrink by
     1e-25 from a drawn slot on (its bits reach l_cap and its cycles f_cap
     there, with a positive price tail), user 1's bit price (user 0's when
@@ -248,7 +263,7 @@ def _prices_on_bounds(draw, s, traj, users=slice(None)):
     the first drawn mid UAV prices are zero (the UAV idles in those
     slots)."""
     sp = _ScaledP2(s, traj, users)
-    mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
+    mu, nu, theta = _spread_start(sp)
     K, N = sp.K, sp.N
     factors = draw(arrays(np.float64, K + K * N + N - 1, elements=st.floats(0.5, 2.0)))
     cut = draw(st.integers(1, N - 2))
@@ -445,47 +460,72 @@ def test_polish_costs_one_evaluation_per_step(monkeypatch, request, instance):
     assert opt.nfev == log.count("eval")
 
 
+def _captured_ascents(monkeypatch):
+    """The (sp, start, result) of every :func:`offload_solver.minimize`
+    call made while ``monkeypatch`` holds."""
+    ascents = []
+    ascend = offload_solver.minimize
+
+    def captured_minimize(sp, z):
+        ascents.append((sp, z.copy(), ascend(sp, z)))
+        return ascents[-1][2]
+
+    monkeypatch.setattr(offload_solver, "minimize", captured_minimize)
+    return ascents
+
+
+def _relaxation_prices(K, N):
+    """Packed positions of the total-budget relaxation's 2K + 1 prices: the
+    bit prices, each user's last causality price and the slack."""
+    return np.concatenate([np.arange(K), K + N * np.arange(K) + N - 1, [K + K * N + N - 2]])
+
+
 @pytest.mark.parametrize("instance", ["table2", "k5n20", "ref2x6"])
-def test_cold_solve_climbs_the_face_first(monkeypatch, request, instance):
-    """A cold solve's first steps keep every causality price but each
-    user's last, and every mid UAV price, at exactly zero.  The face phase
-    ends on that face, at its natural residual within tol (or at a KKT max
-    within tol, or after a failed step), and the full ascent starts from
-    the point where it ended."""
+def test_cold_start_is_the_total_budget_optimum(monkeypatch, request, instance):
+    """A cold solve starts at the optimum of the relaxation that keeps only
+    each user's total energy budget and the UAV's total compute balance:
+    every other price (each causality price but the user's last, every mid
+    UAV price) is exactly zero, and the natural residual of the dual over
+    the relaxation's 2K + 1 prices is within tol."""
     s = request.getfixturevalue(instance)
     s, traj = (s, straight_line_trajectory(s)) if isinstance(s, Scenario) else s
-    calls = []
-    step = offload_solver._newton_step
-
-    def recorded(sp, evaluate, z, ev, res, damping, polish, kept=slice(None)):
-        out = step(sp, evaluate, z, ev, res, damping, polish, kept)
-        calls.append((sp, z, kept, out))
-        return out
-
-    monkeypatch.setattr(offload_solver, "_newton_step", recorded)
+    ascents = _captured_ascents(monkeypatch)
     assert solve_p2(s, traj).kkt.max() <= 1e-6
-    on_face = [not isinstance(kept, slice) for _, _, kept, _ in calls]
-    n_face = on_face.index(False)
-    assert n_face > 0 and not any(on_face[n_face:])
-    sp, z, kept, out = calls[n_face - 1]
-    K, N = sp.K, sp.N
-    assert np.array_equal(kept, offload_solver._face(K, N))
+    (sp, z, _), = ascents
+    kept = _relaxation_prices(sp.K, sp.N)
     pinned = np.ones(z.size, bool)
     pinned[kept] = False
-    assert pinned.sum() == K * (N - 1) + N - 2
-    released = calls[n_face][1]
-    for _, zf, _, _ in calls[:n_face]:
-        assert np.all(zf[pinned] == 0.0)
-    assert np.all(released[pinned] == 0.0)
-    if out is None:
-        assert released is z
-    else:
-        assert released is out[0]
-        ev = _neg_dual_and_grad(released, sp)
-        face_res = offload_solver._natural_residual(released, ev[1], kept)
-        assert face_res == out[2]
-        assert (face_res <= offload_solver._TOL
-                or offload_solver._residuals_scaled(sp, ev[2]).max() <= offload_solver._TOL)
+    assert pinned.sum() == sp.K * (sp.N - 1) + sp.N - 2
+    assert np.all(z[pinned] == 0.0)
+    assert np.all(z[kept] > 0.0)
+    _, grad, _ = _neg_dual_and_grad(z, sp)
+    assert offload_solver._natural_residual(z[kept], grad[kept]) <= offload_solver._TOL
+
+
+@pytest.mark.parametrize("seed", [11, 22, 33, 44, 55, 66])
+def test_cold_start_schedule_is_the_relaxation_optimum(seed):
+    """At the cold start's prices the Lagrangian minimizer is the total-budget
+    relaxation's schedule: each priced user meets its demand and spends
+    exactly its total harvest, the UAV computes the whole offload at one
+    frequency, and local compute costs more per bit than TX (a positive
+    energy price).  Every user left at zero prices covers its demand by
+    local compute within its total harvest."""
+    s, traj = _random_scenario(seed)
+    sp = _ScaledP2(s, traj)
+    K, N = sp.K, sp.N
+    z = _total_budget_start(sp)
+    point = _recover_scaled(sp, *_unpack(z, K, N))
+    mu, nu = point.mu, point.nu
+    l, _, fu = point.primal
+    c1, c2, _, c4 = point.gaps
+    priced = mu > 0.0
+    local_only = sp.c_f * N * (sp.R / (sp.bits_f * N)) ** 3
+    assert np.array_equal(priced, local_only > sp.cum_eharv[:, -1])
+    assert np.all(nu[priced, N - 1] > 0.0) and not nu[~priced].any()
+    assert np.all(np.abs(c1[priced]) <= 1e-9 * sp.R[priced])
+    assert np.all(np.abs(c2[priced, -1]) <= 1e-9 * sp.cum_eharv[priced, -1])
+    assert abs(c4) <= 1e-9 * max(float(l.sum()), 1e-12)
+    assert np.ptp(fu[1:]) <= 1e-12 * fu.max()
 
 
 # Newton steps and dual evaluations of the cold solve when every cold solve
@@ -495,29 +535,50 @@ _FULL_ASCENT_COUNTS = {"table2": (51, 139), "k5n20": (56, 149)}
 
 @pytest.mark.parametrize("instance", ["table2", "k5n20"])
 def test_face_start_shortens_the_cold_solve(monkeypatch, request, instance):
-    """Counting both phases, the cold solve on table2's straight path takes
-    at most 60% of the steps and evaluations of a full ascent from the
-    spend-as-harvested prices (30 and 38 against 51 and 139).  On k5n20
-    the face's own 18 steps keep it above that share (46 steps and 92
-    evaluations against 56 and 149): there it takes fewer steps and at
-    most two thirds of the evaluations."""
+    """Started at the total-budget relaxation's optimum, the cold solve
+    takes at most 60% of the steps and evaluations of a full ascent from
+    the spend-as-harvested prices (table2's straight path: 14 and 16
+    against 51 and 139; k5n20: 29 and 49 against 56 and 149)."""
     s = request.getfixturevalue(instance)
     s, traj = (s, straight_line_trajectory(s)) if isinstance(s, Scenario) else s
-    ascents = []
-    ascend = offload_solver.minimize
-
-    def captured_minimize(*args, **kwargs):
-        ascents.append(ascend(*args, **kwargs))
-        return ascents[-1]
-
-    monkeypatch.setattr(offload_solver, "minimize", captured_minimize)
+    ascents = _captured_ascents(monkeypatch)
     assert solve_p2(s, traj).kkt.max() <= 1e-6
-    opt, = ascents
+    (_, _, opt), = ascents
     steps, evaluations = _FULL_ASCENT_COUNTS[instance]
-    if instance == "table2":
-        assert opt.nit <= 0.6 * steps and opt.nfev <= 0.6 * evaluations
+    assert opt.nit <= 0.6 * steps and opt.nfev <= 0.6 * evaluations
+
+
+def test_cold_start_leaves_a_locally_covered_user_unpriced(monkeypatch):
+    """User 0 sits at the end of a fast dash, so its harvest arrives late:
+    its total harvest covers its demand by local compute, but neither the
+    constant frequency (early causality) nor spending each slot's harvest
+    locally does, so the presolve leaves it priced.  The relaxation gives
+    it zero prices while user 1 offloads.  The solve then returns a
+    checked plan or ends in the typed iteration-limit error; on this
+    instance it ends typed."""
+    s = Scenario(K=2, N=10, T=2.0, H=10.0, user_pos=[[50.0, 0.0], [25.0, 3.0]],
+                 R=[0.5e6, 0.9e6], P_u=1e5, eta=0.8, B=2e6, sigma2=1e-9, Gamma=1.0,
+                 beta0=1e-5, M=1e3, gamma_c=1e-28, W_mass=9.65, V_max=100.0,
+                 q0=[0.0, 0.0], qF=[50.0, 0.0])
+    traj = straight_line_trajectory(s)
+    assert np.all(probe_feasibility(s, traj) >= 0.0)
+    sp = _ScaledP2(s, traj)
+    N = s.N
+    local_only = sp.c_f * N * (sp.R / (sp.bits_f * N)) ** 3
+    assert local_only[0] <= sp.cum_eharv[0, -1] and local_only[1] > sp.cum_eharv[1, -1]
+    ascents = _captured_ascents(monkeypatch)
+    try:
+        sol = solve_p2(s, traj)
+    except DualIterationLimitError:
+        pass
     else:
-        assert opt.nit < steps and opt.nfev <= evaluations * 2 / 3
+        plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
+        assert check_constraints(s, plan).feasible(1e-6)
+    (sp, z, _), = ascents
+    assert sp.K == 2
+    mu, nu, _, _ = _unpack(z, sp.K, N)
+    assert mu[0] == 0.0 and not nu[0].any()
+    assert mu[1] > 0.0 and nu[1, N - 1] > 0.0
 
 
 def test_newton_step_stiffens_damping_when_the_solve_fails(monkeypatch, ref2x6,
@@ -528,9 +589,8 @@ def test_newton_step_stiffens_damping_when_the_solve_fails(monkeypatch, ref2x6,
     the solves that follow are one full system, and the step taken is the
     one a tenfold damping takes directly."""
     sp = _ScaledP2(ref2x6, ref2x6_traj)
-    mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
-    N = ref2x6.N
-    z = _pack(mu, nu, theta[1 : N - 1], max(theta[N - 1] - theta[1 : N - 1].sum(), 0.0))
+    mu, nu, theta = _spread_start(sp)
+    z = _pack(mu, nu, theta[1:-1], theta[-1])
 
     def evaluate(z):
         return _neg_dual_and_grad(z, sp)
@@ -589,7 +649,7 @@ def test_rows_subsets_every_per_user_array(table2):
     sub = Scenario(**{**fields, "K": users.size, "user_pos": table2.user_pos[users],
                       "R": table2.R[users], "B": table2.B / 2, "Gamma": table2.Gamma / 2})
     sp = _ScaledP2(table2, traj)
-    mu, nu, theta = _warm_start(sp, _policy_split_scaled(sp))
+    mu, nu, theta = _spread_start(sp)
     rng = np.random.default_rng(7)
     for _ in range(20):
         th = theta * rng.uniform(0.5, 2.0, table2.N)
