@@ -361,7 +361,8 @@ def _total_budget_start(sp: _ScaledP2) -> np.ndarray:
     and the user's energy price V = slack / (m_loc - m_tx) on its last
     slot with bit price mu = V m_loc make that schedule the Lagrangian
     minimizer.  A user whose total harvest covers its demand locally
-    offloads nothing and, as in the relaxation, prices at zero.
+    offloads nothing, and gets the same prices at its cheapest TX slot
+    where m_loc > m_tx there (zeros otherwise, as when no user offloads).
     """
     K, N = sp.K, sp.N
     a = sp.a_tx[:, : N - 1]
@@ -389,7 +390,8 @@ def _total_budget_start(sp: _ScaledP2) -> np.ndarray:
     off, m_loc, m_tx, _ = schedule(lo)   # an unpriced user's lo never moves: no offload
     fu = off.sum() / (sp.bits_f * (N - 1))
     slack = 3.0 * sp.c_f * fu ** 2 / sp.bits_f
-    V = np.where(priced, slack / np.where(priced, m_loc - m_tx, 1.0), 0.0)
+    water = priced | (m_loc > m_tx)
+    V = np.where(water, slack / np.where(water, m_loc - m_tx, 1.0), 0.0)
     nu = np.zeros((K, N))
     nu[:, N - 1] = V
     return _pack(V * m_loc, nu, np.zeros(N - 2), slack)

@@ -4,17 +4,19 @@ Scalar per-slot formulas (one user, one slot or one prefix at a time) that
 the vectorized model is checked against, the all-zero plan, and an
 independent primal solver for the fixed-path schedule subproblem that
 serves as a ground-truth oracle on small instances.  None of them is on
-the planner's path.
+the planner's path.  The oracle is one SLSQP call built from the model's
+public formulas; it imports nothing from the schedule solver it checks, nor
+any private name of the package.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
-from uavmec import offload_solver as osv
 from uavmec.model import (EXPONENT_CAP, DimensionError, OffloadRangeError, Plan,
-                          Scenario)
+                          Scenario, channel_gains, harvest_increments)
 from uavmec.planner import straight_line_trajectory
 
 
@@ -107,161 +109,78 @@ def zero_plan(s: Scenario, traj=None) -> Plan:
 # Independent primal oracle
 # ---------------------------------------------------------------------------
 
-def primal_oracle_p2(s: Scenario, traj, tol: float = 1e-10,
-                     max_rounds: int = 30, descent_log: list | None = None):
-    """Ground-truth solver for small instances, independent of the duals.
+def primal_oracle_p2(s: Scenario, traj):
+    """Ground-truth optimum of the fixed-path schedule subproblem P2, for
+    small instances.
 
-    Works directly on the primal block (l, f_user, f_uav): an exact
-    (finite-weight) penalty on the coupling constraints via the augmented
-    Lagrangian, with each inner minimization done by bound-constrained
-    quasi-Newton descent over the nonnegativity box, then an exact snap
-    onto the bit-balance hyperplanes.  Deterministic initialization, so
-    repeated runs agree to machine precision.
-
-    ``descent_log``, when given, collects the accepted inner objective
-    values of the first round (they are nonincreasing).
+    One SLSQP solve (Kraft, DFVLR-FB 88-28, 1988) of the primal problem in
+    (l, f_user, f_uav), built from the model's public formulas alone and
+    worked in Mbit / GHz / mJ so that every variable is of order one.  The
+    bit balances and the compute balance are linear equalities, the UAV's
+    prefix causality (slots 1..N-2) linear inequalities and each user's
+    prefix energy causality a convex inequality, all with exact Jacobians.
+    The offload bounds stop at ``EXPONENT_CAP`` bits/s/Hz, so the TX energy
+    stays finite at every trial point.  The start is the all-local constant
+    frequency, which meets every equality.  SLSQP's "positive directional
+    derivative" ending (status 8) is its usual stop at the rounding floor;
+    any other failure raises ``RuntimeError``.
 
     Returns ((l, f_user, f_uav) in SI, objective [J]).
     """
-    sp = osv._ScaledP2(s, traj)
-    K, N = sp.K, sp.N
-
+    K, N = s.K, s.N
     if np.all(s.R == 0.0):
         return (np.zeros((K, N)), np.zeros((K, N)), np.zeros(N)), 0.0
 
-    # Deterministic start: even offload split meeting the bit balance, with
-    # the UAV computing the total spread over its allowed slots.
-    l = np.zeros((K, N))
-    l[:, : N - 1] = sp.R[:, None] / (N - 1)
-    f = np.zeros((K, N))
-    fu = np.zeros(N)
-    fu[1:] = sp.R.sum() / sp.bits_f / (N - 1)
-
-    n_l, n_f, n_fu = K * N, K * N, N
+    bl = s.B * s.lam / 1e6                          # Mbit per subslot at 1 bit/s/Hz
+    bits_f = s.slot * 1e9 / s.M / 1e6               # Mbit per GHz-slot
+    c_f = s.gamma_c * s.slot * 1e27 / 1e-3          # mJ per GHz^3-slot
+    a_tx = s.lam * s.Gamma * s.sigma2 / channel_gains(s, traj)[:, : N - 1] / 1e-3
+    harvest = np.cumsum(harvest_increments(s, traj), axis=1) / 1e-3
+    R = s.R / 1e6
+    # x = (l over the N-1 TX slots, f_user, f_uav over slots 1..N-1).
+    n_l, n_f = K * (N - 1), K * N
+    tril = np.tril(np.ones((N, N)))                 # prefix sums
 
     def split(x):
-        return (x[:n_l].reshape(K, N), x[n_l : n_l + n_f].reshape(K, N),
-                x[n_l + n_f :])
+        return x[:n_l].reshape(K, N - 1), x[n_l : n_l + n_f].reshape(K, N), x[n_l + n_f :]
 
-    def alm_value_grad(x, lam1, lam2, lam3, lam4, w):
-        l, f, fu = split(x)
-        c1, c2, c3, c4 = sp.violations(l, f, fu)
-        m2 = np.maximum(0.0, lam2 + w * c2)
-        m3 = np.maximum(0.0, lam3 + w * c3)
-        e1 = lam1 + w * c1
-        e4 = lam4 + w * c4
-        obj = sp.c_f * float(np.sum(fu[1:] ** 3))
-        val = (obj + float(lam1 @ c1) + 0.5 * w * float(c1 @ c1)
-               + lam4 * c4 + 0.5 * w * c4 * c4
-               + (float(m2.ravel() @ m2.ravel()) - float(lam2.ravel() @ lam2.ravel())) / (2 * w)
-               + (float(m3 @ m3) - float(lam3 @ lam3)) / (2 * w))
-        # Suffix sums turn the prefix-constraint terms into per-slot weights.
-        s2 = np.flip(np.cumsum(np.flip(m2, axis=1), axis=1), axis=1)
-        s3 = np.append(np.flip(np.cumsum(np.flip(m3))), 0.0)[:N]
-        # Derivative of the capped TX energy (_ScaledP2.tx_energy): flat past
-        # l_cap, where the uncapped exponential would overflow.
-        dtx = np.where(l > sp.l_cap, 0.0, sp.a_tx * math.log(2.0) / sp.bl
-                       * np.exp2(np.minimum(l, sp.l_cap) / sp.bl))
-        g_l = s2 * dtx
-        g_l[:, : N - 1] += -e1[:, None] + e4 - s3[None, 1:N]
-        g_l[:, N - 1] = 0.0
-        g_f = s2 * 3.0 * sp.c_f * f ** 2 - e1[:, None] * sp.bits_f
-        g_fu = 3.0 * sp.c_f * fu ** 2 + sp.bits_f * (s3 - e4)
-        g_fu[0] = 0.0
-        return val, np.concatenate([g_l.ravel(), g_f.ravel(), g_fu])
+    eye = np.eye(K)
+    a_eq = np.block([
+        [np.kron(eye, np.ones(N - 1)), np.kron(eye, np.full(N, bits_f)), np.zeros((K, N - 1))],
+        [np.ones((1, n_l)), np.zeros((1, n_f)), np.full((1, N - 1), -bits_f)]])
+    b_eq = np.append(R, 0.0)
+    prefix = tril[: N - 2, : N - 1]                 # offload before slot n, compute through n
+    a_uav = np.hstack([np.tile(prefix, K), np.zeros((N - 2, n_f)), -bits_f * prefix])
 
-    bounds = []
-    for k in range(K):
-        bounds += [(0.0, None)] * (N - 1) + [(0.0, 0.0)]   # l, last slot pinned
-    bounds += [(0.0, None)] * n_f                          # f_user
-    bounds += [(0.0, 0.0)] + [(0.0, None)] * (N - 1)       # f_uav, first pinned
+    def objective(x):
+        fu = split(x)[2]
+        return c_f * float(fu @ fu ** 2), np.concatenate([np.zeros(n_l + n_f), 3.0 * c_f * fu ** 2])
 
-    lower = np.array([b[0] for b in bounds])
-    upper = np.array([np.inf if b[1] is None else b[1] for b in bounds])
+    def causality(x):
+        l, f, _ = split(x)
+        spend = c_f * f ** 3
+        spend[:, : N - 1] += a_tx * (np.exp2(l / bl) - 1.0)
+        return (harvest - np.cumsum(spend, axis=1)).ravel()
 
-    def projected_gradient_steps(x, state, steps=200, step0=1e-4):
-        """Armijo projected-gradient walk; robust at the penalty kinks
-        where the quasi-Newton line search can jam."""
-        val, grad = alm_value_grad(x, *state)
-        step = step0
-        for _ in range(steps):
-            moved = False
-            for _ in range(40):
-                cand = np.clip(x - step * grad, lower, upper)
-                v_cand, g_cand = alm_value_grad(cand, *state)
-                dx2 = float((cand - x) @ (cand - x))
-                if v_cand <= val - 1e-4 * dx2 / max(step, 1e-300):
-                    x, val, grad = cand, v_cand, g_cand
-                    step *= 1.5
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        return x
+    def causality_jac(x):
+        l, f, _ = split(x)
+        d_tx = a_tx * math.log(2.0) / bl * np.exp2(l / bl)
+        return np.hstack([block_diag(*(-tril[:, : N - 1] * d for d in d_tx)),
+                          block_diag(*(-tril * (3.0 * c_f * g ** 2) for g in f)),
+                          np.zeros((K * N, N - 1))])
 
-    lam1 = np.zeros(K)
-    lam2 = np.zeros((K, N))
-    lam3 = np.zeros(N - 1)
-    lam4 = 0.0
-    w = 1e2
-    x = np.concatenate([l.ravel(), f.ravel(), fu])
-    prev_viol = np.inf
-    for _ in range(max_rounds):
-        cb = None
-        if descent_log is not None and not descent_log:
-            log = descent_log
-
-            def cb(xk, log=log, state=(lam1.copy(), lam2.copy(), lam3.copy(), lam4, w)):
-                log.append(alm_value_grad(xk, *state)[0])
-        state = (lam1, lam2, lam3, lam4, w)
-        inner_ok = False
-        for _ in range(4):
-            res = minimize(alm_value_grad, x, args=state, jac=True,
-                           method="L-BFGS-B", bounds=bounds, callback=cb,
-                           options=dict(maxiter=4000, maxfun=8000, ftol=1e-18,
-                                        gtol=1e-14))
-            x = res.x
-            if res.status != 2:
-                inner_ok = True
-                break
-            cb = None
-            x = projected_gradient_steps(x, state)
-        l, f, fu = split(x)
-        c1, c2, c3, c4 = sp.violations(l, f, fu)
-        viol = max(float(np.abs(c1).max()), float(np.max(c2, initial=0.0)),
-                   float(np.max(c3, initial=0.0)), abs(c4))
-        if viol <= tol:
-            break
-        lam1 = lam1 + w * c1
-        lam2 = np.maximum(0.0, lam2 + w * c2)
-        lam3 = np.maximum(0.0, lam3 + w * c3)
-        lam4 = lam4 + w * c4
-        # Raise the weight only after a clean inner solve whose violation
-        # stopped contracting; stiffening a jammed subproblem makes the
-        # kinks worse.
-        if inner_ok and viol > 0.25 * prev_viol:
-            w = min(w * 10.0, 1e9)
-        prev_viol = viol
-
-    # Exact snap onto the bit-balance hyperplanes (mutually orthogonal:
-    # each touches one user's variables; the compute balance touches fu).
-    for _ in range(4):
-        c1, c2, c3, c4 = sp.violations(l, f, fu)
-        for k in range(K):
-            a_l = np.ones(N - 1)
-            a_f = np.full(N, sp.bits_f)
-            denom = float(a_l @ a_l + a_f @ a_f)
-            corr = c1[k] / denom
-            l[k, : N - 1] += corr * a_l
-            f[k] += corr * a_f
-        a_fu = np.full(N - 1, sp.bits_f)
-        fu[1:] += (c4 / float(a_fu @ a_fu)) * a_fu
-        l = np.maximum(l, 0.0)
-        l[:, N - 1] = 0.0
-        f = np.maximum(f, 0.0)
-        fu = np.maximum(fu, 0.0)
-        fu[0] = 0.0
-
-    objective = sp.c_f * float(np.sum(fu[1:] ** 3)) * osv._EN
-    return osv._primal_from_scaled(l, f, fu), objective
+    x0 = np.concatenate([np.zeros(n_l), np.repeat(R / (bits_f * N), N), np.zeros(N - 1)])
+    res = minimize(objective, x0, jac=True, method="SLSQP",
+                   bounds=[(0.0, EXPONENT_CAP * bl)] * n_l + [(0.0, None)] * (n_f + N - 1),
+                   constraints=[
+                       dict(type="eq", fun=lambda x: a_eq @ x - b_eq, jac=lambda x: a_eq),
+                       dict(type="ineq", fun=lambda x: a_uav @ x, jac=lambda x: a_uav),
+                       dict(type="ineq", fun=causality, jac=causality_jac)],
+                   options=dict(ftol=1e-10, maxiter=1000))
+    if res.status not in (0, 8):
+        raise RuntimeError(f"SLSQP: {res.message}")
+    l, f, fu = split(res.x)
+    l_si = np.zeros((K, N))
+    l_si[:, : N - 1] = l * 1e6
+    fu_si = np.concatenate(([0.0], fu)) * 1e9
+    return (l_si, f * 1e9, fu_si), s.gamma_c * s.slot * float(np.sum(fu_si ** 3))
