@@ -140,14 +140,16 @@ class Rows:
         lo, hi = np.full(m, np.inf), np.full(m, -np.inf)
         np.minimum.at(lo, rn, vn)
         np.maximum.at(hi, rn, vn)
-        start = np.searchsorted(rn, np.arange(m + 1))
-        for i in np.unique(rn[jn != kn]):
-            jj, kk, vv = (a[start[i]:start[i + 1]] for a in (jn, kn, vn))
-            s = np.unique(jj)
-            block = np.zeros((s.size, s.size))
-            block[np.searchsorted(s, jj), np.searchsorted(s, kk)] = vv
-            w = np.linalg.eigvalsh(block)
-            lo[i], hi[i] = w[0], w[-1]
+        sup = np.unique(rn * dim + jn)                  # every row's support, in order
+        pj, pk = (np.searchsorted(sup, rn * dim + a) - np.searchsorted(sup, rn * dim)
+                  for a in (jn, kn))
+        size = np.where(np.bincount(rn, jn != kn, minlength=m) > 0,
+                        np.bincount(sup // dim, minlength=m), 0)
+        for n in np.unique(size[size > 0]):             # one batched eigvalsh per size
+            rows, e = np.flatnonzero(size == n), size[rn] == n
+            block = np.zeros((rows.size, n, n))
+            block[np.searchsorted(rows, rn[e]), pj[e], pk[e]] = vn[e]
+            lo[rows], hi[rows] = np.linalg.eigvalsh(block)[:, [0, -1]].T
         neg = lo < -1e-9 * np.maximum(1.0, hi)
         if neg.any():
             i = int(np.argmax(neg))

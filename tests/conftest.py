@@ -1,3 +1,16 @@
+import os
+import sys
+
+# One OpenBLAS thread for the whole session (numpy's copy and the one the
+# oracle's scipy bundles), set before either loads, since OpenBLAS reads
+# the count only then.  On a 2-vCPU host kept busy by another process, one
+# oracle call took 1.2 s at the default two threads against 66 ms on one.
+# pytest and hypothesis do not import numpy, so nothing has loaded it yet.
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before tests/conftest.py could pin "
+                       "OpenBLAS to one thread")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 import pytest
 from hypothesis import settings, HealthCheck

@@ -370,29 +370,41 @@ def test_cli_plans_each_cell_through_one_entry_point(tmp_path, ref_cfg, monkeypa
                                    for T in (1.2, 1.4))
 
 
-def _openblas_threads() -> list[int]:
+def _openblas_threads(set_to: int | None = None) -> list[int]:
     """Thread count of the OpenBLAS copy bundled with numpy, the one the
     planner calls (empty when numpy bundles none; the test references'
-    scipy has a copy of its own)."""
+    scipy has a copy of its own), after setting it to ``set_to`` if given."""
     counts = []
     libs = Path(np.__file__).parents[1] / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so*")):
-        get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
-        get.restype = ctypes.c_int
+        lib = ctypes.CDLL(str(path))
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        if set_to is not None:
+            set_threads(set_to)
+        get = lib.scipy_openblas_get_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
         counts.append(get())
     return counts
 
 
 def test_cli_runs_on_one_blas_thread(tmp_path, ref_cfg, monkeypatch):
+    """The CLI plans on one OpenBLAS thread and restores the count after.
+    The test session itself runs on one (conftest.py), so the count is
+    raised to two first, where the host allows it, to make the pin seen."""
     from uavmec import cli
     before = _openblas_threads()
     if not before:
         pytest.skip("numpy bundles no OpenBLAS here")
-    seen = []
-    monkeypatch.setattr(cli, "_run", lambda *args: seen.append(_openblas_threads()) or 0)
-    assert main(["--scenario", str(ref_cfg), "--out", str(tmp_path / "out")]) == 0
-    assert seen == [[1] * len(before)]
-    assert _openblas_threads() == before
+    raised = _openblas_threads(set_to=2)
+    try:
+        seen = []
+        monkeypatch.setattr(cli, "_run", lambda *args: seen.append(_openblas_threads()) or 0)
+        assert main(["--scenario", str(ref_cfg), "--out", str(tmp_path / "out")]) == 0
+        assert seen == [[1] * len(before)]
+        assert _openblas_threads() == raised
+    finally:
+        _openblas_threads(set_to=before[0])
 
 
 def test_import_leaves_scipy_optimize_out():

@@ -26,8 +26,7 @@ from uavmec.offload_solver import (
     _unpack,
     _recover_scaled,
     _neg_dual_and_grad,
-    _hessian_blocks,
-    _damped_solve,
+    _tail_newton,
     _price_gaps,
 )
 
@@ -150,18 +149,26 @@ def k5n20():
 
 
 def _assembled_hessian(sp, z, free=None):
-    """The blocks of :func:`_hessian_blocks` at z assembled into the dense
-    Hessian of the negated dual over the packed prices where ``free``
-    holds (all of them by default), with zero rows and columns elsewhere."""
+    """The tail-coordinate weights of :func:`_tail_newton` at z mapped back
+    to the dense Hessian of the negated dual over the packed prices where
+    ``free`` holds (all of them by default), with zero rows and columns
+    elsewhere: H_FF = P^T [[diag(d), G], [G^T, B]] P, where P takes the
+    free prices to their tails: a user's causality prices summed from each
+    one on, its bit price as it is, and the UAV prices (by first slot,
+    last first) summed from each one on."""
     free = np.ones(z.size, bool) if free is None else free
-    users, valid, A, C, uav, D = _hessian_blocks(sp, _neg_dual_and_grad(z, sp)[2], free)
+    _, grad, point = _neg_dual_and_grad(z, sp)
+    t = _tail_newton(sp, point, free, grad, 1.0)
+    S, R = t.seg.size, t.rest.size
+    n_mu = int((t.rest < sp.K).sum())
+    user = (t.seg - sp.K) // sp.N
+    P = np.eye(S + R)
+    P[:S, :S] = (user[:, None] == user[None, :]) & np.less_equal.outer(t.seg, t.seg)
+    P[S + n_mu :, S + n_mu :] = np.triu(np.ones((R - n_mu, R - n_mu)))
+    tails = np.block([[np.diag(t.d), t.G], [t.G.T, t.B]])
+    idx = np.concatenate([t.seg, t.rest])
     H = np.zeros((z.size, z.size))
-    for k in range(sp.K):
-        rows, own = users[k, valid[k]], valid[k]
-        H[np.ix_(rows, rows)] = A[k][np.ix_(own, own)]
-        H[np.ix_(rows, uav)] = C[k, own]
-        H[np.ix_(uav, rows)] = C[k, own].T
-    H[np.ix_(uav, uav)] = D
+    H[np.ix_(idx, idx)] = P.T @ tails @ P
     return H
 
 
@@ -306,8 +313,9 @@ def test_dual_hessian_matches_dense_product_k5n20(k5n20, data):
 
 @pytest.fixture(scope="module")
 def large15(ref2x6):
-    """A schedule on which the dual ascent stalls: the presolve leaves one
-    user, and the damping swings between 1e-1 and 1e+2."""
+    """A schedule on which the dual ascent stalled while the damping acted
+    on the prices themselves: the presolve leaves one user, and the
+    damping swung between 1e-1 and 1e+2 until the 200-iterate cap."""
     fields = {n: getattr(ref2x6, n) for n in ref2x6.__dataclass_fields__}
     s = Scenario(**{**fields, "K": 2, "N": 40, "T": 8.0, "P_u": 57622.0,
                     "user_pos": [[2.319, 5.285], [5.696, -0.885]],
@@ -337,23 +345,36 @@ def _free_prices(draw, sp, z):
     return free
 
 
+def _damping_metric(sp, idx):
+    """Lambda of :func:`_tail_newton` on the packed prices idx: the identity
+    on the bit and UAV prices, min(rank p, rank q) between two free
+    causality prices of one user (ranked in slot order from 1)."""
+    Lam = np.eye(idx.size)
+    user = np.where((idx >= sp.K) & (idx < sp.K + sp.K * sp.N), (idx - sp.K) // sp.N, -1)
+    for k in range(sp.K):
+        own = np.flatnonzero(user == k)
+        Lam[np.ix_(own, own)] = np.minimum.outer(np.arange(1, own.size + 1),
+                                                 np.arange(1, own.size + 1))
+    return Lam
+
+
 @pytest.mark.parametrize("instance", ["table2", "k5n20", "large15"])
 @settings(max_examples=30)
 @given(data=st.data())
 def test_eliminated_direction_matches_dense_damped_solve(request, instance, data):
-    """The block elimination solves the damped free Hessian system M x = g
-    (M = H_FF + shift I): on prices on and off the bounds, with drawn
-    epsilon-active sets (no free UAV price makes the Schur system empty)
-    and damping from 1e-12 to 1e8 times the largest free diagonal.
+    """The tail-coordinate elimination solves the damped free Hessian
+    system M x = g (M = H_FF + shift Lambda, :func:`_damping_metric`): on
+    prices on and off the bounds, with drawn epsilon-active sets (no free
+    bit or UAV price leaves the dense system empty) and damping from 1e-12
+    to 1e8 times the largest tail-coordinate diagonal.  The step is zero
+    off the free prices.
 
     Its normwise backward error is within 16 eps, as for the dense LU of
     ``np.linalg.solve``, and it equals that dense solve within 1e-10
     relative.  Prices on the bounds leave H_FF singular, so at small
-    damping cond(M) reaches 5e13 and the dense solve itself moves by up to
-    5e-3 under a refined residual: there the two solves can agree only to
-    the float64 limit, 32 eps cond(M) (measured on table2: at most 0.54
-    eps cond(M) for damping up to 1, 4.2 eps cond(M) above, where
-    cond(M) is about 1)."""
+    damping cond(M) is large and the dense solve itself moves under a
+    refined residual: there the two solves can agree only to the float64
+    limit, 32 eps cond(M)."""
     if instance == "table2":
         s = request.getfixturevalue("table2")
         s_traj, users = (s, straight_line_trajectory(s)), slice(None)
@@ -369,18 +390,16 @@ def test_eliminated_direction_matches_dense_damped_solve(request, instance, data
             np.float64, sp.K + sp.K * sp.N + sp.N - 1, elements=st.floats(0.5, 2.0))))
     free = data.draw(_free_prices(sp, z))
     _, grad, point = _neg_dual_and_grad(z, sp)
-    blocks = users, valid, _, _, uav, _ = _hessian_blocks(sp, point, free)
-    idx = np.concatenate([users[valid], uav])
-    assert np.array_equal(np.sort(idx), np.flatnonzero(free))
+    t = _tail_newton(sp, point, free, grad, 10.0 ** data.draw(st.floats(-12.0, 8.0)))
+    idx = np.flatnonzero(free)
+    assert np.array_equal(np.sort(np.concatenate([t.seg, t.rest])), idx)
+    assert not t.step[~free].any()
     if idx.size == 0:
-        assert _damped_solve(blocks, grad, 1.0).size == 0
         return
-    H = _dense_dual_hessian(z, sp)[np.ix_(idx, idx)]
-    shift = 10.0 ** data.draw(st.floats(-12.0, 8.0)) * (np.diag(H).max() or 1.0)
-    M = H + shift * np.eye(idx.size)
+    M = _dense_dual_hessian(z, sp)[np.ix_(idx, idx)] + t.shift * _damping_metric(sp, idx)
     g = grad[idx]
     ref = np.linalg.solve(M, g)
-    got = _damped_solve(blocks, grad, shift)
+    got = t.step[idx]
     eps = np.finfo(float).eps
     norm = np.abs(M).sum(axis=1).max() * np.abs(got).max() + np.abs(g).max()
     assert np.abs(M @ got - g).max() <= 16 * eps * norm
@@ -391,9 +410,8 @@ def test_eliminated_direction_matches_dense_damped_solve(request, instance, data
 @pytest.mark.parametrize("instance", ["table2", "k5n20"])
 def test_newton_systems_stay_per_user_and_uav_sized(monkeypatch, request, instance):
     """No Newton system spans the whole price vector: during one solve
-    every batched system is a set of user blocks of at most N+1 rows, and
-    every single system (the Schur complement) has at most N-1 rows, one
-    per UAV price."""
+    every system is one dense ``np.linalg.solve`` on the free bit and UAV
+    prices, at most K + N - 1 rows."""
     s = request.getfixturevalue(instance)
     s, traj = (s, straight_line_trajectory(s)) if instance == "table2" else s
     solve = np.linalg.solve
@@ -405,8 +423,36 @@ def test_newton_systems_stay_per_user_and_uav_sized(monkeypatch, request, instan
 
     monkeypatch.setattr(np.linalg, "solve", recorded)
     assert solve_p2(s, traj).kkt.max() <= 1e-6
-    assert {len(shape) for shape in shapes} == {2, 3}
-    assert all(shape[-1] <= (s.N - 1 if len(shape) == 2 else s.N + 1) for shape in shapes)
+    assert shapes and all(len(shape) == 2 for shape in shapes)
+    assert max(shape[0] for shape in shapes) <= s.K + s.N - 1
+
+
+@pytest.mark.parametrize("instance", ["table2", "k5n20"])
+def test_only_the_damping_changed_on_accepted_iterates(monkeypatch, request, instance):
+    """At every accepted iterate of the cold solve, the step at damping
+    1e-13 matches the dense solve of H_FF + sigma I with the same sigma
+    within 1e-8 relative: the tail coordinates change where the damping
+    acts, not the Newton step."""
+    s = request.getfixturevalue(instance)
+    s, traj = (s, straight_line_trajectory(s)) if isinstance(s, Scenario) else s
+    calls = []
+    tail_newton = offload_solver._tail_newton
+
+    def recorded(sp, point, free, grad, damping):
+        if not calls or calls[-1][1] is not point:
+            calls.append((sp, point, free, grad))
+        return tail_newton(sp, point, free, grad, damping)
+
+    monkeypatch.setattr(offload_solver, "_tail_newton", recorded)
+    assert solve_p2(s, traj).kkt.max() <= 1e-6
+    assert len(calls) >= 10
+    for sp, point, free, grad in calls:
+        t = tail_newton(sp, point, free, grad, 1e-13)
+        z = _pack(point.mu, point.nu, point.theta[1 : sp.N - 1], point.uav_gap[0])
+        idx = np.flatnonzero(free)
+        H = _dense_dual_hessian(z, sp)[np.ix_(idx, idx)]
+        ref = np.linalg.solve(H + t.shift * np.eye(idx.size), grad[idx])
+        assert np.abs(t.step[idx] - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
 def test_newton_trace_ascends_to_tolerance(ref_solution, ref_oracle):
@@ -546,8 +592,8 @@ _FULL_ASCENT_COUNTS = {"table2": (51, 139), "k5n20": (56, 149)}
 def test_face_start_shortens_the_cold_solve(monkeypatch, request, instance):
     """Started at the total-budget relaxation's optimum, the cold solve
     takes at most 60% of the steps and evaluations of a full ascent from
-    the spend-as-harvested prices (table2's straight path: 14 and 16
-    against 51 and 139; k5n20: 29 and 49 against 56 and 149)."""
+    the spend-as-harvested prices (table2's straight path: 17 and 20
+    against 51 and 139; k5n20: 19 and 32 against 56 and 149)."""
     s = request.getfixturevalue(instance)
     s, traj = (s, straight_line_trajectory(s)) if isinstance(s, Scenario) else s
     ascents = _captured_ascents(monkeypatch)
@@ -600,11 +646,10 @@ def test_cold_start_prices_a_locally_covered_user_at_its_water_level(monkeypatch
 
 def test_newton_step_stiffens_damping_when_the_solve_fails(monkeypatch, ref2x6,
                                                            ref2x6_traj):
-    """A damped Newton system is two ``np.linalg.solve`` calls: the batched
-    user blocks, then the Schur complement on the free UAV prices.  When
-    either one raises LinAlgError the system is retried ten times stiffer:
-    the solves that follow are one full system, and the step taken is the
-    one a tenfold damping takes directly."""
+    """A damped Newton system is one ``np.linalg.solve`` call on the free
+    bit prices and UAV segments.  When it raises LinAlgError the system is
+    retried ten times stiffer: the step taken is, bit for bit, the one a
+    tenfold damping takes directly."""
     sp = _ScaledP2(ref2x6, ref2x6_traj)
     mu, nu, theta = _spread_start(sp)
     z = _pack(mu, nu, theta[1:-1], theta[-1])
@@ -617,20 +662,19 @@ def test_newton_step_stiffens_damping_when_the_solve_fails(monkeypatch, ref2x6,
     expected = offload_solver._newton_step(sp, evaluate, z, ev, res, 10.0, polish=False)
     assert expected is not None
     solve = np.linalg.solve
-    for failing in (1, 2):
-        calls = []
+    calls = []
 
-        def fails_once(a, b):
-            calls.append(a.ndim)
-            if len(calls) == failing:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
+    def fails_once(a, b):
+        calls.append(a.ndim)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", fails_once)
-        got = offload_solver._newton_step(sp, evaluate, z, ev, res, 1.0, polish=False)
-        assert calls == [3, 2][:failing] + [3, 2]
-        assert np.array_equal(got[0], expected[0])
-        assert got[2:] == expected[2:]
+    monkeypatch.setattr(np.linalg, "solve", fails_once)
+    got = offload_solver._newton_step(sp, evaluate, z, ev, res, 1.0, polish=False)
+    assert calls == [2, 2]
+    assert np.array_equal(got[0], expected[0])
+    assert got[2:] == expected[2:]
 
 
 def test_singular_newton_systems_end_in_the_iteration_limit(monkeypatch, table2):
@@ -692,6 +736,19 @@ def test_large15_schedule_ends_typed(large15):
         assert "Newton steps" in str(exc) and "evaluations" in str(exc)
     else:
         assert sol.kkt.max() <= 1e-6
+
+
+def test_large15_schedule_converges_at_the_oracle_energy(large15):
+    """With the damping on the segment weights the ascent on large15
+    converges (69 Newton steps) to a plan that passes check_constraints
+    at the primal oracle's energy."""
+    s, traj = large15
+    sol = solve_p2(s, traj)
+    assert sol.kkt.max() <= 1e-6
+    plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
+    assert check_constraints(s, plan).feasible(1e-6)
+    _, oracle_obj = primal_oracle_p2(s, traj)
+    assert abs(sol.objective - oracle_obj) <= 5e-3 * oracle_obj
 
 
 # --- feasibility probe -------------------------------------------------------

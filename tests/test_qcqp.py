@@ -122,6 +122,54 @@ def test_non_psd_block_in_zero_matrix_rejected():
                                 ineq=[_embedded_row(np.array([[2.0, -2.0], [-2.0, 2.0]]))])
 
 
+def _psd_verdict_by_loop(triples):
+    """Reference for :meth:`qcqp.Rows.checked`'s semidefiniteness check, one
+    row at a time: the eigenvalues of its support block, or its nonzero
+    diagonal entries when it has no off-diagonal one."""
+    for i, (q, _, _) in enumerate(triples):
+        s = np.flatnonzero((q != 0.0).any(axis=0))
+        block = q[np.ix_(s, s)]
+        if np.count_nonzero(block - np.diag(np.diag(block))):
+            w = np.linalg.eigvalsh(block)
+        else:
+            w = np.sort(block.diagonal()[block.diagonal() != 0.0]) if s.size else [np.inf, -np.inf]
+        if w[0] < -1e-9 * max(1.0, w[-1]):
+            return f"ineq[{i}]: matrix is not positive semidefinite (min eigenvalue {w[0]:.3g})"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_psd_check_matches_the_row_loop(seed):
+    """Rows with supports of one to six entries, some sizes shared by many
+    rows, dense PSD, indefinite (some by less than the 1e-9 tolerance),
+    diagonal or zero: the batched check passes or names the same first
+    row with the same minimum eigenvalue as the row-by-row loop."""
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(60):
+        dim, m = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        triples = []
+        for _ in range(m):
+            q = np.zeros((dim, dim))
+            s = rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False)
+            a = rng.normal(size=(s.size, s.size))
+            kind = rng.integers(4)
+            block = [a @ a.T, (a + a.T) / 2, np.diag(rng.normal(size=s.size)), 0.0 * a][kind]
+            if rng.random() < 0.3:
+                block = block - rng.uniform(0.0, 2e-9) * np.eye(s.size)
+            q[np.ix_(s, s)] = block
+            triples.append((q, np.zeros(dim), -1.0))
+        expected = _psd_verdict_by_loop(triples)
+        seen.add(expected is None)
+        try:
+            qcqp.Rows.from_dense(dim, triples).checked()
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
+    assert seen == {True, False}
+
+
 def _triplet_problem(row, j, k, val, dim=3, m=2):
     rows = qcqp.Rows(dim, row, j, k, val, np.zeros((m, dim)), -np.ones(m))
     return qcqp.QcqpProblem(objective=(np.eye(dim), np.zeros(dim), 0.0), rows=rows)
