@@ -1,12 +1,13 @@
 """Reference implementations that only the tests call.
 
 Scalar per-slot formulas (one user, one slot or one prefix at a time) that
-the vectorized model is checked against, the all-zero plan, and an
-independent primal solver for the fixed-path schedule subproblem that
-serves as a ground-truth oracle on small instances.  None of them is on
-the planner's path.  The oracle is one SLSQP call built from the model's
-public formulas; it imports nothing from the schedule solver it checks, nor
-any private name of the package.
+the vectorized model is checked against, the all-zero plan, the schedule
+solver's two set-up roots found by plain bisection, and an independent
+primal solver for the fixed-path schedule subproblem that serves as a
+ground-truth oracle on small instances.  None of them is on the planner's
+path.  The oracle is one SLSQP call built from the model's public
+formulas; it imports nothing from the schedule solver it checks, nor any
+private name of the package.
 """
 
 import math
@@ -103,6 +104,88 @@ def zero_plan(s: Scenario, traj=None) -> Plan:
                 l=np.zeros((s.K, s.N)),
                 f_user=np.zeros((s.K, s.N)),
                 f_uav=np.zeros(s.N))
+
+
+# ---------------------------------------------------------------------------
+# Set-up roots of the schedule solver, by bisection
+# ---------------------------------------------------------------------------
+# Both work on plain arrays in the solver's Mbit / GHz / mJ units: ``bl``
+# Mbit per subslot at 1 bit/s/Hz, ``bits_f`` Mbit per GHz-slot, ``c_f`` mJ
+# per GHz^3-slot.
+
+def policy_split(e, a_tx, bits_f, c_f, bl):
+    """Local energy x per slot of the spend-as-harvested policy, which
+    spends each slot's harvest ``e`` in that slot to maximize its bits
+    (all of it locally in the last slot): 60 bisection rounds on [0, e] on
+    the sign of the concave bit count's slope in x.  ``a_tx`` is the TX
+    cost per slot, so TX bits are bl log2(1 + (e - x) / a_tx)."""
+    room = a_tx + e
+    loc_gain = bits_f / (3.0 * np.cbrt(c_f))        # local slope times x^(2/3)
+    tx_gain = bl / math.log(2.0)                    # TX slope times (room - x)
+    lo, hi = np.zeros_like(e), np.array(e, dtype=float)
+    for _ in range(60):
+        x = 0.5 * (lo + hi)
+        rising = loc_gain * (room - x) > tx_gain * np.cbrt(x) ** 2
+        np.copyto(lo, x, where=rising)
+        np.copyto(hi, x, where=~rising)
+    x = 0.5 * (lo + hi)
+    x[:, -1] = e[:, -1]
+    return x
+
+
+def policy_bits(e, a_tx, bits_f, c_f, bl):
+    """Bits per user [Mbit] of the split of :func:`policy_split`."""
+    x = policy_split(e, a_tx, bits_f, c_f, bl)
+    return (bits_f * np.cbrt(x / c_f) + bl * np.log2(1.0 + (e - x) / a_tx)).sum(axis=1)
+
+
+def policy_margins(s: Scenario, traj):
+    """Deliverable bits minus demand per user under the spend-as-harvested
+    policy [bits] (:func:`policy_bits` on the scenario's scaled data)."""
+    e = harvest_increments(s, traj) / 1e-3
+    a_tx = s.lam * s.Gamma * s.sigma2 / channel_gains(s, traj) / 1e-3
+    bits = policy_bits(e, a_tx, s.slot * 1e9 / s.M / 1e6, s.gamma_c * s.slot * 1e27 / 1e-3,
+                       s.B * s.lam / 1e6)
+    return (bits - s.R / 1e6) * 1e6
+
+
+def total_budget_prices(a, budget, R, bits_f, c_f, bl):
+    """Optimal (bit prices, last energy prices, slack) of the relaxation
+    that keeps only each user's total energy ``budget`` and the UAV's total
+    compute balance, over TX costs ``a`` (K, N - 1) and demands ``R``.
+
+    Each user's water level omega comes from 60 geometric bisection rounds
+    between its cheapest TX cost and the level where TX costs per bit what
+    all-local compute does, on the test that local compute still costs
+    more per bit (m_loc > m_tx) and the energy is still above the budget.
+    The total offload prices the UAV at slack = 3 c_f fu^2 / bits_f, and a
+    user at its water level gets V = slack / (m_loc - m_tx) and mu = V m_loc.
+    """
+    N = a.shape[1] + 1
+    rate = math.log(2.0) / bl
+
+    def schedule(omega):
+        off = bl * np.log2(np.maximum(omega[:, None] / a, 1.0)).sum(axis=1)
+        f = np.maximum(R - off, 0.0) / (bits_f * N)
+        energy = c_f * N * f ** 3 + np.maximum(omega[:, None] - a, 0.0).sum(axis=1)
+        return off, 3.0 * c_f * f ** 2 / bits_f, omega * rate, energy
+
+    lo = a.min(axis=1)
+    _, m_loc, _, energy = schedule(lo)
+    priced = energy > budget
+    hi = np.maximum(lo, m_loc / rate)
+    for _ in range(60):
+        omega = np.sqrt(lo * hi)
+        _, m_loc, m_tx, energy = schedule(omega)
+        rising = (m_loc > m_tx) & (energy > budget)
+        np.copyto(lo, omega, where=rising)
+        np.copyto(hi, omega, where=~rising)
+    off, m_loc, m_tx, _ = schedule(lo)
+    fu = off.sum() / (bits_f * (N - 1))
+    slack = 3.0 * c_f * fu ** 2 / bits_f
+    water = priced | (m_loc > m_tx)
+    V = np.where(water, slack / np.where(water, m_loc - m_tx, 1.0), 0.0)
+    return V * m_loc, V, slack
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import ast
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -795,6 +796,87 @@ def test_probe_and_solver_flag_starved_instance(ref2x6, ref2x6_traj):
     assert np.any(probe_feasibility(starved, ref2x6_traj) < 0.0)
     with pytest.raises(InfeasibleTrajectoryError):
         solve_p2(starved, ref2x6_traj)
+
+
+# --- set-up roots against the reference bisections -------------------------
+
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=200)
+@given(slots=st.lists(st.tuples(st.floats(-12.0, 12.0),
+                                st.one_of(st.just(-np.inf), st.floats(-12.0, -4.35e-4))),
+                      min_size=2, max_size=8))
+def test_policy_split_matches_the_bisection(table2, slots):
+    """One user's slots with room / A from 1e-12 to 1e12 (table2's gains)
+    and harvest shares e / room of 0 (no harvest) or from 1e-12 to 0.999,
+    both drawn on a log scale.  The Newton split agrees with the
+    reference's 60 bisection rounds within 8 eps of x plus the bisection's
+    bracket e 2^-61, and the policy's bits within 4 eps.  The bracket
+    bounds the reference's own error where x is far below e; elsewhere
+    each root is within about 4 eps of the exact one (the sign test rounds
+    cbrt(x)^2, and x = y^3 triples y's rounding; 3.7 and 2.6 eps on table2
+    against an 80-bit root), so the two can differ by more than 4 eps.
+    The bits do not: their slope in x vanishes at an interior split."""
+    c = _ScaledP2(table2, straight_line_trajectory(table2))
+    A = c.bl / np.log(2.0) * 3.0 * np.cbrt(c.c_f) / c.bits_f
+    ratio, share = 10.0 ** np.array(slots).T
+    room = A * ratio[None, :]
+    e = share * room
+    sp = SimpleNamespace(eharv=e, a_tx=room - e, bits_f=c.bits_f, c_f=c.c_f, bl=c.bl,
+                         R=np.zeros(1))
+    x = offload_solver._policy_split_scaled(sp)
+    x_ref = references.policy_split(e, sp.a_tx, c.bits_f, c.c_f, c.bl)
+    assert np.all(np.abs(x - x_ref) <= 8.0 * _EPS * x_ref + 2.0 ** -61 * e)
+    bits = references.policy_bits(e, sp.a_tx, c.bits_f, c.c_f, c.bl) * 1e6
+    assert np.all(np.abs(offload_solver._margins(sp) - bits) <= 4.0 * _EPS * bits)
+
+
+@pytest.mark.parametrize("instance", ["straight-line", "semi-circle", "ref2x6"])
+def test_probe_matches_the_bisection_policy(request, instance):
+    """The benchmark's scenario generator sizes its demands with
+    ``probe_feasibility`` on table2's physics and both baseline paths, so
+    the probe is pinned to the reference bisection's margins within 4 eps
+    of the deliverable bits on table2's two baseline paths and on
+    ref2x6."""
+    if instance == "ref2x6":
+        s, traj = request.getfixturevalue("ref2x6"), request.getfixturevalue("ref2x6_traj")
+    else:
+        s = request.getfixturevalue("table2")
+        traj = (straight_line_trajectory if instance == "straight-line"
+                else semicircle_trajectory)(s)
+    ref = references.policy_margins(s, traj)
+    assert np.all(np.abs(probe_feasibility(s, traj) - ref) <= 4.0 * _EPS * (ref + s.R))
+
+
+def _start_instance(request, name):
+    if name.startswith("seed"):
+        return _random_scenario(int(name[4:]))
+    if name == "large15":
+        return request.getfixturevalue("large15")
+    path, T = name.split("@")
+    s = request.getfixturevalue("table2").with_T(float(T))
+    return s, (straight_line_trajectory if path == "straight-line"
+               else semicircle_trajectory)(s)
+
+
+@pytest.mark.parametrize("name", [f"seed{seed}" for seed in (11, 22, 33, 44, 55, 66, 77, 99)]
+                         + [f"{path}@{T}" for path in ("straight-line", "semi-circle")
+                            for T in ("2", "2.2", "2.4")]
+                         + ["large15"])
+def test_total_budget_start_matches_the_bisection(request, name):
+    """The breakpoint pass and the Newton water levels give the reference
+    bisection's packed start within 1e-12 relative, entry by entry, on
+    every user of the instance (8.3e-14 at most when measured)."""
+    s, traj = _start_instance(request, name)
+    sp = _ScaledP2(s, traj)
+    K, N = sp.K, sp.N
+    mu, V, slack = references.total_budget_prices(sp.a_tx[:, : N - 1], sp.cum_eharv[:, -1],
+                                                  sp.R, sp.bits_f, sp.c_f, sp.bl)
+    nu = np.zeros((K, N))
+    nu[:, N - 1] = V
+    ref = _pack(mu, nu, np.zeros(N - 2), slack)
+    assert np.all(np.abs(_total_budget_start(sp) - ref) <= 1e-12 * np.abs(ref))
 
 
 def _with_point(traj, value):
