@@ -2,9 +2,10 @@
 
 A Lagrangian-dual solver finds the offloading / CPU-frequency schedule at
 a fixed flight path, and the planner moves the path by speed-capped joint
-steps (convex QCQPs handled by an interior-point solver).  The paper's
-sequential convex path refinement ships as library code, and two fixed
-benchmark paths (straight dash and semicircle) are included for comparison.
+steps (Newton steps, or convex QCQPs handled by an interior-point solver
+when a speed cap binds).  The paper's sequential convex path refinement
+ships as library code, and two fixed benchmark paths (straight dash and
+semicircle) are included for comparison.
 """
 
 from .model import (

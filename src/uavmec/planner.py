@@ -4,10 +4,11 @@ From a feasible initial path the planner solves the offload/CPU schedule,
 then takes joint path steps, re-solving the schedule after each.  The
 schedule duals give the gradient of the optimal compute energy along the
 path (Danskin's theorem); a step minimizes propulsion plus that
-linearization under the speed caps, a convex QCQP, and predicts its energy
-decrease.  The planner stops once that prediction is within ``s.xi1``
-and otherwise takes the step, halved until the re-solved plan's mission
-energy (its ledger ``uav_total``) falls, so the recorded energy trace is
+linearization under the speed caps, a convex QCQP solved only when the
+unconstrained minimizer breaks a cap, and predicts its energy decrease.
+The planner stops once that prediction is within ``s.xi1`` and otherwise
+takes the step, halved until the re-solved plan's mission energy (its
+ledger ``uav_total``) falls, so the recorded energy trace is
 nonincreasing; ``_MAX_OUTER`` bounds the iterations.
 
 Two fixed benchmark paths ship with the planner: a constant-speed straight
@@ -214,15 +215,20 @@ def joint_step(s: Scenario, traj, sol: OffloadSolution) -> tuple[np.ndarray, flo
 
     Minimizes propulsion (exactly quadratic in the free points p_1 ..
     p_{N-1}) plus the linearized optimal compute energy under the N speed
-    caps, a convex QCQP.  Its start blends the path with the straight dash
-    between the ends.  Below V_max the dash is strictly inside the caps and
-    segment norms are convex, so the start, and every point between the
-    path and the step's end, is strictly feasible: no phase 1 runs.  A dash
-    at V_max is the only feasible path, and the step is zero.  With no cap
-    active the step is the Newton step -A^{-1} r (r the joint gradient, A
-    the propulsion Hessian).  The decrease vanishes exactly at a joint
-    stationary point, so it is the planner's joint residual.  Returns the
-    (N+1, 2) step (zero on the endpoints) and the decrease.
+    caps, a convex QCQP.  First comes the Newton step -A^{-1} r (r the
+    joint gradient, A the positive definite propulsion Hessian), the
+    unconstrained minimizer.  If it meets every cap it is the QCQP's
+    optimum (all multipliers zero), and no QCQP is built.  Otherwise the
+    QCQP runs from a blend of the path with the straight dash between the
+    ends.  Below V_max the dash is strictly inside the caps and segment
+    norms are convex, so the start, and every point between the path and
+    the step's end, is strictly feasible: no phase 1 runs.  A dash at
+    V_max is the only feasible path, and the step is zero.  The dash
+    minimizes propulsion, so r is A (x - dash) plus the compute gradient,
+    free of the cancellation in A x + c0 near the dash.  The decrease
+    vanishes exactly at a joint stationary point, so it is the planner's
+    joint residual.  Returns the (N+1, 2) step (zero on the endpoints) and
+    the decrease.
     """
     traj = np.asarray(traj, dtype=float)
     step = np.zeros_like(traj)
@@ -232,13 +238,16 @@ def joint_step(s: Scenario, traj, sol: OffloadSolution) -> tuple[np.ndarray, flo
     grad = compute_energy_gradient(s, traj, sol)[1:-1].ravel()
     x = traj[1:-1].ravel()
     dash = np.linspace(traj[0], traj[-1], s.N + 1)[1:-1].ravel()
-    out = qcqp.solve(qcqp.QcqpProblem(objective=(q0, c0 + grad, d0), rows=rows),
-                     x0=(1.0 - _DASH_BLEND) * x + _DASH_BLEND * dash)
-    if out.status != "optimal":
-        raise JointStepError(f"capped joint step ended {out.status!r}")
-    dx = out.x - x
+    r = q0 @ (x - dash) + grad
+    dx = -np.linalg.solve(q0, r)
+    if not np.all(rows.values(x + dx) <= 0.0):
+        out = qcqp.solve(qcqp.QcqpProblem(objective=(q0, c0 + grad, d0), rows=rows),
+                         x0=(1.0 - _DASH_BLEND) * x + _DASH_BLEND * dash)
+        if out.status != "optimal":
+            raise JointStepError(f"capped joint step ended {out.status!r}")
+        dx = out.x - x
     step[1:-1] = dx.reshape(-1, 2)
-    return step, -float((q0 @ x + c0 + grad) @ dx + 0.5 * dx @ q0 @ dx)
+    return step, -float(r @ dx + 0.5 * dx @ q0 @ dx)
 
 
 def _priced(s: Scenario, traj, sol: OffloadSolution) -> PlannerResult:

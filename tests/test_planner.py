@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solveh_banded
 
+from uavmec import qcqp
 from uavmec.model import Scenario, ScenarioError, check_constraints, evaluate_ledger
 from uavmec.errors import SolverError
 from uavmec.offload_solver import DualState, probe_feasibility, solve_p2
 from uavmec.planner import (
+    _DASH_BLEND,
     run_algorithm1,
     run_baseline,
     sweep_T,
@@ -19,6 +21,7 @@ from uavmec.planner import (
     InfeasibleScenarioError,
     BaselineSpeedError,
 )
+from uavmec.trajectory_solver import speed_capped_propulsion
 
 from references import primal_oracle_p2
 
@@ -178,14 +181,29 @@ def test_warm_prices_of_other_users_are_ignored(table2, halved_candidate):
         solve_p2(table2, cand, warm=DualState.zeros(table2.K, table2.N + 1))
 
 
-def test_uncapped_joint_step_is_the_newton_step(table2):
+@pytest.fixture
+def qcqp_calls(monkeypatch):
+    """Counts ``qcqp.solve`` calls, the planner's included; each still runs."""
+    calls, solve = [], qcqp.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(qcqp, "solve", counted)
+    return calls
+
+
+def test_uncapped_joint_step_is_the_newton_step(table2, qcqp_calls):
     """With no speed cap active the capped step is the unconstrained
     minimizer of propulsion plus the linearization: the Newton step
     -A^{-1} r of the tridiagonal propulsion Hessian A, with the model
-    decrease 0.5 r'A^{-1} r."""
+    decrease 0.5 r'A^{-1} r.  The step is that one linear solve; no QCQP
+    runs."""
     traj = straight_line_trajectory(table2)
     sol = solve_p2(table2, traj)
     step, gain = joint_step(table2, traj, sol)
+    assert not qcqp_calls
     a = 2.0 * table2.kappa / table2.slot ** 2
     r = (a * (2.0 * traj[1:-1] - traj[:-2] - traj[2:])
          + compute_energy_gradient(table2, traj, sol)[1:-1])
@@ -193,19 +211,44 @@ def test_uncapped_joint_step_is_the_newton_step(table2):
     band[0, 1:] = -a
     band[1] = 2.0 * a
     newton = -solveh_banded(band, r)
-    assert np.abs(step[1:-1] - newton).max() <= 1e-8 * np.abs(newton).max()
+    assert np.abs(step[1:-1] - newton).max() <= 1e-12 * np.abs(newton).max()
     assert not step[0].any() and not step[-1].any()
-    assert gain == pytest.approx(-0.5 * float(np.sum(r * newton)), rel=1e-8)
+    assert gain == pytest.approx(-0.5 * float(np.sum(r * newton)), rel=1e-12)
 
 
-def test_binding_speed_cap_converges(table2):
+def test_cap_test_is_exact_at_the_newton_steps_top_speed(table2, qcqp_calls):
+    """With V_max a hair above the Newton step's top speed the step is
+    that Newton step, bit for bit, and no QCQP runs.  1e-6 below it the
+    Newton step breaks a cap, so the QCQP runs; its step keeps every cap
+    and predicts a smaller decrease."""
+    traj = straight_line_trajectory(table2)
+    sol = solve_p2(table2, traj)
+    newton, newton_gain = joint_step(table2, traj, sol)
+    top = np.linalg.norm(np.diff(traj + newton, axis=0), axis=1).max() / table2.slot
+    assert not qcqp_calls
+
+    above = Scenario(**{**_fields(table2), "V_max": (1.0 + 1e-9) * top})
+    step, gain = joint_step(above, traj, sol)
+    assert not qcqp_calls
+    assert np.array_equal(step, newton) and gain == newton_gain
+
+    below = Scenario(**{**_fields(table2), "V_max": (1.0 - 1e-6) * top})
+    step, gain = joint_step(below, traj, sol)
+    assert len(qcqp_calls) == 1
+    assert np.linalg.norm(np.diff(traj + step, axis=0), axis=1).max() <= below.V_max * below.slot
+    assert gain < newton_gain
+
+
+def test_binding_speed_cap_converges(table2, qcqp_calls):
     """With V_max just above the dash speed the uncapped step would break
-    the cap; the capped step keeps every iterate inside it and the run
-    converges below the straight baseline, free of numerical warnings."""
+    the cap, so the QCQP runs; the capped step keeps every iterate inside
+    it and the run converges below the straight baseline, free of
+    numerical warnings."""
     capped = Scenario(**{**_fields(table2), "V_max": 5.001})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = run_algorithm1(capped)
+    assert qcqp_calls
     assert res.status == "converged"
     rep = check_constraints(capped, res.plan)
     assert rep.feasible(1e-6), rep.summary()
@@ -556,3 +599,40 @@ def test_small_runs_match_the_primal_oracle(case):
         return
     _, oracle = primal_oracle_p2(s, res.plan.traj)
     assert abs(res.ledger.uav_compute.sum() - oracle) <= 5e-3 * max(oracle, 1e-12)
+
+
+def _qcqp_joint_step(s: Scenario, traj, sol):
+    """The joint step solved as the capped QCQP, whether or not a cap
+    binds: ``qcqp.solve`` from ``joint_step``'s blended start.  Returns the
+    solve's status, the (N-1, 2) step of the free points and the model
+    decrease."""
+    (q0, c0, d0), rows = speed_capped_propulsion(s, traj[0], traj[-1])
+    grad = compute_energy_gradient(s, traj, sol)[1:-1].ravel()
+    x = traj[1:-1].ravel()
+    dash = np.linspace(traj[0], traj[-1], s.N + 1)[1:-1].ravel()
+    out = qcqp.solve(qcqp.QcqpProblem(objective=(q0, c0 + grad, d0), rows=rows),
+                     x0=(1.0 - _DASH_BLEND) * x + _DASH_BLEND * dash)
+    dx = out.x - x
+    return out.status, dx.reshape(-1, 2), -float((q0 @ x + c0 + grad) @ dx
+                                                 + 0.5 * dx @ q0 @ dx)
+
+
+@settings(max_examples=100)
+@given(_missions())
+def test_joint_step_matches_the_capped_qcqp(case):
+    """On each draw's initial schedule, the joint step (the Newton step
+    when it meets every cap, the QCQP otherwise) is the capped QCQP's
+    step within 1e-9 (1 + max |x|) and predicts its decrease within 1e-9
+    relative.  The V_max factors near 1 make caps bind on some draws."""
+    s, start = case
+    try:
+        traj = {"straight-line": straight_line_trajectory,
+                "semi-circle": semicircle_trajectory}[start](s)
+        sol = solve_p2(s, traj)
+    except SolverError:
+        return
+    status, ref_step, ref_decrease = _qcqp_joint_step(s, traj, sol)
+    assert status == "optimal"
+    step, decrease = joint_step(s, traj, sol)
+    assert np.abs(step[1:-1] - ref_step).max() <= 1e-9 * (1.0 + np.abs(traj).max())
+    assert decrease == pytest.approx(ref_decrease, rel=1e-9)
