@@ -4,8 +4,9 @@ A Lagrangian-dual solver finds the offloading / CPU-frequency schedule at
 a fixed flight path, and the planner moves the path by speed-capped joint
 steps (Newton steps, or convex QCQPs handled by an interior-point solver
 when a speed cap binds).  The paper's sequential convex path refinement
-ships as library code, and two fixed benchmark paths (straight dash and
-semicircle) are included for comparison.
+(``assemble_p4``, ``solve_p3``) ships as library code the planner does not
+call, and two fixed benchmark paths (straight dash and semicircle) are
+included for comparison.
 """
 
 from .model import (
@@ -24,17 +25,10 @@ from .qcqp import QcqpProblem, QcqpSolution, solve as qcqp_solve, phase1, kkt_re
 from .offload_solver import (
     DualState,
     OffloadSolution,
-    recover_primal,
     solve_p2,
     probe_feasibility,
 )
-from .trajectory_solver import (
-    HarvestLowerBound,
-    ScaState,
-    sca_lower_bound,
-    assemble_p4,
-    solve_p3,
-)
+from .trajectory_solver import ScaState, assemble_p4, solve_p3
 from .planner import (
     PlannerResult,
     SweepCell,

@@ -44,9 +44,6 @@ __all__ = [
     "OffloadKkt",
     "InfeasibleTrajectoryError",
     "DualIterationLimitError",
-    "recover_primal",
-    "dual_value",
-    "lagrangian_value",
     "solve_p2",
     "probe_feasibility",
 ]
@@ -261,39 +258,6 @@ def _duals_to_scaled(d: DualState):
     theta = d.theta * _PRICE
     mid = theta[1:-1]
     return d.mu * _PRICE, d.nu.copy(), theta, _price_gaps(theta[-1] - mid.sum(), mid)
-
-
-def _primal_from_scaled(l, f, fu):
-    return l * _BIT, f * _FREQ, fu * _FREQ
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-def recover_primal(s: Scenario, traj, d: DualState):
-    """Minimizer (l, f_user, f_uav) of the Lagrangian at the given prices (SI).
-
-    Where a user's energy-price tail vanishes under a positive bit price,
-    the minimizer puts that slot's bits and cycles at their caps.  Every
-    nonnegative price state has one: a UAV slot whose price gap is negative
-    idles.
-    """
-    point = _recover_scaled(_ScaledP2(s, traj), *_duals_to_scaled(d))
-    return _primal_from_scaled(*point.primal)
-
-
-def dual_value(s: Scenario, traj, d: DualState) -> float:
-    """Lagrangian dual lower bound on the UAV compute energy [J]."""
-    return _recover_scaled(_ScaledP2(s, traj), *_duals_to_scaled(d)).value * _EN
-
-
-def lagrangian_value(s: Scenario, traj, plan_part, d: DualState) -> float:
-    """Lagrangian of the fixed-trajectory subproblem at an SI primal point [J]."""
-    sp = _ScaledP2(s, traj)
-    l, f, fu = plan_part
-    l, f, fu = np.asarray(l, dtype=float) / _BIT, np.asarray(f) / _FREQ, np.asarray(fu) / _FREQ
-    return sp.lagrangian(*_duals_to_scaled(d)[:3], fu, sp.violations(l, f, fu)) * _EN
 
 
 # ---------------------------------------------------------------------------
@@ -591,25 +555,19 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
     its natural residual (:func:`_natural_residual`).  Multipliers within
     ``res`` of zero whose gradient pushes them out are sent to the bound
     (the epsilon-active set); the others take the damped Newton step of
-    :func:`_tail_newton`.  The path z(a) = max(z + a d, floor) is searched
-    by halving a until the value passes an Armijo test or, once the value
-    no longer resolves the progress, the natural residual shrinks without
-    the value rising.  With ``polish`` only the full step is tried, and
-    only if it at least halves the natural residual without raising the
-    value: one or two such steps reach the rounding floor, where smaller
-    gains only move the gradient's rounding.  The floor is zero except for
-    the bit prices, which keep a tenth of their value per step: every user
-    left in the pricing problem needs a positive bit price, and a bit price
-    that collapses to zero with the tail of its energy prices strands the
-    iterate on a kink of the dual.  A full step relaxes the damping tenfold
+    :func:`_tail_newton`.  The projected path z(a) = max(z + a d, 0) is
+    searched by halving a until the value passes an Armijo test or, once
+    the value no longer resolves the progress, the natural residual at
+    least halves without the value rising.  With ``polish`` only the full
+    step is tried, and only the residual test counts: one or two such
+    steps reach the rounding floor, where smaller gains only move the
+    gradient's rounding.  A full step relaxes the damping tenfold
     and a shortened one stiffens it tenfold; a failed search retries a
     hundredfold stiffer, and a failed polish step ends the ascent.  Returns
     the accepted (z, ev, res, damping), or None.
     """
     phi, grad, point = ev
     free = ~((z <= min(res, 1e-3)) & (grad > 0.0))
-    floor = np.zeros_like(z)
-    floor[: sp.K] = 0.1 * z[: sp.K]
     noise = 1e-13 * max(abs(phi), 1.0)
     while damping < 1e10:
         try:
@@ -619,11 +577,11 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
             continue
         alpha = 1.0
         for _ in range(1 if polish else 30):
-            zt = np.maximum(z + alpha * d, floor)
+            zt = np.maximum(z + alpha * d, 0.0)
             phit, gradt, _ = evt = evaluate(zt)
             rest = _natural_residual(zt, gradt)
             armijo = phit <= phi + 1e-4 * float(grad @ (zt - z))
-            shrunk = rest <= 0.5 * res if polish else rest < res
+            shrunk = rest <= 0.5 * res
             if (shrunk and phit <= phi + noise) or (armijo and not polish):
                 damping = damping / 10.0 if alpha == 1.0 else damping * 10.0
                 return zt, evt, rest, max(damping, 1e-12)

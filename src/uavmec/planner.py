@@ -9,7 +9,10 @@ unconstrained minimizer breaks a cap, and predicts its energy decrease.
 The planner stops once that prediction is within ``s.xi1`` and otherwise
 takes the step, halved until the re-solved plan's mission energy (its
 ledger ``uav_total``) falls, so the recorded energy trace is
-nonincreasing; ``_MAX_OUTER`` bounds the iterations.
+nonincreasing; ``_MAX_OUTER`` bounds the iterations.  The propulsion
+model and speed caps in the free path points
+(:func:`speed_capped_propulsion`) live here; the paper's path refinement
+in ``trajectory_solver`` borrows them.
 
 Two fixed benchmark paths ship with the planner: a constant-speed straight
 dash between the endpoints, and a constant-speed semicircle whose diameter
@@ -48,7 +51,6 @@ from .offload_solver import (
     solve_p2,
     InfeasibleTrajectoryError,
 )
-from .trajectory_solver import speed_capped_propulsion
 
 __all__ = [
     "PlannerResult",
@@ -59,6 +61,7 @@ __all__ = [
     "SCHEMES",
     "straight_line_trajectory",
     "semicircle_trajectory",
+    "speed_capped_propulsion",
     "compute_energy_gradient",
     "joint_step",
     "run_algorithm1",
@@ -184,6 +187,40 @@ def _initial_trajectory(s: Scenario, init) -> np.ndarray:
     if traj.shape != (s.N + 1, 2):
         raise ValueError(f"initial trajectory must be {(s.N + 1, 2)}, got {traj.shape}")
     return traj.copy()
+
+
+def speed_capped_propulsion(s: Scenario, start, end) -> tuple[tuple, qcqp.Rows]:
+    """Propulsion and speed caps in the free path points p_1 .. p_{N-1}.
+
+    With the ends pinned at the (2,) arrays ``start`` and ``end``, returns
+    the propulsion energy as a (Q0, c0, d0) triple and the N two-point rows
+    ||p_{n+1} - p_n||^2 / (V_max slot)^2 - 1 <= 0, n = 0 .. N-1.
+    """
+    dim = 2 * (s.N - 1)
+    xy = np.arange(2)
+    pts = np.arange(1, s.N)             # free path points; point i sits at 2(i-1)
+    inner = np.arange(1, s.N - 1)       # segments joining two free points
+
+    # Squared segment lengths ||p_{n+1} - p_n||^2: 2 on the diagonal of each
+    # free end, -2 on the cross entries of a segment joining two free points.
+    # Propulsion is kappa / slot^2 times their sum.
+    seg_row = np.repeat(np.concatenate([pts - 1, pts, inner, inner]), 2)
+    seg_j = (2 * np.concatenate([pts - 1, pts - 1, inner - 1, inner])[:, None] + xy).ravel()
+    seg_k = (2 * np.concatenate([pts - 1, pts - 1, inner, inner - 1])[:, None] + xy).ravel()
+    seg_val = np.repeat([2.0, -2.0], [4 * pts.size, 4 * inner.size])
+    seg_c = np.zeros((s.N, dim))
+    seg_c[0, :2] = -2.0 * start
+    seg_c[-1, -2:] = -2.0 * end
+    seg_d = np.zeros(s.N)
+    seg_d[0], seg_d[-1] = float(start @ start), float(end @ end)
+
+    a = s.kappa / s.slot ** 2
+    q0m = np.zeros((dim, dim))
+    np.add.at(q0m, (seg_j, seg_k), a * seg_val)
+    cap2 = (s.V_max * s.slot) ** 2
+    return ((q0m, a * seg_c.sum(axis=0), float(np.sum(a * seg_d))),
+            qcqp.Rows(dim, seg_row, seg_j, seg_k, seg_val / cap2, seg_c / cap2,
+                      (seg_d - cap2) / cap2))
 
 
 def compute_energy_gradient(s: Scenario, traj, sol: OffloadSolution) -> np.ndarray:

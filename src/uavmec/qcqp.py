@@ -418,27 +418,6 @@ def phase1(p: QcqpProblem, x_hint=None) -> tuple[np.ndarray, float, str]:
     return x, margin, "feasible" if margin > 0.0 else "infeasible"
 
 
-def _barrier(p: QcqpProblem, x0) -> tuple[np.ndarray, np.ndarray, str, list]:
-    """The primal-dual loop from x0 if strictly feasible, else from phase 1's point."""
-    q0, c0, _ = p.objective
-    if x0 is not None:
-        x0 = _finite_hint(x0)
-    if p.m == 0:
-        x, res, _, _ = np.linalg.lstsq(q0, -c0, rcond=None)
-        if np.max(np.abs(q0 @ x + c0), initial=0.0) > 1e-8 * (1.0 + np.abs(c0).max(initial=0.0)):
-            raise ValueError("objective is unbounded below (no constraints bind it)")
-        return x, np.zeros(0), "optimal", [(np.inf, p.objective_value(x), 0.0)]
-
-    if x0 is not None and np.all(p.ineq_values(x0) < -1e-12):
-        x = x0
-    else:
-        x, margin, status = phase1(p, x_hint=x0)
-        if status == "infeasible" or not np.all(p.ineq_values(x) < 0.0):
-            raise QcqpInfeasibleError(
-                f"no strictly feasible point found (phase-1 margin {margin:.3g})")
-    return _interior_point(p.objective, p.rows, x)
-
-
 def solve(p: QcqpProblem, x0=None) -> QcqpSolution:
     """Solve a convex QCQP with the Mehrotra predictor-corrector primal-dual
     loop; after ``_MAX_STEPS`` (300) steps it ends "max-iter".  An "optimal"
@@ -446,8 +425,23 @@ def solve(p: QcqpProblem, x0=None) -> QcqpSolution:
     primal tolerance.  ``x0`` is an optional strictly feasible hint; phase 1 runs otherwise.
     Raises :class:`QcqpInfeasibleError` when phase 1 certifies that no
     strictly feasible point exists and ``ValueError`` for a non-finite hint.
+    Without rows the objective's stationary point is returned as it stands.
     """
-    x, lam, status, trace = _barrier(p, x0)
+    if x0 is not None:
+        x0 = _finite_hint(x0)
+    if p.m == 0:
+        q0, c0, _ = p.objective
+        x = np.linalg.lstsq(q0, -c0, rcond=None)[0]
+        if np.max(np.abs(q0 @ x + c0), initial=0.0) > 1e-8 * (1.0 + np.abs(c0).max(initial=0.0)):
+            raise ValueError("objective is unbounded below (no constraints bind it)")
+        lam, status, trace = np.zeros(0), "optimal", [(np.inf, p.objective_value(x), 0.0)]
+    else:
+        if x0 is None or not np.all(p.ineq_values(x0) < -1e-12):
+            x0, margin, status = phase1(p, x_hint=x0)
+            if status == "infeasible" or not np.all(p.ineq_values(x0) < 0.0):
+                raise QcqpInfeasibleError(
+                    f"no strictly feasible point found (phase-1 margin {margin:.3g})")
+        x, lam, status, trace = _interior_point(p.objective, p.rows, x0)
     kkt = kkt_residuals(p, x, lam)
     # Fails closed: a NaN residual is not within the bound.
     if status == "optimal" and not kkt.max() <= np.sqrt(_GAP_TOL) * (

@@ -1,4 +1,4 @@
-"""Flight-path refinement at a fixed offload/CPU schedule.
+"""The paper's flight-path refinement (P3) at a fixed offload/CPU schedule.
 
 With the schedule held fixed, only propulsion energy depends on the path,
 but the energy-causality constraints couple the path to the users twice:
@@ -6,10 +6,16 @@ moving closer raises harvest and lowers the TX power the fixed bits need.
 The harvest prefix is a sum of inverse-quadratic terms in the trajectory,
 which is not concave, so each refinement step replaces it with its tangent
 concave-quadratic minorant at the current path (exact there, a global
-lower bound everywhere).  The resulting restriction is a convex QCQP in
-the free path points, solved by the interior-point module; re-expanding at
-each solution and iterating drives the path to a stationary point while
-every iterate keeps the true constraints satisfied.
+lower bound everywhere), built inline by :func:`assemble_p4`.  The
+resulting restriction is a convex QCQP in the free path points, on the
+planner's propulsion objective and speed rows
+(:func:`uavmec.planner.speed_capped_propulsion`), solved by the
+interior-point module; re-expanding at each solution and iterating drives
+the path to a stationary point while every iterate keeps the true
+constraints satisfied.
+
+The planner moves the path by joint steps instead and never imports this
+module; only the package's ``__init__`` does, to export it.
 """
 
 from __future__ import annotations
@@ -21,15 +27,13 @@ import numpy as np
 from . import qcqp
 from .errors import SolverError
 from .model import Scenario, DimensionError, propulsion_profile, tx_energy
+from .planner import speed_capped_propulsion
 
 __all__ = [
-    "HarvestLowerBound",
     "ScaState",
     "P4Assembly",
     "ExpansionInfeasibleError",
     "ScaIterationLimitError",
-    "sca_lower_bound",
-    "speed_capped_propulsion",
     "assemble_p4",
     "solve_p3",
 ]
@@ -43,54 +47,6 @@ class ExpansionInfeasibleError(SolverError, ValueError):
 
 class ScaIterationLimitError(SolverError):
     """SCA iteration limit reached before the displacement test passed."""
-
-
-@dataclass(frozen=True)
-class HarvestLowerBound:
-    """Concave-quadratic minorant of one user's harvest prefix.
-
-    value(traj) = const - sum_i coef[i] * ||traj[i] - user||^2, taken over
-    the first ``n_slots`` trajectory points.  Exact at the expansion path;
-    a lower bound on the true prefix everywhere else.
-    """
-
-    user: np.ndarray        # (2,) user position
-    n_slots: int
-    const: float            # [J]
-    coef: np.ndarray        # (n_slots,) nonnegative quadratic weights
-
-    def value(self, traj) -> float:
-        traj = np.asarray(traj, dtype=float)
-        d2 = np.sum((traj[: self.n_slots] - self.user) ** 2, axis=1)
-        return self.const - float(self.coef @ d2)
-
-    def gradient(self, traj) -> np.ndarray:
-        """(n_slots, 2) derivative with respect to the used path points."""
-        traj = np.asarray(traj, dtype=float)
-        return -2.0 * self.coef[:, None] * (traj[: self.n_slots] - self.user)
-
-
-def sca_lower_bound(s: Scenario, expansion_traj, k: int, n: int) -> HarvestLowerBound:
-    """Tangent minorant of user ``k``'s harvested energy over ``n`` slots.
-
-    Each inverse-quadratic harvest term a/(b+z) is bounded below by its
-    tangent in z = squared horizontal distance, which collects into a
-    constant minus nonnegative quadratic weights on the path points.
-    """
-    if not 1 <= n <= s.N:
-        raise ValueError(f"slot count n={n} outside 1..{s.N}")
-    if not 0 <= k < s.K:
-        raise IndexError(f"user index {k} out of range [0, {s.K})")
-    exp = np.asarray(expansion_traj, dtype=float)
-    if exp.shape[0] < n:
-        raise DimensionError(f"expansion trajectory has {exp.shape[0]} points, need >= {n}")
-    pref = s.slot * s.eta * s.P_u * s.beta0
-    r2 = np.sum((exp[:n] - s.user_pos[k]) ** 2, axis=1)
-    den = s.H ** 2 + r2
-    coef = pref / den ** 2
-    const = float(np.sum(coef * (s.H ** 2 + 2.0 * r2)))
-    return HarvestLowerBound(user=s.user_pos[k].copy(), n_slots=n,
-                             const=const, coef=coef)
 
 
 @dataclass(frozen=True)
@@ -117,40 +73,6 @@ class P4Assembly:
 
     def pack(self, traj) -> np.ndarray:
         return np.asarray(traj, dtype=float)[1:-1].ravel()
-
-
-def speed_capped_propulsion(s: Scenario, start, end) -> tuple[tuple, qcqp.Rows]:
-    """Propulsion and speed caps in the free path points p_1 .. p_{N-1}.
-
-    With the ends pinned at the (2,) arrays ``start`` and ``end``, returns
-    the propulsion energy as a (Q0, c0, d0) triple and the N two-point rows
-    ||p_{n+1} - p_n||^2 / (V_max slot)^2 - 1 <= 0, n = 0 .. N-1.
-    """
-    dim = 2 * (s.N - 1)
-    xy = np.arange(2)
-    pts = np.arange(1, s.N)             # free path points; point i sits at 2(i-1)
-    inner = np.arange(1, s.N - 1)       # segments joining two free points
-
-    # Squared segment lengths ||p_{n+1} - p_n||^2: 2 on the diagonal of each
-    # free end, -2 on the cross entries of a segment joining two free points.
-    # Propulsion is kappa / slot^2 times their sum.
-    seg_row = np.repeat(np.concatenate([pts - 1, pts, inner, inner]), 2)
-    seg_j = (2 * np.concatenate([pts - 1, pts - 1, inner - 1, inner])[:, None] + xy).ravel()
-    seg_k = (2 * np.concatenate([pts - 1, pts - 1, inner, inner - 1])[:, None] + xy).ravel()
-    seg_val = np.repeat([2.0, -2.0], [4 * pts.size, 4 * inner.size])
-    seg_c = np.zeros((s.N, dim))
-    seg_c[0, :2] = -2.0 * start
-    seg_c[-1, -2:] = -2.0 * end
-    seg_d = np.zeros(s.N)
-    seg_d[0], seg_d[-1] = float(start @ start), float(end @ end)
-
-    a = s.kappa / s.slot ** 2
-    q0m = np.zeros((dim, dim))
-    np.add.at(q0m, (seg_j, seg_k), a * seg_val)
-    cap2 = (s.V_max * s.slot) ** 2
-    return ((q0m, a * seg_c.sum(axis=0), float(np.sum(a * seg_d))),
-            qcqp.Rows(dim, seg_row, seg_j, seg_k, seg_val / cap2, seg_c / cap2,
-                      (seg_d - cap2) / cap2))
 
 
 def assemble_p4(s: Scenario, plan_part, expansion_traj) -> P4Assembly:
@@ -192,7 +114,10 @@ def assemble_p4(s: Scenario, plan_part, expansion_traj) -> P4Assembly:
     local_e = s.gamma_c * s.slot * f_user ** 3                    # (K, N)
     t_coef = tx_energy(s, s.beta0, l)           # per unit of H^2 + ||p - u||^2
     r2 = np.sum((exp[None, : s.N] - s.user_pos[:, None]) ** 2, axis=2)     # (K, N)
-    coef = s.slot * s.eta * s.P_u * s.beta0 / (s.H ** 2 + r2) ** 2   # as sca_lower_bound
+    # Harvest minorant: each term a / (H^2 + d2) is convex in the squared
+    # distance d2, so its tangent at the expansion path's r2 bounds it
+    # below: coef (H^2 + 2 r2) - coef d2, with coef = a / (H^2 + r2)^2.
+    coef = s.slot * s.eta * s.P_u * s.beta0 / (s.H ** 2 + r2) ** 2
     w = t_coef + coef
     # ||p_i - u_k||^2 = ||p_i||^2 - 2 u_k'p_i + ||u_k||^2 on free points;
     # slot 0 uses the pinned start.

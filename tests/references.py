@@ -1,16 +1,19 @@
 """Reference implementations that only the tests call.
 
 Scalar per-slot formulas (one user, one slot or one prefix at a time) that
-the vectorized model is checked against, the all-zero plan, the schedule
-solver's two set-up roots found by plain bisection, and an independent
-primal solver for the fixed-path schedule subproblem that serves as a
-ground-truth oracle on small instances.  None of them is on the planner's
-path.  The oracle is one SLSQP call built from the model's public
+the vectorized model is checked against, the all-zero plan, the tangent
+harvest minorant of the paper's path subproblem per (user, prefix), which
+``trajectory_solver.assemble_p4``'s vectorized rows are checked against,
+the schedule solver's two set-up roots found by plain bisection, and an
+independent primal solver for the fixed-path schedule subproblem that
+serves as a ground-truth oracle on small instances.  None of them is on
+the planner's path.  The oracle is one SLSQP call built from the model's public
 formulas; it imports nothing from the schedule solver it checks, nor any
 private name of the package.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -104,6 +107,58 @@ def zero_plan(s: Scenario, traj=None) -> Plan:
                 l=np.zeros((s.K, s.N)),
                 f_user=np.zeros((s.K, s.N)),
                 f_uav=np.zeros(s.N))
+
+
+# ---------------------------------------------------------------------------
+# Harvest minorant of the paper's path subproblem
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HarvestLowerBound:
+    """Concave-quadratic minorant of one user's harvest prefix.
+
+    value(traj) = const - sum_i coef[i] * ||traj[i] - user||^2, taken over
+    the first ``n_slots`` trajectory points.  Exact at the expansion path;
+    a lower bound on the true prefix everywhere else.
+    """
+
+    user: np.ndarray        # (2,) user position
+    n_slots: int
+    const: float            # [J]
+    coef: np.ndarray        # (n_slots,) nonnegative quadratic weights
+
+    def value(self, traj) -> float:
+        traj = np.asarray(traj, dtype=float)
+        d2 = np.sum((traj[: self.n_slots] - self.user) ** 2, axis=1)
+        return self.const - float(self.coef @ d2)
+
+    def gradient(self, traj) -> np.ndarray:
+        """(n_slots, 2) derivative with respect to the used path points."""
+        traj = np.asarray(traj, dtype=float)
+        return -2.0 * self.coef[:, None] * (traj[: self.n_slots] - self.user)
+
+
+def sca_lower_bound(s: Scenario, expansion_traj, k: int, n: int) -> HarvestLowerBound:
+    """Tangent minorant of user ``k``'s harvested energy over ``n`` slots.
+
+    Each inverse-quadratic harvest term a/(b+z) is bounded below by its
+    tangent in z = squared horizontal distance, which collects into a
+    constant minus nonnegative quadratic weights on the path points.
+    """
+    if not 1 <= n <= s.N:
+        raise ValueError(f"slot count n={n} outside 1..{s.N}")
+    if not 0 <= k < s.K:
+        raise IndexError(f"user index {k} out of range [0, {s.K})")
+    exp = np.asarray(expansion_traj, dtype=float)
+    if exp.shape[0] < n:
+        raise DimensionError(f"expansion trajectory has {exp.shape[0]} points, need >= {n}")
+    pref = s.slot * s.eta * s.P_u * s.beta0
+    r2 = np.sum((exp[:n] - s.user_pos[k]) ** 2, axis=1)
+    den = s.H ** 2 + r2
+    coef = pref / den ** 2
+    const = float(np.sum(coef * (s.H ** 2 + 2.0 * r2)))
+    return HarvestLowerBound(user=s.user_pos[k].copy(), n_slots=n,
+                             const=const, coef=coef)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,6 @@ from uavmec import offload_solver
 from uavmec.offload_solver import (
     DualState,
     OffloadKkt,
-    recover_primal,
-    dual_value,
-    lagrangian_value,
     solve_p2,
     probe_feasibility,
     InfeasibleTrajectoryError,
@@ -26,9 +23,13 @@ from uavmec.offload_solver import (
     _pack,
     _unpack,
     _recover_scaled,
+    _duals_to_scaled,
     _neg_dual_and_grad,
     _tail_newton,
     _price_gaps,
+    _BIT,
+    _FREQ,
+    _EN,
 )
 
 import references
@@ -50,10 +51,30 @@ def ref_oracle(ref2x6, ref2x6_traj):
 
 
 # --- primal recovery ---------------------------------------------------------
+# SI views of the solver's scaled Lagrangian, for prices given as a DualState.
+
+def _recover_primal(s: Scenario, traj, d: DualState):
+    """Minimizer (l, f_user, f_uav) of the Lagrangian at the given prices (SI)."""
+    l, f, fu = _recover_scaled(_ScaledP2(s, traj), *_duals_to_scaled(d)).primal
+    return l * _BIT, f * _FREQ, fu * _FREQ
+
+
+def _dual_value(s: Scenario, traj, d: DualState) -> float:
+    """Lagrangian dual lower bound on the UAV compute energy [J]."""
+    return _recover_scaled(_ScaledP2(s, traj), *_duals_to_scaled(d)).value * _EN
+
+
+def _lagrangian_value(s: Scenario, traj, plan_part, d: DualState) -> float:
+    """Lagrangian of the fixed-trajectory subproblem at an SI primal point [J]."""
+    sp = _ScaledP2(s, traj)
+    l, f, fu = plan_part
+    l, f, fu = np.asarray(l, dtype=float) / _BIT, np.asarray(f) / _FREQ, np.asarray(fu) / _FREQ
+    return sp.lagrangian(*_duals_to_scaled(d)[:3], fu, sp.violations(l, f, fu)) * _EN
+
 
 def test_recovery_zero_duals_is_idle(ref2x6, ref2x6_traj):
     d = DualState.zeros(ref2x6.K, ref2x6.N)
-    l, f, fu = recover_primal(ref2x6, ref2x6_traj, d)
+    l, f, fu = _recover_primal(ref2x6, ref2x6_traj, d)
     assert not l.any() and not f.any() and not fu.any()
 
 
@@ -62,13 +83,13 @@ def test_recovery_uav_frequency_ladder(ref2x6, ref2x6_traj):
     theta = np.zeros(s.N)
     theta[-1] = 3.0 * s.gamma_c * s.M          # prices one cycle/s at every slot
     d = DualState(mu=np.zeros(s.K), nu=np.full((s.K, s.N), 0.1), theta=theta)
-    _, _, fu = recover_primal(s, ref2x6_traj, d)
+    _, _, fu = _recover_primal(s, ref2x6_traj, d)
     assert fu[0] == 0.0
     assert fu[1:] == pytest.approx(np.ones(s.N - 1), rel=1e-9)
 
 
 def test_recovery_first_uav_slot_always_zero(ref_solution, ref2x6, ref2x6_traj):
-    _, _, fu = recover_primal(ref2x6, ref2x6_traj, ref_solution.duals)
+    _, _, fu = _recover_primal(ref2x6, ref2x6_traj, ref_solution.duals)
     assert fu[0] == 0.0
 
 
@@ -80,9 +101,9 @@ def test_recovery_idles_uav_without_dominating_last_price(ref2x6, ref2x6_traj):
     theta = np.zeros(s.N)
     theta[1] = 1.0                              # mid price with no dominating last
     d = DualState(mu=np.zeros(s.K), nu=np.zeros((s.K, s.N)), theta=theta)
-    plan_part = recover_primal(s, ref2x6_traj, d)
+    plan_part = _recover_primal(s, ref2x6_traj, d)
     assert not plan_part[2].any()
-    assert dual_value(s, ref2x6_traj, d) == lagrangian_value(s, ref2x6_traj, plan_part, d)
+    assert _dual_value(s, ref2x6_traj, d) == _lagrangian_value(s, ref2x6_traj, plan_part, d)
 
 
 @st.composite
@@ -101,13 +122,13 @@ def _prices_with_vanished_tail(draw, s):
 
 @given(data=st.data())
 def test_dual_value_is_the_lagrangian_at_the_recovered_primal(ref2x6, ref2x6_traj, data):
-    """recover_primal returns the Lagrangian minimizer, so the dual value is
+    """_recover_primal returns the Lagrangian minimizer, so the dual value is
     the Lagrangian there, also where a price tail vanishes (the minimizer
     then puts that user's bits and cycles at their caps)."""
     d = data.draw(_prices_with_vanished_tail(ref2x6))
-    g = dual_value(ref2x6, ref2x6_traj, d)
-    plan_part = recover_primal(ref2x6, ref2x6_traj, d)
-    assert abs(lagrangian_value(ref2x6, ref2x6_traj, plan_part, d) - g) <= 1e-12 * abs(g)
+    g = _dual_value(ref2x6, ref2x6_traj, d)
+    plan_part = _recover_primal(ref2x6, ref2x6_traj, d)
+    assert abs(_lagrangian_value(ref2x6, ref2x6_traj, plan_part, d) - g) <= 1e-12 * abs(g)
 
 
 def test_recovery_finite_at_rounding_negative_bit_price(ref2x6, ref2x6_traj):
@@ -116,19 +137,19 @@ def test_recovery_finite_at_rounding_negative_bit_price(ref2x6, ref2x6_traj):
     theta = np.zeros(ref2x6.N)
     theta[-1] = 1e-7
     d = DualState(mu=[1e-7, -1e-30], nu=np.full((ref2x6.K, ref2x6.N), 10.0), theta=theta)
-    _, f, _ = recover_primal(ref2x6, ref2x6_traj, d)
+    _, f, _ = _recover_primal(ref2x6, ref2x6_traj, d)
     assert not f[1].any()
-    assert np.isfinite(dual_value(ref2x6, ref2x6_traj, d))
+    assert np.isfinite(_dual_value(ref2x6, ref2x6_traj, d))
 
 
 def test_recovery_monotone_in_channel(ref_solution, ref2x6, ref2x6_traj):
     """At fixed prices, a better channel can only raise the offloaded bits."""
     s = ref2x6
     d = ref_solution.duals
-    l_base, _, _ = recover_primal(s, ref2x6_traj, d)
+    l_base, _, _ = _recover_primal(s, ref2x6_traj, d)
     closer = ref2x6_traj.copy()
     closer[2] = s.user_pos[0]                  # slot 2 now directly over user 0
-    l_close, _, _ = recover_primal(s, closer, d)
+    l_close, _, _ = _recover_primal(s, closer, d)
     assert l_close[0, 2] >= l_base[0, 2] - 1e-9
 
 
@@ -1007,7 +1028,7 @@ def test_lagrangian_stationarity_by_finite_differences(ref_solution, ref2x6,
     d = ref_solution.duals
 
     def lagr(lv, fv, fuv):
-        return lagrangian_value(s, ref2x6_traj, (lv, fv, fuv), d) * 1e3  # mJ
+        return _lagrangian_value(s, ref2x6_traj, (lv, fv, fuv), d) * 1e3  # mJ
 
     h_bits = 1e-6 * 1e6     # one scaled unit of 1e-6 in bits
     h_freq = 1e-6 * 1e9
@@ -1041,7 +1062,7 @@ def test_lagrangian_stationarity_by_finite_differences(ref_solution, ref2x6,
 
 
 def test_dual_value_helper_matches_solution(ref_solution, ref2x6, ref2x6_traj):
-    g = dual_value(ref2x6, ref2x6_traj, ref_solution.duals)
+    g = _dual_value(ref2x6, ref2x6_traj, ref_solution.duals)
     assert g == pytest.approx(ref_solution.dual_objective, rel=1e-9)
 
 
@@ -1129,4 +1150,4 @@ def test_weak_duality_at_random_prices(ref2x6, ref2x6_traj, ref_oracle):
         d = DualState(mu=rng.uniform(0.0, 1e-6, K),
                       nu=rng.uniform(0.0, 300.0, (K, N)),
                       theta=theta)
-        assert dual_value(ref2x6, ref2x6_traj, d) <= oracle_obj + 1e-6
+        assert _dual_value(ref2x6, ref2x6_traj, d) <= oracle_obj + 1e-6

@@ -1,11 +1,13 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solveh_banded
 
-from uavmec import qcqp
+from uavmec import planner, qcqp
 from uavmec.model import Scenario, ScenarioError, check_constraints, evaluate_ledger
 from uavmec.errors import SolverError
 from uavmec.offload_solver import DualState, probe_feasibility, solve_p2
@@ -18,10 +20,10 @@ from uavmec.planner import (
     semicircle_trajectory,
     compute_energy_gradient,
     joint_step,
+    speed_capped_propulsion,
     InfeasibleScenarioError,
     BaselineSpeedError,
 )
-from uavmec.trajectory_solver import speed_capped_propulsion
 
 from references import primal_oracle_p2
 
@@ -636,3 +638,52 @@ def test_joint_step_matches_the_capped_qcqp(case):
     step, decrease = joint_step(s, traj, sol)
     assert np.abs(step[1:-1] - ref_step).max() <= 1e-9 * (1.0 + np.abs(traj).max())
     assert decrease == pytest.approx(ref_decrease, rel=1e-9)
+
+
+# Fixed missions with table2's physics and endpoints: slots, T, users and
+# each user's share of the bits the straight path certifies.
+_CAPPED_MISSIONS = {
+    "k1n10": (10, 2.0, [[3.0, 4.0]], [0.5]),
+    "k2n12": (12, 1.8, [[0.0, 0.0], [10.0, 10.0]], [0.6, 0.8]),
+    "k3n16": (16, 2.2, [[1.0, 6.0], [5.0, -4.0], [9.0, 2.0]], [0.3, 0.7, 0.5]),
+    "k4n20": (20, 2.5, [[-1.0, 3.0], [4.0, 8.0], [7.0, -5.0], [11.0, 1.0]],
+              [0.9, 0.2, 0.5, 0.8]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CAPPED_MISSIONS))
+def test_capped_joint_step_matches_the_qcqp_on_fixed_missions(table2, qcqp_calls, name):
+    """With V_max at 1.001 x the dash speed, the Newton step from the
+    straight start breaks a cap on each of these missions, so the joint
+    step runs the QCQP (one ``qcqp.solve`` call).  Its step and decrease
+    match :func:`_qcqp_joint_step` within the property test's bounds,
+    which few derandomized ``_missions`` draws take to that branch."""
+    N, T, users, share = _CAPPED_MISSIONS[name]
+    dash = float(np.linalg.norm(table2.qF - table2.q0)) / T
+    fields = {**_fields(table2), "K": len(users), "N": N, "T": T, "user_pos": users,
+              "R": np.zeros(len(users)), "V_max": 1.001 * dash}
+    idle = Scenario(**fields)
+    capacity = probe_feasibility(idle, straight_line_trajectory(idle))
+    s = Scenario(**{**fields, "R": np.asarray(share) * capacity})
+    traj = straight_line_trajectory(s)
+    sol = solve_p2(s, traj)
+    step, decrease = joint_step(s, traj, sol)
+    assert len(qcqp_calls) == 1
+    status, ref_step, ref_decrease = _qcqp_joint_step(s, traj, sol)
+    assert status == "optimal"
+    assert np.abs(step[1:-1] - ref_step).max() <= 1e-9 * (1.0 + np.abs(traj).max())
+    assert decrease == pytest.approx(ref_decrease, rel=1e-9)
+
+
+def test_planner_does_not_import_the_sca_module():
+    """``uavmec/planner.py`` imports nothing from ``trajectory_solver``:
+    the planner owns its propulsion model, so the paper's path refinement
+    is a leaf module that nothing on the planner's path depends on."""
+    names = []
+    for node in ast.walk(ast.parse(Path(planner.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert any(name.startswith("model.") for name in names), "planner.py no longer imports the model"
+    assert not [name for name in names if "trajectory_solver" in name.split(".")], names

@@ -310,10 +310,10 @@ def test_nonfinite_multiplier_is_not_optimal(monkeypatch):
     p = qcqp.QcqpProblem.from_dense(1, (np.zeros((1, 1)), np.array([-1.0]), 0.0),
                                     [(np.zeros((1, 1)), np.array([1.0]), -1.0)])
 
-    def nan_barrier(p, x0):
+    def nan_interior_point(obj, rows, x):
         return np.array([0.5]), np.array([np.nan]), "optimal", [(1e9, -0.5, 0.0)]
 
-    monkeypatch.setattr(qcqp, "_barrier", nan_barrier)
+    monkeypatch.setattr(qcqp, "_interior_point", nan_interior_point)
     sol = qcqp.solve(p)
     assert np.isnan(sol.kkt.max())
     assert sol.status == "max-iter"

@@ -5,14 +5,13 @@ from hypothesis import given, strategies as st
 from uavmec.model import Plan, Scenario, channel_gains, check_constraints, tx_energy
 from uavmec import offload_solver as osv, qcqp
 from uavmec.trajectory_solver import (
-    sca_lower_bound,
     assemble_p4,
     solve_p3,
     ExpansionInfeasibleError,
 )
 from uavmec.planner import straight_line_trajectory, semicircle_trajectory
 
-from references import harvested_energy_prefix
+from references import harvested_energy_prefix, sca_lower_bound
 
 
 def _random_trajectories(s, rng, count, box=20.0):
