@@ -147,7 +147,14 @@ class OffloadSolution:
 
 class _ScaledP2:
     """Per-trajectory constants in Mbit / GHz / mJ units, for the scenario's
-    users picked by ``users`` (an index or slice; all of them by default)."""
+    users picked by ``users`` (an index or slice; all of them by default).
+
+    Besides the problem data it holds what every recovery, residual and
+    Newton system of one solve would otherwise rebuild: the scalar factors
+    ln 2 / bl, 3 c_f, 6 c_f and bits_f^2, the per-slot factors a_tx (ln 2 /
+    bl) (``a_rate``, every slot) and (a_tx ln 2) / bl (``a_ln2_bl``, the
+    TX slots; the two round apart), the cap column ``f_cap_col``, the user
+    index grid and the packed order of the UAV prices."""
 
     def __init__(self, s: Scenario, traj, users=slice(None)):
         self.N = s.N
@@ -160,21 +167,35 @@ class _ScaledP2:
         self.K = self.R.shape[0]
         self.l_cap = EXPONENT_CAP * self.bl
         self.f_cap = np.maximum(self.R / self.bits_f, 1.0)         # (K,) GHz
+        self.f_cap_col = self.f_cap[:, None]
         self.a_ln2 = self.a_tx[:, : self.N - 1] * math.log(2.0)   # TX slots' a_tx ln 2
+        self.a_ln2_bl = self.a_ln2 / self.bl
+        self.rate = math.log(2.0) / self.bl                       # ln 2 / bl
+        self.a_rate = self.a_tx * self.rate                       # a_tx ln 2 / bl
+        self.c3, self.c6 = 3.0 * self.c_f, 6.0 * self.c_f
+        self.bits_f2 = self.bits_f ** 2
         self.cum_eharv = np.cumsum(self.eharv, axis=1)
+        K, N = self.K, self.N
+        self.users = np.arange(K)
+        self.user_col = self.users[:, None]
+        # Packed position of the UAV price whose first slot is i = 0 .. N-2
+        # (the slack first, then the mid prices), and the order in which the
+        # Newton system takes the bit prices and then the UAV prices, latest
+        # first slot first.
+        size = K + K * N + N - 1
+        self.uav_first = np.concatenate(([size - 1], np.arange(K + K * N, size - 1)))
+        self.rest_order = np.concatenate((self.users, self.uav_first[::-1]))
 
-    def tx_energy(self, l: np.ndarray) -> np.ndarray:
-        return self.a_tx * (np.exp2(np.minimum(l, self.l_cap) / self.bl) - 1.0)
-
-    def violations(self, l, f, fu):
-        """Signed constraint gaps at a scaled primal point.
+    def violations(self, l, f, fu, grow):
+        """Signed constraint gaps at a scaled primal point whose bits ``l``
+        stay within ``l_cap``, with ``grow`` = 2^(l / bl).
 
         Returns (c1, c2, c3, c4): bit deficit per user, energy-causality
         prefix gaps, UAV-causality prefix gaps, and the signed compute
         balance (offloaded minus computed).
         """
         local_e = self.c_f * f ** 3
-        tx_e = self.tx_energy(l)
+        tx_e = self.a_tx * (grow - 1.0)
         c2 = (local_e + tx_e).cumsum(axis=1) - self.cum_eharv
         tx_bits = l[:, : self.N - 1].sum(axis=1)
         c1 = self.R - (self.bits_f * f.sum(axis=1) + tx_bits)
@@ -202,16 +223,20 @@ def _price_gaps(slack, mid) -> np.ndarray:
 
 class _Point(NamedTuple):
     """Scaled prices with their energy-price tails ``V`` (V[k, n] = sum of
-    nu[k, n:]) and UAV price gaps (:func:`_price_gaps`), the Lagrangian
-    minimizer (l, f, fu) there, its gaps (c1, c2, c3, c4) and the dual
-    value."""
+    nu[k, n:]), UAV price gaps (:func:`_price_gaps`) and bit prices net of
+    them ``w`` (w[k, n] = mu[k] - gap[n]), the Lagrangian minimizer (l, f,
+    fu) there with ``grow`` = 2^(l / bl), its gaps (c1, c2, c3, c4) and the
+    dual value.  The gaps, the KKT residuals and the Newton system all read
+    ``w`` and ``grow`` from here."""
 
     mu: np.ndarray
     nu: np.ndarray
     theta: np.ndarray
     V: np.ndarray
     uav_gap: np.ndarray
+    w: np.ndarray
     primal: tuple
+    grow: np.ndarray
     gaps: tuple
     value: float
 
@@ -231,26 +256,29 @@ def _recover_scaled(sp: _ScaledP2, mu, nu, theta, uav_gap) -> _Point:
     # UAV frequencies: zero in the first slot, then a square-root ladder of
     # the price gaps.
     fu = np.zeros(N)
-    fu[1:] = np.sqrt(sp.bits_f * np.maximum(uav_gap, 0.0) / (3.0 * sp.c_f))
+    fu[1:] = np.sqrt(sp.bits_f * np.maximum(uav_gap, 0.0) / sp.c3)
 
     # Offloaded bits priced w = mu - gap[n+1] per bit in slot n, and user
     # frequencies clipped at the whole-demand cap.  Where no energy price
     # remains, the Lagrangian falls linearly in bits priced w > 0 and in
     # cycles priced mu > 0: the ratios below are infinite and the bits and
-    # cycles go to their caps.
-    w = mu[:, None] - uav_gap                                     # (K, N-1)
+    # cycles go to their caps.  So no bits exceed l_cap, and 2^(l / bl)
+    # stays finite.
+    mu_col = mu[:, None]
+    w = mu_col - uav_gap                                          # (K, N-1)
     V_pos = np.where(V > 0.0, V, 0.0)
     l = np.zeros((K, N))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         arg = w * sp.bl / (sp.a_ln2 * V_pos[:, : N - 1])
         l[:, : N - 1] = np.where(w > 0.0, np.minimum(
             sp.bl * np.log2(np.maximum(arg, 1.0)), sp.l_cap), 0.0)
-        f_closed = np.sqrt(mu[:, None] * sp.bits_f / (3.0 * sp.c_f * V_pos))
-    f = np.where(mu[:, None] > 0.0, np.minimum(f_closed, sp.f_cap[:, None]), 0.0)
+        f_closed = np.sqrt(mu_col * sp.bits_f / (sp.c3 * V_pos))
+    f = np.where(mu_col > 0.0, np.minimum(f_closed, sp.f_cap_col), 0.0)
 
-    gaps = sp.violations(l, f, fu)
-    return _Point(mu=mu, nu=nu, theta=theta, V=V, uav_gap=uav_gap, primal=(l, f, fu),
-                  gaps=gaps, value=sp.lagrangian(mu, nu, theta, fu, gaps))
+    grow = np.exp2(l / sp.bl)
+    gaps = sp.violations(l, f, fu, grow)
+    return _Point(mu=mu, nu=nu, theta=theta, V=V, uav_gap=uav_gap, w=w, primal=(l, f, fu),
+                  grow=grow, gaps=gaps, value=sp.lagrangian(mu, nu, theta, fu, gaps))
 
 
 def _duals_to_scaled(d: DualState):
@@ -340,7 +368,7 @@ def _total_budget_start(sp: _ScaledP2) -> np.ndarray:
     K, N = sp.K, sp.N
     a = sp.a_tx[:, : N - 1]
     budget = sp.cum_eharv[:, -1]
-    rate = math.log(2.0) / sp.bl
+    rate = sp.rate
 
     # At omega = a_(j), the j-th cheapest TX cost, the j cheapest slots send.
     srt, j = np.sort(a, axis=1), np.arange(1, N)
@@ -348,29 +376,30 @@ def _total_budget_start(sp: _ScaledP2) -> np.ndarray:
     tx0 = j * srt - np.cumsum(srt, axis=1)
     f = np.maximum(sp.R[:, None] - off0, 0.0) / (sp.bits_f * N)
     energy = sp.c_f * N * f ** 3 + tx0
-    rising = (3.0 * sp.c_f * f ** 2 / sp.bits_f > srt * rate) & (energy > budget[:, None])
+    rising = (sp.c3 * f ** 2 / sp.bits_f > srt * rate) & (energy > budget[:, None])
     priced = energy[:, 0] > budget
     J = np.logical_and.accumulate(rising, axis=1).sum(axis=1)
-    pick = (np.arange(K), np.maximum(J, 1) - 1)
+    pick = (sp.users, np.maximum(J, 1) - 1)
     lo, off0, tx0 = srt[pick], off0[pick], tx0[pick]
     omega = lo                  # an unpriced user's stays at a_(1): no offload
+    left, on = sp.R - off0, J > 0
     for _ in range(60):
-        f = np.maximum(sp.R - off0 - J * np.log(omega / lo) / rate, 0.0) / (sp.bits_f * N)
-        m_loc, m_tx = 3.0 * sp.c_f * f ** 2 / sp.bits_f, omega * rate
-        fall_m = 6.0 * sp.c_f * f * J / (sp.bits_f ** 2 * rate * N * omega) + rate
+        f = np.maximum(left - J * np.log(omega / lo) / rate, 0.0) / (sp.bits_f * N)
+        m_loc, m_tx = sp.c3 * f ** 2 / sp.bits_f, omega * rate
+        fall_m = sp.c6 * f * J / (sp.bits_f2 * rate * N * omega) + rate
         fall_e = J * (m_loc / m_tx - 1.0)
         excess = sp.c_f * N * f ** 3 + tx0 + J * (omega - lo) - budget
         step = np.minimum((m_loc - m_tx) / fall_m,
                           np.divide(excess, fall_e, out=np.full(K, np.inf), where=fall_e > 0.0))
-        nxt = np.where(J > 0, omega + np.maximum(step, 0.0), omega)
+        nxt = np.where(on, omega + np.maximum(step, 0.0), omega)
         if np.array_equal(nxt, omega):
             break
         omega = nxt
     off = sp.bl * np.log2(np.maximum(omega[:, None] / a, 1.0)).sum(axis=1)
     f = np.maximum(sp.R - off, 0.0) / (sp.bits_f * N)
-    m_loc, m_tx = 3.0 * sp.c_f * f ** 2 / sp.bits_f, omega * rate
+    m_loc, m_tx = sp.c3 * f ** 2 / sp.bits_f, omega * rate
     fu = off.sum() / (sp.bits_f * (N - 1))
-    slack = 3.0 * sp.c_f * fu ** 2 / sp.bits_f
+    slack = sp.c3 * fu ** 2 / sp.bits_f
     water = priced | (m_loc > m_tx)
     V = np.where(water, slack / np.where(water, m_loc - m_tx, 1.0), 0.0)
     nu = np.zeros((K, N))
@@ -416,20 +445,19 @@ def _residuals_scaled(sp: _ScaledP2, point: _Point) -> OffloadKkt:
     l, f, fu = point.primal
     c1, c2, c3, c4 = point.gaps
     primal = max(float(np.abs(c1).max(initial=0.0)),
-                 float(np.max(c2, initial=0.0)),
-                 float(np.max(c3, initial=0.0)),
+                 float(c2.max(initial=0.0)),
+                 float(c3.max(initial=0.0)),
                  abs(c4))
     comp = max(float(np.abs(nu * c2).max(initial=0.0)),
                float(np.abs(theta[: N - 1] * c3).max(initial=0.0)))
 
     # Stationarity: the closed forms zero the interior gradients by
     # construction; report the projected gradient to catch cap clipping.
-    w = mu[:, None] - gap
-    dl = sp.a_ln2 / sp.bl * np.exp2(l[:, : N - 1] / sp.bl) * V[:, : N - 1] - w
+    dl = sp.a_ln2_bl * point.grow[:, : N - 1] * V[:, : N - 1] - point.w
     dl_proj = np.where(l[:, : N - 1] <= 0.0, np.minimum(dl, 0.0), dl)
-    df = 3.0 * sp.c_f * f ** 2 * V - mu[:, None] * sp.bits_f
+    df = sp.c3 * f ** 2 * V - mu[:, None] * sp.bits_f
     df_proj = np.where(f <= 0.0, np.minimum(df, 0.0), df)
-    dfu = 3.0 * sp.c_f * fu[1:] ** 2 - sp.bits_f * gap
+    dfu = sp.c3 * fu[1:] ** 2 - sp.bits_f * gap
     dfu_proj = np.where(fu[1:] <= 0.0, np.minimum(dfu, 0.0), dfu)
     stat = max(float(np.abs(dl_proj).max(initial=0.0)),
                float(np.abs(df_proj).max(initial=0.0)),
@@ -469,6 +497,10 @@ def _tail_newton(sp: _ScaledP2, point: _Point, free, grad, damping: float) -> _T
     free UAV prices.  In these tail coordinates each user's block (a min
     matrix; Meurant, SIAM J. Matrix Anal. Appl. 13(3), 1992) and the UAV
     block are diagonal, and every entry bins per-slot weights by segment.
+    The per-slot terms read the recovery's 2^(l/bl) (``point.grow``) and
+    the per-solve factors of ``sp``; the index maps are one cumulative
+    count per mask (segments and UAV columns) and one gather in
+    ``sp.rest_order``, and [A | b] is filled in place.
 
     Lambda is the identity on the bit and UAV prices and min(rank p, rank
     q) on a user's free causality prices, which adds sigma to each
@@ -479,16 +511,16 @@ def _tail_newton(sp: _ScaledP2, point: _Point, free, grad, damping: float) -> _T
     """
     K, N = sp.K, sp.N
     (l, f, fu), V = point.primal, point.V
-    rate = math.log(2.0) / sp.bl
-    tx_slope = sp.a_tx * rate * np.exp2(l / sp.bl)
-    free_l = (l > 0.0) & (l < sp.l_cap) & (V > 0.0)
-    free_l[:, N - 1] = False
-    free_f = (f > 0.0) & (f < sp.f_cap[:, None]) & (V > 0.0)
+    tx_slope = sp.a_rate * point.grow
+    # The recovery puts bits and cycles under a vanished price tail at their
+    # caps and no bits in the last slot, so these masks leave them out.
+    free_l = (l > 0.0) & (l < sp.l_cap)
+    free_f = (f > 0.0) & (f < sp.f_cap_col)
     # Inverse curvatures of the free variables, zero on a bound.
-    wl = np.divide(1.0, V * tx_slope * rate, out=np.zeros((K, N)), where=free_l)
-    wf = np.divide(1.0, 6.0 * sp.c_f * f * V, out=np.zeros((K, N)), where=free_f)
-    wu = np.divide(1.0, 6.0 * sp.c_f * fu, out=np.zeros(N), where=fu > 0.0)
-    e_f = 3.0 * sp.c_f * f ** 2
+    wl = np.divide(1.0, V * tx_slope * sp.rate, out=np.zeros((K, N)), where=free_l)
+    wf = np.divide(1.0, sp.c6 * f * V, out=np.zeros((K, N)), where=free_f)
+    wu = np.divide(1.0, sp.c6 * fu, out=np.zeros(N), where=fu > 0.0)
+    e_f = sp.c3 * f ** 2
     txw = tx_slope * wl
 
     # Slot (k, n) lies in the segment that user k's first free causality
@@ -496,49 +528,57 @@ def _tail_newton(sp: _ScaledP2, point: _Point, free, grad, damping: float) -> _T
     # < i_u+1 and the UAV cycles of slots i_u < j <= i_u+1.  A slot in no
     # segment goes to the last bin (S or R), which is dropped.
     own = free[K : K + K * N].reshape(K, N)
-    seg = K + np.flatnonzero(own)
+    seg = K + own.ravel().nonzero()[0]
     S = seg.size
-    ahead = np.cumsum(own.ravel()).reshape(K, N) - own
-    gs = np.where(np.logical_or.accumulate(own[:, ::-1], axis=1)[:, ::-1], ahead, S)
-    by_first = np.concatenate((free[-1:], free[K + K * N : -1]))
-    rest = np.concatenate([np.flatnonzero(free[:K]),
-                           K + K * N + (np.flatnonzero(by_first)[::-1] - 1) % (N - 1)])
-    R, n_mu = rest.size, int(free[:K].sum())
-    mc = np.where(free[:K], np.cumsum(free[:K]) - 1, R)
-    count = np.cumsum(by_first)
-    ul = np.append(np.where(count > 0, R - count, R), R)             # bits of slot n
-    uu = np.append(R, ul[: N - 1])                                   # UAV cycles of slot j
+    upto = own.cumsum().reshape(K, N)
+    ahead = upto - own
+    gs = np.where(ahead < upto[:, -1:], ahead, S)
+    rest = sp.rest_order[free[sp.rest_order]]
+    R, n_mu = rest.size, int(np.count_nonzero(free[:K]))
+    mc = np.full(K, R)
+    mc[free[:K]] = sp.users[:n_mu]
+    # u[1:] is the rest column of slot n's bits, u[:N] that of slot j's UAV
+    # cycles: R minus the free UAV prices with first slot <= n.
+    u = np.full(N + 1, R)
+    u[1:N] -= free[sp.uav_first].cumsum()
+    ul = u[1:]
 
     d = np.bincount(gs.ravel(), (tx_slope * txw + e_f ** 2 * wf).ravel(), minlength=S + 1)[:S]
     at = gs * (R + 1)
     G = np.bincount(np.concatenate([(at + mc[:, None]).ravel(), (at + ul).ravel()]),
                     np.concatenate([-(txw + sp.bits_f * e_f * wf).ravel(), txw.ravel()]),
                     minlength=(S + 1) * (R + 1)).reshape(S + 1, R + 1)[:S, :R]
-    WU = np.bincount((np.arange(K)[:, None] * (R + 1) + ul).ravel(), wl.ravel(),
+    WU = np.bincount((sp.user_col * (R + 1) + ul).ravel(), wl.ravel(),
                      minlength=K * (R + 1)).reshape(K, R + 1)
     B = np.zeros((R + 1, R + 1))
     B[mc], B[:, mc] = -WU, -WU.T
-    diag = WU.sum(axis=0) + sp.bits_f ** 2 * np.bincount(uu, wu, minlength=R + 1)
-    diag[mc] = (wl + sp.bits_f ** 2 * wf).sum(axis=1)
+    diag = WU.sum(axis=0) + sp.bits_f2 * np.bincount(u[:N], wu, minlength=R + 1)
+    diag[mc] = (wl + sp.bits_f2 * wf).sum(axis=1)
     B.flat[:: R + 2] = diag
     B = B[:R, :R]
     shift = damping * (max(d.max(initial=0.0), diag[:R].max(initial=0.0)) or 1.0)
     # The gradient in tail coordinates: differences of consecutive free prices.
-    same = np.diff((seg - K) // N) == 0              # segments s and s + 1 of one user
-    r_seg = grad[seg] - np.concatenate(([0.0], np.where(same, grad[seg[:-1]], 0.0)))
+    user = (seg - K) // N
+    same = user[1:] == user[:-1]                     # segments s and s + 1 of one user
+    r_seg = grad[seg]
+    r_seg[1:] -= np.where(same, r_seg[:-1], 0.0)
     dd = d + shift
     Gd = G / dd[:, None]
     # [A | b] with the segments eliminated; a UAV price reads its segment and
     # every later one, which come before it, so prefix sums map it to prices.
-    Ab = np.column_stack((B - G.T @ Gd, Gd.T @ r_seg))
-    np.cumsum(Ab[n_mu:], axis=0, out=Ab[n_mu:])
-    np.cumsum(Ab[:, n_mu:R], axis=1, out=Ab[:, n_mu:R])
+    Ab = np.empty((R, R + 1))
+    np.subtract(B, G.T @ Gd, out=Ab[:, :R])
+    Ab[:, R] = Gd.T @ r_seg
+    Ab[n_mu:].cumsum(axis=0, out=Ab[n_mu:])
+    Ab[:, n_mu:R].cumsum(axis=1, out=Ab[:, n_mu:R])
     Ab.flat[:: R + 2] += shift
     y = np.linalg.solve(Ab[:, :R], grad[rest] - Ab[:, R])
-    tails = np.concatenate((y[:n_mu], np.cumsum(y[n_mu:][::-1])[::-1]))
+    tails = y.copy()
+    tails[n_mu:] = y[n_mu:][::-1].cumsum()[::-1]
     y_seg = r_seg / dd - Gd @ tails
+    y_seg[:-1] -= np.where(same, y_seg[1:], 0.0)
     step = np.zeros(grad.size)
-    step[seg] = y_seg - np.concatenate((np.where(same, y_seg[1:], 0.0), [0.0]))
+    step[seg] = y_seg
     step[rest] = y
     return _Tails(step=step, shift=shift, seg=seg, d=d, rest=rest, G=G, B=B)
 
@@ -632,10 +672,11 @@ def minimize(sp: _ScaledP2, z) -> _Ascent:
     for it in range(1, _MAX_STEPS + 1):
         phi, _, point = ev
         kkt = _residuals_scaled(sp, point)
-        trace.append((it, -phi * _EN, kkt.max()))
+        worst = kkt.max()
+        trace.append((it, -phi * _EN, worst))
         if it == _MAX_STEPS:
             break
-        step = _newton_step(sp, evaluate, z, ev, res, damping, polish=kkt.max() <= _TOL)
+        step = _newton_step(sp, evaluate, z, ev, res, damping, polish=worst <= _TOL)
         if step is None:
             break
         z, ev, res, damping = step

@@ -4,12 +4,13 @@ Scalar per-slot formulas (one user, one slot or one prefix at a time) that
 the vectorized model is checked against, the all-zero plan, the tangent
 harvest minorant of the paper's path subproblem per (user, prefix), which
 ``trajectory_solver.assemble_p4``'s vectorized rows are checked against,
-the schedule solver's two set-up roots found by plain bisection, and an
-independent primal solver for the fixed-path schedule subproblem that
-serves as a ground-truth oracle on small instances.  None of them is on
-the planner's path.  The oracle is one SLSQP call built from the model's public
-formulas; it imports nothing from the schedule solver it checks, nor any
-private name of the package.
+the schedule solver's two set-up roots found by plain bisection, its KKT
+residuals and damped Newton step with every per-point term computed where
+it is used, and an independent primal solver for the fixed-path schedule
+subproblem that serves as a ground-truth oracle on small instances.  None
+of them is on the planner's path.  The oracle is one SLSQP call built from
+the model's public formulas; it imports nothing from the schedule solver it
+checks, nor any private name of the package.
 """
 
 import math
@@ -241,6 +242,105 @@ def total_budget_prices(a, budget, R, bits_f, c_f, bl):
     water = priced | (m_loc > m_tx)
     V = np.where(water, slack / np.where(water, m_loc - m_tx, 1.0), 0.0)
     return V * m_loc, V, slack
+
+
+# ---------------------------------------------------------------------------
+# The schedule solver's per-point terms, each computed where it is used
+# ---------------------------------------------------------------------------
+# Duck-typed on the solver's scaled problem ``sp`` (K, N, a_tx, a_ln2, bl,
+# l_cap, f_cap, c_f, bits_f) and a recovered price point ``point`` (mu, nu,
+# theta, V, uav_gap, primal, gaps).  Each recomputes 2^(l / bl), mu - gap
+# and 3 c_f f^2 from the primal point and builds its index maps from
+# scratch, so the solver's shared terms are checked against an evaluation
+# that shares nothing.
+
+def kkt_residuals(sp, point):
+    """Scaled (stationarity, primal, complementarity) KKT residuals at a
+    price point and its Lagrangian minimizer."""
+    N = sp.N
+    mu, nu, theta, V, gap = point.mu, point.nu, point.theta, point.V, point.uav_gap
+    l, f, fu = point.primal
+    c1, c2, c3, c4 = point.gaps
+    primal = max(float(np.abs(c1).max(initial=0.0)),
+                 float(np.max(c2, initial=0.0)),
+                 float(np.max(c3, initial=0.0)),
+                 abs(c4))
+    comp = max(float(np.abs(nu * c2).max(initial=0.0)),
+               float(np.abs(theta[: N - 1] * c3).max(initial=0.0)))
+    w = mu[:, None] - gap
+    dl = sp.a_ln2 / sp.bl * np.exp2(l[:, : N - 1] / sp.bl) * V[:, : N - 1] - w
+    dl_proj = np.where(l[:, : N - 1] <= 0.0, np.minimum(dl, 0.0), dl)
+    df = 3.0 * sp.c_f * f ** 2 * V - mu[:, None] * sp.bits_f
+    df_proj = np.where(f <= 0.0, np.minimum(df, 0.0), df)
+    dfu = 3.0 * sp.c_f * fu[1:] ** 2 - sp.bits_f * gap
+    dfu_proj = np.where(fu[1:] <= 0.0, np.minimum(dfu, 0.0), dfu)
+    stat = max(float(np.abs(dl_proj).max(initial=0.0)),
+               float(np.abs(df_proj).max(initial=0.0)),
+               float(np.abs(dfu_proj).max(initial=0.0)))
+    return stat, primal, comp
+
+
+def tail_newton_step(sp, point, free, grad, damping):
+    """(step, shift) of the damped Newton system in price-tail coordinates
+    on the packed prices where ``free`` holds: segments of consecutive free
+    causality prices eliminated elementwise, then one dense solve on the
+    free bit and UAV prices (see the solver's ``_tail_newton``)."""
+    K, N = sp.K, sp.N
+    (l, f, fu), V = point.primal, point.V
+    rate = math.log(2.0) / sp.bl
+    tx_slope = sp.a_tx * rate * np.exp2(l / sp.bl)
+    free_l = (l > 0.0) & (l < sp.l_cap) & (V > 0.0)
+    free_l[:, N - 1] = False
+    free_f = (f > 0.0) & (f < sp.f_cap[:, None]) & (V > 0.0)
+    wl = np.divide(1.0, V * tx_slope * rate, out=np.zeros((K, N)), where=free_l)
+    wf = np.divide(1.0, 6.0 * sp.c_f * f * V, out=np.zeros((K, N)), where=free_f)
+    wu = np.divide(1.0, 6.0 * sp.c_f * fu, out=np.zeros(N), where=fu > 0.0)
+    e_f = 3.0 * sp.c_f * f ** 2
+    txw = tx_slope * wl
+
+    own = free[K : K + K * N].reshape(K, N)
+    seg = K + np.flatnonzero(own)
+    S = seg.size
+    ahead = np.cumsum(own.ravel()).reshape(K, N) - own
+    gs = np.where(np.logical_or.accumulate(own[:, ::-1], axis=1)[:, ::-1], ahead, S)
+    by_first = np.concatenate((free[-1:], free[K + K * N : -1]))
+    rest = np.concatenate([np.flatnonzero(free[:K]),
+                           K + K * N + (np.flatnonzero(by_first)[::-1] - 1) % (N - 1)])
+    R, n_mu = rest.size, int(free[:K].sum())
+    mc = np.where(free[:K], np.cumsum(free[:K]) - 1, R)
+    count = np.cumsum(by_first)
+    ul = np.append(np.where(count > 0, R - count, R), R)
+    uu = np.append(R, ul[: N - 1])
+
+    d = np.bincount(gs.ravel(), (tx_slope * txw + e_f ** 2 * wf).ravel(), minlength=S + 1)[:S]
+    at = gs * (R + 1)
+    G = np.bincount(np.concatenate([(at + mc[:, None]).ravel(), (at + ul).ravel()]),
+                    np.concatenate([-(txw + sp.bits_f * e_f * wf).ravel(), txw.ravel()]),
+                    minlength=(S + 1) * (R + 1)).reshape(S + 1, R + 1)[:S, :R]
+    WU = np.bincount((np.arange(K)[:, None] * (R + 1) + ul).ravel(), wl.ravel(),
+                     minlength=K * (R + 1)).reshape(K, R + 1)
+    B = np.zeros((R + 1, R + 1))
+    B[mc], B[:, mc] = -WU, -WU.T
+    diag = WU.sum(axis=0) + sp.bits_f ** 2 * np.bincount(uu, wu, minlength=R + 1)
+    diag[mc] = (wl + sp.bits_f ** 2 * wf).sum(axis=1)
+    B.flat[:: R + 2] = diag
+    B = B[:R, :R]
+    shift = damping * (max(d.max(initial=0.0), diag[:R].max(initial=0.0)) or 1.0)
+    same = np.diff((seg - K) // N) == 0
+    r_seg = grad[seg] - np.concatenate(([0.0], np.where(same, grad[seg[:-1]], 0.0)))
+    dd = d + shift
+    Gd = G / dd[:, None]
+    Ab = np.column_stack((B - G.T @ Gd, Gd.T @ r_seg))
+    np.cumsum(Ab[n_mu:], axis=0, out=Ab[n_mu:])
+    np.cumsum(Ab[:, n_mu:R], axis=1, out=Ab[:, n_mu:R])
+    Ab.flat[:: R + 2] += shift
+    y = np.linalg.solve(Ab[:, :R], grad[rest] - Ab[:, R])
+    tails = np.concatenate((y[:n_mu], np.cumsum(y[n_mu:][::-1])[::-1]))
+    y_seg = r_seg / dd - Gd @ tails
+    step = np.zeros(grad.size)
+    step[seg] = y_seg - np.concatenate((np.where(same, y_seg[1:], 0.0), [0.0]))
+    step[rest] = y
+    return step, shift
 
 
 # ---------------------------------------------------------------------------

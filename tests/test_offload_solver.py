@@ -69,7 +69,8 @@ def _lagrangian_value(s: Scenario, traj, plan_part, d: DualState) -> float:
     sp = _ScaledP2(s, traj)
     l, f, fu = plan_part
     l, f, fu = np.asarray(l, dtype=float) / _BIT, np.asarray(f) / _FREQ, np.asarray(fu) / _FREQ
-    return sp.lagrangian(*_duals_to_scaled(d)[:3], fu, sp.violations(l, f, fu)) * _EN
+    grow = np.exp2(np.minimum(l, sp.l_cap) / sp.bl)
+    return sp.lagrangian(*_duals_to_scaled(d)[:3], fu, sp.violations(l, f, fu, grow)) * _EN
 
 
 def test_recovery_zero_duals_is_idle(ref2x6, ref2x6_traj):
@@ -124,11 +125,18 @@ def _prices_with_vanished_tail(draw, s):
 def test_dual_value_is_the_lagrangian_at_the_recovered_primal(ref2x6, ref2x6_traj, data):
     """_recover_primal returns the Lagrangian minimizer, so the dual value is
     the Lagrangian there, also where a price tail vanishes (the minimizer
-    then puts that user's bits and cycles at their caps)."""
+    then puts that user's bits and cycles at their caps, never above)."""
     d = data.draw(_prices_with_vanished_tail(ref2x6))
     g = _dual_value(ref2x6, ref2x6_traj, d)
     plan_part = _recover_primal(ref2x6, ref2x6_traj, d)
     assert abs(_lagrangian_value(ref2x6, ref2x6_traj, plan_part, d) - g) <= 1e-12 * abs(g)
+    # The recovery keeps its bits within l_cap, so the 2^(l / bl) it shares
+    # with the gaps, the residuals and the Newton system is exact there.
+    sp = _ScaledP2(ref2x6, ref2x6_traj)
+    point = _recover_scaled(sp, *_duals_to_scaled(d))
+    l = point.primal[0]
+    assert np.all(l <= sp.l_cap)
+    assert np.array_equal(point.grow, np.exp2(l / sp.bl))
 
 
 def test_recovery_finite_at_rounding_negative_bit_price(ref2x6, ref2x6_traj):
@@ -475,6 +483,41 @@ def test_only_the_damping_changed_on_accepted_iterates(monkeypatch, request, ins
         H = _dense_dual_hessian(z, sp)[np.ix_(idx, idx)]
         ref = np.linalg.solve(H + t.shift * np.eye(idx.size), grad[idx])
         assert np.abs(t.step[idx] - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("instance", ["table2-straight", "table2-semicircle", "k5n20",
+                                      "large15"])
+def test_shared_terms_leave_every_accepted_iterate_bit_identical(monkeypatch, request,
+                                                                 instance):
+    """At every accepted iterate of the cold solve, the Newton step and
+    damping read off the recovery's shared 2^(l / bl) and mu - gap equal
+    those of :func:`references.tail_newton_step`, which recomputes every
+    per-point term, and the three KKT residuals equal those of
+    :func:`references.kkt_residuals`, bit for bit."""
+    if instance.startswith("table2"):
+        s = request.getfixturevalue("table2")
+        path = straight_line_trajectory if instance.endswith("straight") else semicircle_trajectory
+        s, traj = s, path(s)
+    else:
+        s, traj = request.getfixturevalue(instance)
+    calls = []
+    tail_newton = offload_solver._tail_newton
+
+    def recorded(sp, point, free, grad, damping):
+        calls.append((sp, point, free, grad, damping))
+        return tail_newton(sp, point, free, grad, damping)
+
+    monkeypatch.setattr(offload_solver, "_tail_newton", recorded)
+    assert solve_p2(s, traj).kkt.max() <= 1e-6
+    assert len(calls) >= 10
+    for sp, point, free, grad, damping in calls:
+        t = tail_newton(sp, point, free, grad, damping)
+        step, shift = references.tail_newton_step(sp, point, free, grad, damping)
+        assert np.array_equal(t.step, step)
+        assert t.shift == shift
+        kkt = offload_solver._residuals_scaled(sp, point)
+        assert (kkt.stationarity, kkt.primal, kkt.complementarity) == \
+            references.kkt_residuals(sp, point)
 
 
 def test_newton_trace_ascends_to_tolerance(ref_solution, ref_oracle):
@@ -1095,7 +1138,9 @@ def test_oracle_stays_independent_of_the_solver():
 def test_oracle_residuals_and_determinism(ref2x6, ref2x6_traj, ref_oracle):
     (l, f, fu), obj = ref_oracle
     sp = _ScaledP2(ref2x6, ref2x6_traj)
-    c1, c2, c3, c4 = sp.violations(l / 1e6, f / 1e9, fu / 1e9)
+    l = l / 1e6
+    c1, c2, c3, c4 = sp.violations(l, f / 1e9, fu / 1e9,
+                                   np.exp2(np.minimum(l, sp.l_cap) / sp.bl))
     resid = max(float(np.abs(c1).max()), float(np.max(c2, initial=0.0)),
                 float(np.max(c3, initial=0.0)), abs(c4))
     assert resid <= 1e-8

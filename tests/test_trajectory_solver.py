@@ -114,7 +114,9 @@ def test_assembly_rows_match_true_gaps(table2, table2_p2):
     values = asm.problem.ineq_values(x0)
     from uavmec.offload_solver import _ScaledP2
     sp = _ScaledP2(table2, traj)
-    _, c2, _, _ = sp.violations(sol.l / 1e6, sol.f_user / 1e9, sol.f_uav / 1e9)
+    l = sol.l / 1e6
+    _, c2, _, _ = sp.violations(l, sol.f_user / 1e9, sol.f_uav / 1e9,
+                                np.exp2(np.minimum(l, sp.l_cap) / sp.bl))
     for val, row, scale in zip(values, asm.rows, asm.row_scales):
         if row[0] == "causality":
             k, n = row[1], row[2]
