@@ -2,8 +2,9 @@
 
 Format: one ``key = value`` assignment per line, ``#`` starts a comment,
 arrays are bracketed ``[...]`` (positions as ``[x, y]`` pairs in meters).
-Scalar power values may carry a ``dBm`` suffix (converted to watts) and
-gains a ``dB`` suffix (converted to linear); everything else is SI.
+The two powers ``P_u`` and ``sigma2`` may carry a ``dBm`` suffix
+(converted to watts) and the two gains ``beta0`` and ``Gamma`` a ``dB``
+suffix (converted to linear); every other value is SI and takes no suffix.
 Written files are always pure SI and round-trip exactly.
 """
 
@@ -29,6 +30,8 @@ __all__ = [
 # Each field's kind is its annotation: "int", "float" or "np.ndarray".  A
 # field with a default may be left out.
 _FIELDS = {f.name: f for f in dataclasses.fields(Scenario)}
+# The one unit suffix each field may carry.
+_UNITS = {"P_u": "dBm", "sigma2": "dBm", "beta0": "dB", "Gamma": "dB"}
 
 
 class ConfigParseError(ValueError):
@@ -40,7 +43,7 @@ class ConfigParseError(ValueError):
         super().__init__(prefix + message)
 
 
-def _parse_scalar(raw: str, line: int) -> float:
+def _parse_scalar(raw: str, line: int, key: str) -> float:
     parts = raw.split()
     if len(parts) == 1:
         try:
@@ -53,11 +56,14 @@ def _parse_scalar(raw: str, line: int) -> float:
         except ValueError:
             raise ConfigParseError(f"cannot parse number {parts[0]!r}", line) from None
         unit = parts[1]
+        if unit not in ("dBm", "dB"):
+            raise ConfigParseError(f"unknown unit suffix {unit!r} (use dBm or dB)", line)
+        if _UNITS.get(key) != unit:
+            raise ConfigParseError(f"{key} takes no {unit!r} suffix (dBm goes on P_u and "
+                                   f"sigma2, dB on beta0 and Gamma)", line)
         if unit == "dBm":
             return 10.0 ** ((value - 30.0) / 10.0)
-        if unit == "dB":
-            return 10.0 ** (value / 10.0)
-        raise ConfigParseError(f"unknown unit suffix {unit!r} (use dBm or dB)", line)
+        return 10.0 ** (value / 10.0)
     raise ConfigParseError(f"cannot parse value {raw!r}", line)
 
 
@@ -86,12 +92,12 @@ def parse_scenario_text(text: str) -> Scenario:
             except (ValueError, SyntaxError) as exc:
                 raise ConfigParseError(f"bad array for {key}: {exc}", lineno) from None
         elif kind == "int":
-            v = _parse_scalar(raw, lineno)
+            v = _parse_scalar(raw, lineno, key)
             if not v.is_integer():
                 raise ConfigParseError(f"{key} must be an integer, got {raw!r}", lineno)
             values[key] = int(v)
         else:
-            values[key] = _parse_scalar(raw, lineno)
+            values[key] = _parse_scalar(raw, lineno, key)
 
     missing = [name for name, f in _FIELDS.items()
                if name not in values and f.default is dataclasses.MISSING]

@@ -89,6 +89,9 @@ def test_malformed_field_is_a_parse_error(table2, field, value):
     ("R", "R = [2e6, 4e6,, 6e6, 3e6]", "bad array for R"),
     ("P_u", "P_u = ten dBm", "cannot parse number 'ten'"),
     ("P_u", "P_u = 50 dB m", "cannot parse value '50 dB m'"),
+    ("T", "T = 3 dB", "T takes no 'dB' suffix"),
+    ("K", "K = 0 dB", "K takes no 'dB' suffix"),
+    ("H", "H = 40 dBm", "H takes no 'dBm' suffix"),
 ])
 def test_parse_error_names_its_line(table2, key, line, message):
     lines = _render(table2).splitlines()
