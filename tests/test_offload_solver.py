@@ -913,11 +913,42 @@ def test_probe_matches_the_bisection_policy(request, instance):
     assert np.all(np.abs(probe_feasibility(s, traj) - ref) <= 4.0 * _EPS * (ref + s.R))
 
 
+def _relaxed_min_energy(sp):
+    """Least total energy [mJ] of the lone user of ``sp`` in the
+    total-budget relaxation: its energy at the water level where local
+    compute and TX cost the same per bit (60 geometric bisection rounds)."""
+    a, N, rate = np.sort(sp.a_tx[0, : sp.N - 1]), sp.N, np.log(2.0) / sp.bl
+
+    def schedule(omega):
+        off = sp.bl * np.log2(np.maximum(omega / a, 1.0)).sum()
+        f = max(sp.R[0] - off, 0.0) / (sp.bits_f * N)
+        return 3.0 * sp.c_f * f ** 2 / sp.bits_f - omega * rate, \
+            sp.c_f * N * f ** 3 + np.maximum(omega - a, 0.0).sum()
+
+    lo = a[0]
+    hi = max(lo, schedule(lo)[0] / rate + lo)
+    for _ in range(60):
+        omega = np.sqrt(lo * hi)
+        lo, hi = (omega, hi) if schedule(omega)[0] > 0.0 else (lo, omega)
+    return schedule(lo)[1]
+
+
 def _start_instance(request, name):
     if name.startswith("seed"):
         return _random_scenario(int(name[4:]))
     if name == "large15":
         return request.getfixturevalue("large15")
+    if name == "double-root":
+        # table2's user 2 alone on the semi-circle, with the RF feed scaled so
+        # that its total harvest exceeds the relaxation's least energy by
+        # 1%: its energy root sits next to that minimum, a near-double root.
+        t2 = request.getfixturevalue("table2")
+        fields = {**{n: getattr(t2, n) for n in t2.__dataclass_fields__},
+                  "K": 1, "user_pos": [t2.user_pos[2]], "R": [t2.R[2]]}
+        traj = semicircle_trajectory(Scenario(**fields))
+        sp = _ScaledP2(Scenario(**fields), traj)
+        scale = 1.01 * _relaxed_min_energy(sp) / sp.cum_eharv[0, -1]
+        return Scenario(**{**fields, "P_u": t2.P_u * scale}), traj
     path, T = name.split("@")
     s = request.getfixturevalue("table2").with_T(float(T))
     return s, (straight_line_trajectory if path == "straight-line"
@@ -927,14 +958,17 @@ def _start_instance(request, name):
 @pytest.mark.parametrize("name", [f"seed{seed}" for seed in (11, 22, 33, 44, 55, 66, 77, 99)]
                          + [f"{path}@{T}" for path in ("straight-line", "semi-circle")
                             for T in ("2", "2.2", "2.4")]
-                         + ["large15"])
+                         + ["large15", "double-root"])
 def test_total_budget_start_matches_the_bisection(request, name):
     """The breakpoint pass and the Newton water levels give the reference
     bisection's packed start within 1e-12 relative, entry by entry, on
-    every user of the instance (8.3e-14 at most when measured)."""
+    every user of the instance (8.3e-14 at most when measured), also on a
+    near-double root (2.3e-13 there)."""
     s, traj = _start_instance(request, name)
     sp = _ScaledP2(s, traj)
     K, N = sp.K, sp.N
+    if name == "double-root":
+        assert abs(sp.cum_eharv[0, -1] / _relaxed_min_energy(sp) - 1.01) <= 1e-9
     mu, V, slack = references.total_budget_prices(sp.a_tx[:, : N - 1], sp.cum_eharv[:, -1],
                                                   sp.R, sp.bits_f, sp.c_f, sp.bl)
     nu = np.zeros((K, N))
