@@ -357,8 +357,12 @@ def _total_budget_start(sp: _ScaledP2) -> np.ndarray:
     it.  There the offload is linear in ln omega and both functions are
     convex and decreasing, so Newton's method from the piece's left end,
     by the shorter of the two steps, climbs to the smaller root, until no
-    entry moves (60 steps at most).  The total offload prices the UAV
-    cycles at slack = 3 c_f fu^2 / bits_f,
+    entry moves (60 steps at most).  That takes 6 to 16 passes on the
+    benchmark's scenarios.  The slow users have an energy root next to the
+    energy's minimum (where m_loc = m_tx), a near-double root, from which
+    Newton's steps shrink only about twofold per pass.  Near such a root V
+    below is ill-conditioned, as m_loc - m_tx is small there.  The total
+    offload prices the UAV cycles at slack = 3 c_f fu^2 / bits_f,
     and the user's energy price V = slack / (m_loc - m_tx) on its last
     slot with bit price mu = V m_loc make that schedule the Lagrangian
     minimizer.  A user whose total harvest covers its demand locally

@@ -497,7 +497,7 @@ def test_shared_terms_leave_every_accepted_iterate_bit_identical(monkeypatch, re
     if instance.startswith("table2"):
         s = request.getfixturevalue("table2")
         path = straight_line_trajectory if instance.endswith("straight") else semicircle_trajectory
-        s, traj = s, path(s)
+        traj = path(s)
     else:
         s, traj = request.getfixturevalue(instance)
     calls = []
@@ -963,7 +963,7 @@ def test_total_budget_start_matches_the_bisection(request, name):
     """The breakpoint pass and the Newton water levels give the reference
     bisection's packed start within 1e-12 relative, entry by entry, on
     every user of the instance (8.3e-14 at most when measured), also on a
-    near-double root (2.3e-13 there)."""
+    near-double root (2.2e-13 there)."""
     s, traj = _start_instance(request, name)
     sp = _ScaledP2(s, traj)
     K, N = sp.K, sp.N
