@@ -24,6 +24,7 @@ works in Mbit / GHz / mJ, which conditions the multipliers to order one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,7 +35,6 @@ from .errors import SolverError
 from .model import (
     Scenario,
     channel_gains,
-    harvest_increments,
     EXPONENT_CAP,
 )
 
@@ -120,7 +120,8 @@ class OffloadKkt:
 
     def max(self) -> float:
         """Largest residual; NaN if any residual is NaN."""
-        return float(np.max([self.stationarity, self.primal, self.complementarity]))
+        res = (self.stationarity, self.primal, self.complementarity)
+        return math.nan if math.isnan(sum(res)) else max(res)
 
 
 @dataclass(frozen=True)
@@ -145,21 +146,31 @@ class OffloadSolution:
 # Scaled problem data
 # ---------------------------------------------------------------------------
 
+def _scratch(dtype, *shapes):
+    """A flat buffer of ``dtype`` and its consecutive views of ``shapes``."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf, ends = np.empty(sum(sizes), dtype), itertools.accumulate(sizes)
+    return buf, [buf[end - n : end].reshape(shape) for shape, n, end in zip(shapes, sizes, ends)]
+
+
 class _ScaledP2:
-    """Per-trajectory constants in Mbit / GHz / mJ units, for the scenario's
-    users picked by ``users`` (an index or slice; all of them by default).
+    """Per-trajectory constants in Mbit / GHz / mJ units from the path's
+    channel ``gains``, for the scenario's users picked by ``users`` (an
+    index or slice; all of them by default).
 
     Besides the problem data it holds what every recovery, residual and
     Newton system of one solve would otherwise rebuild: the scalar factors
     ln 2 / bl, 3 c_f, 6 c_f and bits_f^2, the per-slot factors a_tx (ln 2 /
     bl) (``a_rate``, every slot) and (a_tx ln 2) / bl (``a_ln2_bl``, the
     TX slots; the two round apart), the cap column ``f_cap_col``, the user
-    index grid and the packed order of the UAV prices."""
+    index grid, the packed order of the UAV prices, and :func:`_scratch`
+    buffers that a residual or Newton system fills and then reduces, bins
+    or inverts in one call.  Their views alias them: build, never copy."""
 
-    def __init__(self, s: Scenario, traj, users=slice(None)):
+    def __init__(self, s: Scenario, gains, users=slice(None)):
         self.N = s.N
-        self.eharv = harvest_increments(s, traj)[users] / _EN      # (K, N) mJ
-        self.a_tx = s.lam * s.Gamma * s.sigma2 / channel_gains(s, traj)[users] / _EN  # (K, N) mJ
+        self.eharv = s.slot * s.eta * s.P_u * gains[users] / _EN   # (K, N) mJ harvest
+        self.a_tx = s.lam * s.Gamma * s.sigma2 / gains[users] / _EN  # (K, N) mJ
         self.bl = s.B * s.lam / _BIT                               # Mbit per subslot
         self.bits_f = s.slot * _FREQ / s.M / _BIT                  # Mbit per GHz-slot
         self.c_f = s.gamma_c * s.slot * _FREQ ** 3 / _EN           # mJ per GHz^3-slot
@@ -185,6 +196,12 @@ class _ScaledP2:
         size = K + K * N + N - 1
         self.uav_first = np.concatenate(([size - 1], np.arange(K + K * N, size - 1)))
         self.rest_order = np.concatenate((self.users, self.uav_first[::-1]))
+        KN, slots = (K, N), ((K, N - 1), (K, N), (N - 1,))
+        self.stat, self.at_zero = _scratch(float, *slots), _scratch(bool, *slots)
+        self.comp = _scratch(float, KN, (N - 1,))
+        self.bin_w = _scratch(float, KN, KN, KN, KN, (N,), KN)
+        self.bin_at = _scratch(np.intp, KN, KN, KN, KN, (N,))
+        self.curv, self.free_var = _scratch(float, KN, (N,), KN), _scratch(bool, KN, (N,), KN)
 
     def violations(self, l, f, fu, grow):
         """Signed constraint gaps at a scaled primal point whose bits ``l``
@@ -195,30 +212,27 @@ class _ScaledP2:
         balance (offloaded minus computed).
         """
         local_e = self.c_f * f ** 3
-        tx_e = self.a_tx * (grow - 1.0)
-        c2 = (local_e + tx_e).cumsum(axis=1) - self.cum_eharv
-        tx_bits = l[:, : self.N - 1].sum(axis=1)
-        c1 = self.R - (self.bits_f * f.sum(axis=1) + tx_bits)
-        cum_fu = fu.cumsum()
-        cum_l = l.sum(axis=0).cumsum()
-        c3 = self.bits_f * cum_fu[: self.N - 1]
-        c3[1:] -= cum_l[: self.N - 2]
-        c4 = float(tx_bits.sum() - self.bits_f * fu.sum())
+        c2 = np.add.accumulate(local_e + self.a_tx * (grow - 1.0), axis=1) - self.cum_eharv
+        tx_bits = np.add.reduce(l[:, : self.N - 1], axis=1)
+        c1 = self.R - (self.bits_f * np.add.reduce(f, axis=1) + tx_bits)
+        c3 = self.bits_f * np.add.accumulate(fu)[: self.N - 1]
+        c3[1:] -= np.add.accumulate(np.add.reduce(l, axis=0))[: self.N - 2]
+        c4 = float(np.add.reduce(tx_bits) - self.bits_f * np.add.reduce(fu))
         return c1, c2, c3, c4
 
     def lagrangian(self, mu, nu, theta, fu, gaps) -> float:
         """Lagrangian [mJ] at a primal point with UAV frequencies ``fu`` and
         constraint gaps ``gaps`` (from :meth:`violations`)."""
         c1, c2, c3, c4 = gaps
-        obj = self.c_f * float((fu ** 3).sum())
-        return (obj + float(mu @ c1) + float((nu * c2).sum())
+        obj = self.c_f * float(np.add.reduce(fu ** 3))
+        return (obj + float(mu @ c1) + float(np.add.reduce(nu * c2, axis=None))
                 + float(theta[: self.N - 1] @ c3) + theta[self.N - 1] * c4)
 
 
 def _price_gaps(slack, mid) -> np.ndarray:
     """UAV price gaps theta_N - sum of theta[n .. N-2] of slots n = 1 .. N-1:
     the slack theta_N - sum(mid) plus the mid prices before slot n."""
-    return slack + np.concatenate(([0.0], mid.cumsum()))
+    return slack + np.concatenate(([0.0], np.add.accumulate(mid)))
 
 
 class _Point(NamedTuple):
@@ -251,12 +265,12 @@ def _recover_scaled(sp: _ScaledP2, mu, nu, theta, uav_gap) -> _Point:
     price tail vanishes at a dual optimum of a bound-energy instance.
     """
     K, N = sp.K, sp.N
-    V = nu[:, ::-1].cumsum(axis=1)[:, ::-1]                       # (K, N)
+    V = np.add.accumulate(nu[:, ::-1], axis=1)[:, ::-1]           # (K, N)
 
     # UAV frequencies: zero in the first slot, then a square-root ladder of
     # the price gaps.
     fu = np.zeros(N)
-    fu[1:] = np.sqrt(sp.bits_f * np.maximum(uav_gap, 0.0) / sp.c3)
+    np.sqrt(sp.bits_f * np.maximum(uav_gap, 0.0) / sp.c3, out=fu[1:])
 
     # Offloaded bits priced w = mu - gap[n+1] per bit in slot n, and user
     # frequencies clipped at the whole-demand cap.  Where no energy price
@@ -314,7 +328,7 @@ def _policy_split_scaled(sp: _ScaledP2) -> np.ndarray:
     for _ in range(60):
         excess = (loc_gain * y + tx_gain) * y * y - loc_gain * room
         nxt = y - np.maximum(excess, 0.0) / ((3.0 * loc_gain * y + 2.0 * tx_gain) * y)
-        if np.array_equal(nxt, y):
+        if not (nxt != y).any():
             break
         y = nxt
     x = np.minimum(y ** 3, e)
@@ -328,7 +342,7 @@ def probe_feasibility(s: Scenario, traj) -> np.ndarray:
     A nonnegative margin for every user certifies the fixed-trajectory
     subproblem feasible.  Returns deliverable bits minus demand [bits].
     """
-    return _margins(_ScaledP2(s, traj))
+    return _margins(_ScaledP2(s, channel_gains(s, traj)))
 
 
 def _margins(sp: _ScaledP2) -> np.ndarray:
@@ -386,7 +400,7 @@ def _total_budget_start(sp: _ScaledP2) -> np.ndarray:
     pick = (sp.users, np.maximum(J, 1) - 1)
     lo, off0, tx0 = srt[pick], off0[pick], tx0[pick]
     omega = lo                  # an unpriced user's stays at a_(1): no offload
-    left, on = sp.R - off0, J > 0
+    left, on, inf = sp.R - off0, J > 0, np.full(K, np.inf)
     for _ in range(60):
         f = np.maximum(left - J * np.log(omega / lo) / rate, 0.0) / (sp.bits_f * N)
         m_loc, m_tx = sp.c3 * f ** 2 / sp.bits_f, omega * rate
@@ -394,9 +408,9 @@ def _total_budget_start(sp: _ScaledP2) -> np.ndarray:
         fall_e = J * (m_loc / m_tx - 1.0)
         excess = sp.c_f * N * f ** 3 + tx0 + J * (omega - lo) - budget
         step = np.minimum((m_loc - m_tx) / fall_m,
-                          np.divide(excess, fall_e, out=np.full(K, np.inf), where=fall_e > 0.0))
+                          np.divide(excess, fall_e, out=inf.copy(), where=fall_e > 0.0))
         nxt = np.where(on, omega + np.maximum(step, 0.0), omega)
-        if np.array_equal(nxt, omega):
+        if not (nxt != omega).any():
             break
         omega = nxt
     off = sp.bl * np.log2(np.maximum(omega[:, None] / a, 1.0)).sum(axis=1)
@@ -448,24 +462,26 @@ def _residuals_scaled(sp: _ScaledP2, point: _Point) -> OffloadKkt:
     mu, nu, theta, V, gap = point.mu, point.nu, point.theta, point.V, point.uav_gap
     l, f, fu = point.primal
     c1, c2, c3, c4 = point.gaps
-    primal = max(float(np.abs(c1).max(initial=0.0)),
-                 float(c2.max(initial=0.0)),
-                 float(c3.max(initial=0.0)),
+    primal = max(float(np.maximum.reduce(np.abs(c1), initial=0.0)),
+                 float(np.maximum.reduce(c2, axis=None, initial=0.0)),
+                 float(np.maximum.reduce(c3, initial=0.0)),
                  abs(c4))
-    comp = max(float(np.abs(nu * c2).max(initial=0.0)),
-               float(np.abs(theta[: N - 1] * c3).max(initial=0.0)))
+    comp, (cn, ct) = sp.comp
+    np.multiply(nu, c2, out=cn)
+    np.multiply(theta[: N - 1], c3, out=ct)
+    comp = float(np.maximum.reduce(np.abs(comp, out=comp), initial=0.0))
 
     # Stationarity: the closed forms zero the interior gradients by
     # construction; report the projected gradient to catch cap clipping.
-    dl = sp.a_ln2_bl * point.grow[:, : N - 1] * V[:, : N - 1] - point.w
-    dl_proj = np.where(l[:, : N - 1] <= 0.0, np.minimum(dl, 0.0), dl)
-    df = sp.c3 * f ** 2 * V - mu[:, None] * sp.bits_f
-    df_proj = np.where(f <= 0.0, np.minimum(df, 0.0), df)
-    dfu = sp.c3 * fu[1:] ** 2 - sp.bits_f * gap
-    dfu_proj = np.where(fu[1:] <= 0.0, np.minimum(dfu, 0.0), dfu)
-    stat = max(float(np.abs(dl_proj).max(initial=0.0)),
-               float(np.abs(df_proj).max(initial=0.0)),
-               float(np.abs(dfu_proj).max(initial=0.0)))
+    (stat, (dl, df, dfu)), (at_zero, (zl, zf, zu)) = sp.stat, sp.at_zero
+    np.subtract(sp.a_ln2_bl * point.grow[:, : N - 1] * V[:, : N - 1], point.w, out=dl)
+    np.subtract(sp.c3 * f ** 2 * V, mu[:, None] * sp.bits_f, out=df)
+    np.subtract(sp.c3 * fu[1:] ** 2, sp.bits_f * gap, out=dfu)
+    np.less_equal(l[:, : N - 1], 0.0, out=zl)
+    np.less_equal(f, 0.0, out=zf)
+    np.less_equal(fu[1:], 0.0, out=zu)
+    np.minimum(stat, 0.0, out=stat, where=at_zero)
+    stat = float(np.maximum.reduce(np.abs(stat, out=stat), initial=0.0))
     return OffloadKkt(stationarity=stat, primal=primal, complementarity=comp)
 
 
@@ -502,9 +518,9 @@ def _tail_newton(sp: _ScaledP2, point: _Point, free, grad, damping: float) -> _T
     matrix; Meurant, SIAM J. Matrix Anal. Appl. 13(3), 1992) and the UAV
     block are diagonal, and every entry bins per-slot weights by segment.
     The per-slot terms read the recovery's 2^(l/bl) (``point.grow``) and
-    the per-solve factors of ``sp``; the index maps are one cumulative
-    count per mask (segments and UAV columns) and one gather in
-    ``sp.rest_order``, and [A | b] is filled in place.
+    the per-solve factors and scratch of ``sp``: one division gives the
+    inverse curvatures, one bincount every entry, and [A | b] is filled in
+    place.
 
     Lambda is the identity on the bit and UAV prices and min(rank p, rank
     q) on a user's free causality prices, which adds sigma to each
@@ -516,16 +532,23 @@ def _tail_newton(sp: _ScaledP2, point: _Point, free, grad, damping: float) -> _T
     K, N = sp.K, sp.N
     (l, f, fu), V = point.primal, point.V
     tx_slope = sp.a_rate * point.grow
+    # Inverse curvatures wl, wu, wf of the free variables, zero on a bound.
     # The recovery puts bits and cycles under a vanished price tail at their
     # caps and no bits in the last slot, so these masks leave them out.
-    free_l = (l > 0.0) & (l < sp.l_cap)
-    free_f = (f > 0.0) & (f < sp.f_cap_col)
-    # Inverse curvatures of the free variables, zero on a bound.
-    wl = np.divide(1.0, V * tx_slope * sp.rate, out=np.zeros((K, N)), where=free_l)
-    wf = np.divide(1.0, sp.c6 * f * V, out=np.zeros((K, N)), where=free_f)
-    wu = np.divide(1.0, sp.c6 * fu, out=np.zeros(N), where=fu > 0.0)
+    (weights, (dw, gw, txw, wl, wu, wf)), (curv, (hl, hu, hf)), (free_var, (m_l, m_u, m_f)) = (
+        sp.bin_w, sp.curv, sp.free_var)
+    np.multiply(V * tx_slope, sp.rate, out=hl)
+    np.multiply(sp.c6, fu, out=hu)
+    np.multiply(sp.c6 * f, V, out=hf)
+    np.logical_and(l > 0.0, l < sp.l_cap, out=m_l)
+    np.greater(fu, 0.0, out=m_u)
+    np.logical_and(f > 0.0, f < sp.f_cap_col, out=m_f)
+    weights[3 * K * N :].fill(0.0)
+    np.divide(1.0, curv, out=weights[3 * K * N :], where=free_var)
     e_f = sp.c3 * f ** 2
-    txw = tx_slope * wl
+    np.multiply(tx_slope, wl, out=txw)
+    np.add(tx_slope * txw, e_f ** 2 * wf, out=dw)
+    np.negative(txw + sp.bits_f * e_f * wf, out=gw)
 
     # Slot (k, n) lies in the segment that user k's first free causality
     # price at m >= n ends; UAV segment u holds the bits of slots i_u <= n
@@ -534,9 +557,7 @@ def _tail_newton(sp: _ScaledP2, point: _Point, free, grad, damping: float) -> _T
     own = free[K : K + K * N].reshape(K, N)
     seg = K + own.ravel().nonzero()[0]
     S = seg.size
-    upto = own.cumsum().reshape(K, N)
-    ahead = upto - own
-    gs = np.where(ahead < upto[:, -1:], ahead, S)
+    upto = np.add.accumulate(own.ravel(), dtype=np.intp).reshape(K, N)
     rest = sp.rest_order[free[sp.rest_order]]
     R, n_mu = rest.size, int(np.count_nonzero(free[:K]))
     mc = np.full(K, R)
@@ -544,23 +565,31 @@ def _tail_newton(sp: _ScaledP2, point: _Point, free, grad, damping: float) -> _T
     # u[1:] is the rest column of slot n's bits, u[:N] that of slot j's UAV
     # cycles: R minus the free UAV prices with first slot <= n.
     u = np.full(N + 1, R)
-    u[1:N] -= free[sp.uav_first].cumsum()
+    u[1:N] -= np.add.accumulate(free[sp.uav_first], dtype=np.intp)
     ul = u[1:]
 
-    d = np.bincount(gs.ravel(), (tx_slope * txw + e_f ** 2 * wf).ravel(), minlength=S + 1)[:S]
-    at = gs * (R + 1)
-    G = np.bincount(np.concatenate([(at + mc[:, None]).ravel(), (at + ul).ravel()]),
-                    np.concatenate([-(txw + sp.bits_f * e_f * wf).ravel(), txw.ravel()]),
-                    minlength=(S + 1) * (R + 1)).reshape(S + 1, R + 1)[:S, :R]
-    WU = np.bincount((sp.user_col * (R + 1) + ul).ravel(), wl.ravel(),
-                     minlength=K * (R + 1)).reshape(K, R + 1)
+    # One bincount fills d (S + 1 bins), then G ((S + 1) x (R + 1)), WU (K x
+    # (R + 1), from at_w) and the UAV cycles' diagonal (R + 1, from at_u).
+    at, (gs, g_mu, g_uav, w_uav, u_uav) = sp.bin_at
+    np.subtract(upto, own, out=gs)
+    np.copyto(gs, S, where=gs >= upto[:, -1:])
+    at_w, at_u = (S + 1) * (R + 2), (S + 1) * (R + 2) + K * (R + 1)
+    np.add(gs * (R + 1), S + 1, out=g_mu)
+    np.add(g_mu, ul, out=g_uav)
+    g_mu += mc[:, None]
+    np.add(sp.user_col * (R + 1) + at_w, ul, out=w_uav)
+    np.add(u[:N], at_u, out=u_uav)
+    bins = np.bincount(at, weights[: at.size], minlength=at_u + R + 1)
+    d, WU = bins[:S], bins[at_w:at_u].reshape(K, R + 1)
+    G = bins[S + 1 : at_w].reshape(S + 1, R + 1)[:S, :R]
     B = np.zeros((R + 1, R + 1))
     B[mc], B[:, mc] = -WU, -WU.T
-    diag = WU.sum(axis=0) + sp.bits_f2 * np.bincount(u[:N], wu, minlength=R + 1)
-    diag[mc] = (wl + sp.bits_f2 * wf).sum(axis=1)
+    diag = np.add.reduce(WU, axis=0) + sp.bits_f2 * bins[at_u:]
+    diag[mc] = np.add.reduce(wl + sp.bits_f2 * wf, axis=1)
     B.flat[:: R + 2] = diag
     B = B[:R, :R]
-    shift = damping * (max(d.max(initial=0.0), diag[:R].max(initial=0.0)) or 1.0)
+    shift = damping * (max(np.maximum.reduce(d, initial=0.0),
+                           np.maximum.reduce(diag[:R], initial=0.0)) or 1.0)
     # The gradient in tail coordinates: differences of consecutive free prices.
     user = (seg - K) // N
     same = user[1:] == user[:-1]                     # segments s and s + 1 of one user
@@ -573,12 +602,12 @@ def _tail_newton(sp: _ScaledP2, point: _Point, free, grad, damping: float) -> _T
     Ab = np.empty((R, R + 1))
     np.subtract(B, G.T @ Gd, out=Ab[:, :R])
     Ab[:, R] = Gd.T @ r_seg
-    Ab[n_mu:].cumsum(axis=0, out=Ab[n_mu:])
-    Ab[:, n_mu:R].cumsum(axis=1, out=Ab[:, n_mu:R])
+    np.add.accumulate(Ab[n_mu:], axis=0, out=Ab[n_mu:])
+    np.add.accumulate(Ab[:, n_mu:R], axis=1, out=Ab[:, n_mu:R])
     Ab.flat[:: R + 2] += shift
     y = np.linalg.solve(Ab[:, :R], grad[rest] - Ab[:, R])
     tails = y.copy()
-    tails[n_mu:] = y[n_mu:][::-1].cumsum()[::-1]
+    tails[n_mu:] = np.add.accumulate(y[n_mu:][::-1])[::-1]
     y_seg = r_seg / dd - Gd @ tails
     y_seg[:-1] -= np.where(same, y_seg[1:], 0.0)
     step = np.zeros(grad.size)
@@ -589,7 +618,7 @@ def _tail_newton(sp: _ScaledP2, point: _Point, free, grad, damping: float) -> _T
 
 def _natural_residual(z, grad) -> float:
     """Max-norm of min(z, grad): zero exactly at a minimizer over z >= 0."""
-    return float(np.abs(np.minimum(z, grad)).max())
+    return float(np.maximum.reduce(np.abs(np.minimum(z, grad))))
 
 
 def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bool):
@@ -615,7 +644,7 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
     noise = 1e-13 * max(abs(phi), 1.0)
     while damping < 1e10:
         try:
-            d = np.where(free, -_tail_newton(sp, point, free, grad, damping).step, -z)
+            d = -np.where(free, _tail_newton(sp, point, free, grad, damping).step, z)
         except np.linalg.LinAlgError:
             damping *= 10.0
             continue
@@ -748,7 +777,8 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
     f_full = np.zeros((s.K, N))
     f_const = s.R * s.M / (N * s.slot)
     e_slot = s.gamma_c * s.slot * f_const ** 3
-    harv = harvest_increments(s, traj)
+    gains = channel_gains(s, traj)
+    harv = s.slot * s.eta * s.P_u * gains      # harvest_increments, from the same gains
     slots = np.arange(1, N + 1)
     rich = np.all(e_slot[:, None] * slots[None, :]
                   <= np.cumsum(harv, axis=1) * (1.0 + 1e-12), axis=1)
@@ -764,7 +794,7 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
                                duals=DualState.zeros(s.K, N), objective=0.0,
                                dual_objective=0.0, kkt=OffloadKkt(0.0, 0.0, 0.0))
 
-    sp = _ScaledP2(s, traj, poor)
+    sp = _ScaledP2(s, gains, poor)
     margins = _margins(sp)
     if not np.all(margins >= 0.0):      # fails closed: a NaN margin certifies nothing
         k = int(np.argmin(margins))

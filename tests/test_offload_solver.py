@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from uavmec.model import Scenario, Plan, check_constraints
+from uavmec.model import Scenario, Plan, channel_gains, check_constraints
 from uavmec.planner import run_algorithm1, semicircle_trajectory, straight_line_trajectory
 from uavmec import offload_solver
 from uavmec.offload_solver import (
@@ -50,23 +50,28 @@ def ref_oracle(ref2x6, ref2x6_traj):
     return primal_oracle_p2(ref2x6, ref2x6_traj)
 
 
+def _scaled(s: Scenario, traj, users=slice(None)):
+    """The solver's scaled problem for ``users`` of ``s`` on path ``traj``."""
+    return _ScaledP2(s, channel_gains(s, traj), users)
+
+
 # --- primal recovery ---------------------------------------------------------
 # SI views of the solver's scaled Lagrangian, for prices given as a DualState.
 
 def _recover_primal(s: Scenario, traj, d: DualState):
     """Minimizer (l, f_user, f_uav) of the Lagrangian at the given prices (SI)."""
-    l, f, fu = _recover_scaled(_ScaledP2(s, traj), *_duals_to_scaled(d)).primal
+    l, f, fu = _recover_scaled(_scaled(s, traj), *_duals_to_scaled(d)).primal
     return l * _BIT, f * _FREQ, fu * _FREQ
 
 
 def _dual_value(s: Scenario, traj, d: DualState) -> float:
     """Lagrangian dual lower bound on the UAV compute energy [J]."""
-    return _recover_scaled(_ScaledP2(s, traj), *_duals_to_scaled(d)).value * _EN
+    return _recover_scaled(_scaled(s, traj), *_duals_to_scaled(d)).value * _EN
 
 
 def _lagrangian_value(s: Scenario, traj, plan_part, d: DualState) -> float:
     """Lagrangian of the fixed-trajectory subproblem at an SI primal point [J]."""
-    sp = _ScaledP2(s, traj)
+    sp = _scaled(s, traj)
     l, f, fu = plan_part
     l, f, fu = np.asarray(l, dtype=float) / _BIT, np.asarray(f) / _FREQ, np.asarray(fu) / _FREQ
     grow = np.exp2(np.minimum(l, sp.l_cap) / sp.bl)
@@ -132,7 +137,7 @@ def test_dual_value_is_the_lagrangian_at_the_recovered_primal(ref2x6, ref2x6_tra
     assert abs(_lagrangian_value(ref2x6, ref2x6_traj, plan_part, d) - g) <= 1e-12 * abs(g)
     # The recovery keeps its bits within l_cap, so the 2^(l / bl) it shares
     # with the gaps, the residuals and the Newton system is exact there.
-    sp = _ScaledP2(ref2x6, ref2x6_traj)
+    sp = _scaled(ref2x6, ref2x6_traj)
     point = _recover_scaled(sp, *_duals_to_scaled(d))
     l = point.primal[0]
     assert np.all(l <= sp.l_cap)
@@ -230,7 +235,7 @@ def _interior_prices(sp, factors):
 def _check_hessian_by_central_differences(s, traj, factors):
     """Analytic Hessian of the negated dual against central differences of
     its gradient, at interior prices."""
-    sp = _ScaledP2(s, traj)
+    sp = _scaled(s, traj)
     z = _interior_prices(sp, factors)
     H = _assembled_hessian(sp, z)
     fd = np.empty_like(H)
@@ -304,7 +309,7 @@ def _prices_on_bounds(draw, s, traj, users=slice(None)):
     it is the only one) by 1e-3 (its bits stay at 0), and the slack and
     the first drawn mid UAV prices are zero (the UAV idles in those
     slots)."""
-    sp = _ScaledP2(s, traj, users)
+    sp = _scaled(s, traj, users)
     mu, nu, theta = _spread_start(sp)
     K, N = sp.K, sp.N
     factors = draw(arrays(np.float64, K + K * N + N - 1, elements=st.floats(0.5, 2.0)))
@@ -415,7 +420,7 @@ def test_eliminated_direction_matches_dense_damped_solve(request, instance, data
     if data.draw(st.booleans()):
         sp, z = data.draw(_prices_on_bounds(*s_traj, users))
     else:
-        sp = _ScaledP2(*s_traj, users)
+        sp = _scaled(*s_traj, users)
         z = _interior_prices(sp, data.draw(arrays(
             np.float64, sp.K + sp.K * sp.N + sp.N - 1, elements=st.floats(0.5, 2.0))))
     free = data.draw(_free_prices(sp, z))
@@ -630,7 +635,7 @@ def test_cold_start_schedule_is_the_relaxation_optimum(seed):
     harvest; otherwise its prices are zero.  Only last-slot energy prices
     are set."""
     s, traj = _random_scenario(seed)
-    sp = _ScaledP2(s, traj)
+    sp = _scaled(s, traj)
     K, N = sp.K, sp.N
     z = _total_budget_start(sp)
     point = _recover_scaled(sp, *_unpack(z, K, N))
@@ -685,7 +690,7 @@ def test_cold_start_prices_a_locally_covered_user_at_its_water_level(monkeypatch
                  q0=[0.0, 0.0], qF=[50.0, 0.0])
     traj = straight_line_trajectory(s)
     assert np.all(probe_feasibility(s, traj) >= 0.0)
-    sp = _ScaledP2(s, traj)
+    sp = _scaled(s, traj)
     N = s.N
     local_only = sp.c_f * N * (sp.R / (sp.bits_f * N)) ** 3
     assert local_only[0] <= sp.cum_eharv[0, -1] and local_only[1] > sp.cum_eharv[1, -1]
@@ -700,7 +705,7 @@ def test_cold_start_prices_a_locally_covered_user_at_its_water_level(monkeypatch
     assert np.all(mu > 0.0) and np.all(nu[:, N - 1] > 0.0) and not nu[:, : N - 1].any()
 
     alone = replace(s, K=1, user_pos=s.user_pos[:1], R=s.R[:1])
-    assert not _total_budget_start(_ScaledP2(alone, traj)).any()
+    assert not _total_budget_start(_scaled(alone, traj)).any()
     try:
         sol = solve_p2(alone, traj)
     except DualIterationLimitError:
@@ -715,7 +720,7 @@ def test_newton_step_stiffens_damping_when_the_solve_fails(monkeypatch, ref2x6,
     bit prices and UAV segments.  When it raises LinAlgError the system is
     retried ten times stiffer: the step taken is, bit for bit, the one a
     tenfold damping takes directly."""
-    sp = _ScaledP2(ref2x6, ref2x6_traj)
+    sp = _scaled(ref2x6, ref2x6_traj)
     mu, nu, theta = _spread_start(sp)
     z = _pack(mu, nu, theta[1:-1], theta[-1])
 
@@ -765,7 +770,7 @@ def test_kkt_max_is_nan_if_any_residual_is():
 
 
 def test_rows_subsets_every_per_user_array(table2):
-    """The instance ``_ScaledP2(s, traj, u)`` prices exactly like the
+    """The instance ``_scaled(s, traj, u)`` prices exactly like the
     instance built from a scenario holding only users u on the same path.
     Halving the users doubles each user's TX subslot, so bandwidth and
     capacity gap are halved to keep the same physics bit for bit."""
@@ -774,7 +779,7 @@ def test_rows_subsets_every_per_user_array(table2):
     fields = {n: getattr(table2, n) for n in table2.__dataclass_fields__}
     sub = Scenario(**{**fields, "K": users.size, "user_pos": table2.user_pos[users],
                       "R": table2.R[users], "B": table2.B / 2, "Gamma": table2.Gamma / 2})
-    sp = _ScaledP2(table2, traj)
+    sp = _scaled(table2, traj)
     mu, nu, theta = _spread_start(sp)
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -782,8 +787,8 @@ def test_rows_subsets_every_per_user_array(table2):
         args = (mu[users] * rng.uniform(0.1, 10.0, users.size),
                 nu[users] * rng.uniform(0.1, 10.0, (users.size, table2.N)),
                 th, _price_gaps(th[-1] - th[1:-1].sum(), th[1:-1]))
-        restricted = _recover_scaled(_ScaledP2(table2, traj, users), *args)
-        own = _recover_scaled(_ScaledP2(sub, traj), *args)
+        restricted = _recover_scaled(_scaled(table2, traj, users), *args)
+        own = _recover_scaled(_scaled(sub, traj), *args)
         for a, b in zip(restricted, own):
             for x, y in (zip(a, b) if isinstance(a, tuple) else [(a, b)]):
                 assert np.array_equal(x, y)
@@ -882,7 +887,7 @@ def test_policy_split_matches_the_bisection(table2, slots):
     cbrt(x)^2, and x = y^3 triples y's rounding; 3.7 and 2.6 eps on table2
     against an 80-bit root), so the two can differ by more than 4 eps.
     The bits do not: their slope in x vanishes at an interior split."""
-    c = _ScaledP2(table2, straight_line_trajectory(table2))
+    c = _scaled(table2, straight_line_trajectory(table2))
     A = c.bl / np.log(2.0) * 3.0 * np.cbrt(c.c_f) / c.bits_f
     ratio, share = 10.0 ** np.array(slots).T
     room = A * ratio[None, :]
@@ -946,7 +951,7 @@ def _start_instance(request, name):
         fields = {**{n: getattr(t2, n) for n in t2.__dataclass_fields__},
                   "K": 1, "user_pos": [t2.user_pos[2]], "R": [t2.R[2]]}
         traj = semicircle_trajectory(Scenario(**fields))
-        sp = _ScaledP2(Scenario(**fields), traj)
+        sp = _scaled(Scenario(**fields), traj)
         scale = 1.01 * _relaxed_min_energy(sp) / sp.cum_eharv[0, -1]
         return Scenario(**{**fields, "P_u": t2.P_u * scale}), traj
     path, T = name.split("@")
@@ -965,7 +970,7 @@ def test_total_budget_start_matches_the_bisection(request, name):
     every user of the instance (8.3e-14 at most when measured), also on a
     near-double root (2.2e-13 there)."""
     s, traj = _start_instance(request, name)
-    sp = _ScaledP2(s, traj)
+    sp = _scaled(s, traj)
     K, N = sp.K, sp.N
     if name == "double-root":
         assert abs(sp.cum_eharv[0, -1] / _relaxed_min_energy(sp) - 1.01) <= 1e-9
@@ -1171,7 +1176,7 @@ def test_oracle_stays_independent_of_the_solver():
 
 def test_oracle_residuals_and_determinism(ref2x6, ref2x6_traj, ref_oracle):
     (l, f, fu), obj = ref_oracle
-    sp = _ScaledP2(ref2x6, ref2x6_traj)
+    sp = _scaled(ref2x6, ref2x6_traj)
     l = l / 1e6
     c1, c2, c3, c4 = sp.violations(l, f / 1e9, fu / 1e9,
                                    np.exp2(np.minimum(l, sp.l_cap) / sp.bl))

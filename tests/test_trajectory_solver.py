@@ -113,7 +113,7 @@ def test_assembly_rows_match_true_gaps(table2, table2_p2):
     x0 = asm.pack(traj)
     values = asm.problem.ineq_values(x0)
     from uavmec.offload_solver import _ScaledP2
-    sp = _ScaledP2(table2, traj)
+    sp = _ScaledP2(table2, channel_gains(table2, traj))
     l = sol.l / 1e6
     _, c2, _, _ = sp.violations(l, sol.f_user / 1e9, sol.f_uav / 1e9,
                                 np.exp2(np.minimum(l, sp.l_cap) / sp.bl))
