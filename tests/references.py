@@ -4,13 +4,13 @@ Scalar per-slot formulas (one user, one slot or one prefix at a time) that
 the vectorized model is checked against, the all-zero plan, the tangent
 harvest minorant of the paper's path subproblem per (user, prefix), which
 ``trajectory_solver.assemble_p4``'s vectorized rows are checked against,
-the schedule solver's two set-up roots found by plain bisection, its KKT
-residuals and damped Newton step with every per-point term computed where
-it is used, and an independent primal solver for the fixed-path schedule
-subproblem that serves as a ground-truth oracle on small instances.  None
-of them is on the planner's path.  The oracle is one SLSQP call built from
-the model's public formulas; it imports nothing from the schedule solver it
-checks, nor any private name of the package.
+the schedule solver's two set-up roots found by plain bisection, its dual
+evaluation, KKT residuals and damped Newton step with every per-point term
+computed where it is used, and an independent primal solver for the
+fixed-path schedule subproblem that serves as a ground-truth oracle on
+small instances.  None of them is on the planner's path.  The oracle is
+one SLSQP call built from the model's public formulas; it imports nothing
+from the schedule solver it checks, nor any private name of the package.
 """
 
 import math
@@ -205,20 +205,25 @@ def policy_margins(s: Scenario, traj):
     return (bits - s.R / 1e6) * 1e6
 
 
-def total_budget_prices(a, budget, R, bits_f, c_f, bl):
+def total_budget_prices(a, budget, R, bits_f, c_f, bl, dtype=float, rounds=60):
     """Optimal (bit prices, last energy prices, slack) of the relaxation
     that keeps only each user's total energy ``budget`` and the UAV's total
     compute balance, over TX costs ``a`` (K, N - 1) and demands ``R``.
 
-    Each user's water level omega comes from 60 geometric bisection rounds
-    between its cheapest TX cost and the level where TX costs per bit what
-    all-local compute does, on the test that local compute still costs
-    more per bit (m_loc > m_tx) and the energy is still above the budget.
-    The total offload prices the UAV at slack = 3 c_f fu^2 / bits_f, and a
-    user at its water level gets V = slack / (m_loc - m_tx) and mu = V m_loc.
+    Each user's water level omega comes from ``rounds`` geometric bisection
+    rounds between its cheapest TX cost and the level where TX costs per
+    bit what all-local compute does, on the test that local compute still
+    costs more per bit (m_loc > m_tx) and the energy is still above the
+    budget.  The total offload prices the UAV at slack = 3 c_f fu^2 /
+    bits_f, and a user at its water level gets V = slack / (m_loc - m_tx)
+    and mu = V m_loc.  Everything is computed in ``dtype``: ``np.longdouble``
+    with 80 rounds gives an extended-precision reference where the platform
+    has one (x87 80-bit on x86-64 Linux).
     """
+    a, budget, R = (np.asarray(x, dtype) for x in (a, budget, R))
+    bits_f, c_f, bl = (dtype(x) for x in (bits_f, c_f, bl))
     N = a.shape[1] + 1
-    rate = math.log(2.0) / bl
+    rate = np.log(dtype(2.0)) / bl
 
     def schedule(omega):
         off = bl * np.log2(np.maximum(omega[:, None] / a, 1.0)).sum(axis=1)
@@ -230,7 +235,7 @@ def total_budget_prices(a, budget, R, bits_f, c_f, bl):
     _, m_loc, _, energy = schedule(lo)
     priced = energy > budget
     hi = np.maximum(lo, m_loc / rate)
-    for _ in range(60):
+    for _ in range(rounds):
         omega = np.sqrt(lo * hi)
         _, m_loc, m_tx, energy = schedule(omega)
         rising = (m_loc > m_tx) & (energy > budget)
@@ -248,11 +253,51 @@ def total_budget_prices(a, budget, R, bits_f, c_f, bl):
 # The schedule solver's per-point terms, each computed where it is used
 # ---------------------------------------------------------------------------
 # Duck-typed on the solver's scaled problem ``sp`` (K, N, a_tx, a_ln2, bl,
-# l_cap, f_cap, c_f, bits_f) and a recovered price point ``point`` (mu, nu,
-# theta, V, uav_gap, primal, gaps).  Each recomputes 2^(l / bl), mu - gap
-# and 3 c_f f^2 from the primal point and builds its index maps from
-# scratch, so the solver's shared terms are checked against an evaluation
-# that shares nothing.
+# l_cap, f_cap, c_f, bits_f, R, eharv) and packed prices ``z`` or a
+# recovered price point ``point`` (mu, nu, theta, V, uav_gap, primal,
+# gaps).  Each recomputes 2^(l / bl), mu - gap and 3 c_f f^2 from the
+# prices or the primal point, reads no per-solve factor or scratch of
+# ``sp`` and builds its index maps from scratch, so the solver's shared
+# terms are checked against an evaluation that shares nothing.
+
+def recover_point(sp, z):
+    """(value, grad, (l, f, fu), (c1, c2, c3, c4)) at the packed prices
+    ``z`` (bit prices, causality prices, mid UAV prices, slack): the dual
+    value and the negated dual's packed gradient, read off the Lagrangian
+    minimizer and its constraint gaps.  The UAV price gaps are the slack
+    plus the mid prices before each slot; where a user's energy-price tail
+    vanishes, bits and cycles priced above zero sit at their caps."""
+    K, N = sp.K, sp.N
+    mu, nu = z[:K], z[K : K + K * N].reshape(K, N)
+    mid, slack = z[K + K * N : -1], z[-1]
+    gap = slack + np.concatenate(([0.0], np.cumsum(mid)))
+    theta = np.concatenate(([0.0], mid, gap[-1:]))
+    V = np.flip(np.cumsum(np.flip(nu, axis=1), axis=1), axis=1)
+    V_pos = np.where(V > 0.0, V, 0.0)
+    fu = np.zeros(N)
+    fu[1:] = np.sqrt(sp.bits_f * np.maximum(gap, 0.0) / (3.0 * sp.c_f))
+    w = mu[:, None] - gap
+    l = np.zeros((K, N))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        arg = w * sp.bl / (sp.a_tx[:, : N - 1] * math.log(2.0) * V_pos[:, : N - 1])
+        l[:, : N - 1] = np.where(w > 0.0, np.minimum(sp.bl * np.log2(np.maximum(arg, 1.0)),
+                                                     EXPONENT_CAP * sp.bl), 0.0)
+        f = np.sqrt(mu[:, None] * sp.bits_f / (3.0 * sp.c_f * V_pos))
+    f_cap = np.maximum(sp.R / sp.bits_f, 1.0)
+    f = np.where(mu[:, None] > 0.0, np.minimum(f, f_cap[:, None]), 0.0)
+    grow = np.exp2(l / sp.bl)
+    c2 = (np.cumsum(sp.c_f * f ** 3 + sp.a_tx * (grow - 1.0), axis=1)
+          - np.cumsum(sp.eharv, axis=1))
+    tx_bits = l[:, : N - 1].sum(axis=1)
+    c1 = sp.R - (sp.bits_f * f.sum(axis=1) + tx_bits)
+    c3 = sp.bits_f * np.cumsum(fu)[: N - 1]
+    c3[1:] -= np.cumsum(l.sum(axis=0))[: N - 2]
+    c4 = float(tx_bits.sum() - sp.bits_f * fu.sum())
+    value = (sp.c_f * float((fu ** 3).sum()) + float(mu @ c1) + float((nu * c2).sum())
+             + float(theta[: N - 1] @ c3) + theta[N - 1] * c4)
+    grad = np.concatenate((-c1, -c2.ravel(), -c4 - c3[1 : N - 1], [-c4]))
+    return value, grad, (l, f, fu), (c1, c2, c3, c4)
+
 
 def kkt_residuals(sp, point):
     """Scaled (stationarity, primal, complementarity) KKT residuals at a

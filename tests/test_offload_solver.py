@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from uavmec.model import Scenario, Plan, channel_gains, check_constraints
-from uavmec.planner import run_algorithm1, semicircle_trajectory, straight_line_trajectory
+from uavmec.planner import (joint_step, run_algorithm1, semicircle_trajectory,
+                            straight_line_trajectory)
 from uavmec import offload_solver
 from uavmec.offload_solver import (
     DualState,
@@ -490,30 +491,55 @@ def test_only_the_damping_changed_on_accepted_iterates(monkeypatch, request, ins
         assert np.abs(t.step[idx] - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("instance", ["table2-straight", "table2-semicircle", "k5n20",
-                                      "large15"])
-def test_shared_terms_leave_every_accepted_iterate_bit_identical(monkeypatch, request,
-                                                                 instance):
-    """At every accepted iterate of the cold solve, the Newton step and
-    damping read off the recovery's shared 2^(l / bl) and mu - gap equal
-    those of :func:`references.tail_newton_step`, which recomputes every
-    per-point term, and the three KKT residuals equal those of
-    :func:`references.kkt_residuals`, bit for bit."""
+_SOLVES = ["table2-straight", "table2-semicircle", "k5n20", "large15", "table2-warm",
+           "random-k6n25"]
+
+
+def _solve_case(request, instance):
+    """(s, traj, warm) of a named schedule solve: cold on table2's two
+    paths, k5n20, large15 and a K = 6, N = 25 draw of
+    :func:`_random_scenario`; "table2-warm" re-solves table2 (T = 2 s) from
+    the straight line's prices at the joint step's candidate path, as the
+    planner's first step does."""
+    if instance == "table2-warm":
+        s = request.getfixturevalue("table2")
+        traj = straight_line_trajectory(s)
+        sol = solve_p2(s, traj)
+        step, _ = joint_step(s, traj, sol)
+        return s, traj + step, sol.duals
     if instance.startswith("table2"):
         s = request.getfixturevalue("table2")
         path = straight_line_trajectory if instance.endswith("straight") else semicircle_trajectory
-        traj = path(s)
-    else:
-        s, traj = request.getfixturevalue(instance)
-    calls = []
-    tail_newton = offload_solver._tail_newton
+        return s, path(s), None
+    if instance == "random-k6n25":
+        s, traj = _random_scenario(2, users=(4, 7), slots=(20, 41))
+        assert (s.K, s.N) == (6, 25)
+        return s, traj, None
+    return (*request.getfixturevalue(instance), None)
+
+
+@pytest.mark.parametrize("instance", _SOLVES)
+def test_shared_terms_leave_every_accepted_iterate_bit_identical(monkeypatch, request,
+                                                                 instance):
+    """At every accepted iterate of the solve, the Newton step and damping
+    read off the recovery's shared 2^(l / bl) and mu - gap and the
+    per-solve scratch equal those of :func:`references.tail_newton_step`,
+    which recomputes every per-point term, and the three KKT residuals
+    equal those of :func:`references.kkt_residuals`, bit for bit.  The
+    warm re-solve starts from the given prices, not the cold start."""
+    s, traj, warm = _solve_case(request, instance)
+    calls, cold = [], []
+    tail_newton, start = offload_solver._tail_newton, offload_solver._total_budget_start
 
     def recorded(sp, point, free, grad, damping):
         calls.append((sp, point, free, grad, damping))
         return tail_newton(sp, point, free, grad, damping)
 
     monkeypatch.setattr(offload_solver, "_tail_newton", recorded)
-    assert solve_p2(s, traj).kkt.max() <= 1e-6
+    monkeypatch.setattr(offload_solver, "_total_budget_start",
+                        lambda sp: cold.append(sp) or start(sp))
+    assert solve_p2(s, traj, warm=warm).kkt.max() <= 1e-6
+    assert len(cold) == (warm is None)
     assert len(calls) >= 10
     for sp, point, free, grad, damping in calls:
         t = tail_newton(sp, point, free, grad, damping)
@@ -523,6 +549,57 @@ def test_shared_terms_leave_every_accepted_iterate_bit_identical(monkeypatch, re
         kkt = offload_solver._residuals_scaled(sp, point)
         assert (kkt.stationarity, kkt.primal, kkt.complementarity) == \
             references.kkt_residuals(sp, point)
+
+
+@pytest.mark.parametrize("instance", _SOLVES)
+def test_every_evaluation_matches_the_reference_recovery(monkeypatch, request, instance):
+    """At every price point the solve evaluates, rejected line-search
+    trials included, the negated dual value, its packed gradient and the
+    recovered primal point equal those of :func:`references.recover_point`,
+    which shares no term with the solver, bit for bit."""
+    s, traj, warm = _solve_case(request, instance)
+    seen = []
+    evaluate = offload_solver._neg_dual_and_grad
+
+    def recorded(z, sp):
+        phi, grad, point = evaluate(z, sp)
+        seen.append((z.copy(), sp, phi, grad.copy(), [a.copy() for a in point.primal]))
+        return phi, grad, point
+
+    monkeypatch.setattr(offload_solver, "_neg_dual_and_grad", recorded)
+    opt = _captured_ascents(monkeypatch)
+    assert solve_p2(s, traj, warm=warm).kkt.max() <= 1e-6
+    (_, _, ascent), = opt
+    assert len(seen) == ascent.nfev > ascent.nit
+    for z, sp, phi, grad, primal in seen:
+        value, ref_grad, ref_primal, _ = references.recover_point(sp, z)
+        assert phi == -value
+        assert np.array_equal(grad, ref_grad)
+        assert all(np.array_equal(a, b) for a, b in zip(primal, ref_primal))
+
+
+def test_a_second_evaluation_leaves_the_first_unchanged(table2):
+    """The line search holds the current point while it evaluates a trial
+    on the same scaled problem, and the per-solve scratch of ``sp`` is
+    reused by every residual and Newton system.  A second evaluation, with
+    its KKT residuals and Newton system, changes nothing the first one
+    returned: the gradient, every :class:`_Point` array and every array of
+    its Newton system, none of which shares memory with the second's."""
+    sp = _scaled(table2, straight_line_trajectory(table2))
+    z = _total_budget_start(sp)
+    free = np.ones(z.size, bool)
+
+    def arrays(z):
+        _, grad, point = _neg_dual_and_grad(z, sp)
+        offload_solver._residuals_scaled(sp, point)
+        t = _tail_newton(sp, point, free, grad, 1e-3)
+        return [grad, *point[:6], *point.primal, point.grow, *point.gaps[:3], t.step, *t[2:]]
+
+    first = arrays(z)
+    kept = [a.copy() for a in first]
+    second = arrays(z * np.linspace(0.5, 2.0, z.size))
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
 
 
 def test_newton_trace_ascends_to_tolerance(ref_solution, ref_oracle):
@@ -938,21 +1015,26 @@ def _relaxed_min_energy(sp):
     return schedule(lo)[1]
 
 
+# Near-double energy roots: table2's user alone on a path, with the RF feed
+# scaled so that its total harvest exceeds the relaxation's least energy by
+# the factor given; its energy root sits next to that minimum.
+_DOUBLE_ROOTS = {"double-root": (2, semicircle_trajectory, 1.01),
+                 "double-root-1e-4": (0, straight_line_trajectory, 1.0 + 1e-4)}
+
+
 def _start_instance(request, name):
     if name.startswith("seed"):
         return _random_scenario(int(name[4:]))
     if name == "large15":
         return request.getfixturevalue("large15")
-    if name == "double-root":
-        # table2's user 2 alone on the semi-circle, with the RF feed scaled so
-        # that its total harvest exceeds the relaxation's least energy by
-        # 1%: its energy root sits next to that minimum, a near-double root.
+    if name in _DOUBLE_ROOTS:
+        user, path, margin = _DOUBLE_ROOTS[name]
         t2 = request.getfixturevalue("table2")
         fields = {**{n: getattr(t2, n) for n in t2.__dataclass_fields__},
-                  "K": 1, "user_pos": [t2.user_pos[2]], "R": [t2.R[2]]}
-        traj = semicircle_trajectory(Scenario(**fields))
+                  "K": 1, "user_pos": [t2.user_pos[user]], "R": [t2.R[user]]}
+        traj = path(Scenario(**fields))
         sp = _scaled(Scenario(**fields), traj)
-        scale = 1.01 * _relaxed_min_energy(sp) / sp.cum_eharv[0, -1]
+        scale = margin * _relaxed_min_energy(sp) / sp.cum_eharv[0, -1]
         return Scenario(**{**fields, "P_u": t2.P_u * scale}), traj
     path, T = name.split("@")
     s = request.getfixturevalue("table2").with_T(float(T))
@@ -963,23 +1045,40 @@ def _start_instance(request, name):
 @pytest.mark.parametrize("name", [f"seed{seed}" for seed in (11, 22, 33, 44, 55, 66, 77, 99)]
                          + [f"{path}@{T}" for path in ("straight-line", "semi-circle")
                             for T in ("2", "2.2", "2.4")]
-                         + ["large15", "double-root"])
+                         + ["large15", *_DOUBLE_ROOTS])
 def test_total_budget_start_matches_the_bisection(request, name):
     """The breakpoint pass and the Newton water levels give the reference
     bisection's packed start within 1e-12 relative, entry by entry, on
     every user of the instance (8.3e-14 at most when measured), also on a
-    near-double root (2.2e-13 there)."""
+    near-double root 1% above the least energy (2.2e-13 there).
+
+    At 1e-4 above it, m_loc - m_tx is small, V = slack / (m_loc - m_tx) is
+    ill-conditioned, and a float64 bisection is itself off by about
+    1e-12; there the start is held to an 80-bit ``np.longdouble``
+    bisection within 1e-10 (3.2e-11 when measured), where the platform
+    has extended precision.  That instance is causally infeasible (the
+    primal oracle's best point breaks energy causality by 19% of the
+    harvest), so ``solve_p2`` refuses it with its typed error."""
     s, traj = _start_instance(request, name)
     sp = _scaled(s, traj)
     K, N = sp.K, sp.N
-    if name == "double-root":
-        assert abs(sp.cum_eharv[0, -1] / _relaxed_min_energy(sp) - 1.01) <= 1e-9
-    mu, V, slack = references.total_budget_prices(sp.a_tx[:, : N - 1], sp.cum_eharv[:, -1],
-                                                  sp.R, sp.bits_f, sp.c_f, sp.bl)
-    nu = np.zeros((K, N))
+    if name in _DOUBLE_ROOTS:
+        assert abs(sp.cum_eharv[0, -1] / _relaxed_min_energy(sp) - _DOUBLE_ROOTS[name][2]) <= 1e-9
+    extended = name == "double-root-1e-4"
+    if extended and np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is plain double on this platform")
+    mu, V, slack = references.total_budget_prices(
+        sp.a_tx[:, : N - 1], sp.cum_eharv[:, -1], sp.R, sp.bits_f, sp.c_f, sp.bl,
+        **({"dtype": np.longdouble, "rounds": 80} if extended else {}))
+    nu = np.zeros((K, N), mu.dtype)
     nu[:, N - 1] = V
-    ref = _pack(mu, nu, np.zeros(N - 2), slack)
-    assert np.all(np.abs(_total_budget_start(sp) - ref) <= 1e-12 * np.abs(ref))
+    ref = _pack(mu, nu, np.zeros(N - 2, mu.dtype), slack)
+    assert ref.dtype == (np.longdouble if extended else float)
+    bound = 1e-10 if extended else 1e-12
+    assert np.all(np.abs(_total_budget_start(sp) - ref) <= bound * np.abs(ref))
+    if extended:
+        with pytest.raises(InfeasibleTrajectoryError):
+            solve_p2(s, traj)
 
 
 def _with_point(traj, value):
@@ -1189,11 +1288,12 @@ def test_oracle_residuals_and_determinism(ref2x6, ref2x6_traj, ref_oracle):
 
 # --- randomized cross-validation ----------------------------------------------
 
-def _random_scenario(seed: int):
-    """Feasible-by-construction instance in the oracle's size range."""
+def _random_scenario(seed: int, users=(1, 4), slots=(4, 9)):
+    """Feasible-by-construction instance, K and N drawn from the half-open
+    ranges ``users`` and ``slots`` (by default the oracle's size range)."""
     rng = np.random.default_rng(seed)
-    K = int(rng.integers(1, 4))
-    N = int(rng.integers(4, 9))
+    K = int(rng.integers(*users))
+    N = int(rng.integers(*slots))
     s0 = Scenario(K=K, N=N, T=0.2 * N, H=10.0,
                   user_pos=rng.uniform(-2.0, 8.0, size=(K, 2)),
                   R=np.full(K, 1.0),
