@@ -586,7 +586,7 @@ def _tail_newton(sp: _ScaledP2, point: _Point, free, grad, damping: float) -> _T
     B[mc], B[:, mc] = -WU, -WU.T
     diag = np.add.reduce(WU, axis=0) + sp.bits_f2 * bins[at_u:]
     diag[mc] = np.add.reduce(wl + sp.bits_f2 * wf, axis=1)
-    B.flat[:: R + 2] = diag
+    B.ravel()[:: R + 2] = diag
     B = B[:R, :R]
     shift = damping * (max(np.maximum.reduce(d, initial=0.0),
                            np.maximum.reduce(diag[:R], initial=0.0)) or 1.0)
@@ -604,7 +604,7 @@ def _tail_newton(sp: _ScaledP2, point: _Point, free, grad, damping: float) -> _T
     Ab[:, R] = Gd.T @ r_seg
     np.add.accumulate(Ab[n_mu:], axis=0, out=Ab[n_mu:])
     np.add.accumulate(Ab[:, n_mu:R], axis=1, out=Ab[:, n_mu:R])
-    Ab.flat[:: R + 2] += shift
+    Ab.ravel()[:: R + 2] += shift
     y = np.linalg.solve(Ab[:, :R], grad[rest] - Ab[:, R])
     tails = y.copy()
     tails[n_mu:] = np.add.accumulate(y[n_mu:][::-1])[::-1]
