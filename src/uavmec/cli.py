@@ -115,12 +115,11 @@ def _one_blas_thread():
     the planner calls.  A copy whose thread-count symbols do not resolve,
     or a numpy built without a bundled OpenBLAS, is left alone.
 
-    The planner's matrices have at most a few hundred rows.  At the
-    default count (one thread per CPU) threads neither help nor hurt the
-    table2 sweep beyond noise, but with more threads than CPUs an unpinned
-    sweep that takes 0.4 s pinned had not ended after 20 s on a 2-vCPU
-    host (README "Performance").  The library leaves threading to its
-    caller; only the command line pins it.
+    The planner's matrices have at most a few hundred rows.  On a 2-vCPU
+    host, 2 to 16 threads leave the table2 sweep within its noise but
+    slow 24 generated baseline plans from 0.12 s on one thread to
+    0.18-0.20 s (README "Performance").  The library leaves threading to
+    its caller; only the command line pins it.
     """
     blas = []
     libs = Path(np.__file__).parents[1] / "numpy.libs"

@@ -193,9 +193,9 @@ def channel_gains(s: Scenario, traj) -> np.ndarray:
     return s.beta0 / (s.H ** 2 + d2)
 
 
-def harvest_increments(s: Scenario, traj) -> np.ndarray:
-    """(K, N) per-slot harvested energy (T/N) * eta * h * P_u [J]."""
-    return s.slot * s.eta * s.P_u * channel_gains(s, traj)
+def harvest_increments(s: Scenario, gains: np.ndarray) -> np.ndarray:
+    """Per-slot harvested energy (T/N) * eta * h * P_u [J] for channel ``gains`` h."""
+    return s.slot * s.eta * s.P_u * gains
 
 
 def tx_energy(s: Scenario, gains: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -284,7 +284,7 @@ def evaluate_ledger(s: Scenario, p: Plan) -> EnergyLedger:
     """Price every energy flow of a plan and total the UAV side."""
     p.validate_shapes(s)
     gains = channel_gains(s, p.traj)
-    harvested = harvest_increments(s, p.traj)
+    harvested = harvest_increments(s, gains)
     local = s.gamma_c * s.slot * p.f_user ** 3
     tx = tx_energy(s, gains, p.l)
     uav_compute = s.gamma_c * s.slot * p.f_uav ** 3

@@ -35,6 +35,7 @@ from .errors import SolverError
 from .model import (
     Scenario,
     channel_gains,
+    harvest_increments,
     EXPONENT_CAP,
 )
 
@@ -169,7 +170,7 @@ class _ScaledP2:
 
     def __init__(self, s: Scenario, gains, users=slice(None)):
         self.N = s.N
-        self.eharv = s.slot * s.eta * s.P_u * gains[users] / _EN   # (K, N) mJ harvest
+        self.eharv = harvest_increments(s, gains[users]) / _EN     # (K, N) mJ harvest
         self.a_tx = s.lam * s.Gamma * s.sigma2 / gains[users] / _EN  # (K, N) mJ
         self.bl = s.B * s.lam / _BIT                               # Mbit per subslot
         self.bits_f = s.slot * _FREQ / s.M / _BIT                  # Mbit per GHz-slot
@@ -202,6 +203,9 @@ class _ScaledP2:
         self.bin_w = _scratch(float, KN, KN, KN, KN, (N,), KN)
         self.bin_at = _scratch(np.intp, KN, KN, KN, KN, (N,))
         self.curv, self.free_var = _scratch(float, KN, (N,), KN), _scratch(bool, KN, (N,), KN)
+
+    def __reduce__(self):
+        raise TypeError("_ScaledP2 views its own scratch buffers: build one, never copy it")
 
     def violations(self, l, f, fu, grow):
         """Signed constraint gaps at a scaled primal point whose bits ``l``
@@ -778,7 +782,7 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
     f_const = s.R * s.M / (N * s.slot)
     e_slot = s.gamma_c * s.slot * f_const ** 3
     gains = channel_gains(s, traj)
-    harv = s.slot * s.eta * s.P_u * gains      # harvest_increments, from the same gains
+    harv = harvest_increments(s, gains)
     slots = np.arange(1, N + 1)
     rich = np.all(e_slot[:, None] * slots[None, :]
                   <= np.cumsum(harv, axis=1) * (1.0 + 1e-12), axis=1)

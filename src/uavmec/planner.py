@@ -239,7 +239,8 @@ def compute_energy_gradient(s: Scenario, traj, sol: OffloadSolution) -> np.ndarr
     traj = np.asarray(traj, dtype=float)
     nu_tail = np.flip(np.cumsum(np.flip(sol.duals.nu, axis=1), axis=1), axis=1)  # (K, N)
     diff = traj[None, : s.N] - s.user_pos[:, None]                                # (K, N, 2)
-    spend = tx_energy(s, channel_gains(s, traj), sol.l) + harvest_increments(s, traj)
+    gains = channel_gains(s, traj)
+    spend = tx_energy(s, gains, sol.l) + harvest_increments(s, gains)
     w = 2.0 * nu_tail * spend / (s.H ** 2 + np.sum(diff ** 2, axis=2))
     grad = np.zeros((s.N + 1, 2))
     grad[: s.N] = np.einsum("kn,knd->nd", w, diff)

@@ -281,18 +281,13 @@ def kkt_residuals(p: QcqpProblem, x, lambdas) -> KktReport:
 def _newton_solve(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve hess @ dx = -grad by LU (numpy has no triangular solve to pair
     with a Cholesky factor).  When the solve raises or returns non-finite
-    values, a growing diagonal shift is tried, then least squares."""
-    shifted = hess
-    reg = 1e-12 * max(1.0, float(np.abs(hess).max(initial=0.0)))
-    for _ in range(8):
-        try:
-            dx = np.linalg.solve(shifted, -grad)
-            if np.all(np.isfinite(dx)):
-                return dx
-        except np.linalg.LinAlgError:
-            pass
-        shifted = hess + reg * np.eye(hess.shape[0])
-        reg *= 100.0
+    values, the minimum-norm least-squares step is taken instead."""
+    try:
+        dx = np.linalg.solve(hess, -grad)
+        if np.all(np.isfinite(dx)):
+            return dx
+    except np.linalg.LinAlgError:
+        pass
     return np.linalg.lstsq(hess, -grad, rcond=None)[0]
 
 

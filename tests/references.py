@@ -198,8 +198,9 @@ def policy_bits(e, a_tx, bits_f, c_f, bl):
 def policy_margins(s: Scenario, traj):
     """Deliverable bits minus demand per user under the spend-as-harvested
     policy [bits] (:func:`policy_bits` on the scenario's scaled data)."""
-    e = harvest_increments(s, traj) / 1e-3
-    a_tx = s.lam * s.Gamma * s.sigma2 / channel_gains(s, traj) / 1e-3
+    gains = channel_gains(s, traj)
+    e = harvest_increments(s, gains) / 1e-3
+    a_tx = s.lam * s.Gamma * s.sigma2 / gains / 1e-3
     bits = policy_bits(e, a_tx, s.slot * 1e9 / s.M / 1e6, s.gamma_c * s.slot * 1e27 / 1e-3,
                        s.B * s.lam / 1e6)
     return (bits - s.R / 1e6) * 1e6
@@ -417,8 +418,9 @@ def primal_oracle_p2(s: Scenario, traj):
     bl = s.B * s.lam / 1e6                          # Mbit per subslot at 1 bit/s/Hz
     bits_f = s.slot * 1e9 / s.M / 1e6               # Mbit per GHz-slot
     c_f = s.gamma_c * s.slot * 1e27 / 1e-3          # mJ per GHz^3-slot
-    a_tx = s.lam * s.Gamma * s.sigma2 / channel_gains(s, traj)[:, : N - 1] / 1e-3
-    harvest = np.cumsum(harvest_increments(s, traj), axis=1) / 1e-3
+    gains = channel_gains(s, traj)
+    a_tx = s.lam * s.Gamma * s.sigma2 / gains[:, : N - 1] / 1e-3
+    harvest = np.cumsum(harvest_increments(s, gains), axis=1) / 1e-3
     R = s.R / 1e6
     # x = (l over the N-1 TX slots, f_user, f_uav over slots 1..N-1).
     n_l, n_f = K * (N - 1), K * N

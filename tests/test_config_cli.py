@@ -187,6 +187,15 @@ def test_readme_flags_match_help(capsys):
     assert documented == printed
 
 
+def test_readme_library_surface_imports():
+    """README's "Library surface" block, its only python block, runs: the
+    docs cannot advertise a name the package has lost."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Library surface"))
+    block = readme[start + len("```python\n") : readme.index("```", start + 3)]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_readme_fields_match_scenario():
     """README's "Required fields" sentence names the Scenario fields without
     a default, in order, and then those with one as optional."""
@@ -252,10 +261,13 @@ def test_cli_infeasible_cell_exit_code(tmp_path, ref2x6):
 
 def test_cli_solver_error_fails_only_its_cell(tmp_path, ref_cfg, monkeypatch):
     from uavmec import planner
-    from uavmec.trajectory_solver import ScaIterationLimitError
+    from uavmec.errors import SolverError
+
+    class Stuck(SolverError):
+        pass
 
     def stuck(*args, **kwargs):
-        raise ScaIterationLimitError("SCA iteration limit")
+        raise Stuck("SCA iteration limit")
 
     monkeypatch.setattr(planner, "joint_step", stuck)
     out = tmp_path / "out"

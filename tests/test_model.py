@@ -284,4 +284,4 @@ def _causality_gaps(s, plan):
     from uavmec.model import channel_gains, harvest_increments, tx_energy
     gains = channel_gains(s, plan.traj)
     spend = s.gamma_c * s.slot * plan.f_user ** 3 + tx_energy(s, gains, plan.l)
-    return np.cumsum(spend, axis=1) - np.cumsum(harvest_increments(s, plan.traj), axis=1)
+    return np.cumsum(spend, axis=1) - np.cumsum(harvest_increments(s, gains), axis=1)

@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -600,6 +602,15 @@ def test_a_second_evaluation_leaves_the_first_unchanged(table2):
     second = arrays(z * np.linspace(0.5, 2.0, z.size))
     assert all(np.array_equal(a, b) for a, b in zip(first, kept))
     assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, pickle.dumps])
+def test_scaled_problem_refuses_to_be_copied(table2, duplicate):
+    """The scratch views of ``_ScaledP2`` alias its buffers, which no copy
+    or pickle round trip preserves, so each of them raises."""
+    sp = _scaled(table2, straight_line_trajectory(table2))
+    with pytest.raises(TypeError, match="never copy"):
+        duplicate(sp)
 
 
 def test_newton_trace_ascends_to_tolerance(ref_solution, ref_oracle):

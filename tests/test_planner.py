@@ -280,6 +280,31 @@ def test_compute_energy_gradient_matches_finite_difference(ref2x6, ref2x6_traj):
     assert slope == pytest.approx((up - down) / (2 * h), rel=1e-6)
 
 
+def test_each_path_evaluation_computes_the_channel_gains_once(ref2x6, ref2x6_traj,
+                                                               monkeypatch):
+    """The schedule solve, the ledger and the energy gradient each compute
+    the path's channel gains once and derive the harvest from them."""
+    from uavmec import model, offload_solver
+    gains, calls = model.channel_gains, []
+
+    def counted_gains(*args):
+        calls.append(1)
+        return gains(*args)
+
+    for module in (model, offload_solver, planner):
+        monkeypatch.setattr(module, "channel_gains", counted_gains)
+    sol = solve_p2(ref2x6, ref2x6_traj)
+    plan = model.Plan(traj=ref2x6_traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
+    counts = []
+    for call in (lambda: solve_p2(ref2x6, ref2x6_traj),
+                 lambda: evaluate_ledger(ref2x6, plan),
+                 lambda: compute_energy_gradient(ref2x6, ref2x6_traj, sol)):
+        calls.clear()
+        call()
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
+
+
 def test_infeasible_scenario_raises(ref2x6):
     starved = Scenario(**{**_fields(ref2x6), "P_u": 1.0})
     with pytest.raises(InfeasibleScenarioError):
@@ -470,10 +495,12 @@ def test_sweep_marks_failed_cells(ref2x6):
 def test_sweep_contains_solver_errors(ref2x6, monkeypatch):
     """A path-step error ends only its own cell, with status "failed"."""
     from uavmec import planner
-    from uavmec.trajectory_solver import ScaIterationLimitError
+
+    class Stuck(SolverError):
+        pass
 
     def stuck(*args, **kwargs):
-        raise ScaIterationLimitError("SCA iteration limit")
+        raise Stuck("SCA iteration limit")
 
     monkeypatch.setattr(planner, "joint_step", stuck)
     cells = sweep_T(ref2x6, [1.2], schemes=("proposed", "straight-line"))

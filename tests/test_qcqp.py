@@ -267,12 +267,34 @@ def test_solve_from_a_far_hint_reaches_the_origin(hint):
     assert np.abs(sol.x).max() <= 1e-8
 
 
-def test_newton_solve_regularizes_a_singular_hessian():
-    """A singular Newton system (the LU solve raises) is solved with the
-    first diagonal shift, 1e-12 times the Hessian's scale (at least 1)."""
+def test_newton_solve_takes_the_minimum_norm_step_on_a_singular_hessian():
+    """A singular Newton system (the LU solve raises) takes the
+    minimum-norm least-squares step: none on the zero matrix, and no move
+    along the null direction of diag(2, 0)."""
     g = np.array([1.0, -2.0])
-    dx = qcqp._newton_solve(np.zeros((2, 2)), g)
-    assert dx == pytest.approx(-g / 1e-12, rel=1e-15)
+    assert np.array_equal(qcqp._newton_solve(np.zeros((2, 2)), g), np.zeros(2))
+    dx = qcqp._newton_solve(np.diag([2.0, 0.0]), g)
+    assert dx == pytest.approx([-0.5, 0.0], abs=1e-15)
+
+
+def test_flat_cost_free_coordinate_solves_by_least_squares(monkeypatch):
+    """min (x0 - 2)^2 / 2 s.t. x0 <= 1 leaves x1 free of cost and curvature,
+    so every Newton system is singular.  Each step falls back to the
+    minimum-norm step, which leaves x1 where it starts."""
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counted_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    p = qcqp.QcqpProblem.from_dense(
+        dim=2, objective=(np.diag([1.0, 0.0]), np.array([-2.0, 0.0]), 0.0),
+        ineq=[(np.zeros((2, 2)), np.array([1.0, 0.0]), -1.0)])
+    sol = qcqp.solve(p, x0=np.array([0.0, 0.5]))
+    assert sol.status == "optimal"
+    assert sol.x == pytest.approx([1.0, 0.5], abs=1e-8)
+    assert calls
 
 
 # --- randomized vs grid oracle ----------------------------------------------
