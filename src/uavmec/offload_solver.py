@@ -355,6 +355,20 @@ def _margins(sp: _ScaledP2) -> np.ndarray:
     return (bits.sum(axis=1) - sp.R) * _BIT
 
 
+def _taut_string(harv) -> np.ndarray:
+    """Per-slot spending along the taut string (greatest convex minorant)
+    of each row's cumulative harvest ``harv`` (K, N): slot n spends the
+    largest, over a <= n, of the least mean harvest of slots a .. b over
+    b >= n.  No prefix overspends its harvest, all of it is spent, and by
+    concavity no causal spending computes more local bits (directional
+    water-filling with an unlimited battery; Ozel et al., JSAC 29(8), 2011)."""
+    a = np.arange(harv.shape[1])[:, None]
+    cum = np.concatenate((np.zeros((len(harv), 1)), np.cumsum(harv, axis=1)), axis=1)
+    mean = (cum[:, None, 1:] - cum[:, :-1, None]) / np.maximum(a.T - a + 1, 1)
+    least = np.minimum.accumulate(np.where(a.T >= a, mean, np.inf)[:, :, ::-1], axis=2)
+    return np.where(a.T >= a, least[:, :, ::-1], -np.inf).max(axis=1)
+
+
 def _total_budget_start(sp: _ScaledP2) -> np.ndarray:
     """Packed optimal prices of the total-budget relaxation of ``sp``: the
     problem with only each user's total energy budget and the UAV's total
@@ -726,16 +740,17 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
     Pipeline: presolve of self-sufficient users, feasibility probe of the
     users left (one Newton root per slot), a start for their multipliers,
     then projected Newton ascent of the dual (:func:`minimize`).  The
-    presolve fixes a local-only schedule for every user that has one; only
-    the users left (``poor``) are priced, on one :class:`_ScaledP2` built
-    for them.  The start is ``warm``, the prices of a nearby schedule (the
-    previous path's, in the planner), when the users left are exactly
-    those with a positive ``warm.mu``.  Otherwise the solve is cold and
-    starts at the exact optimal prices of the relaxation that keeps only
-    each user's total energy budget and the UAV's total compute balance
-    (:func:`_total_budget_start`: one water level per user, a Newton root
-    on one piece of its sorted TX costs).  Those sit on one slot per user,
-    as the optimum's mostly do, so the ascent starts with nearly the right
+    presolve plans each user whose taut string (:func:`_taut_string`, if
+    Jensen allows) covers its demand on it, scaled to the demand; the users
+    left (``poor``) are priced, on one :class:`_ScaledP2` built for them.
+    The start is ``warm``, the prices of a nearby schedule (the previous
+    path's, in the planner), when the users left are exactly those with a
+    positive ``warm.mu``.  Otherwise the solve is cold and starts at the
+    exact optimal prices of the relaxation that keeps only each user's total
+    energy budget and the UAV's total compute balance
+    (:func:`_total_budget_start`: one water level per user, a Newton root on
+    one piece of its sorted TX costs).  Those sit on one slot per user, as
+    the optimum's mostly do, so the ascent starts with nearly the right
     active set, which a projected Newton method needs to converge fast.
     The ascent searches the prices whose last UAV price dominates the mid
     ones: it is written as a slack plus the mid prices' sum, so each
@@ -773,25 +788,21 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
     # Presolve: a user whose whole demand fits a local-only schedule inside
     # its causal budget never offloads and prices at zero.  Left in the
     # pricing problem such users make the bit price, and with it the
-    # closed-form recovery, degenerate.  Two schedules are tried: the
-    # constant frequency, then spending each slot's harvest on local
-    # compute, scaled down to exactly the demand (scaling keeps every
-    # prefix within its harvest).
-    l_full = np.zeros((s.K, N))
-    f_full = np.zeros((s.K, N))
+    # closed-form recovery, degenerate.  No causal schedule computes more
+    # than the taut string, scaled here to exactly the demand (scaling
+    # keeps every prefix within its harvest).  By Jensen only a user whose
+    # constant frequency fits its total harvest can have such a schedule.
+    l_full, f_full = np.zeros((s.K, N)), np.zeros((s.K, N))
     f_const = s.R * s.M / (N * s.slot)
-    e_slot = s.gamma_c * s.slot * f_const ** 3
     gains = channel_gains(s, traj)
     harv = harvest_increments(s, gains)
-    slots = np.arange(1, N + 1)
-    rich = np.all(e_slot[:, None] * slots[None, :]
-                  <= np.cumsum(harv, axis=1) * (1.0 + 1e-12), axis=1)
-    f_full[rich] = f_const[rich, None]
-    f_sah = np.cbrt(harv / (s.gamma_c * s.slot))
-    bits_sah = f_sah.sum(axis=1) * s.slot / s.M
-    local = ~rich & (bits_sah >= s.R)
-    f_full[local] = f_sah[local] * (s.R[local] / bits_sah[local])[:, None]
-    poor = np.flatnonzero(~(rich | local))
+    local = N * s.gamma_c * s.slot * f_const ** 3 <= harv.sum(axis=1)
+    if local.any():
+        f_taut = np.cbrt(_taut_string(harv[local]) / (s.gamma_c * s.slot))
+        scale = s.R[local] * s.M / (s.slot * f_taut.sum(axis=1))
+        local[local] = scale <= 1.0
+        f_full[local] = (f_taut * scale[:, None])[scale <= 1.0]
+    poor = np.flatnonzero(~local)
 
     if poor.size == 0:
         return OffloadSolution(l=l_full, f_user=f_full, f_uav=np.zeros(N),

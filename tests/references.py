@@ -4,6 +4,7 @@ Scalar per-slot formulas (one user, one slot or one prefix at a time) that
 the vectorized model is checked against, the all-zero plan, the tangent
 harvest minorant of the paper's path subproblem per (user, prefix), which
 ``trajectory_solver.assemble_p4``'s vectorized rows are checked against,
+the taut string that spends a user's harvest on the most local bits,
 the schedule solver's two set-up roots found by plain bisection, its dual
 evaluation, KKT residuals and damped Newton step with every per-point term
 computed where it is used, and an independent primal solver for the
@@ -160,6 +161,45 @@ def sca_lower_bound(s: Scenario, expansion_traj, k: int, n: int) -> HarvestLower
     const = float(np.sum(coef * (s.H ** 2 + 2.0 * r2)))
     return HarvestLowerBound(user=s.user_pos[k].copy(), n_slots=n,
                              const=const, coef=coef)
+
+
+# ---------------------------------------------------------------------------
+# Local-only spending under energy causality
+# ---------------------------------------------------------------------------
+
+def taut_string(harv):
+    """Per-slot spending that computes the most local bits from the slot
+    harvests ``harv`` (one row per user) while no prefix spends more than
+    it harvested: the slopes of the greatest convex minorant of the
+    cumulative harvest, by pool-adjacent-violators (the nondecreasing
+    least-squares fit of the harvests; Barlow et al., *Statistical
+    Inference under Order Restrictions*, 1972), one slot at a time."""
+    rows = []
+    for row in np.asarray(harv, dtype=float):
+        blocks = []                                 # [harvest sum, slot count]
+        for h in row:
+            blocks.append([h, 1])
+            while len(blocks) > 1:
+                (s1, c1), (s2, c2) = blocks[-2:]
+                if s1 / c1 <= s2 / c2:
+                    break
+                blocks[-2:] = [[s1 + s2, c1 + c2]]
+        rows.append([total / count for total, count in blocks for _ in range(count)])
+    return np.array(rows)
+
+
+def local_capacities(s: Scenario, traj):
+    """Local-only bits per user [bits] of three causal schedules on path
+    ``traj``: the constant frequency, each slot's harvest spent in that
+    slot, and the taut string (:func:`taut_string`)."""
+    e = harvest_increments(s, channel_gains(s, traj))
+    cycles = 1.0 / (s.gamma_c * s.slot)             # f^3 per joule spent in a slot
+
+    def bits(spend):
+        return s.slot / s.M * np.cbrt(spend * cycles).sum(axis=1)
+
+    per_slot = (np.cumsum(e, axis=1) / np.arange(1, s.N + 1)).min(axis=1)
+    return bits(np.repeat(per_slot[:, None], s.N, axis=1)), bits(e), bits(taut_string(e))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from uavmec.model import Scenario, Plan, channel_gains, check_constraints
-from uavmec.planner import (joint_step, run_algorithm1, semicircle_trajectory,
-                            straight_line_trajectory)
+from uavmec.planner import (joint_step, run_algorithm1, run_baseline,
+                            semicircle_trajectory, straight_line_trajectory)
 from uavmec import offload_solver
 from uavmec.offload_solver import (
     DualState,
@@ -22,6 +22,7 @@ from uavmec.offload_solver import (
     InfeasibleTrajectoryError,
     DualIterationLimitError,
     _ScaledP2,
+    _taut_string,
     _total_budget_start,
     _pack,
     _unpack,
@@ -763,15 +764,14 @@ def test_face_start_shortens_the_cold_solve(monkeypatch, request, instance):
 
 def test_cold_start_prices_a_locally_covered_user_at_its_water_level(monkeypatch):
     """User 0 sits at the end of a fast dash, so its harvest arrives late:
-    its total harvest covers its demand by local compute, but neither the
-    constant frequency (early causality) nor spending each slot's harvest
-    locally does, so the presolve leaves it priced.  The relaxation has it
-    offload nothing, and it starts at the water-level prices of its
-    cheapest TX slot beside user 1, which offloads; the solve then
-    converges to a checked plan at the oracle's energy.  Alone (K = 1) no
-    user offloads, the slack is 0 and the start is all zeros: that solve
-    returns a checked plan or ends in the typed iteration-limit error (on
-    this instance it ends typed)."""
+    its total harvest covers its demand by local compute, but no causal
+    local-only schedule does (its taut string falls short), so the
+    presolve leaves it priced.  The relaxation has it offload nothing, and
+    it starts at the water-level prices of its cheapest TX slot beside
+    user 1, which offloads; the solve then converges to a checked plan at
+    the oracle's energy.  Alone (K = 1) no user offloads, the slack is 0
+    and the start is all zeros: that solve returns a checked plan or ends
+    in the typed iteration-limit error (on this instance it ends typed)."""
     s = Scenario(K=2, N=10, T=2.0, H=10.0, user_pos=[[50.0, 0.0], [25.0, 3.0]],
                  R=[0.5e6, 0.9e6], P_u=1e5, eta=0.8, B=2e6, sigma2=1e-9, Gamma=1.0,
                  beta0=1e-5, M=1e3, gamma_c=1e-28, W_mass=9.65, V_max=100.0,
@@ -782,6 +782,7 @@ def test_cold_start_prices_a_locally_covered_user_at_its_water_level(monkeypatch
     N = s.N
     local_only = sp.c_f * N * (sp.R / (sp.bits_f * N)) ** 3
     assert local_only[0] <= sp.cum_eharv[0, -1] and local_only[1] > sp.cum_eharv[1, -1]
+    assert references.local_capacities(s, traj)[2][0] < s.R[0]
     ascents = _captured_ascents(monkeypatch)
     sol = solve_p2(s, traj)
     plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
@@ -917,9 +918,10 @@ def test_probe_positive_on_reference(ref2x6, ref2x6_traj):
 
 
 def _rich_user(**overrides):
-    """One user at the start of a fast dash: its harvest comes early, so the
-    constant frequency fits inside it, while spending each slot's harvest
-    as it comes delivers less than the demand."""
+    """One user at the start of a fast dash: its harvest comes early, so its
+    taut string is flat and the constant frequency fits inside it, while
+    spending each slot's harvest as it comes delivers less than the
+    demand."""
     fields = dict(K=1, N=10, T=2.0, H=10.0, user_pos=[[0.0, 0.0]], R=[5e5], P_u=1e5,
                   eta=0.8, B=1e3, sigma2=1e-9, Gamma=1.0, beta0=1e-5, M=1e3,
                   gamma_c=1e-28, W_mass=9.65, V_max=100.0, q0=[0.0, 0.0], qF=[100.0, 0.0])
@@ -928,13 +930,16 @@ def _rich_user(**overrides):
 
 
 def test_presolved_user_is_not_probed():
-    """The probe runs on the users the presolve leaves: a user whose
-    constant frequency fits its harvest is planned locally although the
-    spend-as-harvested policy falls short of its demand."""
+    """The probe runs on the users the presolve leaves: a user whose taut
+    string covers its demand is planned locally on it, scaled to the
+    demand (here the constant frequency), although the spend-as-harvested
+    policy falls short of its demand."""
     s, traj = _rich_user()
     assert probe_feasibility(s, traj)[0] < 0.0
     sol = solve_p2(s, traj)
     assert not sol.l.any() and sol.objective == 0.0
+    f_const = s.R[0] * s.M / (s.N * s.slot)
+    assert sol.f_user[0] == pytest.approx(np.full(s.N, f_const), rel=1e-12)
     plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
     assert check_constraints(s, plan).feasible(1e-6)
 
@@ -945,6 +950,115 @@ def test_infeasible_error_names_the_scenario_user():
     s, traj = _rich_user(K=2, user_pos=[[0.0, 0.0], [100.0, 0.0]], R=[5e5, 5e7])
     with pytest.raises(InfeasibleTrajectoryError, match="user 1 short"):
         solve_p2(s, traj)
+
+
+def test_user_local_on_its_taut_string():
+    """One user 3 m along a short straight dash, whose harvest rises and
+    then falls, demands 336,000 bits: more than the constant frequency
+    (334,948 local bits) or spending each slot's harvest as it comes
+    (335,941) computes, but within its taut string's 336,110.  It is
+    planned locally: the solve, the straight baseline and Algorithm 1
+    return a checked all-local plan (the oracle's energy is 5e-13 J),
+    where a presolve with only the first two schedules priced the user
+    degenerately and every call ended in the typed iteration-limit
+    error."""
+    s = Scenario(K=1, N=4, T=0.8, H=10.0, user_pos=[[3.0, 0.0]], R=[336e3], P_u=1e5,
+                 eta=0.8, B=2e6, sigma2=1e-9, Gamma=1.0, beta0=1e-5, M=1e3,
+                 gamma_c=1e-28, W_mass=9.65, V_max=20.0, q0=[0.0, 0.0], qF=[10.0, 0.0])
+    traj = straight_line_trajectory(s)
+    const, spent, taut = references.local_capacities(s, traj)
+    assert max(const[0], spent[0]) < s.R[0] <= taut[0]
+    sol = solve_p2(s, traj)
+    assert not sol.l.any() and sol.duals.mu[0] == 0.0 and sol.objective == 0.0
+    assert s.slot * sol.f_user[0].sum() / s.M == pytest.approx(s.R[0], rel=1e-12)
+    plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
+    assert check_constraints(s, plan).feasible(1e-6)
+    assert primal_oracle_p2(s, traj)[1] <= 1e-9
+    for res in (run_baseline(s, "straight-line"), run_algorithm1(s)):
+        assert not res.plan.l.any() and check_constraints(s, res.plan).feasible(1e-6)
+
+
+@st.composite
+def _harvests(draw):
+    """Slot harvests, one row per user, rising, falling, unimodal or in
+    any order, over N = 2 .. 20 slots."""
+    K, N = draw(st.integers(1, 3)), draw(st.integers(2, 20))
+    h = draw(arrays(np.float64, (K, N), elements=st.floats(0.01, 1.0)))
+    shape = draw(st.sampled_from(["rising", "falling", "unimodal", "any"]))
+    if shape != "any":
+        h.sort(axis=1)
+    if shape == "falling":
+        h = h[:, ::-1]
+    if shape == "unimodal":
+        peak = draw(st.integers(1, N))
+        h[:, peak:] = h[:, peak:][:, ::-1].copy()
+    return h
+
+
+@given(h=_harvests())
+def test_taut_string_matches_pool_adjacent_violators(h):
+    """The presolve's taut string matches the reference's pooled fit to
+    1e-12, spends no prefix beyond its harvest and the whole harvest at
+    the end, and computes at least the local bits (proportional to the sum
+    of cube roots of the spending) of the constant frequency and of
+    spending each slot's harvest as it comes."""
+    taut = _taut_string(h)
+    assert np.all(np.abs(taut - references.taut_string(h)) <= 1e-12 * taut)
+    cum, spent = np.cumsum(h, axis=1), np.cumsum(taut, axis=1)
+    assert np.all(spent <= cum * (1.0 + 1e-13))
+    assert spent[:, -1] == pytest.approx(cum[:, -1], rel=1e-13)
+    bits = np.cbrt(taut).sum(axis=1)
+    const = h.shape[1] * np.cbrt((cum / np.arange(1, h.shape[1] + 1)).min(axis=1))
+    assert np.all(bits >= np.maximum(const, np.cbrt(h).sum(axis=1)) * (1.0 - 1e-13))
+
+
+@st.composite
+def _band_missions(draw):
+    """A mission like :func:`_random_scenario` (K 1 .. 3, N 4 .. 20, a
+    straight or semicircle path) in which the user with the widest band
+    demands between its best heuristic local bits (constant frequency or
+    spending as harvested) and its taut string's; the others demand 35 to
+    70% of what the probe certifies.  Returns the mission, its path and
+    that user."""
+    K, N = draw(st.integers(1, 3)), draw(st.integers(4, 20))
+    pos = draw(arrays(np.float64, (K, 2), elements=st.floats(-2.0, 8.0)))
+    s = Scenario(K=K, N=N, T=0.2 * N, H=10.0, user_pos=pos, R=np.ones(K),
+                 P_u=draw(st.floats(5e4, 3e5)), eta=0.8, B=2e6, sigma2=1e-9, Gamma=1.0,
+                 beta0=1e-5, M=1e3, gamma_c=1e-28, W_mass=9.65, V_max=20.0,
+                 q0=[0.0, 0.0], qF=[6.0, 0.0])
+    traj = draw(st.sampled_from([straight_line_trajectory, semicircle_trajectory]))(s)
+    const, spent, taut = references.local_capacities(s, traj)
+    best = np.maximum(const, spent)
+    k = int(np.argmax((taut - best) / taut))
+    assume(taut[k] - best[k] > 1e-9 * taut[k])
+    R = draw(arrays(np.float64, K, elements=st.floats(0.35, 0.7))) * (
+        probe_feasibility(s, traj) + s.R)
+    R[k] = best[k] + draw(st.floats(0.01, 0.99)) * (taut[k] - best[k])
+    return replace(s, R=R), traj, k
+
+
+@settings(max_examples=30)
+@given(mission=_band_missions())
+def test_band_user_is_planned_locally(mission):
+    """A user whose demand only its taut string covers is presolved: the
+    solve returns a checked plan in which it offloads nothing, and the
+    other users' plan is, bit for bit, the one they get when that user
+    demands nothing (it keeps its TX share of each slot either way).  When
+    that solve already ends in the typed iteration-limit error, a stall of
+    the priced ascent on some feasible schedules, the mission's must too:
+    the presolved user neither causes nor hides it."""
+    s, traj, k = mission
+    try:
+        idle = solve_p2(replace(s, R=np.where(np.arange(s.K) == k, 0.0, s.R)), traj)
+    except DualIterationLimitError:
+        with pytest.raises(DualIterationLimitError):
+            solve_p2(s, traj)
+        return
+    sol = solve_p2(s, traj)
+    plan = Plan(traj=traj, l=sol.l, f_user=sol.f_user, f_uav=sol.f_uav)
+    assert check_constraints(s, plan).feasible(1e-6)
+    assert not sol.l[k].any() and sol.duals.mu[k] == 0.0
+    assert np.array_equal(sol.l, idle.l) and np.array_equal(sol.f_uav, idle.f_uav)
 
 
 def test_probe_and_solver_flag_starved_instance(ref2x6, ref2x6_traj):
@@ -1136,9 +1250,10 @@ def test_zero_demand_is_free(ref2x6, ref2x6_traj):
 
 def test_user_local_when_spending_as_harvested(ref2x6):
     """User 2 breaks early causality at its constant frequency, but spending
-    each slot's harvest on local compute delivers its demand: it is
-    presolved to that schedule scaled to exactly R, without offloading,
-    and the other users' dual converges (it stalled near 1e-2 before)."""
+    each slot's harvest on local compute delivers its demand, and its taut
+    string delivers more: it is presolved to the taut string scaled to
+    exactly R, without offloading, and the other users' dual converges (it
+    stalled near 1e-2 when such users were priced)."""
     fields = {n: getattr(ref2x6, n) for n in ref2x6.__dataclass_fields__}
     s = Scenario(**{**fields, "K": 5, "N": 10, "T": 2.0, "P_u": 103677.0,
                     "user_pos": [[-1.31, -1.2], [1.95, 5.07], [7.88, -1.37],
