@@ -47,6 +47,7 @@ __all__ = [
     "DualIterationLimitError",
     "solve_p2",
     "probe_feasibility",
+    "price_tangent",
 ]
 
 # Internal unit scales: bits -> Mbit, Hz -> GHz, J -> mJ.
@@ -57,6 +58,7 @@ _EN = 1e-3
 _PRICE = _BIT / _EN
 _TOL = 1e-6            # scaled KKT tolerance a schedule solve must meet
 _MAX_STEPS = 200       # dual ascent iterates at most
+_DAMPING_FLOOR = 1e-12  # least damping of an ascent, and a warm start's first
 
 
 class InfeasibleTrajectoryError(SolverError):
@@ -304,6 +306,19 @@ def _duals_to_scaled(d: DualState):
     theta = d.theta * _PRICE
     mid = theta[1:-1]
     return d.mu * _PRICE, d.nu.copy(), theta, _price_gaps(theta[-1] - mid.sum(), mid)
+
+
+def _packed(d: DualState, users) -> np.ndarray:
+    """Packed scaled prices of ``d``'s ``users`` and the UAV."""
+    mu, nu, theta, gap = _duals_to_scaled(d)
+    return _pack(mu[users], nu[users], theta[1:-1], max(gap[0], 0.0))
+
+
+def _dual_state(K, users, mu, nu, theta) -> DualState:
+    """The :class:`DualState` of ``users``' scaled prices; other users' are 0."""
+    mu_full, nu_full = np.zeros(K), np.zeros((K, nu.shape[1]))
+    mu_full[users], nu_full[users] = mu / _PRICE, nu
+    return DualState(mu=mu_full, nu=nu_full, theta=theta / _PRICE)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +654,11 @@ def _natural_residual(z, grad) -> float:
     return float(np.maximum.reduce(np.abs(np.minimum(z, grad))))
 
 
+def _free(z, grad, res) -> np.ndarray:
+    """Mask of the prices off the epsilon-active set {z <= min(res, 1e-3), grad > 0}."""
+    return ~((z <= min(res, 1e-3)) & (grad > 0.0))
+
+
 def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bool):
     """One damped projected Newton step on the negated dual over z >= 0.
 
@@ -658,7 +678,7 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
     the accepted (z, ev, res, damping), or None.
     """
     phi, grad, point = ev
-    free = ~((z <= min(res, 1e-3)) & (grad > 0.0))
+    free = _free(z, grad, res)
     noise = 1e-13 * max(abs(phi), 1.0)
     while damping < 1e10:
         try:
@@ -675,7 +695,7 @@ def _newton_step(sp: _ScaledP2, evaluate, z, ev, res, damping: float, polish: bo
             shrunk = rest <= 0.5 * res
             if (shrunk and phit <= phi + noise) or (armijo and not polish):
                 damping = damping / 10.0 if alpha == 1.0 else damping * 10.0
-                return zt, evt, rest, max(damping, 1e-12)
+                return zt, evt, rest, max(damping, _DAMPING_FLOOR)
             alpha *= 0.5
         if polish:
             return None
@@ -695,9 +715,9 @@ class _Ascent(NamedTuple):
     nfev: int
 
 
-def minimize(sp: _ScaledP2, z) -> _Ascent:
+def minimize(sp: _ScaledP2, z, damping: float) -> _Ascent:
     """Projected Newton ascent of the dual of ``sp`` from the packed prices
-    ``z``: :func:`_newton_step` iterated from damping 1.
+    ``z``: :func:`_newton_step` iterated from ``damping``.
 
     Each point is evaluated once (:func:`_neg_dual_and_grad`), and an
     accepted point's KKT residuals and Hessian read that evaluation.  Once
@@ -718,7 +738,6 @@ def minimize(sp: _ScaledP2, z) -> _Ascent:
 
     ev = evaluate(z)
     res = _natural_residual(z, ev[1])
-    damping = 1.0
     trace: list[tuple[int, float, float]] = []
     for it in range(1, _MAX_STEPS + 1):
         phi, _, point = ev
@@ -743,40 +762,39 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
     presolve plans each user whose taut string (:func:`_taut_string`, if
     Jensen allows) covers its demand on it, scaled to the demand; the users
     left (``poor``) are priced, on one :class:`_ScaledP2` built for them.
-    The start is ``warm``, the prices of a nearby schedule (the previous
-    path's, in the planner), when the users left are exactly those with a
-    positive ``warm.mu``.  Otherwise the solve is cold and starts at the
-    exact optimal prices of the relaxation that keeps only each user's total
-    energy budget and the UAV's total compute balance
+    The start is ``warm``, prices near the optimum (in the planner the
+    previous path's, moved along their :func:`price_tangent`), when the
+    users left are exactly those with a positive ``warm.mu``; the ascent
+    then starts at the damping floor, 1e-12, and restarts cold if it ends
+    above ``_TOL``.  Otherwise the solve is cold and starts, at damping 1,
+    at the exact optimal prices of the relaxation that keeps only each
+    user's total energy budget and the UAV's total compute balance
     (:func:`_total_budget_start`: one water level per user, a Newton root on
     one piece of its sorted TX costs).  Those sit on one slot per user, as
     the optimum's mostly do, so the ascent starts with nearly the right
-    active set, which a projected Newton method needs to converge fast.
-    The ascent searches the prices whose last UAV price dominates the mid
-    ones: it is written as a slack plus the mid prices' sum, so each
-    slot's UAV price gap theta_N - tail[n] is the slack plus the mid
-    prices before slot n (read straight off z), nonnegative on the whole
-    box z >= 0, where the UAV frequency ladder's clamp never binds and the
-    dual is smooth.  The problem's own multipliers (theta >= 0, no slack)
-    form a box too, but there a gap can turn negative and put a kink in
-    the searched region: a prototype of that form reached the same
-    statuses and energies in more steps (Newton steps 166 -> 195 on the
-    table2 sweep, dual evaluations 3,818 -> 5,363 on the proposed scheme
-    over the benchmark's 12 generated scenarios).  Each price point is
-    recovered once, as the closed-form Lagrangian minimizer, which the
-    dual value and gradient and, at accepted iterates, the KKT residuals
-    and the damped Newton system in tail coordinates (:func:`_tail_newton`,
-    one dense solve of at most K + N - 1 rows) all read.  Once the KKT
-    residuals are within ``_TOL`` (1e-6), ascent continues by full Newton
-    steps for as long as each at least halves the natural residual
-    (typically one or two steps to the rounding floor); the last minimizer
-    is returned.  ``trace`` holds one (iteration, dual value [J], max KKT
-    residual) row per iterate, the start first, at most ``_MAX_STEPS``
-    (200) rows.
+    active set, which a projected Newton method needs to converge fast.  The
+    ascent searches the prices whose last UAV price dominates the mid ones:
+    it is written as a slack plus the mid prices' sum, so each slot's UAV
+    price gap theta_N - tail[n] is the slack plus the mid prices before slot
+    n (read straight off z), nonnegative on the whole box z >= 0, where the
+    UAV frequency ladder's clamp never binds and the dual is smooth.  The
+    problem's own multipliers (theta >= 0, no slack) form a box too, but
+    there a gap can turn negative and put a kink in the searched region (a
+    prototype of it took 195 Newton steps, not 166, on the table2 sweep).
+    Each price point is recovered once, as the closed-form Lagrangian
+    minimizer, which the dual value and gradient and, at accepted iterates,
+    the KKT residuals and the damped Newton system in tail coordinates
+    (:func:`_tail_newton`, one dense solve of at most K + N - 1 rows) all
+    read.  Once the KKT residuals are within ``_TOL`` (1e-6), ascent
+    continues by full Newton steps for as long as each at least halves the
+    natural residual (typically one or two steps to the rounding floor); the
+    last minimizer is returned.  ``trace`` holds one (iteration, dual value
+    [J], max KKT residual) row per iterate, the start first, at most
+    ``_MAX_STEPS`` rows.
 
     Raises :class:`InfeasibleTrajectoryError` when the probe does not
     certify a user left by the presolve (the message names its scenario
-    index), :class:`DualIterationLimitError` when ascent ends above
+    index), :class:`DualIterationLimitError` when the cold ascent ends above
     ``_TOL`` and ``ValueError`` when ``warm`` does not fit the scenario or
     ``traj`` has a non-finite point.
     """
@@ -817,29 +835,68 @@ def solve_p2(s: Scenario, traj, warm: DualState | None = None) -> OffloadSolutio
             f"infeasible for this trajectory: user {poor[k]} short by "
             f"{-margins[k]:.4g} bits under the spend-as-harvested policy")
 
-    if warm is not None and np.array_equal(np.flatnonzero(warm.mu > 0.0), poor):
-        mu, nu, theta, _ = _duals_to_scaled(warm)
-        mid = theta[1 : N - 1]
-        z = _pack(mu[poor], nu[poor], mid, max(theta[N - 1] - mid.sum(), 0.0))
-    else:
-        z = _total_budget_start(sp)
-    opt = minimize(sp, z)
+    warm_ok = warm is not None and np.array_equal(np.flatnonzero(warm.mu > 0.0), poor)
+    opt = minimize(sp, _packed(warm, poor), _DAMPING_FLOOR) if warm_ok else None
+    if opt is None or not opt.kkt.max() <= _TOL:    # cold, or a warm ascent that stalled
+        opt = minimize(sp, _total_budget_start(sp), 1.0)
     if not opt.kkt.max() <= _TOL:
         raise DualIterationLimitError(
             f"dual iteration limit after {opt.nit} Newton steps and {opt.nfev} "
             f"evaluations: residuals {opt.kkt} above tol {_TOL}")
-    mu, nu, theta = opt.point.mu, opt.point.nu, opt.point.theta
     l, f, fu = opt.point.primal
-
-    l_full[poor] = l * _BIT
-    f_full[poor] = f * _FREQ
-    mu_full = np.zeros(s.K)
-    mu_full[poor] = mu / _PRICE
-    nu_full = np.zeros((s.K, N))
-    nu_full[poor] = nu
-    duals = DualState(mu=mu_full, nu=nu_full, theta=theta / _PRICE)
+    l_full[poor], f_full[poor] = l * _BIT, f * _FREQ
+    duals = _dual_state(s.K, poor, *opt.point[:3])
     objective = sp.c_f * float(np.sum(fu ** 3)) * _EN
     return OffloadSolution(l=l_full, f_user=f_full, f_uav=fu * _FREQ,
                            duals=duals, objective=objective,
                            dual_objective=opt.point.value * _EN,
                            kkt=opt.kkt, trace=tuple(opt.trace))
+
+
+def _grad_along(sp: _ScaledP2, point: _Point, rho) -> np.ndarray:
+    """Derivative of the packed gradient at ``point``'s prices along a path
+    step that moves slot gains by the relative rates ``rho`` (K, N): the
+    harvest by eharv rho and a_tx by -a_tx rho.  Bits strictly inside (0,
+    l_cap) move by (bl / ln 2) rho and their TX energy by a_tx rho; bits on
+    a bound stay, and their TX energy moves by -a_tx rho (2^(l/bl) - 1)."""
+    l = point.primal[0]
+    inside = (l > 0.0) & (l < sp.l_cap)
+    dl = np.where(inside, rho / sp.rate, 0.0)
+    dtx = sp.a_tx * rho * np.where(inside, 1.0, 1.0 - point.grow)
+    sent = np.add.accumulate(np.add.reduce(dl, axis=0))     # offload by slot, cumulated
+    return _pack(np.add.reduce(dl, axis=1), np.add.accumulate(sp.eharv * rho - dtx, axis=1),
+                 sent[: sp.N - 2] - sent[-1], -sent[-1])
+
+
+class PriceTangent(NamedTuple):
+    """The priced ``users``' packed scaled prices ``z`` in ``source`` and their tangent ``dz``."""
+
+    source: DualState
+    users: np.ndarray
+    z: np.ndarray
+    dz: np.ndarray
+
+    def at(self, alpha: float) -> DualState:
+        """The prices z + alpha dz predicted at alpha times the step, clipped to z >= 0."""
+        (K, N), z = self.source.nu.shape, np.maximum(self.z + alpha * self.dz, 0.0)
+        return _dual_state(K, self.users, *_unpack(z, self.users.size, N)[:3])
+
+
+def price_tangent(s: Scenario, traj, duals: DualState, step) -> PriceTangent:
+    """Tangent of :func:`solve_p2`'s optimal prices ``duals`` on ``traj``
+    along the (N+1, 2) path ``step`` (Fiacco, 1983, ch. 3), a warm re-solve's
+    predictor (Zavala & Biegler, Automatica 45(1), 2009).  On the priced
+    users (mu > 0) the gradient stays 0 on the ascent's free prices F, so
+    dz_F = -H_FF^-1 (d grad/dq step)_F, which :func:`_tail_newton` solves."""
+    users = np.flatnonzero(duals.mu > 0.0)
+    z = _packed(duals, users)
+    if users.size == 0:
+        return PriceTangent(duals, users, z, np.zeros_like(z))
+    gains = channel_gains(s, traj)
+    diff = np.asarray(traj, dtype=float)[None, : s.N] - s.user_pos[users, None]
+    rho = -2.0 * np.add.reduce(diff * np.asarray(step)[: s.N], axis=2) * gains[users] / s.beta0
+    sp = _ScaledP2(s, gains, users)
+    _, grad, point = _neg_dual_and_grad(z, sp)
+    free = _free(z, grad, _natural_residual(z, grad))
+    rhs = _grad_along(sp, point, rho)
+    return PriceTangent(duals, users, z, -_tail_newton(sp, point, free, rhs, _DAMPING_FLOOR).step)

@@ -1,18 +1,18 @@
 """Joint-step planner and benchmark flight paths.
 
 From a feasible initial path the planner solves the offload/CPU schedule,
-then takes joint path steps, re-solving the schedule after each.  The
-schedule duals give the gradient of the optimal compute energy along the
-path (Danskin's theorem); a step minimizes propulsion plus that
-linearization under the speed caps, a convex QCQP solved only when the
-unconstrained minimizer breaks a cap, and predicts its energy decrease.
-The planner stops once that prediction is within ``s.xi1`` and otherwise
-takes the step, halved until the re-solved plan's mission energy (its
-ledger ``uav_total``) falls, so the recorded energy trace is
-nonincreasing; ``_MAX_OUTER`` bounds the iterations.  The propulsion
-model and speed caps in the free path points
-(:func:`speed_capped_propulsion`) live here; the paper's path refinement
-in ``trajectory_solver`` borrows them.
+then takes joint path steps, re-solving the schedule after each from the
+prices their first-order tangent along the step predicts.  The schedule
+duals give the gradient of the optimal compute energy along the path
+(Danskin's theorem); a step minimizes propulsion plus that linearization
+under the speed caps, a convex QCQP solved only when the unconstrained
+minimizer breaks a cap, and predicts its energy decrease.  The planner
+stops once that prediction is within ``s.xi1`` and otherwise takes the
+step, halved until the re-solved plan's mission energy (its ledger
+``uav_total``) falls, so the recorded energy trace is nonincreasing;
+``_MAX_OUTER`` bounds the iterations.  The propulsion model and speed caps
+in the free path points (:func:`speed_capped_propulsion`) live here; the
+paper's path refinement in ``trajectory_solver`` borrows them.
 
 Two fixed benchmark paths ship with the planner: a constant-speed straight
 dash between the endpoints, and a constant-speed semicircle whose diameter
@@ -49,6 +49,7 @@ from .model import (
 from .offload_solver import (
     OffloadSolution,
     solve_p2,
+    price_tangent,
     InfeasibleTrajectoryError,
 )
 
@@ -299,20 +300,22 @@ def _priced(s: Scenario, traj, sol: OffloadSolution) -> PlannerResult:
 
 def _descend(s: Scenario, res: PlannerResult, step, gain: float):
     """Halve the joint step from ``res`` until the re-solved plan's ledger
-    ``uav_total`` drops below the one of ``res``.  Every re-solve starts
-    from the prices of ``res.schedule``: the path moves little, so they are
-    near the candidate's.  Returns the accepted candidate's priced result,
-    or None once the halved step's model decrease is within ``s.xi1``.  A
-    step that ends on a speed cap may pass it by a rounding error."""
+    ``uav_total`` drops below the one of ``res``.  The re-solve at alpha
+    times the step starts from ``res.schedule``'s prices moved by alpha times
+    their tangent (:func:`price_tangent`, one Newton system per step).
+    Returns the accepted candidate's priced result, or None once the halved
+    step's model decrease is within ``s.xi1``.  A step that ends on a speed
+    cap may pass it by a rounding error."""
+    tangent = price_tangent(s, res.plan.traj, res.schedule.duals, step)
     alpha = 1.0
     while gain * alpha * (2.0 - alpha) > s.xi1:
-        cand = res.plan.traj + alpha * step
+        cand, warm = res.plan.traj + alpha * step, tangent.at(alpha)
         alpha *= 0.5
         speeds = np.linalg.norm(np.diff(cand, axis=0), axis=1) / s.slot
         if np.max(speeds) > s.V_max * (1.0 + 1e-12):
             continue
         try:
-            found = _priced(s, cand, solve_p2(s, cand, warm=res.schedule.duals))
+            found = _priced(s, cand, solve_p2(s, cand, warm=warm))
         except InfeasibleTrajectoryError:
             continue
         if found.uav_total < res.uav_total:

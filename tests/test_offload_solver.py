@@ -543,7 +543,8 @@ def test_shared_terms_leave_every_accepted_iterate_bit_identical(monkeypatch, re
                         lambda sp: cold.append(sp) or start(sp))
     assert solve_p2(s, traj, warm=warm).kkt.max() <= 1e-6
     assert len(cold) == (warm is None)
-    assert len(calls) >= 10
+    # The warm start takes 8 systems at the damping floor (10 from damping 1).
+    assert len(calls) == 8 if instance == "table2-warm" else len(calls) >= 10
     for sp, point, free, grad, damping in calls:
         t = tail_newton(sp, point, free, grad, damping)
         step, shift = references.tail_newton_step(sp, point, free, grad, damping)
@@ -579,6 +580,102 @@ def test_every_evaluation_matches_the_reference_recovery(monkeypatch, request, i
         assert phi == -value
         assert np.array_equal(grad, ref_grad)
         assert all(np.array_equal(a, b) for a, b in zip(primal, ref_primal))
+
+
+def _converged_step(request, instance):
+    """(s, traj, converged schedule, joint step, priced users, their packed
+    prices) of the straight start of table2 (T = 2 s) or of k5n20."""
+    s = request.getfixturevalue(instance)
+    s, traj = (s, straight_line_trajectory(s)) if instance == "table2" else s
+    sol = solve_p2(s, traj)
+    step, _ = joint_step(s, traj, sol)
+    users = np.flatnonzero(sol.duals.mu > 0.0)
+    return s, traj, sol, step, users, offload_solver._packed(sol.duals, users)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["converged", "capped"])
+@pytest.mark.parametrize("instance", ["table2", "k5n20"])
+def test_gradient_path_derivative_matches_central_differences(request, instance, capped):
+    """At fixed prices, the packed gradient's derivative along a path step
+    (:func:`offload_solver._grad_along`, fed the gains' relative rates
+    -2 (q - u) . dq / (H^2 + d^2)) matches central differences of
+    :func:`_neg_dual_and_grad` on the scaled problems at q +- h dq, h =
+    1e-6, to 1e-6 of each block's largest entry (bit prices, each user's
+    causality prices, UAV prices).  dq is the joint step's direction scaled
+    to 1 m at its largest point (k5n20's step itself is 2.4e-5 m, so h of
+    it would only resolve rounding).  The "capped" prices zero user 0's
+    causality prices from the middle slot on, which puts the bits of those
+    slots at ``l_cap``."""
+    s, traj, _, step, users, z = _converged_step(request, instance)
+    step = step / np.linalg.norm(step, axis=1).max()
+    K, N = users.size, s.N
+    if capped:
+        z[K : K + K * N].reshape(K, N)[0, N // 2 :] = 0.0
+    sp = _scaled(s, traj, users)
+    point = _neg_dual_and_grad(z, sp)[2]
+    assert np.any(point.primal[0] == sp.l_cap) == capped
+    diff = traj[None, :N] - s.user_pos[users, None]
+    rho = -2.0 * np.sum(diff * step[:N], axis=2) / (s.H ** 2 + np.sum(diff ** 2, axis=2))
+    got = offload_solver._grad_along(sp, point, rho)
+    h = 1e-6
+    ref = (_neg_dual_and_grad(z, _scaled(s, traj + h * step, users))[1]
+           - _neg_dual_and_grad(z, _scaled(s, traj - h * step, users))[1]) / (2.0 * h)
+    for block in np.split(np.arange(z.size), K + N * np.arange(K + 1)):
+        assert np.abs(got[block] - ref[block]).max() <= 1e-6 * np.abs(ref[block]).max()
+
+
+def test_price_tangent_matches_central_differences(request):
+    """Along table2's first joint step (the "table2-warm" re-solve's), the
+    tangent of the optimal prices matches (z*(q + h dq) - z*(q - h dq)) /
+    2h of cold solves, h = 1e-3, to 1e-7 of its largest entry on the free
+    prices (2.8e-9 here, at most 7.7e-9 on table2's straight starts at T =
+    2-3 s), and is zero on those the epsilon-active set holds at the bound,
+    which stay exactly zero on both sides."""
+    s, traj, sol, step, users, z = _converged_step(request, "table2")
+    tangent = offload_solver.price_tangent(s, traj, sol.duals, step)
+    assert np.array_equal(tangent.users, users) and np.array_equal(tangent.z, z)
+    _, grad, _ = _neg_dual_and_grad(z, _scaled(s, traj, users))
+    free = offload_solver._free(z, grad, offload_solver._natural_residual(z, grad))
+    assert 0 < free.sum() < z.size
+    h = 1e-3
+    ref = (offload_solver._packed(solve_p2(s, traj + h * step).duals, users)
+           - offload_solver._packed(solve_p2(s, traj - h * step).duals, users)) / (2.0 * h)
+    assert np.abs(tangent.dz - ref)[free].max() <= 1e-7 * np.abs(ref[free]).max()
+    assert not tangent.dz[~free].any() and not ref[~free].any()
+
+
+def test_tangent_predicted_resolve_takes_few_rows(request):
+    """table2's (T = 2 s) re-solve at the joint step's candidate takes at
+    most 4 trace rows from the tangent-predicted prices (10 from the source
+    prices at damping 1), and meets the cold solve's objective within
+    1e-9."""
+    s, traj, sol, step, _, _ = _converged_step(request, "table2")
+    warm = offload_solver.price_tangent(s, traj, sol.duals, step).at(1.0)
+    got, cold = solve_p2(s, traj + step, warm=warm), solve_p2(s, traj + step)
+    assert len(got.trace) <= 4
+    assert got.kkt.max() <= 1e-6
+    assert got.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+def test_a_stalled_warm_ascent_restarts_cold(request, monkeypatch):
+    """A warm ascent (from the damping floor) that ends above tol is
+    followed by the cold one (from the total-budget start, at damping 1),
+    whose solution is returned; a converged warm ascent is kept."""
+    s, traj, sol, step, _, _ = _converged_step(request, "table2")
+    ascend, calls = offload_solver.minimize, []
+
+    def warm_stalls(sp, z, damping):
+        calls.append(damping)
+        out = ascend(sp, z, damping)
+        return out._replace(kkt=OffloadKkt(1.0, 1.0, 1.0)) if damping < 1.0 else out
+
+    cold = solve_p2(s, traj + step)
+    monkeypatch.setattr(offload_solver, "minimize", warm_stalls)
+    got = solve_p2(s, traj + step, warm=sol.duals)
+    assert calls == [1e-12, 1.0]
+    assert got.trace == cold.trace and np.array_equal(got.l, cold.l)
+    monkeypatch.setattr(offload_solver, "minimize", ascend)
+    assert len(solve_p2(s, traj + step, warm=sol.duals).trace) < len(cold.trace)
 
 
 def test_a_second_evaluation_leaves_the_first_unchanged(table2):
@@ -676,8 +773,8 @@ def _captured_ascents(monkeypatch):
     ascents = []
     ascend = offload_solver.minimize
 
-    def captured_minimize(sp, z):
-        ascents.append((sp, z.copy(), ascend(sp, z)))
+    def captured_minimize(sp, z, damping):
+        ascents.append((sp, z.copy(), ascend(sp, z, damping)))
         return ascents[-1][2]
 
     monkeypatch.setattr(offload_solver, "minimize", captured_minimize)

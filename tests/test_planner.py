@@ -4,13 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solveh_banded
 
 from uavmec import planner, qcqp
 from uavmec.model import Scenario, ScenarioError, check_constraints, evaluate_ledger
 from uavmec.errors import SolverError
-from uavmec.offload_solver import DualState, probe_feasibility, solve_p2
+from uavmec.offload_solver import DualState, price_tangent, probe_feasibility, solve_p2
 from uavmec.planner import (
     _DASH_BLEND,
     run_algorithm1,
@@ -336,6 +336,22 @@ def test_stalled_when_no_halving_resolves(table2, monkeypatch):
     assert res.status == "stalled"
     assert res.outer_trace == ((1, res.uav_total),)
     assert check_constraints(table2, res.plan).feasible(1e-6)
+
+
+def test_semicircle_start_converges_past_a_stalled_warm_ascent(ref2x6):
+    """One user, N = 3, from the semicircle: the tangent predicts the full
+    joint step's prices poorly (the step is 4.3 m), and the ascent from
+    them at the damping floor stalls (ROADMAP item 16).  The re-solve then
+    restarts cold, and the run converges to the energy of the source
+    prices' start (281687.20009 J) on a checked plan."""
+    s = Scenario(**{**_fields(ref2x6), "K": 1, "N": 3, "T": 2.063456090361509,
+                    "user_pos": [[2.063456090361509, 0.3333333333333333]],
+                    "R": [1085479.7211892733], "P_u": 136399.01051523344,
+                    "V_max": 7.753981330030079, "qF": [10.0, 0.0]})
+    res = run_algorithm1(s, init="semi-circle")
+    assert res.status == "converged"
+    assert res.uav_total == pytest.approx(281687.20009170554, rel=1e-9)
+    assert check_constraints(s, res.plan).feasible(1e-6)
 
 
 def test_outer_trace_ends_at_the_ledger_total(table2):
@@ -665,6 +681,40 @@ def test_joint_step_matches_the_capped_qcqp(case):
     step, decrease = joint_step(s, traj, sol)
     assert np.abs(step[1:-1] - ref_step).max() <= 1e-9 * (1.0 + np.abs(traj).max())
     assert decrease == pytest.approx(ref_decrease, rel=1e-9)
+
+
+@settings(max_examples=40)
+@given(_missions())
+@example((Scenario(K=3, N=3, T=2.0, H=10.0, user_pos=[[0.0, 0.0], [0.0, 3.0], [0.0, -2.90625]],
+                   R=[527198.87746851, 487831.45575623, 980216.48538016], P_u=121639.0,
+                   eta=0.8, B=2e6, sigma2=1e-9, Gamma=1.0, beta0=1e-5, M=1e3, gamma_c=1e-28,
+                   W_mass=9.65, V_max=8.0, q0=[0.0, 0.0], qF=[10.0, 0.0]), "semi-circle"))
+def test_tangent_predicted_resolves_converge(case):
+    """From each draw's converged initial schedule, the re-solve from the
+    prices its tangent predicts (:func:`price_tangent`) at the joint step's
+    candidate and at its first halving converges (KKT within 1e-6) and
+    meets the cold solve's objective within 1e-9 relative, wherever the
+    cold solve converges.  On the explicit example the prediction at the
+    full step lies below the zero prices' dual value, and the ascent from
+    it at the damping floor stalls at the all-zero prices (ROADMAP item
+    16), so the re-solve restarts cold."""
+    s, start = case
+    try:
+        traj = {"straight-line": straight_line_trajectory,
+                "semi-circle": semicircle_trajectory}[start](s)
+        sol = solve_p2(s, traj)
+        step, _ = joint_step(s, traj, sol)
+    except SolverError:
+        return
+    tangent = price_tangent(s, traj, sol.duals, step)
+    for alpha in (1.0, 0.5):
+        try:
+            cold = solve_p2(s, traj + alpha * step)
+        except SolverError:
+            continue
+        warm = solve_p2(s, traj + alpha * step, warm=tangent.at(alpha))
+        assert warm.kkt.max() <= 1e-6
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
 # Fixed missions with table2's physics and endpoints: slots, T, users and
